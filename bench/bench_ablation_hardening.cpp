@@ -51,12 +51,10 @@ int main(int argc, char** argv) {
     arms.push_back({rung.predicate, rung.fuzz, std::chrono::hours(24 * 40)});
   }
   fleet::TrialPlan plan(labels, static_cast<std::size_t>(args.runs), args.seed);
-  fleet::ExecutorConfig executor_config;
-  executor_config.threads = args.threads;
-  fleet::Executor executor(executor_config);
-  fleet::ProgressReporter progress;
-  const auto outcomes = executor.run(plan, fleet::unlock_world_factory(std::move(arms)),
-                                     &progress);
+  const auto outcomes = fleet::run_campaign(
+      plan,
+      [&arms](metrics::Registry* registry) { return fleet::unlock_world_factory(arms, registry); },
+      "ablation-hardening", args.campaign, argv);
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   analysis::TextTable table({"Predicate", "P(hit)/frame", "Analytic mean @1ms",
@@ -87,7 +85,8 @@ int main(int argc, char** argv) {
   // ids::DlcConsistencyDetector watching the *unhardened* bench flags
   // exactly the frames the hardened predicate rejects — both sides call
   // MessageDef::dlc_matches, so Table V's one-line hardening and the IDS
-  // path share one implementation.
+  // path share one implementation.  Its evaluations land in an in-memory
+  // EvalSink, so this campaign always runs in-process.
   {
     ids::IdsArm arm;  // weak predicate, detection-side hardening only
     arm.fuzz = fast_small();
@@ -102,8 +101,14 @@ int main(int argc, char** argv) {
                               static_cast<std::size_t>(args.runs), args.seed,
                               std::chrono::minutes(5));
     ids::EvalSink sink = ids::make_eval_sink(ids_plan);
-    fleet::Executor ids_executor(executor_config);
-    ids_executor.run(ids_plan, ids::ids_unlock_world_factory({arm}, sink));
+    fleet::CampaignOptions in_process;
+    in_process.threads = args.campaign.threads;
+    fleet::run_campaign(
+        ids_plan,
+        [&arm, &sink](metrics::Registry* registry) {
+          return ids::ids_unlock_world_factory({arm}, sink, registry);
+        },
+        "ablation-hardening-dlc", in_process, argv);
     const auto reports = ids::merge_evals(ids_plan, *sink);
     const ids::ArmIdsReport::PerDetector& det = reports[0].detectors.at(0);
     const util::Interval rate = det.detection_rate_ci(reports[0].trials);

@@ -2,9 +2,9 @@
 // from 10 ms down to the paper's 1 ms minimum and beyond, measures bus load,
 // achieved injection rate, disruption of the vehicle, and mean
 // time-to-unlock — the throughput/effect trade-off behind the "1 ms minimum"
-// design choice.  The unlock trials run as one fleet (arm = period), so
-// `--runs N --threads T` scales the per-rate sample without re-running the
-// disruption pass.
+// design choice.  The unlock trials run as one fleet campaign (arm =
+// period), so `--runs N --threads T` (or `--distributed [K]`) scales the
+// per-rate sample without re-running the disruption pass.
 #include "bench_util.hpp"
 
 int main(int argc, char** argv) {
@@ -16,6 +16,28 @@ int main(int argc, char** argv) {
       std::chrono::milliseconds(10), std::chrono::milliseconds(5),
       std::chrono::milliseconds(2), std::chrono::milliseconds(1),
       std::chrono::microseconds(500), std::chrono::microseconds(250)};
+
+  // Time-to-unlock fleet: one arm per period, args.runs replicas each.
+  // Seeds derive from (base seed, trial index), so every period/replica
+  // pair fuzzes a distinct stream — no row replays another's frames.  It
+  // runs first, so forked workers never reach the disruption pass.
+  std::vector<std::string> labels;
+  std::vector<fleet::UnlockArm> arms;
+  for (const auto period : periods) {
+    char label[32];
+    std::snprintf(label, sizeof label, "%.2f ms", sim::to_millis(period));
+    labels.emplace_back(label);
+    fuzzer::FuzzConfig fuzz = fuzzer::FuzzConfig::full_random();
+    fuzz.tx_period = period;
+    arms.push_back({vehicle::UnlockPredicate::single_id_and_byte(), fuzz,
+                    std::chrono::hours(48)});
+  }
+  fleet::TrialPlan plan(labels, static_cast<std::size_t>(args.runs), args.seed);
+  const auto outcomes = fleet::run_campaign(
+      plan,
+      [&arms](metrics::Registry* registry) { return fleet::unlock_world_factory(arms, registry); },
+      "ablation-rate", args.campaign, argv);
+  const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   // Disruption measurement on the full vehicle, one sequential pass per
   // period (a single campaign each; the fleet handles the unlock matrix).
@@ -45,29 +67,6 @@ int main(int argc, char** argv) {
          car.body_bus().stats().load(scheduler.now()),
          car.cluster().needle_travel() - travel_before});
   }
-
-  // Time-to-unlock fleet: one arm per period, args.runs replicas each.
-  // Seeds derive from (base seed, trial index), so every period/replica
-  // pair fuzzes a distinct stream — no row replays another's frames.
-  std::vector<std::string> labels;
-  std::vector<fleet::UnlockArm> arms;
-  for (const auto period : periods) {
-    char label[32];
-    std::snprintf(label, sizeof label, "%.2f ms", sim::to_millis(period));
-    labels.emplace_back(label);
-    fuzzer::FuzzConfig fuzz = fuzzer::FuzzConfig::full_random();
-    fuzz.tx_period = period;
-    arms.push_back({vehicle::UnlockPredicate::single_id_and_byte(), fuzz,
-                    std::chrono::hours(48)});
-  }
-  fleet::TrialPlan plan(labels, static_cast<std::size_t>(args.runs), args.seed);
-  fleet::ExecutorConfig executor_config;
-  executor_config.threads = args.threads;
-  fleet::Executor executor(executor_config);
-  fleet::ProgressReporter progress;
-  const auto outcomes = executor.run(plan, fleet::unlock_world_factory(std::move(arms)),
-                                     &progress);
-  const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   analysis::TextTable table({"Period", "Injected frames/s", "Bus load %",
                              "Cluster needle travel (10 s)", "Mean time-to-unlock (s)",

@@ -66,26 +66,12 @@ void json_arm(std::FILE* out, const acf::fleet::ArmReport& arm, const ArmDerived
 int main(int argc, char** argv) {
   using namespace acf;
 
-  // Strip the bench-local flags before the shared fleet parser sees them.
-  const char* json_path = nullptr;
+  std::string json_path;
   std::string corpus_dir;
-  std::vector<char*> filtered = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--corpus-dir") == 0 && i + 1 < argc) {
-      corpus_dir = argv[++i];
-    } else {
-      filtered.push_back(argv[i]);
-    }
-  }
-  const bench::FleetArgs args =
-      bench::parse_fleet_args(static_cast<int>(filtered.size()), filtered.data(), 12);
-  if (args.worker_host.empty()) {
-    bench::header("Feedback loop", "Coverage-guided vs blind random on the unlock "
-                                   "testbench (" +
-                                       std::to_string(args.runs) + " runs per arm)");
-  }
+  const bench::FleetArgs args = bench::parse_fleet_args(
+      argc, argv, 12, {{"--json", &json_path}, {"--corpus-dir", &corpus_dir}});
+  bench::header("Feedback loop", "Coverage-guided vs blind random on the unlock testbench (" +
+                                     std::to_string(args.runs) + " runs per arm)");
 
   // Both arms under the identical simulated-time budget; blind random's
   // asymptotic mean is ~590 s, so 1200 s leaves it a fair (~87%) chance per
@@ -94,25 +80,26 @@ int main(int argc, char** argv) {
   fleet::TrialPlan plan({"blind random", "feedback"},
                         static_cast<std::size_t>(args.runs), args.seed, budget);
 
-  bench::FleetMetrics metrics;
   // The combined factory dispatches on the trial's arm: each inner factory
   // indexes arms by spec.arm, so both carry an entry per plan arm.
-  fleet::UnlockArm random_arm;  // weak predicate, full-random space, 1 ms tx
-  feedback::FeedbackArm feedback_arm;
-  const fleet::WorldFactory random_factory =
-      fleet::unlock_world_factory({random_arm, random_arm}, &metrics.registry);
-  const fleet::WorldFactory feedback_factory = feedback::feedback_world_factory(
-      {feedback_arm, feedback_arm}, &metrics.registry, corpus_dir);
-  const fleet::WorldFactory factory =
-      [&random_factory, &feedback_factory](const fleet::TrialSpec& spec) {
-        return spec.arm == 0 ? random_factory(spec) : feedback_factory(spec);
-      };
+  const auto make_factory = [&corpus_dir](metrics::Registry* registry) -> fleet::WorldFactory {
+    fleet::UnlockArm random_arm;  // weak predicate, full-random space, 1 ms tx
+    feedback::FeedbackArm feedback_arm;
+    fleet::WorldFactory random_factory =
+        fleet::unlock_world_factory({random_arm, random_arm}, registry);
+    fleet::WorldFactory feedback_factory =
+        feedback::feedback_world_factory({feedback_arm, feedback_arm}, registry, corpus_dir);
+    return [random_factory = std::move(random_factory),
+            feedback_factory = std::move(feedback_factory)](const fleet::TrialSpec& spec) {
+      return spec.arm == 0 ? random_factory(spec) : feedback_factory(spec);
+    };
+  };
 
   const std::vector<fleet::TrialOutcome> outcomes =
-      bench::run_fleet(plan, factory, args, "feedback-vs-random", &metrics);
+      fleet::run_campaign(plan, make_factory, "feedback-vs-random", args.campaign, argv);
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
-  bench::print_fleet_report(report);
+  std::printf("%s\n", fleet::arm_table(report).c_str());
   const ArmDerived random_d = derive(report.arms[0], outcomes, 0);
   const ArmDerived feedback_d = derive(report.arms[1], outcomes, 1);
   std::printf("distinct findings / sim-CPU-hour: random %.3f (%zu in %.2f h), "
@@ -128,10 +115,10 @@ int main(int argc, char** argv) {
                 report.arms[1].time_to_failure.mean());
   }
 
-  if (json_path != nullptr) {
-    std::FILE* out = std::fopen(json_path, "w");
+  if (!json_path.empty()) {
+    std::FILE* out = std::fopen(json_path.c_str(), "w");
     if (out == nullptr) {
-      std::fprintf(stderr, "bench: cannot open %s\n", json_path);
+      std::fprintf(stderr, "bench: cannot open %s\n", json_path.c_str());
       return 2;
     }
     std::fprintf(out,

@@ -28,44 +28,6 @@
 
 namespace {
 
-struct IdsRocArgs {
-  acf::bench::FleetArgs fleet;
-  std::string jsonl_path;
-  /// Evaluate the attack-scenario catalog (one arm per family) instead of
-  /// the Table V unlock world.
-  bool attacks = false;
-};
-
-IdsRocArgs parse_args(int argc, char** argv) {
-  IdsRocArgs args;
-  args.fleet.runs = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      args.fleet.runs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      args.fleet.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.fleet.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--jsonl") == 0 && i + 1 < argc) {
-      args.jsonl_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--attacks") == 0) {
-      args.attacks = true;
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      args.fleet.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-interval") == 0 && i + 1 < argc) {
-      args.fleet.metrics_interval = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--runs N] [--threads T] [--seed S] [--jsonl PATH]\n"
-                   "          [--attacks] [--metrics-out PATH] [--metrics-interval N]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  if (args.fleet.runs <= 0) args.fleet.runs = 8;
-  return args;
-}
-
 std::string num(double value) {
   char buffer[40];
   std::snprintf(buffer, sizeof buffer, "%.9g", value);
@@ -181,66 +143,61 @@ bool counters_cross_check(const std::vector<acf::ids::ArmIdsReport>& reports) {
   return counters_ok;
 }
 
+/// One evaluation campaign: the fleet report and the per-(arm, detector)
+/// evaluation, plus each arm's attack family for the --attacks matrix.
+struct Evaluation {
+  acf::fleet::FleetReport fleet;
+  std::vector<acf::ids::ArmIdsReport> reports;
+  std::vector<std::string> families;
+};
+
 /// --attacks: the per-(attack, detector) evaluation matrix over the full
 /// scenario catalog.  Each trial ships its evaluation back as digest
-/// findings, so the merged matrix here is the same one a --distributed run
-/// reconstructs from the remote outcomes.
-int run_attacks(const IdsRocArgs& args) {
+/// findings, merged here from the outcomes.
+Evaluation evaluate_attacks(const acf::bench::FleetArgs& args, char** argv) {
   using namespace acf;
   bench::header("IDS evaluation: attack catalog",
                 "Per-(attack, detector) matrix over the scenario families (" +
-                    std::to_string(args.fleet.runs) + " trials per arm)");
-
+                    std::to_string(args.runs) + " trials per arm)");
   const std::vector<attacks::AttackArm> arms = attacks::standard_attack_arms();
   std::vector<std::string> labels;
-  std::vector<std::string> families;
+  Evaluation result;
   for (const attacks::AttackArm& arm : arms) {
     labels.push_back(arm.label);
-    families.push_back(attacks::to_string(arm.spec.family));
+    result.families.push_back(attacks::to_string(arm.spec.family));
   }
-  fleet::TrialPlan plan(labels, static_cast<std::size_t>(args.fleet.runs), args.fleet.seed);
+  fleet::TrialPlan plan(labels, static_cast<std::size_t>(args.runs), args.seed);
+  const auto outcomes = fleet::run_campaign(
+      plan,
+      [&arms](metrics::Registry* registry) {
+        return attacks::attack_world_factory(arms, registry);
+      },
+      "ids-roc-attacks", args.campaign, argv);
+  result.fleet = fleet::aggregate(plan, outcomes);
+  result.reports = attacks::merge_outcome_evals(plan, outcomes);
+  return result;
+}
 
-  bench::FleetMetrics metrics;
-  const bool observing = args.fleet.metrics_out != nullptr;
-  fleet::ExecutorConfig executor_config;
-  executor_config.threads = args.fleet.threads;
-  if (observing) {
-    metrics.open(args.fleet.metrics_out, "local");
-    executor_config.registry = &metrics.registry;
-    executor_config.snapshot_writer = &*metrics.writer;
-    executor_config.snapshot_interval = args.fleet.metrics_interval;
-  }
-  fleet::Executor executor(executor_config);
-  fleet::ProgressReporter progress;
-  if (observing) progress.attach_registry(&metrics.registry);
-  const auto outcomes = executor.run(
-      plan, attacks::attack_world_factory(arms, observing ? &metrics.registry : nullptr),
-      &progress);
-  if (observing) {
-    const metrics::RegistrySnapshot snap = metrics.registry.snapshot();
-    double sim_seconds = 0.0;
-    for (const auto& timer : snap.timers)
-      if (timer.name == "fleet.trial.sim_seconds") sim_seconds = timer.sum;
-    metrics.writer->write(snap, sim_seconds);
-    std::fprintf(stderr, "%s", metrics::render_table(snap).c_str());
-  }
-
-  const fleet::FleetReport fleet_report = fleet::aggregate(plan, outcomes);
-  const std::vector<ids::ArmIdsReport> reports = attacks::merge_outcome_evals(plan, outcomes);
-
-  std::printf("Attack impact (kFailure findings -> detected / time-to-failure):\n");
-  bench::print_fleet_report(fleet_report);
-  print_reports(reports);
-
-  if (!args.jsonl_path.empty()) {
-    std::ofstream out(args.jsonl_path);
-    write_jsonl(out, reports, &families);
-    std::printf("wrote %s (byte-identical at any --threads for a given --seed)\n\n",
-                args.jsonl_path.c_str());
-  }
-
-  const bool counters_ok = counters_cross_check(reports);
-  return counters_ok && fleet_report.errors == 0 ? 0 : 1;
+/// The Table V unlock world behind the four standard detectors.  With
+/// --metrics-out the final snapshot's ids.latency.* timers show the
+/// per-detector detection-latency quantiles next to the fleet totals.
+Evaluation evaluate_unlock(const acf::bench::FleetArgs& args, char** argv) {
+  using namespace acf;
+  bench::header("IDS evaluation",
+                "Detector precision/recall/ROC on the Table V unlock world (" +
+                    std::to_string(args.runs) + " runs per arm, 1 ms tx period)");
+  std::vector<ids::IdsArm> arms(2);
+  arms[1].predicate = vehicle::UnlockPredicate::id_byte_and_length();
+  fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
+                        static_cast<std::size_t>(args.runs), args.seed);
+  ids::EvalSink sink = ids::make_eval_sink(plan);
+  const auto outcomes = fleet::run_campaign(
+      plan,
+      [&arms, &sink](metrics::Registry* registry) {
+        return ids::ids_unlock_world_factory(arms, sink, registry);
+      },
+      "ids-roc", args.campaign, argv);
+  return {fleet::aggregate(plan, outcomes), ids::merge_evals(plan, *sink), {}};
 }
 
 /// Fig. 4 vs Fig. 5 as a detector property: train on the first half of a
@@ -281,59 +238,30 @@ double entropy_capture_vs_fuzz_auc() {
 
 int main(int argc, char** argv) {
   using namespace acf;
-  const IdsRocArgs args = parse_args(argc, argv);
-  if (args.attacks) return run_attacks(args);
-  bench::header("IDS evaluation",
-                "Detector precision/recall/ROC on the Table V unlock world (" +
-                    std::to_string(args.fleet.runs) + " runs per arm, 1 ms tx period)");
+  // In-process only (no --distributed): the unlock mode collects through an
+  // in-memory ids::EvalSink.  --attacks evaluates the attack-scenario
+  // catalog (one arm per family) instead of the Table V unlock world.
+  std::string jsonl_path;
+  bool attacks = false;
+  const bench::FleetArgs args = bench::parse_fleet_args(
+      argc, argv, 8, {{"--jsonl", &jsonl_path}, {"--attacks", nullptr, &attacks}},
+      /*distributable=*/false);
+  const Evaluation result = attacks ? evaluate_attacks(args, argv) : evaluate_unlock(args, argv);
 
-  std::vector<ids::IdsArm> arms(2);
-  arms[1].predicate = vehicle::UnlockPredicate::id_byte_and_length();
-  fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
-                        static_cast<std::size_t>(args.fleet.runs), args.fleet.seed);
-  bench::FleetMetrics metrics;
-  const bool observing = args.fleet.metrics_out != nullptr;
-  fleet::ExecutorConfig executor_config;
-  executor_config.threads = args.fleet.threads;
-  if (observing) {
-    metrics.open(args.fleet.metrics_out, "local");
-    executor_config.registry = &metrics.registry;
-    executor_config.snapshot_writer = &*metrics.writer;
-    executor_config.snapshot_interval = args.fleet.metrics_interval;
-  }
-  fleet::Executor executor(executor_config);
-  fleet::ProgressReporter progress;
-  if (observing) progress.attach_registry(&metrics.registry);
-  ids::EvalSink sink = ids::make_eval_sink(plan);
-  const auto outcomes = executor.run(
-      plan,
-      ids::ids_unlock_world_factory(arms, sink, observing ? &metrics.registry : nullptr),
-      &progress);
-  if (observing) {
-    // Final snapshot: the ids.latency.* timers make the per-detector
-    // detection-latency quantiles visible next to the fleet totals.
-    const metrics::RegistrySnapshot snap = metrics.registry.snapshot();
-    double sim_seconds = 0.0;
-    for (const auto& timer : snap.timers)
-      if (timer.name == "fleet.trial.sim_seconds") sim_seconds = timer.sum;
-    metrics.writer->write(snap, sim_seconds);
-    std::fprintf(stderr, "%s", metrics::render_table(snap).c_str());
-  }
-  const fleet::FleetReport fleet_report = fleet::aggregate(plan, outcomes);
-  const std::vector<ids::ArmIdsReport> reports = ids::merge_evals(plan, *sink);
+  std::printf(attacks ? "Attack impact (kFailure findings -> detected / time-to-failure):\n"
+                      : "Unlock times (the attack these detectors watch):\n");
+  std::printf("%s\n", fleet::arm_table(result.fleet).c_str());
+  print_reports(result.reports);
 
-  std::printf("Unlock times (the attack these detectors watch):\n");
-  bench::print_fleet_report(fleet_report);
-  print_reports(reports);
-
-  if (!args.jsonl_path.empty()) {
-    std::ofstream out(args.jsonl_path);
-    write_jsonl(out, reports);
+  if (!jsonl_path.empty()) {
+    std::ofstream out(jsonl_path);
+    write_jsonl(out, result.reports, attacks ? &result.families : nullptr);
     std::printf("wrote %s (byte-identical at any --threads for a given --seed)\n\n",
-                args.jsonl_path.c_str());
+                jsonl_path.c_str());
   }
 
-  const bool counters_ok = counters_cross_check(reports);
+  const bool counters_ok = counters_cross_check(result.reports);
+  if (attacks) return counters_ok && result.fleet.errors == 0 ? 0 : 1;
 
   const double auc = entropy_capture_vs_fuzz_auc();
   std::printf("Entropy detector, captured (Fig. 4) vs fuzz (Fig. 5) traffic: AUC %.3f  %s\n",

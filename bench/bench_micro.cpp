@@ -451,6 +451,12 @@ int main(int argc, char** argv) {
       {"vehicle_sim", "frames/s", [&] { return bench_vehicle_sim(vehicle_horizon); }},
   };
 
+  if (!only.empty() && std::none_of(std::begin(specs), std::end(specs),
+                                    [&only](const Spec& spec) { return only == spec.name; })) {
+    std::fprintf(stderr, "--only %s: no bench has that exact name\n", only.c_str());
+    return 2;  // before anything runs, and without writing an empty report
+  }
+
   std::vector<BenchResult> results;
   bool all_deterministic = true;
   for (const Spec& spec : specs) {

@@ -19,32 +19,27 @@
 int main(int argc, char** argv) {
   using namespace acf;
   const bench::FleetArgs args = bench::parse_fleet_args(argc, argv, 12);
-  if (args.worker_host.empty()) {
-    bench::header("Table V", "Fuzzer run times to activate unlock (" +
-                                 std::to_string(args.runs) +
-                                 " runs per predicate, 1 ms tx period)");
-  }
+  bench::header("Table V", "Fuzzer run times to activate unlock (" +
+                               std::to_string(args.runs) +
+                               " runs per predicate, 1 ms tx period)");
 
   fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
                         static_cast<std::size_t>(args.runs), args.seed);
-  // Declared before the factory: every trial publishes scheduler/bus totals
-  // into this registry, which `--metrics-out` streams as snapshot lines.
-  bench::FleetMetrics metrics;
-  fleet::WorldFactory factory = fleet::unlock_world_factory(
-      {{vehicle::UnlockPredicate::single_id_and_byte(), fuzzer::FuzzConfig::full_random(),
-        std::chrono::hours(24)},
-       {vehicle::UnlockPredicate::id_byte_and_length(), fuzzer::FuzzConfig::full_random(),
-        std::chrono::hours(24)}},
-      &metrics.registry);
-
   // In-process by default; `--distributed K` runs the same plan through the
   // campaign coordinator with K forked worker processes — byte-identical
   // outcomes either way.
-  const std::vector<fleet::TrialOutcome> outcomes =
-      bench::run_fleet(plan, factory, args, "unlock-table5", &metrics);
+  const std::vector<fleet::TrialOutcome> outcomes = fleet::run_campaign(
+      plan,
+      [](metrics::Registry* registry) {
+        // Full-random fuzz, 24 h budget: UnlockArm's defaults.
+        return fleet::unlock_world_factory({{vehicle::UnlockPredicate::single_id_and_byte()},
+                                            {vehicle::UnlockPredicate::id_byte_and_length()}},
+                                           registry);
+      },
+      "unlock-table5", args.campaign, argv);
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
-  bench::print_fleet_report(report);
+  std::printf("%s\n", fleet::arm_table(report).c_str());
   const double weak = report.arms[0].time_to_failure.mean();
   const double hard = report.arms[1].time_to_failure.mean();
   if (weak > 0.0 && report.arms[1].detected > 0) {

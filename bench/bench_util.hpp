@@ -1,32 +1,24 @@
 // Shared scaffolding for the experiment benches: each bench binary
 // regenerates one of the paper's tables or figures on stdout.  The
-// trial-matrix benches (Table V, rate/hardening ablations) run on the fleet
-// orchestrator — `--runs N --threads T` shards N replicas per arm across a
-// worker pool with byte-identical results at any thread count.
+// trial-matrix benches (Table V, rate/hardening ablations, feedback vs
+// random) run their campaigns through fleet::run_campaign — `--runs N
+// --threads T` shards N replicas per arm across a worker pool, and
+// `--distributed [K]` runs the same plan through the coordinator with K
+// forked workers, with byte-identical results either way.
 #pragma once
 
-#include <sys/types.h>
-#include <sys/wait.h>
-
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <optional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "analysis/report.hpp"
 #include "fleet/aggregator.hpp"
-#include "fleet/executor.hpp"
-#include "fleet/remote/coordinator.hpp"
-#include "fleet/remote/worker.hpp"
+#include "fleet/runner.hpp"
 #include "fleet/worlds.hpp"
-#include "metrics/metrics.hpp"
-#include "metrics/snapshot.hpp"
 #include "fuzzer/campaign.hpp"
 #include "fuzzer/generator.hpp"
 #include "oracle/vehicle_oracles.hpp"
@@ -71,205 +63,69 @@ inline double time_to_unlock(vehicle::UnlockPredicate predicate, std::uint64_t s
 
 /// Command-line knobs shared by the fleet benches.
 struct FleetArgs {
-  int runs = 0;          // replicas per arm
-  unsigned threads = 0;  // 0 = hardware concurrency
+  int runs = 0;  // replicas per arm
   std::uint64_t seed = 0xACF17EE7ULL;
-  /// Worker processes to fork (`--distributed [K]`); 0 = in-process fleet.
-  std::size_t distributed = 0;
-  /// Hidden `--worker HOST:PORT`: this invocation IS a forked worker.
-  std::string worker_host;
-  std::uint16_t worker_port = 0;
-  /// `--metrics-out PATH` (- = stderr): stream acf-metrics-v1 JSONL
-  /// snapshots; the final line carries the campaign totals.
-  const char* metrics_out = nullptr;
-  /// `--metrics-interval N`: snapshot line cadence in completed trials.
-  std::size_t metrics_interval = 10;
+  fleet::CampaignOptions campaign;
 };
 
-/// The --metrics-out plumbing for one bench process: the registry every
-/// layer publishes into, the output stream and the JSONL writer.  Declare
-/// it before the world factory so the registry outlives every world, and
-/// pass `&registry` into the factory so trials publish their scheduler /
-/// bus totals.
-struct FleetMetrics {
-  metrics::Registry registry;
-  std::ofstream file;
-  std::optional<metrics::SnapshotWriter> writer;
-
-  /// Opens `path` ("-" = stderr) and arms the writer; exits on failure (a
-  /// bench with an unwritable metrics path has nothing useful to measure).
-  void open(const char* path, const std::string& source) {
-    if (std::strcmp(path, "-") == 0) {
-      writer.emplace(std::cerr, source);
-      return;
-    }
-    file.open(path);
-    if (!file) {
-      std::fprintf(stderr, "bench: cannot open %s\n", path);
-      std::exit(2);
-    }
-    writer.emplace(file, source);
-  }
+/// A bench-local flag: the next argument lands in `value`, or, for a switch,
+/// `on` is set.
+struct LocalFlag {
+  const char* name;
+  std::string* value;
+  bool* on = nullptr;
 };
 
-/// Parses `--runs N`, `--threads T`, `--seed S`, `--distributed [K]` and the
-/// hidden `--worker HOST:PORT` child mode; a bare leading integer is still
-/// accepted as the run count (the benches' historical interface).
-inline FleetArgs parse_fleet_args(int argc, char** argv, int default_runs) {
+/// Parses `--runs N`, `--threads T`, `--seed S`, `--metrics-out PATH`,
+/// `--metrics-interval N` and the bench's `local` flags.  A distributable
+/// bench also takes `--distributed [K]` (the coordinator plus K forked
+/// workers, default 2), the `--connect HOST:PORT` a forked worker is given,
+/// and a bare leading integer as the run count (its historical interface).
+inline FleetArgs parse_fleet_args(int argc, char** argv, int default_runs,
+                                  std::initializer_list<LocalFlag> local = {},
+                                  bool distributable = true) {
   FleetArgs args;
   args.runs = default_runs;
+  fleet::CampaignOptions& campaign = args.campaign;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
+    const auto flag = std::find_if(local.begin(), local.end(), [&](const LocalFlag& f) {
+      return std::strcmp(argv[i], f.name) == 0;
+    });
+    if (flag != local.end() && flag->on != nullptr) {
+      *flag->on = true;
+    } else if (flag != local.end() && i + 1 < argc) {
+      *flag->value = argv[++i];
+    } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
       args.runs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      args.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      campaign.threads = static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       args.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--distributed") == 0) {
-      args.distributed = 2;
+    } else if (distributable && std::strcmp(argv[i], "--distributed") == 0) {
+      campaign.serve = true;
+      campaign.workers = 2;
       if (i + 1 < argc && std::atoi(argv[i + 1]) > 0) {
-        args.distributed = static_cast<std::size_t>(std::atoi(argv[++i]));
+        campaign.workers = static_cast<std::size_t>(std::atoi(argv[++i]));
       }
-    } else if (std::strcmp(argv[i], "--worker") == 0 && i + 1 < argc) {
-      const char* endpoint = argv[++i];
-      const char* colon = std::strrchr(endpoint, ':');
-      if (colon == nullptr || colon == endpoint) {
-        std::fprintf(stderr, "%s: bad --worker endpoint %s\n", argv[0], endpoint);
-        std::exit(2);
-      }
-      args.worker_host.assign(endpoint, static_cast<std::size_t>(colon - endpoint));
-      args.worker_port = static_cast<std::uint16_t>(std::strtoul(colon + 1, nullptr, 0));
+    } else if (distributable && std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
+      campaign.connect = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      args.metrics_out = argv[++i];
+      campaign.metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-interval") == 0 && i + 1 < argc) {
-      args.metrics_interval = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (i == 1 && std::atoi(argv[i]) > 0) {
+      campaign.metrics_interval = static_cast<std::size_t>(std::atoi(argv[++i]));
+    } else if (distributable && i == 1 && std::atoi(argv[i]) > 0) {
       args.runs = std::atoi(argv[i]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--runs N] [--threads T] [--seed S] [--distributed [K]]\n"
-                   "          [--metrics-out PATH] [--metrics-interval N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--runs N] [--threads T] [--seed S]%s\n", argv[0],
+                   distributable ? " [--distributed [K]]" : "");
+      std::fprintf(stderr, "          [--metrics-out PATH] [--metrics-interval N]");
+      for (const LocalFlag& f : local) std::fprintf(stderr, " [%s%s]", f.name, f.on ? "" : " ARG");
+      std::fprintf(stderr, "\n");
       std::exit(2);
     }
   }
   if (args.runs <= 0) args.runs = default_runs;
   return args;
-}
-
-/// Runs the plan and returns index-ordered outcomes — in this process by
-/// default, or (with `--distributed K`) through the campaign coordinator
-/// with K forked worker processes of this same bench binary.  Both paths
-/// return byte-identical outcomes: the coordinator merges completions by
-/// trial index and every trial's seed is a pure function of that index.
-/// When the args carry the hidden `--worker` mode, this call never returns:
-/// it serves the coordinator until shutdown and exits the process.
-///
-/// A non-null `metrics` arms the observability path: workers always publish
-/// into its registry (heartbeats carry the totals), and with
-/// `--metrics-out` the parent streams acf-metrics-v1 snapshot lines plus a
-/// final operator table on stderr.
-inline std::vector<fleet::TrialOutcome> run_fleet(const fleet::TrialPlan& plan,
-                                                  const fleet::WorldFactory& factory,
-                                                  const FleetArgs& args,
-                                                  const std::string& world_tag,
-                                                  FleetMetrics* metrics = nullptr) {
-  if (!args.worker_host.empty()) {
-    fleet::remote::WorkerConfig config;
-    config.host = args.worker_host;
-    config.port = args.worker_port;
-    config.threads = args.threads;
-    config.world_tag = world_tag;
-    config.name = "bench-pid-" + std::to_string(static_cast<long>(::getpid()));
-    if (metrics) config.registry = &metrics->registry;
-    fleet::remote::Worker worker(plan, factory, config);
-    const fleet::remote::WorkerResult result = worker.run();
-    std::exit(result.exit == fleet::remote::WorkerExit::kCampaignComplete ? 0 : 1);
-  }
-
-  const bool observing = metrics != nullptr && args.metrics_out != nullptr;
-  fleet::ProgressReporter progress;
-  if (observing) progress.attach_registry(&metrics->registry);
-
-  if (args.distributed == 0) {
-    fleet::ExecutorConfig config;
-    config.threads = args.threads;
-    if (observing) {
-      metrics->open(args.metrics_out, "local");
-      config.registry = &metrics->registry;
-      config.snapshot_writer = &*metrics->writer;
-      config.snapshot_interval = args.metrics_interval;
-    }
-    fleet::Executor executor(config);
-    std::vector<fleet::TrialOutcome> outcomes = executor.run(plan, factory, &progress);
-    if (observing) {
-      const metrics::RegistrySnapshot snap = metrics->registry.snapshot();
-      double sim_seconds = 0.0;
-      for (const auto& timer : snap.timers)
-        if (timer.name == "fleet.trial.sim_seconds") sim_seconds = timer.sum;
-      metrics->writer->write(snap, sim_seconds);
-      std::fprintf(stderr, "%s", metrics::render_table(snap).c_str());
-    }
-    return outcomes;
-  }
-
-  fleet::remote::CoordinatorConfig config;
-  config.world_tag = world_tag;
-  if (observing) {
-    metrics->open(args.metrics_out, "coordinator");
-    config.registry = &metrics->registry;
-    config.snapshot_writer = &*metrics->writer;
-    config.snapshot_interval = args.metrics_interval;
-  }
-  fleet::remote::Coordinator coordinator(plan, config);
-
-  const std::string endpoint = "127.0.0.1:" + std::to_string(coordinator.port());
-  const std::string runs = std::to_string(args.runs);
-  const std::string threads = std::to_string(args.threads);
-  char seed[32];
-  std::snprintf(seed, sizeof seed, "0x%llx", static_cast<unsigned long long>(args.seed));
-  std::vector<pid_t> children;
-  for (std::size_t k = 0; k < args.distributed; ++k) {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::execl("/proc/self/exe", "/proc/self/exe", "--worker", endpoint.c_str(), "--runs",
-              runs.c_str(), "--threads", threads.c_str(), "--seed", seed,
-              static_cast<char*>(nullptr));
-      std::_Exit(127);
-    }
-    if (pid > 0) children.push_back(pid);
-  }
-  std::fprintf(stderr, "bench: distributed fleet, %zu worker processes on %s\n",
-               children.size(), endpoint.c_str());
-
-  std::vector<fleet::TrialOutcome> outcomes = coordinator.serve(&progress);
-  for (const pid_t pid : children) {
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
-  if (observing) {
-    // serve() already wrote the closing merged snapshot line; render the
-    // same merged view as the operator table.
-    std::fprintf(stderr, "%s", metrics::render_table(coordinator.merged_metrics()).c_str());
-  }
-  return outcomes;
-}
-
-/// Prints the per-arm fleet statistics table: detections, timeouts, errors,
-/// mean with Student-t 95% CI, and median (all simulated seconds).
-inline void print_fleet_report(const fleet::FleetReport& report) {
-  analysis::TextTable table({"Arm", "n", "Detected", "Timeout", "Error", "Mean (s)",
-                             "95% CI (s)", "Median (s)"});
-  for (const fleet::ArmReport& arm : report.arms) {
-    const util::Interval ci = arm.ci95();
-    table.add_row({arm.label, std::to_string(arm.trials), std::to_string(arm.detected),
-                   std::to_string(arm.timeouts), std::to_string(arm.errors),
-                   analysis::format_number(arm.time_to_failure.mean(), 1),
-                   "[" + analysis::format_number(ci.lo, 1) + ", " +
-                       analysis::format_number(ci.hi, 1) + "]",
-                   analysis::format_number(arm.median(), 1)});
-  }
-  std::printf("%s\n", table.to_string().c_str());
 }
 
 }  // namespace acf::bench

@@ -4,12 +4,12 @@
 #include <fstream>
 #include <set>
 
-#include "fleet/remote/wire.hpp"
+#include "util/bytes.hpp"
 
 namespace acf::feedback {
 
-using fleet::remote::ByteReader;
-using fleet::remote::ByteWriter;
+using util::ByteReader;
+using util::ByteWriter;
 
 namespace {
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "analysis/report.hpp"
+
 namespace acf::fleet {
 
 double ArmReport::median() const {
@@ -72,6 +74,21 @@ FleetReport aggregate(const TrialPlan& plan, std::span<const TrialOutcome> outco
   FleetReport report = aggregator.report();
   for (ArmReport& arm : report.arms) arm.finalize_median();
   return report;
+}
+
+std::string arm_table(const FleetReport& report) {
+  analysis::TextTable table({"Arm", "n", "Detected", "Timeout", "Error", "Mean (s)",
+                             "95% CI (s)", "Median (s)"});
+  for (const ArmReport& arm : report.arms) {
+    const util::Interval ci = arm.ci95();
+    table.add_row({arm.label, std::to_string(arm.trials), std::to_string(arm.detected),
+                   std::to_string(arm.timeouts), std::to_string(arm.errors),
+                   analysis::format_number(arm.time_to_failure.mean(), 1),
+                   "[" + analysis::format_number(ci.lo, 1) + ", " +
+                       analysis::format_number(ci.hi, 1) + "]",
+                   analysis::format_number(arm.median(), 1)});
+  }
+  return table.to_string();
 }
 
 }  // namespace acf::fleet

@@ -77,4 +77,9 @@ class Aggregator {
 /// One-shot convenience: aggregate an executor result for its plan.
 FleetReport aggregate(const TrialPlan& plan, std::span<const TrialOutcome> outcomes);
 
+/// The per-arm table fleet_run and the fleet benches print: detections,
+/// timeouts, errors, mean with Student-t 95% CI, and median (all simulated
+/// seconds).
+std::string arm_table(const FleetReport& report);
+
 }  // namespace acf::fleet

@@ -16,8 +16,6 @@ namespace acf::fleet::remote {
 
 namespace {
 
-constexpr std::size_t kReadChunk = 4096;
-
 std::size_t clamp_capacity(std::uint32_t capacity) {
   if (capacity == 0) return 1;
   return std::min<std::size_t>(capacity, kMaxLeaseTrials);
@@ -361,31 +359,18 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
         continue;
       }
       if (entry.writable) flush(*conn);
-      if (conn->dead || !entry.readable) continue;
-      std::uint8_t chunk[kReadChunk];
-      while (!conn->dead) {
-        const auto result = util::socket_read(conn->fd.get(), chunk);
-        if (result.status == util::IoStatus::kOk) {
-          if (!conn->reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) {
-            ++stats_.protocol_errors;
-            drop(*conn, /*count_disconnect=*/conn->handshaken);
-          }
-          continue;
-        }
-        if (result.status == util::IoStatus::kWouldBlock) break;
-        // Orderly close or hard error: either way the worker is gone.
-        drop(*conn, /*count_disconnect=*/conn->handshaken);
-      }
+      if (conn->dead || !(entry.readable || entry.hangup)) continue;
+      // A worker's last results and heartbeat often arrive together with
+      // its hang-up: decode everything buffered before closing.
+      const bool hung_up = read_until_blocked(conn->fd.get(), conn->reader);
       while (!conn->dead && !conn->closing) {
         std::optional<std::vector<std::uint8_t>> payload = conn->reader.next();
-        if (!payload) {
-          if (conn->reader.poisoned()) {
-            ++stats_.protocol_errors;
-            drop(*conn, /*count_disconnect=*/conn->handshaken);
-          }
-          break;
-        }
+        if (!payload) break;
         handle_payload(*conn, *payload);
+      }
+      if (conn->reader.poisoned() && !conn->dead) ++stats_.protocol_errors;
+      if (conn->reader.poisoned() || hung_up) {
+        drop(*conn, /*count_disconnect=*/conn->handshaken);
       }
     }
 
@@ -470,30 +455,19 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
         continue;
       }
       if (entry.writable) flush(*conn);
-      if (conn->dead || !entry.readable) continue;
-      std::uint8_t chunk[kReadChunk];
-      while (!conn->dead) {
-        const auto result = util::socket_read(conn->fd.get(), chunk);
-        if (result.status == util::IoStatus::kOk) {
-          // Keep framing so the worker's final heartbeat parses; poisoned
-          // framing just ends the drain for this socket.
-          if (!conn->reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) {
-            conn->dead = true;
-          }
-          continue;
-        }
-        if (result.status == util::IoStatus::kWouldBlock) break;
-        conn->dead = true;  // EOF: the worker saw the Shutdown and hung up
-      }
-      while (!conn->dead) {
-        std::optional<std::vector<std::uint8_t>> payload = conn->reader.next();
-        if (!payload) break;
+      if (conn->dead || !(entry.readable || entry.hangup)) continue;
+      // Keep framing so the worker's final heartbeat parses, even when its
+      // hang-up (it saw the Shutdown) arrived in the same read.  Poisoned
+      // framing just ends the drain for this socket.
+      const bool hung_up = read_until_blocked(conn->fd.get(), conn->reader);
+      while (std::optional<std::vector<std::uint8_t>> payload = conn->reader.next()) {
         std::optional<Message> message = decode(*payload);
         if (!message) continue;
         if (const auto* heartbeat = std::get_if<HeartbeatMsg>(&*message)) {
           note_worker_metrics(*conn, *heartbeat);
         }
       }
+      if (hung_up || conn->reader.poisoned()) conn->dead = true;
     }
   }
   connections_.clear();

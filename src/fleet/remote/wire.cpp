@@ -4,7 +4,13 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/bytes.hpp"
+#include "util/socket.hpp"
+
 namespace acf::fleet::remote {
+
+using util::ByteReader;
+using util::ByteWriter;
 
 namespace {
 
@@ -155,63 +161,6 @@ bool read_metrics(ByteReader& r, MetricsUpdate& update) {
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ cursor ------
-
-bool ByteReader::take(std::size_t n) noexcept {
-  if (!ok_ || n > remaining()) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::u8() {
-  if (!take(1)) return 0;
-  return bytes_[pos_++];
-}
-
-std::uint32_t ByteReader::u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  if (!take(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string ByteReader::str(std::size_t max_bytes) {
-  const std::uint32_t len = u32();
-  if (!ok_ || len > max_bytes || !take(len)) {
-    ok_ = false;
-    return {};
-  }
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-  pos_ += len;
-  return out;
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.insert(out_.end(), s.begin(), s.end());
-}
 
 // ----------------------------------------------------------- encode -------
 
@@ -364,9 +313,8 @@ std::vector<std::uint8_t> frame_message(const Message& message) {
   const std::vector<std::uint8_t> payload = encode(message);
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  w.raw(payload);
+  return w.take();
 }
 
 // ------------------------------------------------------- frame reader -----
@@ -418,6 +366,16 @@ std::optional<std::vector<std::uint8_t>> FrameReader::next() {
     }
   }
   return payload;
+}
+
+bool read_until_blocked(int fd, FrameReader& reader) {
+  std::uint8_t chunk[4096];
+  for (;;) {
+    const util::IoResult result = util::socket_read(fd, chunk);
+    if (result.status == util::IoStatus::kWouldBlock) return false;
+    if (result.status != util::IoStatus::kOk) return true;
+    if (!reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) return false;
+  }
 }
 
 // ------------------------------------------------------- fingerprint ------

@@ -196,53 +196,18 @@ class FrameReader {
   bool poisoned_ = false;
 };
 
+/// Feeds `reader` every byte the socket has ready: reads until it would
+/// block, the peer hangs up (EOF or a read error), or the framing poisons
+/// the reader.  Never blocks, even on a blocking socket.  Returns true when
+/// the peer has hung up.  Frames that arrived before the hang-up stay
+/// buffered in `reader`, so every reader keeps one order: read, decode every
+/// buffered frame, then close.
+bool read_until_blocked(int fd, FrameReader& reader);
+
 /// Identity of a campaign: workers and coordinator must agree on the exact
 /// trial matrix before any lease moves, and a checkpoint must refuse to
 /// resume a different campaign.  FNV-1a over the world tag, arm labels,
 /// replicas, base seed and simulated budget.
 std::uint64_t campaign_fingerprint(const TrialPlan& plan, std::string_view world_tag);
-
-// --- hardened byte cursor (shared with the checkpoint reader and the ---
-// --- fleet_wire fuzz target)                                          ---
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  bool ok() const noexcept { return ok_; }
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  bool done() const noexcept { return ok_ && remaining() == 0; }
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();  // IEEE bit pattern via u64: exact, canonical
-  /// Length-prefixed string (u32 + bytes), capped at `max_bytes`.
-  std::string str(std::size_t max_bytes);
-
- private:
-  bool take(std::size_t n) noexcept;
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void str(std::string_view s);
-
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-  const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
-
- private:
-  std::vector<std::uint8_t> out_;
-};
 
 }  // namespace acf::fleet::remote

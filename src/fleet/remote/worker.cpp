@@ -43,34 +43,25 @@ struct WaitResult {
 };
 
 /// Blocks until one complete frame arrives, the timeout lapses, or the
-/// connection dies (EOF, error, poisoned framing).
+/// connection dies (EOF, error, poisoned framing).  Frames that arrived
+/// before a hang-up are still handed out, one per call, before kDead.
 WaitResult wait_frame(int fd, FrameReader& reader, std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
+  bool hung_up = false;
   for (;;) {
     if (std::optional<std::vector<std::uint8_t>> payload = reader.next()) {
       return {WaitStatus::kFrame, std::move(*payload)};
     }
-    if (reader.poisoned()) return {WaitStatus::kDead, {}};
+    if (reader.poisoned() || hung_up) return {WaitStatus::kDead, {}};
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return {WaitStatus::kTimeout, {}};
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
     util::PollSet poll;
-    const std::size_t slot =
-        poll.add(fd, /*want_write=*/false);
+    const std::size_t slot = poll.add(fd, /*want_write=*/false);
     poll.wait(static_cast<int>(std::clamp<std::int64_t>(left.count(), 1, 1000)));
     const util::PollEntry& entry = poll.entry(slot);
     if (entry.error) return {WaitStatus::kDead, {}};
-    if (!entry.readable) continue;
-    std::uint8_t chunk[4096];
-    const auto result = util::socket_read(fd, chunk);
-    if (result.status == util::IoStatus::kOk) {
-      if (!reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) {
-        return {WaitStatus::kDead, {}};
-      }
-      continue;
-    }
-    if (result.status == util::IoStatus::kWouldBlock) continue;
-    return {WaitStatus::kDead, {}};
+    if (entry.readable || entry.hangup) hung_up = read_until_blocked(fd, reader);
   }
 }
 

@@ -21,8 +21,10 @@
 #include "can/wire_codec.hpp"
 #include "dbc/parser.hpp"
 #include "feedback/corpus.hpp"
+#include "fleet/remote/checkpoint.hpp"
 #include "fleet/remote/wire.hpp"
 #include "fuzzer/checkpoint.hpp"
+#include "ids/eval_codec.hpp"
 #include "isotp/isotp.hpp"
 #include "metrics/snapshot.hpp"
 #include "sim/scheduler.hpp"
@@ -946,6 +948,143 @@ Verdict run_attack_config(Bytes input) {
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// fleet_checkpoint: the coordinator's campaign checkpoint, read back from
+// disk on every resume.  Raw mode: FleetCheckpoint::deserialize on arbitrary
+// text rejects cleanly; whatever it accepts keeps the documented layout
+// (completed and leased indices strictly ascending inside the plan, never
+// both) and serialize∘deserialize is a fixed point.  Structured mode:
+// synthesise a checkpoint whose strings come from the input bytes and whose
+// doubles are any bit pattern, then require deserialize∘serialize identity.
+// [R][F][M][S]
+
+/// Outcomes compare through their wire encoding, which carries every field
+/// bit-exactly (doubles included).
+bool fleet_checkpoints_equal(const fr::FleetCheckpoint& a, const fr::FleetCheckpoint& b) {
+  const auto same = [](const auto& x, const auto& y) {
+    return x.first == y.first && fr::encode(fr::LeaseResultMsg{0, x.second}) ==
+                                     fr::encode(fr::LeaseResultMsg{0, y.second});
+  };
+  return a.fingerprint == b.fingerprint && a.trial_count == b.trial_count &&
+         a.leased == b.leased &&
+         std::equal(a.completed.begin(), a.completed.end(), b.completed.begin(),
+                    b.completed.end(), same);
+}
+
+Verdict run_fleet_checkpoint(Bytes input) {
+  if (input.empty()) return std::nullopt;
+  const Bytes rest = input.subspan(1);
+  fr::FleetCheckpoint checkpoint;
+  if ((input[0] & 1) != 0) {
+    auto parsed = fr::FleetCheckpoint::from_string(std::string(as_text(rest)));
+    if (!parsed) return std::nullopt;  // clean rejection is the contract
+    checkpoint = std::move(*parsed);
+    std::vector<std::size_t> indices = checkpoint.leased;
+    for (const auto& done : checkpoint.completed) indices.push_back(done.first);
+    std::sort(indices.begin(), indices.end());
+    if (std::adjacent_find(indices.begin(), indices.end()) != indices.end() ||
+        (!indices.empty() && indices.back() >= checkpoint.trial_count)) {
+      return "accepted checkpoint has a trial twice or outside the plan";
+    }
+  } else {
+    util::Rng rng(fnv1a(input) ^ 0xF1EE7C4BULL);
+    checkpoint.fingerprint = rng.next_u64();
+    checkpoint.trial_count = 1 + rng.next_below(24);
+    for (std::size_t index = 0; index < checkpoint.trial_count; ++index) {
+      const auto state = rng.next_below(3);  // done, in flight, or still queued
+      if (state == 1) checkpoint.leased.push_back(index);
+      if (state != 0) continue;
+      fleet::TrialOutcome outcome;
+      outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
+      outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
+      outcome.frames_sent = rng.next_u64();
+      outcome.send_failures = rng.next_u64();
+      outcome.sim_seconds = std::bit_cast<double>(rng.next_u64());
+      outcome.time_to_failure = std::bit_cast<double>(rng.next_u64());
+      outcome.findings.resize(rng.next_below(4));
+      for (std::string& finding : outcome.findings) finding = slice_text(rest, rng, 64);
+      outcome.error = slice_text(rest, rng, 48);
+      checkpoint.completed.emplace_back(index, std::move(outcome));
+    }
+  }
+  const std::string serialized = checkpoint.to_string();
+  const auto restored = fr::FleetCheckpoint::from_string(serialized);
+  if (!restored) return "serialized fleet checkpoint fails to deserialize";
+  if (!fleet_checkpoints_equal(checkpoint, *restored)) {
+    return "fleet checkpoint round-trip lost data";
+  }
+  if (restored->to_string() != serialized) return "fleet checkpoint text is not a fixed point";
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
+// ids_eval_line: the `ids-eval/1` digest lines an attack trial's IDS
+// evaluation travels in, decoded from finding strings remote workers send.
+// Raw mode: decode_eval_line on arbitrary text; a rejected line leaves the
+// evaluation untouched, and an accepted one re-encodes to lines that decode
+// back to the same encoding.  Structured mode: synthesise an evaluation
+// (detector names and the finding prefix come from the input bytes) and
+// require its lines to decode back to exactly its values.  [R][F][M]
+
+/// The lines encoding `eval`: totals first, then one per detector.
+std::vector<std::string> eval_lines(const ids::TrialEval& eval) {
+  std::vector<std::string> lines = {ids::encode_eval_totals(eval)};
+  for (const ids::DetectorEval& det : eval.detectors) {
+    lines.push_back(ids::encode_detector_eval(det));
+  }
+  return lines;
+}
+
+Verdict run_ids_eval_line(Bytes input) {
+  if (input.empty()) return std::nullopt;
+  const Bytes rest = input.subspan(1);
+  util::Rng rng(fnv1a(input) ^ 0x1D5E7A1ULL);
+  ids::TrialEval eval;
+  std::string prefix;
+  if ((input[0] & 1) != 0) {
+    // A non-empty evaluation, so a rejected line visibly leaves it alone.
+    eval.attack_frames = rng.next_u64();
+    eval.detectors.emplace_back().name = "seeded";
+    const std::vector<std::string> before = eval_lines(eval);
+    if (!ids::decode_eval_line(as_text(rest), eval)) {
+      if (eval_lines(eval) != before) return "rejected line modified the evaluation";
+      return std::nullopt;
+    }
+  } else {
+    for (std::uint64_t* count : {&eval.attack_frames, &eval.legit_frames,
+                                 &eval.pipeline.frames_trained, &eval.pipeline.frames_scored,
+                                 &eval.pipeline.alerts_raised, &eval.pipeline.alerts_suppressed,
+                                 &eval.pipeline.alerts_dropped}) {
+      *count = rng.next_u64();
+    }
+    eval.detectors.resize(rng.next_below(4));
+    for (ids::DetectorEval& det : eval.detectors) {
+      det.name = slice_text(rest, rng, 24);
+      std::erase(det.name, ' ');  // names are single tokens in the grammar
+      if (det.name.empty()) det.name = "det";
+      det.threshold = rng.next_bool() ? finite_double(rng) : -finite_double(rng);
+      for (std::uint64_t* count : {&det.tp, &det.fp, &det.tn, &det.fn}) *count = rng.next_u64();
+      det.detection_latency = rng.next_bool() ? -1.0 : finite_double(rng);
+      for (std::vector<std::uint64_t>* bins : {&det.attack_bins, &det.legit_bins}) {
+        for (auto filled = rng.next_below(6); filled > 0; --filled) {
+          (*bins)[rng.next_below(bins->size())] = rng.next_u64();
+        }
+      }
+    }
+    // Findings may carry any prefix before the marker (one holding the
+    // marker itself would make the line ambiguous).
+    prefix = slice_text(rest, rng, 32);
+    if (prefix.find(ids::kEvalDigestMarker) != std::string::npos) prefix.clear();
+  }
+  const std::vector<std::string> lines = eval_lines(eval);
+  ids::TrialEval decoded;
+  for (const std::string& line : lines) {
+    if (!ids::decode_eval_line(prefix + line, decoded)) return "encoded line rejected: " + line;
+  }
+  if (eval_lines(decoded) != lines) return "eval lines change across decode/encode";
+  return std::nullopt;
+}
+
 std::vector<FuzzTarget> make_targets() {
   return {
       {"checkpoint", "CampaignCheckpoint::deserialize on arbitrary text", run_checkpoint},
@@ -967,6 +1106,10 @@ std::vector<FuzzTarget> make_targets() {
        run_corpus_file},
       {"attack_config", "attack-scenario spec codec strict decode + round-trip",
        run_attack_config},
+      {"fleet_checkpoint", "FleetCheckpoint strict deserialize + serialize fixed point",
+       run_fleet_checkpoint},
+      {"ids_eval_line", "ids-eval/1 digest line decode + encode round-trip",
+       run_ids_eval_line},
   };
 }
 

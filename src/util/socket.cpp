@@ -21,7 +21,7 @@ void Fd::reset() noexcept {
 IoResult socket_read(int fd, std::span<std::uint8_t> buffer) noexcept {
   if (buffer.empty()) return {IoStatus::kOk, 0};
   for (;;) {
-    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
+    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), MSG_DONTWAIT);
     if (n > 0) return {IoStatus::kOk, static_cast<std::size_t>(n)};
     if (n == 0) return {IoStatus::kClosed, 0};
     if (errno == EINTR) continue;
@@ -137,7 +137,8 @@ bool PollSet::wait(int timeout_ms) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     entries_[i].readable = (fds[i].revents & POLLIN) != 0;
     entries_[i].writable = (fds[i].revents & POLLOUT) != 0;
-    entries_[i].error = (fds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    entries_[i].hangup = (fds[i].revents & POLLHUP) != 0;
+    entries_[i].error = (fds[i].revents & (POLLERR | POLLNVAL)) != 0;
   }
   return true;
 }

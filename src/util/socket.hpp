@@ -58,7 +58,8 @@ struct IoResult {
   std::size_t bytes = 0;
 };
 
-/// Reads once into `buffer`; never blocks on a nonblocking socket.
+/// Reads once into `buffer`; never blocks (MSG_DONTWAIT), even on a blocking
+/// socket.
 IoResult socket_read(int fd, std::span<std::uint8_t> buffer) noexcept;
 
 /// Writes once from `buffer` (MSG_NOSIGNAL: a dead peer yields kError, not
@@ -97,7 +98,10 @@ struct PollEntry {
   bool want_write = false;  // always polls for readability
   bool readable = false;
   bool writable = false;
-  bool error = false;  // HUP / ERR / NVAL
+  /// The peer hung up.  Bytes it sent first may still be buffered: read and
+  /// decode them before closing.
+  bool hangup = false;
+  bool error = false;  // ERR / NVAL
 };
 
 /// Thin wrapper over ::poll for the coordinator loop: register descriptors

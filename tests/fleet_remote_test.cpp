@@ -3,6 +3,7 @@
 // end-to-end contract — a fleet served over sockets (including one whose
 // worker dies mid-batch, and one whose coordinator restarts from its
 // checkpoint) produces byte-identical JSONL to the in-process executor.
+#include <sys/socket.h>
 #include <sys/wait.h>
 
 #include <chrono>
@@ -29,6 +30,7 @@
 #include "fuzzer/config.hpp"
 #include "metrics/metrics.hpp"
 #include "resilience/reconnect.hpp"
+#include "util/bytes.hpp"
 #include "util/socket.hpp"
 #include "vehicle/vehicle.hpp"
 
@@ -153,7 +155,7 @@ TEST(FleetRemoteWire, UnknownMessageTypeIsPreservedVerbatim) {
 
 TEST(FleetRemoteWire, HostileDeclaredCountsAreRejectedNotAllocated) {
   // A LeaseGrant declaring 4 billion trials in a 16-byte payload.
-  ByteWriter w;
+  util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(MsgType::kLeaseGrant));
   w.u64(1);
   w.u32(0);
@@ -181,7 +183,7 @@ TEST(FleetRemoteWire, FrameReaderReassemblesByteByByte) {
 TEST(FleetRemoteWire, ZeroAndOversizedLengthPrefixesPoison) {
   for (const std::uint32_t declared : {0u, static_cast<std::uint32_t>(kMaxFramePayload) + 1}) {
     FrameReader reader;
-    ByteWriter w;
+    util::ByteWriter w;
     w.u32(declared);
     EXPECT_FALSE(reader.feed(w.bytes()));
     EXPECT_TRUE(reader.poisoned());
@@ -190,6 +192,39 @@ TEST(FleetRemoteWire, ZeroAndOversizedLengthPrefixesPoison) {
     const std::uint8_t more[] = {1, 2, 3};
     EXPECT_FALSE(reader.feed(more));
   }
+}
+
+/// A peer's last frame often arrives together with its hang-up (a worker's
+/// final heartbeat, then exit).  poll reports HUP, not an error, and the
+/// reader still decodes the frame before the connection closes.
+TEST(FleetRemoteWire, FrameWrittenBeforeHangUpIsDecoded) {
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  util::Fd ours(ends[0]);
+  util::Fd peer(ends[1]);
+  HeartbeatMsg beat;
+  beat.lease_id = 7;
+  beat.completed = 3;
+  beat.metrics = MetricsUpdate{{{"fleet.trial.completed", 3}}, {}, {}};
+  const std::vector<std::uint8_t> frame = frame_message(Message{beat});
+  ASSERT_EQ(util::socket_write(peer.get(), frame).bytes, frame.size());
+  peer.reset();
+
+  util::PollSet poll;
+  const std::size_t slot = poll.add(ours.get(), /*want_write=*/false);
+  ASSERT_TRUE(poll.wait(1000));
+  EXPECT_TRUE(poll.entry(slot).hangup);
+  EXPECT_FALSE(poll.entry(slot).error);
+
+  FrameReader reader;
+  EXPECT_TRUE(read_until_blocked(ours.get(), reader));  // the peer is gone...
+  const std::optional<std::vector<std::uint8_t>> payload = reader.next();
+  ASSERT_TRUE(payload.has_value());                     // ...but its frame is not
+  const std::optional<Message> decoded = decode(*payload);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(std::holds_alternative<HeartbeatMsg>(*decoded));
+  EXPECT_EQ(encode(*decoded), encode(Message{beat}));
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 TEST(FleetRemoteWire, FingerprintSeparatesCampaigns) {
@@ -562,13 +597,17 @@ void take_lease_and_vanish(const TrialPlan& plan, std::uint16_t port,
   const std::vector<std::uint8_t> request = frame_message(Message{LeaseRequestMsg{2}});
   ASSERT_EQ(util::socket_write(fd->get(), request).bytes, request.size());
 
-  // Read (blocking socket) until Welcome then LeaseGrant arrive.
+  // Read until Welcome then LeaseGrant arrive.
   FrameReader reader;
   bool granted = false;
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (!granted && std::chrono::steady_clock::now() < deadline) {
     std::uint8_t chunk[512];
     const auto read = util::socket_read(fd->get(), chunk);
+    if (read.status == util::IoStatus::kWouldBlock) {
+      std::this_thread::sleep_for(1ms);
+      continue;
+    }
     ASSERT_EQ(read.status, util::IoStatus::kOk);
     ASSERT_TRUE(reader.feed(std::span<const std::uint8_t>(chunk, read.bytes)));
     while (auto payload = reader.next()) {
