@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 namespace acf::ids {
 
@@ -9,6 +10,17 @@ namespace {
 
 constexpr double kUnknownIdScore = 1.0;
 constexpr double kUnseenDlcScore = 0.75;
+
+// Timing: EWMA smoothing for the per-id mean inter-arrival and its
+// deviation; the band's half-width in deviations and its floor as a fraction
+// of the learned period; the training frames an id needs to learn a band.
+constexpr double kTimingAlpha = 0.125;
+constexpr double kTimingDevGain = 4.0;
+constexpr double kTimingFloorFraction = 0.5;
+constexpr std::uint64_t kTimingMinTrainFrames = 4;
+
+// Entropy: frames a window must hold before the detector scores.
+constexpr std::size_t kEntropyMinFrames = 8;
 
 double clamp01(double x) noexcept { return std::clamp(x, 0.0, 1.0); }
 
@@ -34,9 +46,9 @@ void AllowlistDetector::train(const can::CanFrame& frame, sim::SimTime) {
 }
 
 double AllowlistDetector::score(const can::CanFrame& frame, sim::SimTime) {
-  const auto it = allowed_.find(frame.id());
-  if (it == allowed_.end()) return kUnknownIdScore;
-  if ((it->second & dlc_bit(frame)) == 0) return kUnseenDlcScore;
+  const std::uint16_t* allowed = allowed_.find(frame.id());
+  if (allowed == nullptr) return kUnknownIdScore;
+  if ((*allowed & dlc_bit(frame)) == 0) return kUnseenDlcScore;
   return 0.0;
 }
 
@@ -50,16 +62,16 @@ DlcConsistencyDetector::DlcConsistencyDetector(const dbc::Database& database)
 }
 
 double DlcConsistencyDetector::score(const can::CanFrame& frame, sim::SimTime) {
-  const auto it = declared_dlc_.find(frame.id());
-  if (it == declared_dlc_.end()) return 0.0;  // undeclared: not this job
+  const std::uint8_t* declared = declared_dlc_.find(frame.id());
+  if (declared == nullptr) return 0.0;  // undeclared: not this job
   // Same check as MessageDef::dlc_matches — one implementation of the
   // paper's hardening, used here to detect and in the BCM to reject.
-  return (frame.is_remote() || frame.dlc() != it->second) ? 1.0 : 0.0;
+  return (frame.is_remote() || frame.dlc() != *declared) ? 1.0 : 0.0;
 }
 
 // --------------------------------------------------------------- timing -----
 
-TimingDetector::TimingDetector(TimingConfig config) : Detector(0.5), config_(config) {}
+TimingDetector::TimingDetector() : Detector(0.5) {}
 
 void TimingDetector::train(const can::CanFrame& frame, sim::SimTime time) {
   Training& t = training_[frame.id()];
@@ -75,37 +87,37 @@ void TimingDetector::train(const can::CanFrame& frame, sim::SimTime time) {
     return;
   }
   const double dev = std::abs(gap - t.mean_gap);
-  t.mean_gap += config_.alpha * (gap - t.mean_gap);
-  t.mean_dev += config_.alpha * (dev - t.mean_dev);
+  t.mean_gap += kTimingAlpha * (gap - t.mean_gap);
+  t.mean_dev += kTimingAlpha * (dev - t.mean_dev);
 }
 
 void TimingDetector::finalize_training() {
   bands_.clear();
-  for (const auto& [id, t] : training_) {
-    if (t.frames < config_.min_train_frames || t.mean_gap <= 0.0) continue;
+  training_.for_each([this](std::uint32_t id, const Training& t) {
+    if (t.frames < kTimingMinTrainFrames || t.mean_gap <= 0.0) return;
     const double tolerance =
-        std::max(config_.dev_gain * t.mean_dev, config_.floor_fraction * t.mean_gap);
+        std::max(kTimingDevGain * t.mean_dev, kTimingFloorFraction * t.mean_gap);
     const double lo = t.mean_gap - tolerance;
-    if (lo > 0.0) bands_.emplace(id, lo);
-  }
+    if (lo > 0.0) bands_.try_emplace(id, lo);
+  });
 }
 
 double TimingDetector::score(const can::CanFrame& frame, sim::SimTime time) {
-  const auto band = bands_.find(frame.id());
-  if (band == bands_.end()) return 0.0;
-  const auto [it, first] = last_seen_.try_emplace(frame.id(), time);
+  const double* band = bands_.find(frame.id());
+  if (band == nullptr) return 0.0;
+  const auto [last, first] = last_seen_.try_emplace(frame.id(), time);
   if (first) return 0.0;
-  const double gap = sim::to_seconds(time - it->second);
-  it->second = time;
-  if (gap >= band->second) return 0.0;
-  return clamp01(1.0 - gap / band->second);
+  const double gap = sim::to_seconds(time - *last);
+  *last = time;
+  if (gap >= *band) return 0.0;
+  return clamp01(1.0 - gap / *band);
 }
 
 void TimingDetector::reset() { last_seen_.clear(); }
 
 double TimingDetector::lower_bound_s(std::uint32_t id) const {
-  const auto it = bands_.find(id);
-  return it == bands_.end() ? -1.0 : it->second;
+  const double* band = bands_.find(id);
+  return band == nullptr ? -1.0 : *band;
 }
 
 // ---------------------------------------------------------------- range -----
@@ -116,16 +128,16 @@ RangeDetector::RangeDetector(const dbc::Database& database) : Detector(0.5) {
     for (const dbc::SignalDef& signal : message.signals) {
       if (signal.min != signal.max) ranged.signals.push_back(signal);
     }
-    if (!ranged.signals.empty()) messages_.emplace(message.id, std::move(ranged));
+    if (!ranged.signals.empty()) messages_.try_emplace(message.id, std::move(ranged));
   }
 }
 
 double RangeDetector::score(const can::CanFrame& frame, sim::SimTime) {
-  const auto it = messages_.find(frame.id());
-  if (it == messages_.end() || frame.is_remote()) return 0.0;
+  const RangedMessage* ranged = messages_.find(frame.id());
+  if (ranged == nullptr || frame.is_remote()) return 0.0;
   std::size_t decoded = 0;
   std::size_t violations = 0;
-  for (const dbc::SignalDef& signal : it->second.signals) {
+  for (const dbc::SignalDef& signal : ranged->signals) {
     const auto physical = dbc::decode(signal, frame.payload());
     if (!physical) continue;  // short frame: the signal is absent, not wrong
     ++decoded;
@@ -137,29 +149,48 @@ double RangeDetector::score(const can::CanFrame& frame, sim::SimTime) {
 
 // -------------------------------------------------------------- entropy -----
 
-EntropyDetector::EntropyDetector(EntropyConfig config) : Detector(0.6), config_(config) {
-  if (config_.window_frames == 0) config_.window_frames = 1;
-  config_.min_frames = std::max<std::size_t>(1, std::min(config_.min_frames,
-                                                         config_.window_frames));
+namespace {
+
+/// c*log2(c) and log2(n) for every count a window can hold, filled once
+/// from the same std::log2 expressions a per-frame computation evaluates, so
+/// an entry is the identical double and every running sum and score is
+/// bit-identical to computing the logs per frame.
+struct EntropyTables {
+  static constexpr std::uint32_t kMaxBytes = 16 * can::kMaxClassicPayload;
+  std::array<double, kMaxBytes + 1> c_log_c{};
+  std::array<double, kMaxBytes + 1> log2{};
+
+  EntropyTables() {
+    for (std::uint32_t c = 1; c <= kMaxBytes; ++c) {
+      c_log_c[c] = static_cast<double>(c) * std::log2(c);
+      log2[c] = std::log2(static_cast<double>(c));
+    }
+  }
+};
+
+const EntropyTables& entropy_tables() {
+  static const EntropyTables tables;
+  return tables;
 }
 
-EntropyDetector::Window& EntropyDetector::window_for(std::uint32_t id) {
-  Window& window = windows_[id];
-  if (window.ring.empty()) window.ring.resize(config_.window_frames);
-  return window;
-}
+}  // namespace
+
+EntropyDetector::EntropyDetector() : Detector(0.6) {}
 
 void EntropyDetector::push(Window& window, const can::CanFrame& frame) {
-  auto count_delta = [&window](std::uint8_t value, std::int32_t delta) {
-    std::uint32_t& c = window.counts[value];
-    if (c > 0) window.sum_c_log_c -= static_cast<double>(c) * std::log2(c);
-    c = static_cast<std::uint32_t>(static_cast<std::int64_t>(c) + delta);
-    if (c > 0) window.sum_c_log_c += static_cast<double>(c) * std::log2(c);
+  static_assert(EntropyTables::kMaxBytes == kWindowFrames * can::kMaxClassicPayload);
+  static_assert(std::is_trivially_copyable_v<Window> && sizeof(Window) <= 416);
+  const EntropyTables& tables = entropy_tables();
+  auto count_delta = [&window, &tables](std::uint8_t value, int delta) {
+    std::uint8_t& c = window.counts[value];
+    if (c > 0) window.sum_c_log_c -= tables.c_log_c[c];
+    c = static_cast<std::uint8_t>(c + delta);
+    if (c > 0) window.sum_c_log_c += tables.c_log_c[c];
   };
-  if (window.frames == window.ring.size()) {
-    Window::Slot& old = window.ring[window.head];
+  if (window.frames == kWindowFrames) {
+    const Window::Slot& old = window.ring[window.head];
     for (std::size_t i = 0; i < old.length; ++i) count_delta(old.bytes[i], -1);
-    window.bytes_total -= old.length;
+    window.bytes_total = static_cast<std::uint8_t>(window.bytes_total - old.length);
     --window.frames;
   }
   Window::Slot& slot = window.ring[window.head];
@@ -169,52 +200,48 @@ void EntropyDetector::push(Window& window, const can::CanFrame& frame) {
     slot.bytes[i] = payload[i];
     count_delta(payload[i], +1);
   }
-  window.bytes_total += slot.length;
+  window.bytes_total = static_cast<std::uint8_t>(window.bytes_total + slot.length);
   ++window.frames;
-  window.head = (window.head + 1) % window.ring.size();
+  window.head = static_cast<std::uint8_t>((window.head + 1) % kWindowFrames);
 }
 
 double EntropyDetector::normalized_entropy(const Window& window) {
   const double n = static_cast<double>(window.bytes_total);
   if (n <= 1.0) return 0.0;
-  const double entropy = std::log2(n) - window.sum_c_log_c / n;
-  const double max_entropy = std::min(8.0, std::log2(n));
+  const double log2_n = entropy_tables().log2[window.bytes_total];
+  const double entropy = log2_n - window.sum_c_log_c / n;
+  const double max_entropy = std::min(8.0, log2_n);
   if (max_entropy <= 0.0) return 0.0;
   return clamp01(entropy / max_entropy);
 }
 
 void EntropyDetector::train(const can::CanFrame& frame, sim::SimTime) {
-  push(window_for(frame.id()), frame);
+  push(windows_[frame.id()], frame);
 }
 
 void EntropyDetector::finalize_training() {
   baseline_.clear();
-  for (const auto& [id, window] : windows_) {
-    if (window.frames >= config_.min_frames) baseline_.emplace(id, normalized_entropy(window));
-  }
-  training_done_ = true;
+  windows_.for_each([this](std::uint32_t id, const Window& window) {
+    if (window.frames >= kEntropyMinFrames) baseline_.try_emplace(id, normalized_entropy(window));
+  });
 }
 
 double EntropyDetector::score(const can::CanFrame& frame, sim::SimTime) {
-  Window& window = window_for(frame.id());
+  Window& window = windows_[frame.id()];
   push(window, frame);
-  if (window.frames < config_.min_frames) return 0.0;
+  if (window.frames < kEntropyMinFrames) return 0.0;
   const double h = normalized_entropy(window);
-  const auto base = baseline_.find(frame.id());
-  if (base == baseline_.end() || base->second >= 1.0) return h;
-  return clamp01((h - base->second) / (1.0 - base->second));
+  const double* base = baseline_.find(frame.id());
+  if (base == nullptr || *base >= 1.0) return h;
+  return clamp01((h - *base) / (1.0 - *base));
 }
 
-void EntropyDetector::reset() {
-  // Drop window contents but keep learned baselines.
-  for (auto& [id, window] : windows_) {
-    window = Window{};
-  }
-}
+// Drops window contents but keeps learned baselines.
+void EntropyDetector::reset() { windows_.clear(); }
 
 double EntropyDetector::window_entropy(std::uint32_t id) const {
-  const auto it = windows_.find(id);
-  return it == windows_.end() ? 0.0 : normalized_entropy(it->second);
+  const Window* window = windows_.find(id);
+  return window == nullptr ? 0.0 : normalized_entropy(*window);
 }
 
 // ----------------------------------------------------------------- set -----

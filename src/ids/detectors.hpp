@@ -15,11 +15,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dbc/database.hpp"
 #include "ids/detector.hpp"
+#include "ids/id_table.hpp"
 
 namespace acf::ids {
 
@@ -40,7 +40,7 @@ class AllowlistDetector final : public Detector {
 
  private:
   /// id -> bitmask of permitted DLC values (bit d = DLC d allowed).
-  std::unordered_map<std::uint32_t, std::uint16_t> allowed_;
+  IdTable<std::uint16_t> allowed_;
 };
 
 /// The paper's Table V hardening as a detector: a frame on a declared id
@@ -57,30 +57,21 @@ class DlcConsistencyDetector final : public Detector {
   double score(const can::CanFrame& frame, sim::SimTime time) override;
 
  private:
-  std::unordered_map<std::uint32_t, std::uint8_t> declared_dlc_;
-};
-
-struct TimingConfig {
-  /// EWMA smoothing for the per-id mean inter-arrival and its deviation.
-  double alpha = 0.125;
-  /// Tolerance band half-width in deviations below the learned period.
-  double dev_gain = 4.0;
-  /// Tolerance floor as a fraction of the learned period (absorbs
-  /// arbitration jitter a short training window under-samples).
-  double floor_fraction = 0.5;
-  /// Ids with fewer training frames learn no band (event-driven traffic).
-  std::uint32_t min_train_frames = 4;
+  IdTable<std::uint8_t> declared_dlc_;
 };
 
 /// Per-id inter-arrival frequency detector.  Training learns an EWMA mean
-/// gap and mean absolute deviation per id; ids that look periodic get a
-/// lower tolerance bound lo = mean - max(dev_gain*dev, floor*mean).  In
-/// detection a frame arriving a gap g < lo after the previous frame of its
-/// id scores 1 - g/lo: an injected frame lands mid-cycle and halves the
-/// observed gap, while legitimate schedules never dip below the band.
+/// gap (smoothing 1/8) and mean absolute deviation per id; ids with at least
+/// four training frames get a lower tolerance bound
+/// lo = mean - max(4*dev, mean/2), where the mean/2 floor absorbs the
+/// arbitration jitter a short training window under-samples.  In detection a
+/// frame arriving a gap g < lo after the previous frame of its id scores
+/// 1 - g/lo: an injected frame lands mid-cycle and halves the observed gap,
+/// while legitimate schedules never dip below the band.  Ids with fewer
+/// training frames (event-driven traffic) learn no band.
 class TimingDetector final : public Detector {
  public:
-  explicit TimingDetector(TimingConfig config = {});
+  TimingDetector();
 
   std::string_view name() const override { return "timing"; }
   void train(const can::CanFrame& frame, sim::SimTime time) override;
@@ -101,10 +92,9 @@ class TimingDetector final : public Detector {
     double mean_dev = 0.0;  // seconds
   };
 
-  TimingConfig config_;
-  std::unordered_map<std::uint32_t, Training> training_;
-  std::unordered_map<std::uint32_t, double> bands_;  // id -> lo (seconds)
-  std::unordered_map<std::uint32_t, sim::SimTime> last_seen_;
+  IdTable<Training> training_;
+  IdTable<double> bands_;  // id -> lo (seconds)
+  IdTable<sim::SimTime> last_seen_;
 };
 
 /// Signal plausibility detector: decodes every range-declared signal of a
@@ -122,28 +112,22 @@ class RangeDetector final : public Detector {
   struct RangedMessage {
     std::vector<dbc::SignalDef> signals;  // only signals with declared ranges
   };
-  std::unordered_map<std::uint32_t, RangedMessage> messages_;
-};
-
-struct EntropyConfig {
-  /// Sliding window length per id, in frames.
-  std::size_t window_frames = 16;
-  /// Minimum frames in the window before the detector scores (a 1-frame
-  /// "window" would flag every frame of a fresh id).
-  std::size_t min_frames = 8;
+  IdTable<RangedMessage> messages_;
 };
 
 /// Per-id payload-entropy detector.  Maintains, per id, a sliding window of
-/// the last N payloads with incremental byte-value counts, so the Shannon
-/// entropy of the window updates in O(payload) per frame (no 256-bin
-/// rescan).  The raw score is the window entropy normalized by its maximum
-/// (min(8, log2(bytes)) bits); training records a per-id baseline that is
-/// subtracted, so naturally high-entropy legitimate signals (counters,
-/// CRCs) do not eat the detection margin.  Fuzz payloads are near-uniform
-/// (Fig. 5) and score ~1; captured traffic (Fig. 4) scores ~0.
+/// the last 16 payloads (their first 8 bytes) with incremental byte-value
+/// counts, so the Shannon entropy of the window updates in O(payload) per
+/// frame (no 256-bin rescan).  The raw score is the window entropy
+/// normalized by its maximum (min(8, log2(bytes)) bits), once the window
+/// holds 8 frames (a 1-frame "window" would flag every frame of a fresh id);
+/// training records a per-id baseline that is subtracted, so naturally
+/// high-entropy legitimate signals (counters, CRCs) do not eat the detection
+/// margin.  Fuzz payloads are near-uniform (Fig. 5) and score ~1; captured
+/// traffic (Fig. 4) scores ~0.
 class EntropyDetector final : public Detector {
  public:
-  explicit EntropyDetector(EntropyConfig config = {});
+  EntropyDetector();
 
   std::string_view name() const override { return "entropy"; }
   void train(const can::CanFrame& frame, sim::SimTime time) override;
@@ -155,31 +139,32 @@ class EntropyDetector final : public Detector {
   double window_entropy(std::uint32_t id) const;
 
  private:
+  static constexpr std::size_t kWindowFrames = 16;
+
+  /// A window is a trivially copyable ~0.4 KB record.  Counts never exceed
+  /// kWindowFrames * 8 = 128 bytes, so they fit in uint8_t.
   struct Window {
     struct Slot {
       std::array<std::uint8_t, can::kMaxClassicPayload> bytes{};
       std::uint8_t length = 0;
     };
-    std::vector<Slot> ring;
-    std::size_t head = 0;   // next slot to overwrite
-    std::size_t frames = 0; // frames currently in the window
-    std::array<std::uint32_t, 256> counts{};
-    double sum_c_log_c = 0.0;  // sum of c*log2(c) over byte values
-    std::uint64_t bytes_total = 0;
+    std::array<Slot, kWindowFrames> ring{};
+    std::array<std::uint8_t, 256> counts{};
+    std::uint8_t head = 0;         // next slot to overwrite
+    std::uint8_t frames = 0;       // frames currently in the window
+    std::uint8_t bytes_total = 0;  // bytes currently in the window
+    double sum_c_log_c = 0.0;      // sum of c*log2(c) over byte values
   };
 
-  Window& window_for(std::uint32_t id);
-  void push(Window& window, const can::CanFrame& frame);
+  static void push(Window& window, const can::CanFrame& frame);
   static double normalized_entropy(const Window& window);
 
-  EntropyConfig config_;
-  std::unordered_map<std::uint32_t, Window> windows_;
-  std::unordered_map<std::uint32_t, double> baseline_;
-  bool training_done_ = false;
+  IdTable<Window> windows_;
+  IdTable<double> baseline_;
 };
 
 /// The standard four-detector set over `database` (allowlist seeded from the
-/// database, timing, range, entropy with default configs).
+/// database, timing, range, entropy).
 std::vector<std::unique_ptr<Detector>> standard_detectors(const dbc::Database& database);
 
 }  // namespace acf::ids

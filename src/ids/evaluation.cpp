@@ -1,33 +1,41 @@
 #include "ids/evaluation.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <string_view>
+#include <type_traits>
 
 namespace acf::ids {
 
 // -------------------------------------------------------------- labeler -----
 
-std::string FrameLabeler::fingerprint(const can::CanFrame& frame) {
-  std::string key;
-  key.reserve(8 + frame.payload().size());
-  const std::uint32_t id = frame.id();
-  key.push_back(static_cast<char>(id & 0xFF));
-  key.push_back(static_cast<char>((id >> 8) & 0xFF));
-  key.push_back(static_cast<char>((id >> 16) & 0xFF));
-  key.push_back(static_cast<char>((id >> 24) & 0xFF));
-  key.push_back(static_cast<char>((frame.is_extended() ? 1 : 0) | (frame.is_remote() ? 2 : 0) |
-                                  (frame.is_fd() ? 4 : 0)));
-  key.push_back(static_cast<char>(frame.dlc()));
-  for (const std::uint8_t byte : frame.payload()) key.push_back(static_cast<char>(byte));
+FrameLabeler::Key FrameLabeler::key_of(const can::CanFrame& frame) noexcept {
+  static_assert(std::is_trivial_v<Key> && std::is_standard_layout_v<Key>);
+  Key key{};
+  key.id = frame.id();
+  key.flags = static_cast<std::uint8_t>((frame.is_extended() ? 1 : 0) |
+                                        (frame.is_remote() ? 2 : 0) | (frame.is_fd() ? 4 : 0));
+  key.dlc = frame.dlc();
+  const auto payload = frame.payload();
+  key.length = static_cast<std::uint8_t>(payload.size());
+  std::copy(payload.begin(), payload.end(), key.payload.begin());
+  // No padding lies between id and the payload, so the hashed bytes are
+  // exactly id, flags, dlc, length and the live payload bytes.
+  static_assert(offsetof(Key, payload) - offsetof(Key, id) == 7);
+  key.hash = std::hash<std::string_view>{}(
+      std::string_view(reinterpret_cast<const char*>(&key) + offsetof(Key, id),
+                       offsetof(Key, payload) - offsetof(Key, id) + key.length));
   return key;
 }
 
 void FrameLabeler::note_injected(const can::CanFrame& frame) {
-  ++pending_[fingerprint(frame)];
+  ++pending_[key_of(frame)];
   ++injected_;
 }
 
 bool FrameLabeler::consume_if_attack(const can::CanFrame& frame) {
-  const auto it = pending_.find(fingerprint(frame));
+  const auto it = pending_.find(key_of(frame));
   if (it == pending_.end()) return false;
   if (--it->second == 0) pending_.erase(it);
   ++matched_;

@@ -10,6 +10,7 @@
 // evaluation is O(1) memory and merges across fleet trials by summation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -24,8 +25,8 @@ namespace acf::ids {
 /// FIFO ground-truth labeler.  note_injected() at send time; a later
 /// consume_if_attack() with an identical frame pops one note and labels the
 /// observation as attack traffic.  Content matching is exact (id, format,
-/// flags, payload); a frame dropped by the bus simply leaves its note
-/// unconsumed.
+/// remote and FD flags, DLC, payload; the FD bit-rate switch is ignored); a
+/// frame dropped by the bus simply leaves its note unconsumed.
 class FrameLabeler {
  public:
   void note_injected(const can::CanFrame& frame);
@@ -37,9 +38,26 @@ class FrameLabeler {
   std::uint64_t outstanding() const noexcept { return injected_ - matched_; }
 
  private:
-  static std::string fingerprint(const can::CanFrame& frame);
+  /// A frame's matched content as a fixed-size POD, payload bytes past
+  /// `length` zero, carrying its own hash: the map recomputes a key's hash
+  /// whenever it walks a bucket, so that is a load, not a pass over bytes.
+  struct Key {
+    std::size_t hash;
+    std::uint32_t id;
+    std::uint8_t flags;  // extended | remote << 1 | fd << 2
+    std::uint8_t dlc;
+    std::uint8_t length;
+    std::array<std::uint8_t, can::kMaxFdPayload> payload;
 
-  std::unordered_map<std::string, std::uint32_t> pending_;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept { return key.hash; }
+  };
+
+  static Key key_of(const can::CanFrame& frame) noexcept;
+
+  std::unordered_map<Key, std::uint32_t, KeyHash> pending_;
   std::uint64_t injected_ = 0;
   std::uint64_t matched_ = 0;
 };

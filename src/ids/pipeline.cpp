@@ -28,6 +28,7 @@ std::size_t Pipeline::add(std::unique_ptr<Detector> detector) {
     }
   }
   detectors_.push_back(std::move(detector));
+  last_alert_.emplace_back();
   per_detector_alerts_.push_back(counter);
   scores_.resize(detectors_.size());
   return index;
@@ -74,14 +75,13 @@ void Pipeline::observe(const can::CanFrame& frame, sim::SimTime time) {
   if (score_hook_) score_hook_(frame, time, scores_);
   for (std::size_t i = 0; i < detectors_.size(); ++i) {
     if (scores_[i] < detectors_[i]->threshold()) continue;
-    const std::uint64_t key = (static_cast<std::uint64_t>(i) << 32) | frame.id();
-    const auto [it, first] = last_alert_.try_emplace(key, time);
+    const auto [last, first] = last_alert_[i].try_emplace(frame.id(), time);
     if (!first) {
-      if (time - it->second < config_.alert_cooldown) {
+      if (time - *last < config_.alert_cooldown) {
         alerts_suppressed_->add(1);
         continue;
       }
-      it->second = time;
+      *last = time;
     }
     Alert alert;
     alert.detector = i;
@@ -121,7 +121,7 @@ std::uint64_t Pipeline::alerts_for(std::size_t detector_index) const {
 }
 
 void Pipeline::reset_detection() {
-  last_alert_.clear();
+  for (IdTable<sim::SimTime>& table : last_alert_) table.clear();
   pending_.clear();
   for (auto& detector : detectors_) detector->reset();
 }

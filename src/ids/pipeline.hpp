@@ -24,11 +24,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "can/bus.hpp"
 #include "ids/detector.hpp"
+#include "ids/id_table.hpp"
 #include "metrics/metrics.hpp"
 
 namespace acf::ids {
@@ -118,8 +118,8 @@ class Pipeline final : private can::BusListener {
   can::VirtualBus* bus_ = nullptr;
   can::NodeId node_ = can::kInvalidNode;
 
-  /// (detector index << 32 | can id) -> last alert time.
-  std::unordered_map<std::uint64_t, sim::SimTime> last_alert_;
+  /// Per detector (by index): can id -> last alert time.
+  std::vector<IdTable<sim::SimTime>> last_alert_;
   std::vector<Alert> pending_;
   std::vector<double> scores_;  // scratch, sized to detector_count
 

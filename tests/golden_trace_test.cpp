@@ -5,20 +5,27 @@
 // body-bus fuzz — and asserts the core reproduces them BYTE-identically.
 // These files were captured from the pre-optimisation scheduler/bus, so any
 // refactor of the event core that changes frame content, order or timing by
-// a single nanosecond fails here.  Regenerate deliberately with
-// ACF_REGEN_GOLDEN=1 (only when a semantic change is intended and reviewed).
+// a single nanosecond fails here.  A third gate pins the IDS: per-frame
+// detector scores and labeler verdicts on 29-bit, CAN FD and remote frames.
+// Regenerate deliberately with ACF_REGEN_GOLDEN=1 (only when a semantic
+// change is intended and reviewed).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "attacks/attack_world.hpp"
 #include "dbc/target_vehicle_db.hpp"
 #include "fuzzer/campaign.hpp"
 #include "fuzzer/generator.hpp"
 #include "ids/detectors.hpp"
+#include "ids/evaluation.hpp"
+#include "ids/pipeline.hpp"
 #include "oracle/vehicle_oracles.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/candump_log.hpp"
@@ -154,6 +161,98 @@ TEST(GoldenTrace, UnlockWorldIsRunToRunDeterministic) {
   // Independent of the committed files: two in-process runs must agree,
   // which catches nondeterminism even right after a deliberate regen.
   EXPECT_EQ(record_unlock_world(), record_unlock_world());
+}
+
+// ------------------------------------------------------------- ids state -----
+
+/// The frames the IDS world injects once training ends, interleaved
+/// round-robin from five sources: extended-format frames on the database's
+/// own numeric ids, full-range 29-bit ids, three 29-bit ids that repeat (so
+/// their payload windows fill and their alert cooldowns bite), CAN FD
+/// payloads of 12..64 bytes on the database's ids, and hand-built remote
+/// frames in both formats.  The perfbench digests cover only 11-bit classic
+/// traffic, so this is the gate on 29-bit and FD per-id state.
+std::vector<can::CanFrame> ids_golden_frames(const dbc::Database& db) {
+  fuzzer::FuzzConfig extended_db = fuzzer::FuzzConfig::targeted(db.ids(), 0x601D0001);
+  extended_db.extended_ids = true;
+  fuzzer::FuzzConfig extended_full = fuzzer::FuzzConfig::full_random(0x601D0002);
+  extended_full.id_max = can::kMaxExtendedId;
+  extended_full.extended_ids = true;
+  fuzzer::FuzzConfig extended_few =
+      fuzzer::FuzzConfig::targeted({0x18DAF110, 0x18DB33F1, can::kMaxExtendedId}, 0x601D0003);
+  extended_few.extended_ids = true;
+  fuzzer::FuzzConfig fd = fuzzer::FuzzConfig::targeted(db.ids(), 0x601D0004);
+  fd.fd_mode = true;
+  fd.dlc_min = 9;
+  fd.dlc_max = 15;
+  fuzzer::RandomGenerator generators[] = {
+      fuzzer::RandomGenerator(extended_db), fuzzer::RandomGenerator(extended_full),
+      fuzzer::RandomGenerator(extended_few), fuzzer::RandomGenerator(fd)};
+
+  const std::vector<std::uint32_t> ids = db.ids();
+  std::vector<can::CanFrame> frames;
+  for (std::size_t round = 0; round < 48; ++round) {
+    for (fuzzer::RandomGenerator& generator : generators) frames.push_back(*generator.next());
+    const auto format = round % 2 == 0 ? can::IdFormat::kStandard : can::IdFormat::kExtended;
+    frames.push_back(*can::CanFrame::remote(ids[round % ids.size()],
+                                            static_cast<std::uint8_t>(round % 9), format));
+  }
+  return frames;
+}
+
+/// The standard detector set on the full vehicle's powertrain bus: 2 s of
+/// clean traffic trains it, then an attacker node sends ids_golden_frames at
+/// 1 ms.  One line per scored frame (sim ns, frame, the four scores in %a,
+/// the labeler's verdict), then every delivered alert and the counters.
+std::string record_ids_world() {
+  const dbc::Database db = dbc::target_vehicle_database();
+  sim::Scheduler scheduler;
+  vehicle::Vehicle car(scheduler);
+  transport::VirtualBusTransport attacker(car.powertrain_bus(), "attacker");
+  ids::Pipeline pipeline;
+  for (auto& detector : ids::standard_detectors(db)) pipeline.add(std::move(detector));
+  pipeline.attach(car.powertrain_bus(), "golden-ids");
+
+  std::ostringstream out;
+  char number[64];
+  ids::FrameLabeler labeler;
+  pipeline.set_score_hook(
+      [&](const can::CanFrame& frame, sim::SimTime time, std::span<const double> scores) {
+        out << time.count() << ' ' << frame.to_string();
+        for (const double score : scores) {
+          std::snprintf(number, sizeof number, " %a", score);
+          out << number;
+        }
+        out << (labeler.consume_if_attack(frame) ? " attack\n" : " legit\n");
+      });
+
+  pipeline.begin_training();
+  scheduler.run_for(std::chrono::seconds(2));
+  pipeline.begin_detection();
+  const std::vector<can::CanFrame> frames = ids_golden_frames(db);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    scheduler.schedule_after((i + 1) * std::chrono::milliseconds(1), [&, i] {
+      labeler.note_injected(frames[i]);
+      attacker.send(frames[i]);
+    });
+  }
+  scheduler.run_for((frames.size() + 20) * std::chrono::milliseconds(1));
+
+  for (const ids::Alert& alert : pipeline.drain_alerts()) {
+    std::snprintf(number, sizeof number, "%a", alert.score);
+    out << "alert " << alert.detector_name << " id=" << alert.can_id << " score=" << number
+        << " t=" << alert.time.count() << '\n';
+  }
+  const ids::PipelineCounters counters = pipeline.counters();
+  out << "trained " << counters.frames_trained << " scored " << counters.frames_scored
+      << " raised " << counters.alerts_raised << " suppressed " << counters.alerts_suppressed
+      << " dropped " << counters.alerts_dropped << " injected " << labeler.injected()
+      << " matched " << labeler.matched() << '\n';
+  return out.str();
+}
+
+TEST(GoldenTrace, IdsScoresOnExtendedFdAndRemoteFramesReproduce) {
+  expect_matches_golden("ids_world.txt", record_ids_world());
 }
 
 // ------------------------------------------------- attack scenarios -------

@@ -6,9 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <deque>
+#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dbc/target_vehicle_db.hpp"
@@ -17,12 +25,14 @@
 #include "ids/alert_oracle.hpp"
 #include "ids/detectors.hpp"
 #include "ids/evaluation.hpp"
+#include "ids/id_table.hpp"
 #include "ids/ids_world.hpp"
 #include "ids/pipeline.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/candump_log.hpp"
 #include "trace/capture.hpp"
 #include "transport/virtual_bus_transport.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "vehicle/vehicle.hpp"
 
@@ -156,6 +166,148 @@ TEST(IdsEntropy, SeparatesConstantTrafficFromRandomPayloads) {
     last = detector.score(*generator.next(), SimTime(200ms + i * 1ms));
   }
   EXPECT_GT(last, 0.6);
+}
+
+TEST(IdsEntropy, IncrementalMatchesRecompute) {
+  // Random classic, FD and remote frames on three ids, enough to wrap each
+  // 16-frame window many times.  window_entropy (incremental counts, table
+  // logs) must match a from-scratch Shannon entropy of what the window
+  // holds: the first 8 payload bytes of the id's last 16 frames,
+  // normalized by min(8, log2(bytes)).
+  util::Rng rng(0xE7A0);
+  EntropyDetector detector;
+  const std::uint32_t ids[] = {0x100, can::kMaxStandardId, 0x18DAF110};
+  std::map<std::uint32_t, std::deque<std::vector<std::uint8_t>>> model;
+  auto recompute = [&model](std::uint32_t id) {
+    std::array<std::size_t, 256> counts{};
+    std::size_t n = 0;
+    for (const std::vector<std::uint8_t>& bytes : model[id]) {
+      for (const std::uint8_t byte : bytes) ++counts[byte];
+      n += bytes.size();
+    }
+    if (n <= 1) return 0.0;
+    double entropy = 0.0;
+    for (const std::size_t c : counts) {
+      if (c == 0) continue;
+      const double p = static_cast<double>(c) / static_cast<double>(n);
+      entropy -= p * std::log2(p);
+    }
+    const double max_entropy = std::min(8.0, std::log2(static_cast<double>(n)));
+    return std::clamp(entropy / max_entropy, 0.0, 1.0);
+  };
+
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint32_t id = ids[rng.next_below(3)];
+    const auto format = id > can::kMaxStandardId || rng.next_below(2) == 0
+                            ? can::IdFormat::kExtended
+                            : can::IdFormat::kStandard;
+    // Small alphabets pile counts up to the 128-byte window's maximum.
+    constexpr std::array<std::uint64_t, 5> kAlphabets{1, 2, 4, 16, 256};
+    const std::uint64_t alphabet = kAlphabets[rng.next_below(kAlphabets.size())];
+    std::array<std::uint8_t, can::kMaxFdPayload> bytes{};
+    for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng.next_below(alphabet));
+    std::optional<CanFrame> frame;
+    switch (rng.next_below(3)) {
+      case 0:
+        frame = CanFrame::data(id, std::span(bytes.data(), rng.next_below(9)), format);
+        break;
+      case 1: {
+        const auto dlc = static_cast<std::uint8_t>(rng.next_below(16));
+        frame = CanFrame::fd_data(id, std::span(bytes.data(), can::fd_dlc_to_length(dlc)),
+                                  rng.next_below(2) == 0, format);
+        break;
+      }
+      default:
+        frame = CanFrame::remote(id, static_cast<std::uint8_t>(rng.next_below(9)), format);
+        break;
+    }
+    ASSERT_TRUE(frame.has_value());
+    // Training and scoring push into the same windows.
+    const SimTime time(i * 1ms);
+    if (i < 2000) {
+      detector.train(*frame, time);
+    } else {
+      if (i == 2000) detector.finalize_training();
+      detector.score(*frame, time);
+    }
+
+    const auto payload = frame->payload();
+    std::deque<std::vector<std::uint8_t>>& window = model[id];
+    window.emplace_back(payload.begin(),
+                        payload.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(payload.size(), can::kMaxClassicPayload)));
+    if (window.size() > 16) window.pop_front();
+    ASSERT_NEAR(detector.window_entropy(id), recompute(id), 1e-12) << "frame " << i;
+  }
+}
+
+TEST(IdsIdTable, MatchesUnorderedMapModel) {
+  // Random try_emplace / operator[] / find / for_each / clear over 11-bit
+  // ids, the 0x7FF/0x800 boundary and 29-bit ids, against a
+  // std::unordered_map.  A value's address must not change while its id
+  // stays in the table, however many ids are inserted after it.
+  util::Rng rng(0x1D7AB1E);
+  IdTable<std::uint64_t> table;
+  std::unordered_map<std::uint32_t, std::uint64_t> model;
+  std::unordered_map<std::uint32_t, const std::uint64_t*> addresses;
+  auto random_id = [&rng]() -> std::uint32_t {
+    switch (rng.next_below(8)) {
+      case 0:
+        return can::kMaxStandardId + static_cast<std::uint32_t>(rng.next_below(2));
+      case 1:
+      case 2:
+        return static_cast<std::uint32_t>(rng.next_in(0, can::kMaxExtendedId));
+      default:
+        return static_cast<std::uint32_t>(rng.next_below(can::kMaxStandardId + 1));
+    }
+  };
+  auto expect_same_contents = [&] {
+    std::unordered_map<std::uint32_t, std::uint64_t> seen;
+    table.for_each([&seen](std::uint32_t id, const std::uint64_t& value) {
+      EXPECT_TRUE(seen.emplace(id, value).second) << "id visited twice: " << id;
+    });
+    EXPECT_EQ(seen, model);
+    for (const auto& [id, address] : addresses) {
+      EXPECT_EQ(std::as_const(table).find(id), address) << "id " << id << " moved";
+    }
+  };
+
+  EXPECT_EQ(table.find(0x123), nullptr);
+  EXPECT_EQ(table.find(0x18DAF110), nullptr);
+  for (int step = 0; step < 30000; ++step) {
+    const std::uint32_t id = random_id();
+    const std::uint64_t op = rng.next_below(1000);
+    if (op < 450) {
+      const std::uint64_t value = rng.next_u64();
+      const auto [stored, inserted] = table.try_emplace(id, value);
+      const auto [expected, model_inserted] = model.try_emplace(id, value);
+      ASSERT_EQ(inserted, model_inserted);
+      ASSERT_EQ(*stored, expected->second);
+      if (inserted) addresses.emplace(id, stored);
+      ASSERT_EQ(addresses.at(id), stored);
+    } else if (op < 600) {
+      std::uint64_t& stored = table[id];
+      stored += 3;
+      model[id] += 3;
+      addresses.emplace(id, &stored);
+      ASSERT_EQ(addresses.at(id), &stored);
+    } else if (op < 999) {
+      const std::uint64_t* found = table.find(id);
+      const auto expected = model.find(id);
+      ASSERT_EQ(found != nullptr, expected != model.end());
+      if (found != nullptr) {
+        ASSERT_EQ(*found, expected->second);
+      }
+    } else {
+      expect_same_contents();
+      table.clear();
+      model.clear();
+      addresses.clear();
+    }
+    ASSERT_EQ(table.size(), model.size());
+    if (step % 997 == 0) expect_same_contents();
+  }
+  expect_same_contents();
 }
 
 TEST(IdsDetectors, StandardSetCarriesFourDetectors) {
@@ -303,6 +455,31 @@ TEST(IdsEvaluation, FrameLabelerMatchesFifoByContent) {
   EXPECT_FALSE(labeler.consume_if_attack(frame));  // both notes consumed
   EXPECT_FALSE(labeler.consume_if_attack(CanFrame::data_std(0x123, {0xAB})));
   EXPECT_EQ(labeler.matched(), 2u);
+  EXPECT_EQ(labeler.outstanding(), 0u);
+}
+
+TEST(IdsEvaluation, FrameLabelerKeysOnFormatFlagsDlcAndFdPayload) {
+  std::array<std::uint8_t, 64> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i * 7);
+  const CanFrame fd = *CanFrame::fd_data(0x123, bytes, /*brs=*/true);
+  const CanFrame extended = *CanFrame::data(0x123, std::span(bytes.data(), 8),
+                                            can::IdFormat::kExtended);
+  const CanFrame remote = *CanFrame::remote(0x123, 8);
+  FrameLabeler labeler;
+  for (const CanFrame& frame : {fd, extended, remote}) labeler.note_injected(frame);
+
+  // Same numeric id, other format / flags / DLC / last payload byte: no match.
+  EXPECT_FALSE(
+      labeler.consume_if_attack(CanFrame::data_std(0x123, {0, 7, 14, 21, 28, 35, 42, 49})));
+  EXPECT_FALSE(labeler.consume_if_attack(*CanFrame::remote(0x123, 8, can::IdFormat::kExtended)));
+  EXPECT_FALSE(labeler.consume_if_attack(*CanFrame::remote(0x123, 7)));
+  std::array<std::uint8_t, 64> last_differs = bytes;
+  last_differs[63] ^= 1;
+  EXPECT_FALSE(labeler.consume_if_attack(*CanFrame::fd_data(0x123, last_differs, true)));
+  // The FD bit-rate switch is not part of a frame's identity.
+  EXPECT_TRUE(labeler.consume_if_attack(*CanFrame::fd_data(0x123, bytes, /*brs=*/false)));
+  EXPECT_TRUE(labeler.consume_if_attack(extended));
+  EXPECT_TRUE(labeler.consume_if_attack(remote));
   EXPECT_EQ(labeler.outstanding(), 0u);
 }
 
