@@ -1,10 +1,10 @@
 #include "feedback/corpus.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 #include "util/bytes.hpp"
+#include "util/file.hpp"
 
 namespace acf::feedback {
 
@@ -116,11 +116,8 @@ std::optional<Corpus> Corpus::decode(std::span<const std::uint8_t> bytes) {
   if (in.u32() != kCorpusMagic || in.u32() != kCorpusVersion || !in.ok()) {
     return std::nullopt;
   }
-  const std::uint32_t seed_count = in.u32();
-  if (!in.ok() || seed_count > kMaxCorpusSeeds ||
-      static_cast<std::size_t>(seed_count) * kMinSeedBytes > in.remaining()) {
-    return std::nullopt;
-  }
+  const std::uint32_t seed_count = in.count(kMinSeedBytes, kMaxCorpusSeeds);
+  if (!in.ok()) return std::nullopt;
   Corpus corpus;
   corpus.seeds_.reserve(seed_count);
   for (std::uint32_t s = 0; s < seed_count; ++s) {
@@ -131,11 +128,8 @@ std::optional<Corpus> Corpus::decode(std::span<const std::uint8_t> bytes) {
     seed.found_at_exec = in.u64();
     seed.exec_cost_ns = in.u64();
 
-    const std::uint32_t feature_count = in.u32();
-    if (!in.ok() || feature_count > kMaxSeedFeatures ||
-        static_cast<std::size_t>(feature_count) * 8 > in.remaining()) {
-      return std::nullopt;
-    }
+    const std::uint32_t feature_count = in.count(8, kMaxSeedFeatures);
+    if (!in.ok()) return std::nullopt;
     seed.features.reserve(feature_count);
     for (std::uint32_t i = 0; i < feature_count; ++i) {
       const Feature f = in.u64();
@@ -145,11 +139,8 @@ std::optional<Corpus> Corpus::decode(std::span<const std::uint8_t> bytes) {
       seed.features.push_back(f);
     }
 
-    const std::uint32_t frame_count = in.u32();
-    if (!in.ok() || frame_count == 0 || frame_count > kMaxSeedFrames ||
-        static_cast<std::size_t>(frame_count) * kMinFrameBytes > in.remaining()) {
-      return std::nullopt;
-    }
+    const std::uint32_t frame_count = in.count(kMinFrameBytes, kMaxSeedFrames);
+    if (!in.ok() || frame_count == 0) return std::nullopt;
     seed.frames.reserve(frame_count);
     for (std::uint32_t i = 0; i < frame_count; ++i) {
       const std::uint32_t id = in.u32();
@@ -175,21 +166,12 @@ std::optional<Corpus> Corpus::decode(std::span<const std::uint8_t> bytes) {
   return corpus;
 }
 
-bool Corpus::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const auto bytes = encode();
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
-}
+bool Corpus::save(const std::string& path) const { return util::write_file(path, encode()); }
 
 std::optional<Corpus> Corpus::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return decode(bytes);
+  const auto bytes = util::read_file(path);
+  if (!bytes) return std::nullopt;
+  return decode(*bytes);
 }
 
 }  // namespace acf::feedback

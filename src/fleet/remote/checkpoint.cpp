@@ -1,180 +1,95 @@
 #include "fleet/remote/checkpoint.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "util/hex.hpp"
+#include "fleet/remote/wire.hpp"
+#include "util/file.hpp"
 
 namespace acf::fleet::remote {
 
+using util::ByteReader;
+using util::ByteWriter;
+
 namespace {
 
-constexpr const char* kMagic = "ACF-FLEET-CAMPAIGN";
+constexpr std::uint32_t kMagic = 0x41434646;  // "ACFF"
 
 // A hostile header cannot demand unbounded memory: the trial count itself is
 // capped (a campaign of 16M trials checkpoints fine; beyond that, shard),
-// and declared per-trial counts only cap the up-front reserve — vectors
-// still grow naturally as validated content parses.
+// and every declared count is checked against the bytes left.
 constexpr std::uint64_t kMaxTrials = 1u << 24;
-constexpr std::size_t kMaxAdvanceReserve = 4096;
-
-constexpr std::uint8_t kMaxTrialStatus = static_cast<std::uint8_t>(TrialStatus::kSkipped);
-constexpr std::uint8_t kMaxStopReason =
-    static_cast<std::uint8_t>(fuzzer::StopReason::kTransportDead);
-
-std::string hex_or_dash(const std::string& text) {
-  if (text.empty()) return "-";
-  return util::hex_bytes({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()},
-                         '\0');
-}
-
-bool read_hex_or_dash(std::istream& in, std::string& out) {
-  std::string token;
-  if (!(in >> token)) return false;
-  if (token == "-") {
-    out.clear();
-    return true;
-  }
-  const auto bytes = util::parse_hex_bytes(token);
-  if (!bytes) return false;
-  out.assign(bytes->begin(), bytes->end());
-  return true;
-}
+// Smallest TrialOutcome record: spec (5 × 8), status + stop reason, two
+// counters, two doubles, the finding count and the error's length prefix.
+constexpr std::size_t kMinOutcomeBytes = 5 * 8 + 2 + 2 * 8 + 2 * 8 + 4 + 4;
 
 }  // namespace
 
-void FleetCheckpoint::serialize(std::ostream& out) const {
-  out << kMagic << ' ' << kVersion << '\n';
-  out << "fingerprint " << fingerprint << '\n';
-  out << "trials " << trial_count << '\n';
-  out << "done " << completed.size() << '\n';
-  for (const auto& [index, outcome] : completed) {
-    out << "trial " << index << ' ' << static_cast<unsigned>(outcome.status) << ' '
-        << static_cast<unsigned>(outcome.stop_reason) << ' ' << outcome.frames_sent << ' '
-        << outcome.send_failures << ' ' << std::bit_cast<std::uint64_t>(outcome.sim_seconds)
-        << ' ' << std::bit_cast<std::uint64_t>(outcome.time_to_failure) << ' '
-        << outcome.findings.size() << '\n';
-    for (const std::string& finding : outcome.findings) {
-      out << "finding " << hex_or_dash(finding) << '\n';
-    }
-    out << "error " << hex_or_dash(outcome.error) << '\n';
-  }
-  out << "leased " << leased.size();
-  for (const std::size_t index : leased) out << ' ' << index;
-  out << '\n';
-  out << "end\n";
+std::vector<std::uint8_t> FleetCheckpoint::encode() const {
+  ByteWriter out;
+  out.u32(kMagic);
+  out.u32(kVersion);
+  out.u64(fingerprint);
+  out.u64(trial_count);
+  out.u32(static_cast<std::uint32_t>(completed.size()));
+  for (const TrialOutcome& outcome : completed) write_outcome(out, outcome);
+  out.u32(static_cast<std::uint32_t>(leased.size()));
+  for (const std::size_t index : leased) out.u64(index);
+  return out.take();
 }
 
-std::optional<FleetCheckpoint> FleetCheckpoint::deserialize(std::istream& in) {
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(in >> magic >> version) || magic != kMagic || version != kVersion) {
-    return std::nullopt;
-  }
+std::optional<FleetCheckpoint> FleetCheckpoint::decode(std::span<const std::uint8_t> bytes) {
+  ByteReader in(bytes);
+  if (in.u32() != kMagic || in.u32() != kVersion || !in.ok()) return std::nullopt;
   FleetCheckpoint checkpoint;
-  std::string key;
-  std::uint64_t done_count = 0;
-  if (!(in >> key >> checkpoint.fingerprint) || key != "fingerprint") return std::nullopt;
-  if (!(in >> key >> checkpoint.trial_count) || key != "trials") return std::nullopt;
-  if (checkpoint.trial_count > kMaxTrials) return std::nullopt;
-  if (!(in >> key >> done_count) || key != "done") return std::nullopt;
-  if (done_count > checkpoint.trial_count) return std::nullopt;
-  checkpoint.completed.reserve(
-      std::min<std::uint64_t>(done_count, kMaxAdvanceReserve));
-  std::size_t previous_index = 0;
-  for (std::uint64_t i = 0; i < done_count; ++i) {
-    std::size_t index = 0;
-    unsigned status = 0;
-    unsigned stop = 0;
-    std::uint64_t sim_bits = 0;
-    std::uint64_t ttf_bits = 0;
-    std::size_t finding_count = 0;
-    TrialOutcome outcome;
-    if (!(in >> key >> index >> status >> stop >> outcome.frames_sent >>
-          outcome.send_failures >> sim_bits >> ttf_bits >> finding_count) ||
-        key != "trial") {
-      return std::nullopt;
-    }
+  checkpoint.fingerprint = in.u64();
+  checkpoint.trial_count = in.u64();
+  if (!in.ok() || checkpoint.trial_count > kMaxTrials) return std::nullopt;
+  const auto trials = static_cast<std::size_t>(checkpoint.trial_count);
+
+  checkpoint.completed.resize(in.count(kMinOutcomeBytes, trials));
+  for (std::size_t i = 0; i < checkpoint.completed.size(); ++i) {
+    if (!read_outcome(in, checkpoint.completed[i])) return std::nullopt;
     // Strictly ascending indices inside the plan: the canonical layout, and
     // it rejects duplicate records in one pass.
-    if (index >= checkpoint.trial_count || (i > 0 && index <= previous_index)) {
+    const std::size_t index = checkpoint.completed[i].spec.trial_index;
+    if (index >= trials || (i > 0 && index <= checkpoint.completed[i - 1].spec.trial_index)) {
       return std::nullopt;
     }
-    previous_index = index;
-    if (status > kMaxTrialStatus || stop > kMaxStopReason) return std::nullopt;
-    outcome.status = static_cast<TrialStatus>(status);
-    outcome.stop_reason = static_cast<fuzzer::StopReason>(stop);
-    outcome.sim_seconds = std::bit_cast<double>(sim_bits);
-    outcome.time_to_failure = std::bit_cast<double>(ttf_bits);
-    outcome.findings.reserve(std::min(finding_count, kMaxAdvanceReserve));
-    for (std::size_t f = 0; f < finding_count; ++f) {
-      std::string finding;
-      if (!(in >> key) || key != "finding" || !read_hex_or_dash(in, finding)) {
-        return std::nullopt;
-      }
-      outcome.findings.push_back(std::move(finding));
-    }
-    if (!(in >> key) || key != "error" || !read_hex_or_dash(in, outcome.error)) {
-      return std::nullopt;
-    }
-    checkpoint.completed.emplace_back(index, std::move(outcome));
   }
-  std::uint64_t leased_count = 0;
-  if (!(in >> key >> leased_count) || key != "leased") return std::nullopt;
-  if (leased_count > checkpoint.trial_count) return std::nullopt;
-  checkpoint.leased.reserve(std::min<std::uint64_t>(leased_count, kMaxAdvanceReserve));
-  std::size_t previous_leased = 0;
-  for (std::uint64_t i = 0; i < leased_count; ++i) {
-    std::size_t index = 0;
-    if (!(in >> index) || index >= checkpoint.trial_count) return std::nullopt;
-    if (i > 0 && index <= previous_leased) return std::nullopt;  // ascending
-    previous_leased = index;
+
+  checkpoint.leased.resize(in.count(8, trials));
+  for (std::size_t i = 0; i < checkpoint.leased.size(); ++i) {
+    const std::uint64_t index = in.u64();
+    if (!in.ok() || index >= trials || (i > 0 && index <= checkpoint.leased[i - 1])) {
+      return std::nullopt;
+    }
+    checkpoint.leased[i] = static_cast<std::size_t>(index);
     // A trial cannot be both finished and in flight.  `completed` is
     // strictly ascending, so this stays log-time even on hostile counts.
-    const auto done_it = std::lower_bound(
+    const auto done = std::lower_bound(
         checkpoint.completed.begin(), checkpoint.completed.end(), index,
-        [](const auto& entry, std::size_t value) { return entry.first < value; });
-    if (done_it != checkpoint.completed.end() && done_it->first == index) {
+        [](const TrialOutcome& outcome, std::uint64_t value) {
+          return outcome.spec.trial_index < value;
+        });
+    if (done != checkpoint.completed.end() && done->spec.trial_index == index) {
       return std::nullopt;
     }
-    checkpoint.leased.push_back(index);
   }
-  if (!(in >> key) || key != "end") return std::nullopt;
+  if (!in.done()) return std::nullopt;  // truncated, or trailing bytes
   return checkpoint;
-}
-
-std::string FleetCheckpoint::to_string() const {
-  std::ostringstream out;
-  serialize(out);
-  return out.str();
-}
-
-std::optional<FleetCheckpoint> FleetCheckpoint::from_string(const std::string& text) {
-  std::istringstream in(text);
-  return deserialize(in);
 }
 
 bool FleetCheckpoint::save(const std::string& path) const {
   // Write-then-rename: a coordinator SIGKILLed mid-save must leave the
   // previous checkpoint readable, or the crash the checkpoint exists to
   // survive would destroy it.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    serialize(out);
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return util::replace_file(path, encode());
 }
 
 std::optional<FleetCheckpoint> FleetCheckpoint::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return deserialize(in);
+  const auto bytes = util::read_file(path);
+  if (!bytes) return std::nullopt;
+  return decode(*bytes);
 }
 
 }  // namespace acf::fleet::remote

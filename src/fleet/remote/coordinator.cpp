@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "fleet/remote/checkpoint.hpp"
-#include "fleet/remote/metrics_wire.hpp"
 #include "metrics/snapshot.hpp"
 
 namespace acf::fleet::remote {
@@ -19,6 +18,15 @@ namespace {
 std::size_t clamp_capacity(std::uint32_t capacity) {
   if (capacity == 0) return 1;
   return std::min<std::size_t>(capacity, kMaxLeaseTrials);
+}
+
+/// True when `spec` is the plan's own spec for its trial index.  Results
+/// and checkpointed outcomes both pass this before they reach the table.
+bool matches_plan(const TrialPlan& plan, const TrialSpec& spec) {
+  if (spec.trial_index >= plan.trial_count()) return false;
+  const TrialSpec expected = plan.spec(spec.trial_index);
+  return spec.arm == expected.arm && spec.replica == expected.replica &&
+         spec.seed == expected.seed && spec.sim_budget == expected.sim_budget;
 }
 
 }  // namespace
@@ -64,20 +72,21 @@ void Coordinator::load_checkpoint() {
   if (config_.checkpoint_path.empty()) return;
   if (!std::filesystem::exists(config_.checkpoint_path)) return;
   std::optional<FleetCheckpoint> checkpoint = FleetCheckpoint::load(config_.checkpoint_path);
-  if (!checkpoint) {
-    throw std::runtime_error("coordinator: corrupt campaign checkpoint: " +
-                             config_.checkpoint_path);
-  }
+  const auto corrupt = [this] {
+    return std::runtime_error("coordinator: corrupt campaign checkpoint: " +
+                              config_.checkpoint_path);
+  };
+  if (!checkpoint) throw corrupt();
   if (checkpoint->fingerprint != fingerprint_ ||
       checkpoint->trial_count != plan_.trial_count()) {
     throw std::runtime_error("coordinator: checkpoint belongs to a different campaign: " +
                              config_.checkpoint_path);
   }
-  for (auto& [index, outcome] : checkpoint->completed) {
+  for (TrialOutcome& outcome : checkpoint->completed) {
+    if (!matches_plan(plan_, outcome.spec)) throw corrupt();
+    const std::size_t index = outcome.spec.trial_index;
     table_.mark_done(index);
     outcomes_[index] = std::move(outcome);
-    // The plan, not the disk, is authoritative for the spec.
-    outcomes_[index].spec = plan_.spec(index);
   }
   // prioritise() pushes to the queue front, so feed ascending indices in
   // reverse to leave the front ascending — resume re-issues them in order.
@@ -97,7 +106,7 @@ void Coordinator::save_checkpoint(bool force) {
   checkpoint.trial_count = plan_.trial_count();
   checkpoint.completed.reserve(table_.done_count());
   for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-    if (table_.state(i) == TrialState::kDone) checkpoint.completed.emplace_back(i, outcomes_[i]);
+    if (table_.state(i) == TrialState::kDone) checkpoint.completed.push_back(outcomes_[i]);
   }
   checkpoint.leased = table_.leased_indices();
   if (checkpoint.save(config_.checkpoint_path)) {
@@ -241,21 +250,12 @@ void Coordinator::handle_payload(Connection& conn, std::span<const std::uint8_t>
   }
 
   if (auto* result = std::get_if<LeaseResultMsg>(&*message)) {
-    const std::uint64_t wire_index = result->outcome.spec.trial_index;
-    if (wire_index >= plan_.trial_count()) {
+    if (!matches_plan(plan_, result->outcome.spec)) {
       ++stats_.forged_results;
       drop(conn, /*count_disconnect=*/true);
       return;
     }
-    const std::size_t index = static_cast<std::size_t>(wire_index);
-    const TrialSpec expected = plan_.spec(index);
-    const TrialSpec& got = result->outcome.spec;
-    if (got.arm != expected.arm || got.replica != expected.replica ||
-        got.seed != expected.seed || got.sim_budget != expected.sim_budget) {
-      ++stats_.forged_results;
-      drop(conn, /*count_disconnect=*/true);
-      return;
-    }
+    const std::size_t index = result->outcome.spec.trial_index;
     table_.renew(result->lease_id, WallClock::now());
     const CompletionResult completion = table_.complete(result->lease_id, index);
     if (completion == CompletionResult::kAccepted) {
@@ -289,7 +289,7 @@ void Coordinator::note_worker_metrics(const Connection& conn, const HeartbeatMsg
   // block — its registry survived the reconnect, so the new totals already
   // include the old.  Two workers that advertise the same *name* carry
   // distinct ids and keep separate blocks.
-  worker_metrics_[conn.instance_id] = from_wire(*heartbeat.metrics);
+  worker_metrics_[conn.instance_id] = *heartbeat.metrics;
 }
 
 metrics::RegistrySnapshot Coordinator::merged_metrics() {

@@ -92,8 +92,9 @@ class Coordinator {
  public:
   /// Binds and listens immediately (so port() is valid before serve()) and
   /// loads the checkpoint when one exists at config.checkpoint_path.
-  /// Throws std::runtime_error when the socket cannot be bound or the
-  /// checkpoint belongs to a different campaign.
+  /// Throws std::runtime_error when the socket cannot be bound, or the
+  /// checkpoint is corrupt (a stored spec that differs from the plan's
+  /// included) or belongs to a different campaign.
   Coordinator(const TrialPlan& plan, CoordinatorConfig config);
   ~Coordinator();
 

@@ -1,10 +1,8 @@
 #include "fleet/remote/wire.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
-#include "util/bytes.hpp"
 #include "util/socket.hpp"
 
 namespace acf::fleet::remote {
@@ -24,6 +22,86 @@ constexpr std::uint8_t kMaxStopReason =
 std::string_view clamp(std::string_view s) {
   return s.substr(0, kMaxStringBytes);
 }
+
+// Heartbeat metrics bounds truncate, never reject: the first `max` entries.
+template <typename T>
+std::span<const T> bounded(const std::vector<T>& entries, std::size_t max) {
+  return {entries.data(), std::min(entries.size(), max)};
+}
+
+std::string_view metric_name(std::string_view name) { return name.substr(0, kMaxNameBytes); }
+
+// The snapshot minus meters and quantiles (see HeartbeatMsg::metrics).
+void write_metrics(ByteWriter& w, const metrics::RegistrySnapshot& snap) {
+  const auto counters = bounded(snap.counters, kMaxMetricsEntries);
+  w.u32(static_cast<std::uint32_t>(counters.size()));
+  for (const metrics::CounterSnap& c : counters) {
+    w.str(metric_name(c.name));
+    w.u64(c.value);
+  }
+  const auto gauges = bounded(snap.gauges, kMaxMetricsEntries);
+  w.u32(static_cast<std::uint32_t>(gauges.size()));
+  for (const metrics::GaugeSnap& g : gauges) {
+    w.str(metric_name(g.name));
+    w.i64(g.value);
+  }
+  const auto timers = bounded(snap.timers, kMaxMetricsEntries);
+  w.u32(static_cast<std::uint32_t>(timers.size()));
+  for (const metrics::TimerSnap& t : timers) {
+    w.str(metric_name(t.name));
+    w.u64(t.count);
+    w.f64(t.sum);
+    w.f64(t.min);
+    w.f64(t.max);
+    const auto samples = bounded(t.samples, kMaxTimerSamples);
+    w.u32(static_cast<std::uint32_t>(samples.size()));
+    for (const metrics::CkmsQuantiles::Sample& s : samples) {
+      w.f64(s.value);
+      w.u64(s.g);
+      w.u64(s.delta);
+    }
+  }
+}
+
+// Non-finite aggregates are hostile data: nothing in the repo records NaN or
+// infinity, and letting one into a registry would poison every later merge.
+bool finite(double v) noexcept { return std::isfinite(v); }
+
+bool read_metrics(ByteReader& r, metrics::RegistrySnapshot& snap) {
+  // Minimum entries: a counter or gauge is a 4-byte name length + 8-byte
+  // value; a timer adds count, sum/min/max and its sample count.
+  snap.counters.resize(r.count(12, kMaxMetricsEntries));
+  for (metrics::CounterSnap& c : snap.counters) {
+    c.name = r.str(kMaxNameBytes);
+    c.value = r.u64();
+  }
+  snap.gauges.resize(r.count(12, kMaxMetricsEntries));
+  for (metrics::GaugeSnap& g : snap.gauges) {
+    g.name = r.str(kMaxNameBytes);
+    g.value = r.i64();
+  }
+  snap.timers.resize(r.count(40, kMaxMetricsEntries));
+  for (metrics::TimerSnap& t : snap.timers) {
+    t.name = r.str(kMaxNameBytes);
+    t.count = r.u64();
+    t.sum = r.f64();
+    t.min = r.f64();
+    t.max = r.f64();
+    if (!finite(t.sum) || !finite(t.min) || !finite(t.max)) return false;
+    t.samples.resize(r.count(24, kMaxTimerSamples));
+    for (metrics::CkmsQuantiles::Sample& sample : t.samples) {
+      sample.value = r.f64();
+      sample.g = r.u64();
+      sample.delta = r.u64();
+      if (!finite(sample.value)) return false;
+    }
+  }
+  return r.ok();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------- outcome -------
 
 void write_outcome(ByteWriter& w, const TrialOutcome& outcome) {
   w.u64(outcome.spec.trial_index);
@@ -57,110 +135,12 @@ bool read_outcome(ByteReader& r, TrialOutcome& outcome) {
   outcome.send_failures = r.u64();
   outcome.sim_seconds = r.f64();
   outcome.time_to_failure = r.f64();
-  const std::uint32_t findings = r.u32();
-  // Each finding needs at least its 4-byte length prefix: a declared count
-  // beyond that is a lie about bytes that cannot exist.
-  if (!r.ok() || findings > r.remaining() / 4) return false;
-  outcome.findings.reserve(findings);
-  for (std::uint32_t i = 0; i < findings; ++i) {
-    outcome.findings.push_back(r.str(kMaxStringBytes));
-    if (!r.ok()) return false;
-  }
+  // Each finding needs at least its 4-byte length prefix.
+  outcome.findings.resize(r.count(4));
+  for (std::string& finding : outcome.findings) finding = r.str(kMaxStringBytes);
   outcome.error = r.str(kMaxStringBytes);
   return r.ok();
 }
-
-void write_metrics(ByteWriter& w, const MetricsUpdate& update) {
-  w.u32(static_cast<std::uint32_t>(update.counters.size()));
-  for (const WireCounter& c : update.counters) {
-    w.str(std::string_view(c.name).substr(0, kMaxNameBytes));
-    w.u64(c.value);
-  }
-  w.u32(static_cast<std::uint32_t>(update.gauges.size()));
-  for (const WireGauge& g : update.gauges) {
-    w.str(std::string_view(g.name).substr(0, kMaxNameBytes));
-    w.i64(g.value);
-  }
-  w.u32(static_cast<std::uint32_t>(update.timers.size()));
-  for (const WireTimer& t : update.timers) {
-    w.str(std::string_view(t.name).substr(0, kMaxNameBytes));
-    w.u64(t.count);
-    w.f64(t.sum);
-    w.f64(t.min);
-    w.f64(t.max);
-    w.u32(static_cast<std::uint32_t>(t.samples.size()));
-    for (const WireTimerSample& s : t.samples) {
-      w.f64(s.value);
-      w.u64(s.g);
-      w.u64(s.delta);
-    }
-  }
-}
-
-// Non-finite aggregates are hostile data: nothing in the repo records NaN or
-// infinity, and letting one into a registry would poison every later merge.
-bool finite(double v) noexcept { return std::isfinite(v); }
-
-bool read_metrics(ByteReader& r, MetricsUpdate& update) {
-  const std::uint32_t counters = r.u32();
-  // Minimum counter entry: 4-byte name length + 8-byte value.  A declared
-  // count past that bound promises bytes that cannot exist.
-  if (!r.ok() || counters > kMaxMetricsEntries || counters > r.remaining() / 12) {
-    return false;
-  }
-  update.counters.reserve(counters);
-  for (std::uint32_t i = 0; i < counters; ++i) {
-    WireCounter c;
-    c.name = r.str(kMaxNameBytes);
-    c.value = r.u64();
-    if (!r.ok()) return false;
-    update.counters.push_back(std::move(c));
-  }
-  const std::uint32_t gauges = r.u32();
-  if (!r.ok() || gauges > kMaxMetricsEntries || gauges > r.remaining() / 12) {
-    return false;
-  }
-  update.gauges.reserve(gauges);
-  for (std::uint32_t i = 0; i < gauges; ++i) {
-    WireGauge g;
-    g.name = r.str(kMaxNameBytes);
-    g.value = r.i64();
-    if (!r.ok()) return false;
-    update.gauges.push_back(std::move(g));
-  }
-  const std::uint32_t timers = r.u32();
-  // Minimum timer entry: name length + count + sum/min/max + sample count.
-  if (!r.ok() || timers > kMaxMetricsEntries || timers > r.remaining() / 40) {
-    return false;
-  }
-  update.timers.reserve(timers);
-  for (std::uint32_t i = 0; i < timers; ++i) {
-    WireTimer t;
-    t.name = r.str(kMaxNameBytes);
-    t.count = r.u64();
-    t.sum = r.f64();
-    t.min = r.f64();
-    t.max = r.f64();
-    if (!r.ok() || !finite(t.sum) || !finite(t.min) || !finite(t.max)) return false;
-    const std::uint32_t samples = r.u32();
-    if (!r.ok() || samples > kMaxTimerSamples || samples > r.remaining() / 24) {
-      return false;
-    }
-    t.samples.reserve(samples);
-    for (std::uint32_t s = 0; s < samples; ++s) {
-      WireTimerSample sample;
-      sample.value = r.f64();
-      sample.g = r.u64();
-      sample.delta = r.u64();
-      if (!r.ok() || !finite(sample.value)) return false;
-      t.samples.push_back(sample);
-    }
-    update.timers.push_back(std::move(t));
-  }
-  return r.ok();
-}
-
-}  // namespace
 
 // ----------------------------------------------------------- encode -------
 
@@ -253,12 +233,8 @@ std::optional<Message> decode(std::span<const std::uint8_t> payload) {
       LeaseGrantMsg msg;
       msg.lease_id = r.u64();
       msg.deadline_ms = r.u32();
-      const std::uint32_t count = r.u32();
-      if (!r.ok() || count > kMaxLeaseTrials || count > r.remaining() / 8) {
-        return std::nullopt;
-      }
-      msg.trials.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) msg.trials.push_back(r.u64());
+      msg.trials.resize(r.count(8, kMaxLeaseTrials));
+      for (std::uint64_t& trial : msg.trials) trial = r.u64();
       out = std::move(msg);
       break;
     }

@@ -22,6 +22,8 @@
 
 #include "fleet/trial.hpp"
 #include "fleet/trial_plan.hpp"
+#include "metrics/metrics.hpp"
+#include "util/bytes.hpp"
 
 namespace acf::fleet::remote {
 
@@ -86,58 +88,20 @@ struct LeaseResultMsg {
   TrialOutcome outcome;
 };
 
-// --- heartbeat metrics block -----------------------------------------------
-// A compact registry snapshot piggybacked on the liveness heartbeat: the
-// worker ships its FULL running totals every time (idempotent under
-// reconnect — the coordinator replaces, never adds), and timers carry their
-// raw CKMS samples so the coordinator's merged quantiles keep the ε bound.
-// Wall-driven meters never cross the wire (rates do not add across clocks).
-// Mirrors metrics::RegistrySnapshot without depending on the metrics
-// headers, so this file stays a standalone wire surface for the fuzzer;
-// converters live in fleet/remote/metrics_wire.hpp.
-
-struct WireCounter {
-  std::string name;
-  std::uint64_t value = 0;
-};
-
-struct WireGauge {
-  std::string name;
-  std::int64_t value = 0;
-};
-
-/// One CKMS sample: (value, g, delta) exactly as ckms.hpp defines it.
-struct WireTimerSample {
-  double value = 0.0;
-  std::uint64_t g = 0;
-  std::uint64_t delta = 0;
-};
-
-struct WireTimer {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::vector<WireTimerSample> samples;
-};
-
-struct MetricsUpdate {
-  std::vector<WireCounter> counters;
-  std::vector<WireGauge> gauges;
-  std::vector<WireTimer> timers;
-
-  bool empty() const noexcept {
-    return counters.empty() && gauges.empty() && timers.empty();
-  }
-};
-
 struct HeartbeatMsg {
   std::uint64_t lease_id = 0;  // 0 when idle
   std::uint64_t completed = 0;
-  /// Optional full-totals metrics block (flag byte on the wire; absent and
-  /// engaged-but-empty encode differently and round-trip exactly).
-  std::optional<MetricsUpdate> metrics;
+  /// Optional registry snapshot, piggybacked on the liveness heartbeat: the
+  /// worker ships its FULL running totals every time (idempotent under
+  /// reconnect — the coordinator replaces, never adds), and timers carry
+  /// their raw CKMS samples so the coordinator's merged quantiles keep the
+  /// ε bound.  Meters (wall-driven rates do not add across clocks) and
+  /// quantiles (recomputed from the samples on merge) never cross the wire,
+  /// and entries past kMaxMetricsEntries per family or kMaxTimerSamples per
+  /// timer are truncated; honest registries sit far below both.  A flag
+  /// byte marks presence, so absent and engaged-but-empty round-trip
+  /// exactly.
+  std::optional<metrics::RegistrySnapshot> metrics;
 };
 
 enum class ShutdownReason : std::uint8_t { kCampaignComplete = 0, kCoordinatorPausing = 1 };
@@ -168,6 +132,12 @@ std::vector<std::uint8_t> encode(const Message& message);
 /// payload consumed.  nullopt on anything malformed; for every accepted
 /// payload, encode(*decode(p)) == p.
 std::optional<Message> decode(std::span<const std::uint8_t> payload);
+
+/// The TrialOutcome record inside LeaseResult, shared with the campaign
+/// checkpoint.  Strings longer than kMaxStringBytes are truncated on write;
+/// read_outcome bounds every count and string against the bytes left.
+void write_outcome(util::ByteWriter& w, const TrialOutcome& outcome);
+bool read_outcome(util::ByteReader& r, TrialOutcome& outcome);
 
 /// Length-prefixed frame ready for the socket.
 std::vector<std::uint8_t> frame_message(const Message& message);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "fleet/executor.hpp"
-#include "fleet/remote/metrics_wire.hpp"
 #include "fleet/remote/wire.hpp"
 #include "metrics/metrics.hpp"
 #include "util/socket.hpp"
@@ -243,7 +242,7 @@ WorkerResult Worker::run() {
             // Full running totals every beat: idempotent under reconnect,
             // because the coordinator replaces this worker's block instead
             // of adding to it.
-            beat.metrics = to_wire(config_.registry->snapshot());
+            beat.metrics = config_.registry->snapshot();
           }
           const std::vector<std::uint8_t> frame = frame_message(Message{std::move(beat)});
           std::lock_guard<std::mutex> lock(write_mutex);

@@ -1,252 +1,154 @@
 #include "fuzzer/checkpoint.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <array>
 
-#include "util/hex.hpp"
+#include "util/bytes.hpp"
+#include "util/file.hpp"
 
 namespace acf::fuzzer {
 
+using util::ByteReader;
+using util::ByteWriter;
+
 namespace {
 
-constexpr const char* kMagic = "ACF-CHECKPOINT";
+constexpr std::uint32_t kMagic = 0x4143464B;  // "ACFK"
 
-// Bounds on counts a hostile stream can demand before any content has
-// validated them.  Generator states are a handful of words (xoshiro uses 4);
-// findings and frame windows may legitimately be large, so their declared
-// counts only cap the up-front reserve() — the vectors still grow naturally
-// as real content parses, keeping memory proportional to input size.
-constexpr std::size_t kMaxStateWords = 1024;
-constexpr std::size_t kMaxAdvanceReserve = 4096;
+constexpr std::uint8_t kFrameExtended = 0x01;
+constexpr std::uint8_t kFrameRemote = 0x02;
+constexpr std::uint8_t kFrameFd = 0x04;
+constexpr std::uint8_t kFrameBrs = 0x08;
 
-std::string hex_or_dash(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return "-";
-  return util::hex_bytes(bytes, '\0');  // no separator
-}
+// Minimum encoded sizes, used to validate declared counts against the bytes
+// actually present BEFORE any allocation (hostile counts fail closed).
+constexpr std::size_t kMinFrameBytes = 8 + 4 + 1 + 1;  // time + id + flags + length
+constexpr std::size_t kMinFindingBytes = 1 + 8 + 4 + 8 + 8 + 4 + 4;
 
-// Generator names are written as a single token; whitespace and other
-// non-printable bytes are percent-escaped so a hostile or merely unusual
-// name ("mutation v2") cannot desynchronise the line-oriented stream.
-std::string escape_name(const std::string& name) {
-  if (name.empty()) return "-";
-  std::string out;
-  out.reserve(name.size());
-  for (const char raw : name) {
-    const auto c = static_cast<unsigned char>(raw);
-    if (c <= 0x20 || c == 0x7F || c == '%') {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out += buf;
-    } else {
-      out.push_back(raw);
-    }
+// Free text (generator names, oracle details) is bounded only by the bytes
+// left, so any string a campaign produced reads back unchanged.
+std::string read_text(ByteReader& in) { return in.str(in.remaining()); }
+
+void write_frames(ByteWriter& out, const std::vector<trace::TimestampedFrame>& frames) {
+  out.u32(static_cast<std::uint32_t>(frames.size()));
+  for (const trace::TimestampedFrame& entry : frames) {
+    const can::CanFrame& frame = entry.frame;
+    out.i64(entry.time.count());
+    out.u32(frame.id());
+    out.u8(static_cast<std::uint8_t>((frame.is_extended() ? kFrameExtended : 0) |
+                                     (frame.is_remote() ? kFrameRemote : 0) |
+                                     (frame.is_fd() ? kFrameFd : 0) |
+                                     (frame.brs() ? kFrameBrs : 0)));
+    out.u8(static_cast<std::uint8_t>(frame.length()));  // remote: requested DLC
+    out.raw(frame.payload());
   }
-  if (out == "-") return "%2D";  // a literal "-" must not read back as empty
-  return out;
 }
 
-std::optional<std::string> unescape_name(const std::string& token) {
-  if (token == "-") return std::string{};
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '%') {
-      out.push_back(token[i]);
-      continue;
-    }
-    if (i + 2 >= token.size()) return std::nullopt;
-    const auto byte = util::parse_hex_byte(std::string_view(token).substr(i + 1, 2));
-    if (!byte) return std::nullopt;
-    out.push_back(static_cast<char>(*byte));
-    i += 2;
+// One frame, accepted only in the canonical form write_frames produces:
+// known flag bits, BRS only on FD, no FD remote frames, and a length the
+// frame kind allows (the named constructors enforce the last).
+std::optional<trace::TimestampedFrame> read_frame(ByteReader& in) {
+  const sim::SimTime time{in.i64()};
+  const std::uint32_t id = in.u32();
+  const std::uint8_t flags = in.u8();
+  const std::uint8_t length = in.u8();
+  const bool remote = (flags & kFrameRemote) != 0;
+  const bool fd = (flags & kFrameFd) != 0;
+  if (!in.ok() || (flags & ~(kFrameExtended | kFrameRemote | kFrameFd | kFrameBrs)) != 0 ||
+      (remote && fd) || ((flags & kFrameBrs) != 0 && !fd)) {
+    return std::nullopt;
   }
-  return out;
-}
-
-std::vector<std::uint8_t> bytes_of(const std::string& text) {
-  return {text.begin(), text.end()};
-}
-
-void write_frame(std::ostream& out, const trace::TimestampedFrame& entry) {
-  const can::CanFrame& frame = entry.frame;
-  out << "frame " << entry.time.count() << ' ';
-  if (frame.is_fd()) {
-    out << "F " << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' '
-        << (frame.brs() ? 1 : 0) << ' ' << hex_or_dash(frame.payload());
-  } else if (frame.is_remote()) {
-    out << "R " << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' '
-        << static_cast<unsigned>(frame.dlc());
-  } else {
-    out << "D " << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' '
-        << hex_or_dash(frame.payload());
-  }
-  out << '\n';
-}
-
-std::optional<trace::TimestampedFrame> read_frame(std::istream& in) {
-  std::int64_t time_ns = 0;
-  char kind = 0;
-  char format_code = 0;
-  std::uint32_t id = 0;
-  if (!(in >> time_ns >> kind >> format_code >> id)) return std::nullopt;
-  const auto format = format_code == 'E' ? can::IdFormat::kExtended
-                                         : can::IdFormat::kStandard;
+  const auto format =
+      (flags & kFrameExtended) != 0 ? can::IdFormat::kExtended : can::IdFormat::kStandard;
   std::optional<can::CanFrame> frame;
-  if (kind == 'R') {
-    unsigned dlc = 0;
-    // Validate before narrowing: 260 must not silently become 4.
-    if (!(in >> dlc) || dlc > can::kMaxClassicPayload) return std::nullopt;
-    frame = can::CanFrame::remote(id, static_cast<std::uint8_t>(dlc), format);
+  if (remote) {
+    frame = can::CanFrame::remote(id, length, format);
   } else {
-    int brs = 0;
-    if (kind == 'F' && !(in >> brs)) return std::nullopt;
-    std::string payload_hex;
-    if (!(in >> payload_hex)) return std::nullopt;
-    std::vector<std::uint8_t> payload;
-    if (payload_hex != "-") {
-      const auto parsed = util::parse_hex_bytes(payload_hex);
-      if (!parsed) return std::nullopt;
-      payload = *parsed;
-    }
-    frame = kind == 'F' ? can::CanFrame::fd_data(id, payload, brs != 0, format)
-                        : can::CanFrame::data(id, payload, format);
+    if (length > can::kMaxFdPayload) return std::nullopt;
+    std::array<std::uint8_t, can::kMaxFdPayload> payload{};
+    for (std::size_t i = 0; i < length; ++i) payload[i] = in.u8();
+    const std::span<const std::uint8_t> bytes(payload.data(), length);
+    frame = fd ? can::CanFrame::fd_data(id, bytes, (flags & kFrameBrs) != 0, format)
+               : can::CanFrame::data(id, bytes, format);
   }
   if (!frame) return std::nullopt;
-  return trace::TimestampedFrame{*frame, sim::SimTime{time_ns}};
+  return trace::TimestampedFrame{*frame, time};
+}
+
+bool read_frames(ByteReader& in, std::vector<trace::TimestampedFrame>& frames) {
+  const std::uint32_t count = in.count(kMinFrameBytes);
+  frames.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto entry = read_frame(in);
+    if (!entry) return false;
+    frames.push_back(*entry);
+  }
+  return in.ok();
 }
 
 }  // namespace
 
-void CampaignCheckpoint::serialize(std::ostream& out) const {
-  out << kMagic << ' ' << kVersion << '\n';
-  out << "frames_sent " << frames_sent << '\n';
-  out << "send_failures " << send_failures << '\n';
-  out << "elapsed_ns " << elapsed.count() << '\n';
-  out << "generator " << escape_name(generator_name) << '\n';
-  out << "state " << generator_state.size();
-  for (const std::uint64_t word : generator_state) out << ' ' << word;
-  out << '\n';
-  out << "findings " << findings.size() << '\n';
+std::vector<std::uint8_t> CampaignCheckpoint::encode() const {
+  ByteWriter out;
+  out.u32(kMagic);
+  out.u32(kVersion);
+  out.u64(frames_sent);
+  out.u64(send_failures);
+  out.i64(elapsed.count());
+  out.str(generator_name);
+  out.u32(static_cast<std::uint32_t>(generator_state.size()));
+  for (const std::uint64_t word : generator_state) out.u64(word);
+  out.u32(static_cast<std::uint32_t>(findings.size()));
   for (const Finding& finding : findings) {
-    out << "verdict " << static_cast<int>(finding.observation.verdict) << '\n';
-    out << "time_ns " << finding.observation.time.count() << '\n';
-    out << "detail " << hex_or_dash(bytes_of(finding.observation.detail)) << '\n';
-    out << "at_frame " << finding.frames_sent << '\n';
-    out << "seed " << finding.seed << '\n';
-    out << "gen " << escape_name(finding.generator) << '\n';
-    out << "recent " << finding.recent_frames.size() << '\n';
-    for (const auto& entry : finding.recent_frames) write_frame(out, entry);
+    out.u8(static_cast<std::uint8_t>(finding.observation.verdict));
+    out.i64(finding.observation.time.count());
+    out.str(finding.observation.detail);
+    out.u64(finding.frames_sent);
+    out.u64(finding.seed);
+    out.str(finding.generator);
+    write_frames(out, finding.recent_frames);
   }
-  out << "window " << recent_frames.size() << '\n';
-  for (const auto& entry : recent_frames) write_frame(out, entry);
-  out << "end\n";
+  write_frames(out, recent_frames);
+  return out.take();
 }
 
-std::optional<CampaignCheckpoint> CampaignCheckpoint::deserialize(std::istream& in) {
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(in >> magic >> version) || magic != kMagic || version != kVersion) {
-    return std::nullopt;
-  }
+std::optional<CampaignCheckpoint> CampaignCheckpoint::decode(
+    std::span<const std::uint8_t> bytes) {
+  ByteReader in(bytes);
+  if (in.u32() != kMagic || in.u32() != kVersion || !in.ok()) return std::nullopt;
   CampaignCheckpoint checkpoint;
-  std::string key;
-  std::int64_t elapsed_ns = 0;
-  std::size_t state_words = 0;
-  std::size_t finding_count = 0;
-  if (!(in >> key >> checkpoint.frames_sent) || key != "frames_sent") return std::nullopt;
-  if (!(in >> key >> checkpoint.send_failures) || key != "send_failures") return std::nullopt;
-  if (!(in >> key >> elapsed_ns) || key != "elapsed_ns") return std::nullopt;
-  checkpoint.elapsed = sim::Duration{elapsed_ns};
-  std::string name_token;
-  if (!(in >> key >> name_token) || key != "generator") return std::nullopt;
-  if (auto name = unescape_name(name_token)) {
-    checkpoint.generator_name = std::move(*name);
-  } else {
-    return std::nullopt;
-  }
-  if (!(in >> key >> state_words) || key != "state") return std::nullopt;
-  if (state_words > kMaxStateWords) return std::nullopt;
-  checkpoint.generator_state.resize(state_words);
-  for (std::uint64_t& word : checkpoint.generator_state) {
-    if (!(in >> word)) return std::nullopt;
-  }
-  if (!(in >> key >> finding_count) || key != "findings") return std::nullopt;
-  checkpoint.findings.reserve(std::min(finding_count, kMaxAdvanceReserve));
-  for (std::size_t i = 0; i < finding_count; ++i) {
-    Finding finding;
-    int verdict = 0;
-    std::int64_t time_ns = 0;
-    std::string detail_hex;
-    std::size_t recent_count = 0;
-    if (!(in >> key >> verdict) || key != "verdict") return std::nullopt;
-    if (verdict < 0 || verdict > static_cast<int>(oracle::Verdict::kFailure)) {
+  checkpoint.frames_sent = in.u64();
+  checkpoint.send_failures = in.u64();
+  checkpoint.elapsed = sim::Duration{in.i64()};
+  checkpoint.generator_name = read_text(in);
+  checkpoint.generator_state.resize(in.count(8));
+  for (std::uint64_t& word : checkpoint.generator_state) word = in.u64();
+  checkpoint.findings.resize(in.count(kMinFindingBytes));
+  for (Finding& finding : checkpoint.findings) {
+    const std::uint8_t verdict = in.u8();
+    if (!in.ok() || verdict > static_cast<std::uint8_t>(oracle::Verdict::kFailure)) {
       return std::nullopt;
     }
     finding.observation.verdict = static_cast<oracle::Verdict>(verdict);
-    if (!(in >> key >> time_ns) || key != "time_ns") return std::nullopt;
-    finding.observation.time = sim::SimTime{time_ns};
-    if (!(in >> key >> detail_hex) || key != "detail") return std::nullopt;
-    if (detail_hex != "-") {
-      const auto bytes = util::parse_hex_bytes(detail_hex);
-      if (!bytes) return std::nullopt;
-      finding.observation.detail.assign(bytes->begin(), bytes->end());
-    }
-    if (!(in >> key >> finding.frames_sent) || key != "at_frame") return std::nullopt;
-    if (!(in >> key >> finding.seed) || key != "seed") return std::nullopt;
-    std::string gen_token;
-    if (!(in >> key >> gen_token) || key != "gen") return std::nullopt;
-    if (auto gen = unescape_name(gen_token)) {
-      finding.generator = std::move(*gen);
-    } else {
-      return std::nullopt;
-    }
-    if (!(in >> key >> recent_count) || key != "recent") return std::nullopt;
-    finding.recent_frames.reserve(std::min(recent_count, kMaxAdvanceReserve));
-    for (std::size_t f = 0; f < recent_count; ++f) {
-      if (!(in >> key) || key != "frame") return std::nullopt;
-      const auto entry = read_frame(in);
-      if (!entry) return std::nullopt;
-      finding.recent_frames.push_back(*entry);
-    }
-    checkpoint.findings.push_back(std::move(finding));
+    finding.observation.time = sim::SimTime{in.i64()};
+    finding.observation.detail = read_text(in);
+    finding.frames_sent = in.u64();
+    finding.seed = in.u64();
+    finding.generator = read_text(in);
+    if (!read_frames(in, finding.recent_frames)) return std::nullopt;
   }
-  std::size_t window_count = 0;
-  if (!(in >> key >> window_count) || key != "window") return std::nullopt;
-  checkpoint.recent_frames.reserve(std::min(window_count, kMaxAdvanceReserve));
-  for (std::size_t f = 0; f < window_count; ++f) {
-    if (!(in >> key) || key != "frame") return std::nullopt;
-    const auto entry = read_frame(in);
-    if (!entry) return std::nullopt;
-    checkpoint.recent_frames.push_back(*entry);
-  }
-  if (!(in >> key) || key != "end") return std::nullopt;
+  if (!read_frames(in, checkpoint.recent_frames)) return std::nullopt;
+  if (!in.done()) return std::nullopt;  // truncated, or trailing bytes
   return checkpoint;
 }
 
-std::string CampaignCheckpoint::to_string() const {
-  std::ostringstream out;
-  serialize(out);
-  return out.str();
-}
-
-std::optional<CampaignCheckpoint> CampaignCheckpoint::from_string(const std::string& text) {
-  std::istringstream in(text);
-  return deserialize(in);
-}
-
 bool CampaignCheckpoint::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  serialize(out);
-  return static_cast<bool>(out);
+  return util::write_file(path, encode());
 }
 
 std::optional<CampaignCheckpoint> CampaignCheckpoint::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return deserialize(in);
+  const auto bytes = util::read_file(path);
+  if (!bytes) return std::nullopt;
+  return decode(*bytes);
 }
 
 }  // namespace acf::fuzzer

@@ -2,14 +2,15 @@
 // endurance runs, and a harness that loses all state on interruption cannot
 // scale to them.  A checkpoint captures everything the campaign needs to
 // resume deterministically — generator position (RNG state), frame counter,
-// elapsed simulated time and the findings so far — in a versioned,
-// line-oriented text file.  A resumed campaign emits the byte-identical
-// frame stream the uninterrupted run would have.
+// elapsed simulated time and the findings so far — in a versioned binary
+// record (util::ByteWriter, the codec the fleet wire and the feedback corpus
+// use).  A resumed campaign emits the byte-identical frame stream the
+// uninterrupted run would have.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,10 +20,10 @@
 namespace acf::fuzzer {
 
 struct CampaignCheckpoint {
-  /// Bumped whenever the serialized layout changes; loaders reject files
-  /// from a different major version instead of misreading them.
-  /// v2: generator names are percent-escaped single tokens.
-  static constexpr std::uint32_t kVersion = 2;
+  /// Bumped whenever the record layout changes; decode rejects any other
+  /// version instead of misreading it.
+  /// v2: percent-escaped text.  v3: binary record.
+  static constexpr std::uint32_t kVersion = 3;
 
   std::uint64_t frames_sent = 0;
   std::uint64_t send_failures = 0;
@@ -37,14 +38,14 @@ struct CampaignCheckpoint {
   /// window it would have in the uninterrupted run.
   std::vector<trace::TimestampedFrame> recent_frames;
 
-  void serialize(std::ostream& out) const;
-  static std::optional<CampaignCheckpoint> deserialize(std::istream& in);
+  std::vector<std::uint8_t> encode() const;
+  /// Strict decode: magic and version first, every declared count checked
+  /// against the bytes left, the whole input consumed.  For every accepted
+  /// input, decode(bytes)->encode() == bytes.
+  static std::optional<CampaignCheckpoint> decode(std::span<const std::uint8_t> bytes);
 
-  std::string to_string() const;
-  static std::optional<CampaignCheckpoint> from_string(const std::string& text);
-
-  /// File convenience wrappers; save writes atomically enough for a
-  /// single-writer campaign (write-then-rename is overkill on a sim).
+  /// File wrappers; save is true only once every byte reached the file
+  /// (write-then-rename is overkill for a single-writer campaign).
   bool save(const std::string& path) const;
   static std::optional<CampaignCheckpoint> load(const std::string& path);
 };

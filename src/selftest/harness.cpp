@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 
 #include "selftest/mutator.hpp"
+#include "util/file.hpp"
 #include "util/hex.hpp"
 
 namespace acf::selftest {
@@ -24,9 +24,7 @@ void record_failure(HarnessResult& result, const HarnessOptions& options,
     std::filesystem::create_directories(options.failure_dir, ec);
     const auto path = std::filesystem::path(options.failure_dir) /
                       (target.name + "-" + std::to_string(result.failures.size()) + ".bin");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(failure.input.data()),
-              static_cast<std::streamsize>(failure.input.size()));
+    util::write_file(path.string(), failure.input);
   }
   result.failures.push_back(std::move(failure));
 }
@@ -81,10 +79,7 @@ std::vector<std::vector<std::uint8_t>> load_corpus_dir(const std::string& dir) {
   std::vector<std::vector<std::uint8_t>> corpus;
   corpus.reserve(paths.size());
   for (const auto& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                    std::istreambuf_iterator<char>());
-    corpus.push_back(std::move(bytes));
+    corpus.push_back(util::read_file(path.string()).value_or(std::vector<std::uint8_t>{}));
   }
   return corpus;
 }

@@ -1,7 +1,7 @@
 // Self-fuzz targets and their invariant catalogue.
 //
 // Invariant families (referenced per target below):
-//   [R] round-trip: decode∘encode = id, deserialize∘serialize = id
+//   [R] round-trip: decode∘encode = id
 //   [F] fixed point: print∘parse is stable after one cycle (for surfaces
 //       that normalise, e.g. sub-microsecond timestamps truncate on print)
 //   [M] malformed input is rejected cleanly: nullopt / error list /
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "attacks/config.hpp"
@@ -64,7 +65,7 @@ bool frames_equal(const trace::TimestampedFrame& a, const trace::TimestampedFram
 }
 
 // ---------------------------------------------------------------------------
-// checkpoint: CampaignCheckpoint::deserialize on arbitrary text.  [R][M][S]
+// checkpoint: CampaignCheckpoint::decode on arbitrary bytes.  [R][M][S]
 
 bool checkpoints_equal(const fuzzer::CampaignCheckpoint& a,
                        const fuzzer::CampaignCheckpoint& b) {
@@ -96,23 +97,22 @@ bool checkpoints_equal(const fuzzer::CampaignCheckpoint& a,
 }
 
 Verdict run_checkpoint(Bytes input) {
-  const auto parsed = fuzzer::CampaignCheckpoint::from_string(std::string(as_text(input)));
+  const auto parsed = fuzzer::CampaignCheckpoint::decode(input);
   if (!parsed) return std::nullopt;  // clean rejection is the contract
-  const std::string serialized = parsed->to_string();
-  const auto reparsed = fuzzer::CampaignCheckpoint::from_string(serialized);
-  if (!reparsed) return "accepted checkpoint fails to reparse after serialize";
-  if (!checkpoints_equal(*parsed, *reparsed)) {
-    return "checkpoint serialize/deserialize round-trip diverges";
+  const std::vector<std::uint8_t> encoded = parsed->encode();
+  if (!std::equal(encoded.begin(), encoded.end(), input.begin(), input.end())) {
+    return "accepted checkpoint does not re-encode to itself";
   }
-  if (reparsed->to_string() != serialized) {
-    return "checkpoint serialization is not a fixed point";
+  const auto reparsed = fuzzer::CampaignCheckpoint::decode(encoded);
+  if (!reparsed || !checkpoints_equal(*parsed, *reparsed)) {
+    return "checkpoint encode/decode round-trip diverges";
   }
   return std::nullopt;
 }
 
 // checkpoint_roundtrip: metamorphic — synthesise a checkpoint whose string
 // fields come straight from the input bytes (whitespace, '%', control
-// characters and all), then require serialize→deserialize identity.  [R]
+// characters and all), then require encode→decode identity.  [R]
 
 std::string slice_text(Bytes input, util::Rng& rng, std::size_t max_len) {
   if (input.empty()) return {};
@@ -173,10 +173,9 @@ Verdict run_checkpoint_roundtrip(Bytes input) {
          sim::SimTime{static_cast<std::int64_t>(rng.next_below(1'000'000'000'000ULL))}});
   }
 
-  const std::string serialized = original.to_string();
-  const auto restored = fuzzer::CampaignCheckpoint::from_string(serialized);
+  const auto restored = fuzzer::CampaignCheckpoint::decode(original.encode());
   if (!restored) {
-    return "serialized checkpoint failed to deserialize (generator name: \"" +
+    return "encoded checkpoint failed to decode (generator name: \"" +
            original.generator_name + "\")";
   }
   if (!checkpoints_equal(original, *restored)) {
@@ -567,32 +566,38 @@ double finite_double(util::Rng& rng) {
   return std::ldexp(static_cast<double>(rng.next_u64()), -32);
 }
 
-fr::MetricsUpdate random_metrics(Bytes input, util::Rng& rng) {
-  fr::MetricsUpdate update;
+/// A snapshot with every field set, meters and quantiles included: the wire
+/// drops those, so the decoded message must still re-encode identically.
+metrics::RegistrySnapshot random_metrics(Bytes input, util::Rng& rng) {
+  metrics::RegistrySnapshot snap;
   const auto counters = rng.next_below(4);
   for (std::uint64_t i = 0; i < counters; ++i) {
-    update.counters.push_back({slice_text(input, rng, 48), rng.next_u64()});
+    snap.counters.push_back({slice_text(input, rng, 48), rng.next_u64()});
   }
   const auto gauges = rng.next_below(3);
   for (std::uint64_t i = 0; i < gauges; ++i) {
-    update.gauges.push_back(
+    snap.gauges.push_back(
         {slice_text(input, rng, 48), static_cast<std::int64_t>(rng.next_u64())});
+  }
+  if (rng.next_bool()) {
+    snap.meters.push_back({slice_text(input, rng, 48), rng.next_u64(), finite_double(rng),
+                           finite_double(rng), finite_double(rng), finite_double(rng)});
   }
   const auto timers = rng.next_below(3);
   for (std::uint64_t i = 0; i < timers; ++i) {
-    fr::WireTimer timer;
+    metrics::TimerSnap& timer = snap.timers.emplace_back();
     timer.name = slice_text(input, rng, 48);
     timer.count = rng.next_u64();
-    timer.sum = finite_double(rng);
-    timer.min = finite_double(rng);
-    timer.max = finite_double(rng);
+    for (double* value : {&timer.sum, &timer.min, &timer.max, &timer.p50, &timer.p90,
+                          &timer.p99, &timer.p999}) {
+      *value = finite_double(rng);
+    }
     const auto samples = rng.next_below(5);
     for (std::uint64_t s = 0; s < samples; ++s) {
       timer.samples.push_back({finite_double(rng), rng.next_u64(), rng.next_u64()});
     }
-    update.timers.push_back(std::move(timer));
   }
-  return update;
+  return snap;
 }
 
 fr::Message random_message(Bytes input, util::Rng& rng) {
@@ -950,20 +955,19 @@ Verdict run_attack_config(Bytes input) {
 
 // ---------------------------------------------------------------------------
 // fleet_checkpoint: the coordinator's campaign checkpoint, read back from
-// disk on every resume.  Raw mode: FleetCheckpoint::deserialize on arbitrary
-// text rejects cleanly; whatever it accepts keeps the documented layout
-// (completed and leased indices strictly ascending inside the plan, never
-// both) and serialize∘deserialize is a fixed point.  Structured mode:
+// disk on every resume.  Raw mode: FleetCheckpoint::decode on arbitrary
+// bytes rejects cleanly; whatever it accepts re-encodes to exactly those
+// bytes and keeps the documented layout (completed and leased indices
+// strictly ascending inside the plan, never both).  Structured mode:
 // synthesise a checkpoint whose strings come from the input bytes and whose
-// doubles are any bit pattern, then require deserialize∘serialize identity.
-// [R][F][M][S]
+// doubles are any bit pattern, then require decode∘encode identity.
+// [R][M][S]
 
 /// Outcomes compare through their wire encoding, which carries every field
 /// bit-exactly (doubles included).
 bool fleet_checkpoints_equal(const fr::FleetCheckpoint& a, const fr::FleetCheckpoint& b) {
-  const auto same = [](const auto& x, const auto& y) {
-    return x.first == y.first && fr::encode(fr::LeaseResultMsg{0, x.second}) ==
-                                     fr::encode(fr::LeaseResultMsg{0, y.second});
+  const auto same = [](const fleet::TrialOutcome& x, const fleet::TrialOutcome& y) {
+    return fr::encode(fr::LeaseResultMsg{0, x}) == fr::encode(fr::LeaseResultMsg{0, y});
   };
   return a.fingerprint == b.fingerprint && a.trial_count == b.trial_count &&
          a.leased == b.leased &&
@@ -971,49 +975,72 @@ bool fleet_checkpoints_equal(const fr::FleetCheckpoint& a, const fr::FleetCheckp
                     b.completed.end(), same);
 }
 
+Verdict check_fleet_checkpoint_layout(const fr::FleetCheckpoint& checkpoint) {
+  std::vector<std::size_t> done;
+  for (const fleet::TrialOutcome& outcome : checkpoint.completed) {
+    done.push_back(outcome.spec.trial_index);
+  }
+  const auto ascending = [](const std::vector<std::size_t>& indices) {
+    return std::adjacent_find(indices.begin(), indices.end(), std::greater_equal<>()) ==
+           indices.end();
+  };
+  if (!ascending(done) || !ascending(checkpoint.leased)) {
+    return "accepted checkpoint has indices out of ascending order";
+  }
+  const auto inside = [&](const std::vector<std::size_t>& indices) {
+    return indices.empty() || indices.back() < checkpoint.trial_count;
+  };
+  if (!inside(done) || !inside(checkpoint.leased)) {
+    return "accepted checkpoint has a trial outside the plan";
+  }
+  for (const std::size_t index : checkpoint.leased) {
+    if (std::binary_search(done.begin(), done.end(), index)) {
+      return "accepted checkpoint has a trial both done and leased";
+    }
+  }
+  return std::nullopt;
+}
+
 Verdict run_fleet_checkpoint(Bytes input) {
   if (input.empty()) return std::nullopt;
   const Bytes rest = input.subspan(1);
-  fr::FleetCheckpoint checkpoint;
   if ((input[0] & 1) != 0) {
-    auto parsed = fr::FleetCheckpoint::from_string(std::string(as_text(rest)));
+    const auto parsed = fr::FleetCheckpoint::decode(rest);
     if (!parsed) return std::nullopt;  // clean rejection is the contract
-    checkpoint = std::move(*parsed);
-    std::vector<std::size_t> indices = checkpoint.leased;
-    for (const auto& done : checkpoint.completed) indices.push_back(done.first);
-    std::sort(indices.begin(), indices.end());
-    if (std::adjacent_find(indices.begin(), indices.end()) != indices.end() ||
-        (!indices.empty() && indices.back() >= checkpoint.trial_count)) {
-      return "accepted checkpoint has a trial twice or outside the plan";
+    const std::vector<std::uint8_t> encoded = parsed->encode();
+    if (!std::equal(encoded.begin(), encoded.end(), rest.begin(), rest.end())) {
+      return "accepted fleet checkpoint does not re-encode to itself";
     }
-  } else {
-    util::Rng rng(fnv1a(input) ^ 0xF1EE7C4BULL);
-    checkpoint.fingerprint = rng.next_u64();
-    checkpoint.trial_count = 1 + rng.next_below(24);
-    for (std::size_t index = 0; index < checkpoint.trial_count; ++index) {
-      const auto state = rng.next_below(3);  // done, in flight, or still queued
-      if (state == 1) checkpoint.leased.push_back(index);
-      if (state != 0) continue;
-      fleet::TrialOutcome outcome;
-      outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
-      outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
-      outcome.frames_sent = rng.next_u64();
-      outcome.send_failures = rng.next_u64();
-      outcome.sim_seconds = std::bit_cast<double>(rng.next_u64());
-      outcome.time_to_failure = std::bit_cast<double>(rng.next_u64());
-      outcome.findings.resize(rng.next_below(4));
-      for (std::string& finding : outcome.findings) finding = slice_text(rest, rng, 64);
-      outcome.error = slice_text(rest, rng, 48);
-      checkpoint.completed.emplace_back(index, std::move(outcome));
-    }
+    return check_fleet_checkpoint_layout(*parsed);
   }
-  const std::string serialized = checkpoint.to_string();
-  const auto restored = fr::FleetCheckpoint::from_string(serialized);
-  if (!restored) return "serialized fleet checkpoint fails to deserialize";
+  util::Rng rng(fnv1a(input) ^ 0xF1EE7C4BULL);
+  fr::FleetCheckpoint checkpoint;
+  checkpoint.fingerprint = rng.next_u64();
+  checkpoint.trial_count = 1 + rng.next_below(24);
+  for (std::size_t index = 0; index < checkpoint.trial_count; ++index) {
+    const auto state = rng.next_below(3);  // done, in flight, or still queued
+    if (state == 1) checkpoint.leased.push_back(index);
+    if (state != 0) continue;
+    fleet::TrialOutcome& outcome = checkpoint.completed.emplace_back();
+    outcome.spec = {index, rng.next_below(64), rng.next_below(1024), rng.next_u64(),
+                    sim::Duration{static_cast<std::int64_t>(rng.next_u64())}};
+    outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
+    outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
+    outcome.frames_sent = rng.next_u64();
+    outcome.send_failures = rng.next_u64();
+    outcome.sim_seconds = std::bit_cast<double>(rng.next_u64());
+    outcome.time_to_failure = std::bit_cast<double>(rng.next_u64());
+    outcome.findings.resize(rng.next_below(4));
+    for (std::string& finding : outcome.findings) finding = slice_text(rest, rng, 64);
+    outcome.error = slice_text(rest, rng, 48);
+  }
+  const std::vector<std::uint8_t> encoded = checkpoint.encode();
+  const auto restored = fr::FleetCheckpoint::decode(encoded);
+  if (!restored) return "encoded fleet checkpoint fails to decode";
   if (!fleet_checkpoints_equal(checkpoint, *restored)) {
     return "fleet checkpoint round-trip lost data";
   }
-  if (restored->to_string() != serialized) return "fleet checkpoint text is not a fixed point";
+  if (restored->encode() != encoded) return "fleet checkpoint record is not a fixed point";
   return std::nullopt;
 }
 
@@ -1087,9 +1114,9 @@ Verdict run_ids_eval_line(Bytes input) {
 
 std::vector<FuzzTarget> make_targets() {
   return {
-      {"checkpoint", "CampaignCheckpoint::deserialize on arbitrary text", run_checkpoint},
+      {"checkpoint", "CampaignCheckpoint strict decode + re-encode identity", run_checkpoint},
       {"checkpoint_roundtrip",
-       "serialize→deserialize identity for checkpoints built from input bytes",
+       "encode→decode identity for checkpoints built from input bytes",
        run_checkpoint_roundtrip},
       {"dbc", "dbc::parse_dbc + to_dbc_text print/parse identity", run_dbc},
       {"candump", "candump line reader print/parse fixed point", run_candump},
@@ -1106,7 +1133,7 @@ std::vector<FuzzTarget> make_targets() {
        run_corpus_file},
       {"attack_config", "attack-scenario spec codec strict decode + round-trip",
        run_attack_config},
-      {"fleet_checkpoint", "FleetCheckpoint strict deserialize + serialize fixed point",
+      {"fleet_checkpoint", "FleetCheckpoint strict decode + re-encode identity",
        run_fleet_checkpoint},
       {"ids_eval_line", "ids-eval/1 digest line decode + encode round-trip",
        run_ids_eval_line},

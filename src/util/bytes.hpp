@@ -28,6 +28,15 @@ class ByteReader {
   std::uint64_t u64() { return little_endian(8); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }  // exact, canonical
+  /// Declared element count (u32) for elements of at least `min_bytes`
+  /// each, capped at `max`.  A count the bytes left cannot hold promises
+  /// bytes that do not exist: it latches !ok() and returns 0, so a hostile
+  /// count never reaches an allocation.
+  std::uint32_t count(std::size_t min_bytes, std::size_t max = UINT32_MAX) {
+    const std::uint32_t n = u32();
+    if (n > max || n > remaining() / min_bytes) ok_ = false;
+    return ok_ ? n : 0;
+  }
   /// Length-prefixed string (u32 + bytes), capped at `max_bytes`.
   std::string str(std::size_t max_bytes) {
     const std::uint32_t len = u32();

@@ -152,6 +152,19 @@ TEST(FeedbackCorpus, DecodeFailsClosedOnHostileInputs) {
   EXPECT_FALSE(Corpus::decode(wrong).has_value());
 }
 
+TEST(FeedbackCorpus, SaveReportsBytesThatNeverReachTheDisk) {
+  Corpus corpus;
+  ASSERT_TRUE(corpus.add(make_seed({1, 2}, true)));
+  const std::string path = ::testing::TempDir() + "/acf_corpus_save_test.bin";
+  ASSERT_TRUE(corpus.save(path));
+  const auto loaded = Corpus::load(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->encode(), corpus.encode());
+  std::remove(path.c_str());
+  // /dev/full accepts the open and fails the write with ENOSPC.
+  EXPECT_FALSE(corpus.save("/dev/full"));
+}
+
 // ----------------------------------------------------- SequenceMutator ----
 
 TEST(FeedbackSequenceMutator, StaysWithinBoundsAndIsDeterministic) {
@@ -245,6 +258,20 @@ TEST(FeedbackCampaign, CheckpointResumeEqualsUninterrupted) {
   EXPECT_EQ(resumed.map().occupied(), uninterrupted.map().occupied());
   // The corpus round-trips byte-identically through the checkpoint path.
   EXPECT_EQ(resumed.corpus().encode(), uninterrupted.corpus().encode());
+}
+
+TEST(FeedbackCampaign, CheckpointSurvivesTheRecord) {
+  // The packed state (RNG, novelty bitmap, corpus) runs past a thousand
+  // words; the record bounds it by the bytes present, not a fixed cap.
+  FeedbackCampaign first_half(hardened_config(0x5EED, 45));
+  first_half.run();
+  const fuzzer::CampaignCheckpoint cp = first_half.checkpoint();
+  ASSERT_GT(cp.generator_state.size(), 1024u);
+  const auto restored = fuzzer::CampaignCheckpoint::decode(cp.encode());
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->generator_state, cp.generator_state);
+  FeedbackCampaign resumed(hardened_config(0x5EED, 90));
+  EXPECT_TRUE(resumed.restore(*restored));
 }
 
 TEST(FeedbackCampaign, RestoreRejectsForeignCheckpoints) {

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -31,6 +32,7 @@
 #include "metrics/metrics.hpp"
 #include "resilience/reconnect.hpp"
 #include "util/bytes.hpp"
+#include "util/hex.hpp"
 #include "util/socket.hpp"
 #include "vehicle/vehicle.hpp"
 
@@ -110,8 +112,13 @@ TEST(FleetRemoteWire, EveryMessageTypeRoundTrips) {
   beat_with_metrics.metrics->counters = {{"fleet.trial.completed", 7},
                                          {"sim.scheduler.heap_capacity_max", 256}};
   beat_with_metrics.metrics->gauges = {{"fleet.leases.outstanding", -1}};
-  beat_with_metrics.metrics->timers = {
-      {"fleet.trial.sim_seconds", 3, 6.5, 0.5, 4.0, {{0.5, 1, 0}, {2.0, 1, 0}, {4.0, 1, 0}}}};
+  metrics::TimerSnap& timer = beat_with_metrics.metrics->timers.emplace_back();
+  timer.name = "fleet.trial.sim_seconds";
+  timer.count = 3;
+  timer.sum = 6.5;
+  timer.min = 0.5;
+  timer.max = 4.0;
+  timer.samples = {{0.5, 1, 0}, {2.0, 1, 0}, {4.0, 1, 0}};
 
   const std::vector<Message> messages = {
       Message{hello},         Message{welcome},
@@ -205,7 +212,7 @@ TEST(FleetRemoteWire, FrameWrittenBeforeHangUpIsDecoded) {
   HeartbeatMsg beat;
   beat.lease_id = 7;
   beat.completed = 3;
-  beat.metrics = MetricsUpdate{{{"fleet.trial.completed", 3}}, {}, {}};
+  beat.metrics.emplace().counters = {{"fleet.trial.completed", 3}};
   const std::vector<std::uint8_t> frame = frame_message(Message{beat});
   ASSERT_EQ(util::socket_write(peer.get(), frame).bytes, frame.size());
   peer.reset();
@@ -225,6 +232,69 @@ TEST(FleetRemoteWire, FrameWrittenBeforeHangUpIsDecoded) {
   ASSERT_TRUE(std::holds_alternative<HeartbeatMsg>(*decoded));
   EXPECT_EQ(encode(*decoded), encode(Message{beat}));
   EXPECT_FALSE(reader.next().has_value());
+}
+
+/// The heartbeat's metrics block is a RegistrySnapshot minus meters and
+/// quantiles.  The expected bytes were recorded through the wire's earlier
+/// mirror types (the same snapshot converted field by field), so this pins
+/// that the block's layout, and kProtocolVersion 1 with it, never moved.
+TEST(FleetRemoteWire, HeartbeatMetricsBlockBytesAreUnchanged) {
+  metrics::RegistrySnapshot snap;
+  snap.counters = {{"fleet.trial.completed", 7}, {"sim.scheduler.heap_capacity_max", 256}};
+  snap.gauges = {{"fleet.leases.outstanding", -2}};
+  snap.meters = {{"fleet.progress.trials", 24, 1.5, 0.4, 0.1, 1.2}};
+  metrics::TimerSnap& timer = snap.timers.emplace_back();
+  timer.name = "fleet.trial.sim_seconds";
+  timer.count = 3;
+  timer.sum = 6.5;
+  timer.min = 0.5;
+  timer.max = 4.0;
+  timer.p50 = 2.0;
+  timer.p90 = timer.p99 = timer.p999 = 4.0;
+  timer.samples = {{0.5, 1, 0}, {2.0, 1, 0}, {4.0, 1, 0}};
+  HeartbeatMsg beat;
+  beat.lease_id = 42;
+  beat.completed = 2;
+  beat.metrics = snap;
+
+  const std::string expected =
+      "062a000000000000000200000000000000010200000015000000666c6565742e747269616c2e63"
+      "6f6d706c6574656407000000000000001f00000073696d2e7363686564756c65722e686561705f"
+      "63617061636974795f6d617800010000000000000100000018000000666c6565742e6c65617365"
+      "732e6f75747374616e64696e67feffffffffffffff0100000017000000666c6565742e74726961"
+      "6c2e73696d5f7365636f6e647303000000000000000000000000001a40000000000000e03f0000"
+      "00000000104003000000000000000000e03f010000000000000000000000000000000000000000"
+      "00004001000000000000000000000000000000000000000000104001000000000000000000000000"
+      "000000";
+  const std::vector<std::uint8_t> payload = encode(Message{beat});
+  const std::optional<std::vector<std::uint8_t>> expected_bytes =
+      util::parse_hex_bytes(expected);
+  ASSERT_TRUE(expected_bytes.has_value());
+  EXPECT_EQ(payload, *expected_bytes);
+
+  const std::optional<Message> decoded = decode(payload);
+  ASSERT_TRUE(decoded.has_value());
+  const auto* back = std::get_if<HeartbeatMsg>(&*decoded);
+  ASSERT_NE(back, nullptr);
+  ASSERT_TRUE(back->metrics.has_value());
+  const metrics::RegistrySnapshot& got = *back->metrics;
+  EXPECT_TRUE(got.meters.empty());
+  ASSERT_EQ(got.counters.size(), 2u);
+  EXPECT_EQ(got.counters[1].name, "sim.scheduler.heap_capacity_max");
+  EXPECT_EQ(got.counters[1].value, 256u);
+  ASSERT_EQ(got.gauges.size(), 1u);
+  EXPECT_EQ(got.gauges[0].value, -2);
+  ASSERT_EQ(got.timers.size(), 1u);
+  const metrics::TimerSnap& t = got.timers[0];
+  EXPECT_EQ(t.count, 3u);
+  EXPECT_EQ(t.sum, 6.5);
+  EXPECT_EQ(t.p50, 0.0);
+  EXPECT_EQ(t.p90, 0.0);
+  EXPECT_EQ(t.p99, 0.0);
+  EXPECT_EQ(t.p999, 0.0);
+  ASSERT_EQ(t.samples.size(), 3u);
+  EXPECT_EQ(t.samples[2].value, 4.0);
+  EXPECT_EQ(encode(*decoded), payload);
 }
 
 TEST(FleetRemoteWire, FingerprintSeparatesCampaigns) {
@@ -344,59 +414,150 @@ FleetCheckpoint sample_checkpoint() {
   failed.spec = {5, 1, 2, 0x1111, sim::Duration{1'000}};
   failed.status = TrialStatus::kFailed;
   failed.error = "world threw: % weird % text";
-  checkpoint.completed = {{2, done}, {5, failed}};
+  checkpoint.completed = {done, failed};
   checkpoint.leased = {3, 6, 7};
   return checkpoint;
 }
 
-TEST(FleetRemoteCheckpoint, RoundTripsThroughText) {
+std::optional<FleetCheckpoint> decode_checkpoint(const std::vector<std::uint8_t>& bytes) {
+  return FleetCheckpoint::decode(bytes);
+}
+
+TEST(FleetRemoteCheckpoint, RoundTripsThroughTheRecord) {
   const FleetCheckpoint original = sample_checkpoint();
-  const std::string text = original.to_string();
-  const std::optional<FleetCheckpoint> restored = FleetCheckpoint::from_string(text);
+  const std::vector<std::uint8_t> bytes = original.encode();
+  const std::optional<FleetCheckpoint> restored = decode_checkpoint(bytes);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->fingerprint, original.fingerprint);
   EXPECT_EQ(restored->trial_count, original.trial_count);
   EXPECT_EQ(restored->leased, original.leased);
   ASSERT_EQ(restored->completed.size(), original.completed.size());
   for (std::size_t i = 0; i < original.completed.size(); ++i) {
-    EXPECT_EQ(restored->completed[i].first, original.completed[i].first);
-    // Specs are never stored — a resuming coordinator takes them from the
-    // plan — so the round-trip contract covers every other field.
-    TrialOutcome expected = original.completed[i].second;
-    expected.spec = {};
-    EXPECT_TRUE(outcomes_equal(restored->completed[i].second, expected))
-        << "trial " << original.completed[i].first;
+    // Every field crosses, the spec included: it is the wire's own record.
+    EXPECT_TRUE(outcomes_equal(restored->completed[i], original.completed[i]))
+        << "trial " << original.completed[i].spec.trial_index;
   }
-  EXPECT_EQ(restored->to_string(), text);  // fixed point
+  EXPECT_EQ(restored->encode(), bytes);  // fixed point
 }
 
-TEST(FleetRemoteCheckpoint, RejectsMalformedText) {
-  const std::string good = sample_checkpoint().to_string();
-  EXPECT_TRUE(FleetCheckpoint::from_string(good).has_value());
-  EXPECT_FALSE(FleetCheckpoint::from_string("").has_value());
-  EXPECT_FALSE(FleetCheckpoint::from_string("ACF-FLEET-CAMPAIGN 999\nend\n").has_value());
-  std::string wrong_magic = good;
-  wrong_magic[0] = 'X';
-  EXPECT_FALSE(FleetCheckpoint::from_string(wrong_magic).has_value());
-  std::string truncated = good.substr(0, good.size() / 2);
-  EXPECT_FALSE(FleetCheckpoint::from_string(truncated).has_value());
+TEST(FleetRemoteCheckpoint, RejectsMalformedRecords) {
+  const std::vector<std::uint8_t> good = sample_checkpoint().encode();
+  EXPECT_TRUE(decode_checkpoint(good).has_value());
+  EXPECT_FALSE(decode_checkpoint({}).has_value());
+  const std::string garbage = "garbage";
+  EXPECT_FALSE(decode_checkpoint({garbage.begin(), garbage.end()}).has_value());
+  std::vector<std::uint8_t> wrong_magic = good;
+  wrong_magic[0] ^= 0xFF;
+  EXPECT_FALSE(decode_checkpoint(wrong_magic).has_value());
+  std::vector<std::uint8_t> wrong_version = good;
+  wrong_version[4] = 1;  // the previous (text) version number
+  EXPECT_FALSE(decode_checkpoint(wrong_version).has_value());
+  for (std::size_t cut = 1; cut <= good.size(); ++cut) {
+    EXPECT_FALSE(
+        decode_checkpoint({good.begin(), good.end() - static_cast<std::ptrdiff_t>(cut)}))
+        << "truncated by " << cut;
+  }
+  std::vector<std::uint8_t> padded = good;
+  padded.push_back(0);
+  EXPECT_FALSE(decode_checkpoint(padded).has_value());
+
+  // Declared counts beyond the plan or the bytes left fail before any
+  // allocation: 2^32-1 completed records, 2^32-1 leased ids, and a plan of
+  // 2^64-1 trials.
+  const auto header = [&good](std::uint64_t trials) {
+    util::ByteReader prefix(good);
+    util::ByteWriter w;
+    w.u32(prefix.u32());  // magic
+    w.u32(prefix.u32());  // version
+    w.u64(prefix.u64());  // fingerprint
+    w.u64(trials);
+    return w;
+  };
+  util::ByteWriter huge_done = header(8);
+  huge_done.u32(0xFFFFFFFFu);
+  huge_done.u32(0);
+  EXPECT_FALSE(decode_checkpoint(huge_done.bytes()).has_value());
+  util::ByteWriter huge_leased = header(8);
+  huge_leased.u32(0);
+  huge_leased.u32(0xFFFFFFFFu);
+  huge_leased.u64(1);
+  EXPECT_FALSE(decode_checkpoint(huge_leased.bytes()).has_value());
+  util::ByteWriter huge_plan = header(~std::uint64_t{0});
+  huge_plan.u32(0);
+  huge_plan.u32(0);
+  EXPECT_FALSE(decode_checkpoint(huge_plan.bytes()).has_value());
+
+  // Completed records or leased ids out of order, or outside the plan.
+  FleetCheckpoint unordered = sample_checkpoint();
+  std::swap(unordered.completed[0], unordered.completed[1]);
+  EXPECT_FALSE(decode_checkpoint(unordered.encode()).has_value());
+  FleetCheckpoint unordered_leases = sample_checkpoint();
+  unordered_leases.leased = {6, 3};
+  EXPECT_FALSE(decode_checkpoint(unordered_leases.encode()).has_value());
+  FleetCheckpoint outside = sample_checkpoint();
+  outside.completed[1].spec.trial_index = 8;
+  EXPECT_FALSE(decode_checkpoint(outside.encode()).has_value());
 }
 
 TEST(FleetRemoteCheckpoint, RejectsLeasedOverlappingCompleted) {
   FleetCheckpoint checkpoint = sample_checkpoint();
   checkpoint.leased = {2, 6};  // trial 2 is also recorded completed
-  EXPECT_FALSE(FleetCheckpoint::from_string(checkpoint.to_string()).has_value());
+  EXPECT_FALSE(decode_checkpoint(checkpoint.encode()).has_value());
+}
+
+TEST(FleetRemoteCheckpoint, RejectsTheParentTextFormat) {
+  const std::string path =
+      testing::TempDir() + "fleet_ck_text_" + std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream out(path);
+    out << "ACF-FLEET-CAMPAIGN 1\nfingerprint 1\ntrials 4\ndone 0\nleased 0\nend\n";
+  }
+  EXPECT_FALSE(FleetCheckpoint::load(path).has_value());
+  std::remove(path.c_str());
 }
 
 TEST(FleetRemoteCheckpoint, SaveIsAtomicAndLoadRestores) {
   const std::string path =
-      testing::TempDir() + "fleet_ck_" + std::to_string(::getpid()) + ".txt";
+      testing::TempDir() + "fleet_ck_" + std::to_string(::getpid()) + ".bin";
   const FleetCheckpoint original = sample_checkpoint();
   ASSERT_TRUE(original.save(path));
   const std::optional<FleetCheckpoint> loaded = FleetCheckpoint::load(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->to_string(), original.to_string());
+  EXPECT_EQ(loaded->encode(), original.encode());
   EXPECT_FALSE(FleetCheckpoint::load(path + ".missing").has_value());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());  // renamed, not left behind
+  std::remove(path.c_str());
+}
+
+/// A stored outcome whose spec is not the plan's is corruption, rejected
+/// the same way a forged LeaseResult is.
+TEST(FleetRemoteCheckpoint, CoordinatorRejectsAStoredSpecThatDiffersFromThePlan) {
+  const TrialPlan plan = fast_plan(2);
+  const std::string path =
+      testing::TempDir() + "fleet_ck_spec_" + std::to_string(::getpid()) + ".bin";
+  FleetCheckpoint checkpoint;
+  checkpoint.fingerprint = campaign_fingerprint(plan, "fast");
+  checkpoint.trial_count = plan.trial_count();
+  TrialOutcome outcome;
+  outcome.spec = plan.spec(1);
+  outcome.status = TrialStatus::kCompleted;
+  checkpoint.completed = {outcome};
+  CoordinatorConfig config;
+  config.world_tag = "fast";
+  config.checkpoint_path = path;
+
+  ASSERT_TRUE(checkpoint.save(path));
+  EXPECT_NO_THROW({ Coordinator resumed(plan, config); });  // the plan's own spec
+
+  checkpoint.completed[0].spec.seed ^= 1;
+  ASSERT_TRUE(checkpoint.save(path));
+  try {
+    Coordinator coordinator(plan, config);
+    ADD_FAILURE() << "a forged spec was resumed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("corrupt campaign checkpoint"), std::string::npos)
+        << error.what();
+  }
   std::remove(path.c_str());
 }
 

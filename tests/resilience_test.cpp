@@ -2,6 +2,9 @@
 // supervision, richer fault injection, and campaign checkpoint/resume.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "transport/fault_injector.hpp"
 #include "transport/resilient_transport.hpp"
 #include "transport/virtual_bus_transport.hpp"
+#include "util/bytes.hpp"
 
 namespace acf {
 namespace {
@@ -574,9 +578,90 @@ TEST(CheckpointTest, ReplayRestoreWorksForAnyDeterministicGenerator) {
   }
 }
 
+/// A checkpoint with every section populated: state words, a finding with
+/// its frame window, and a campaign window holding data, remote and FD frames.
+fuzzer::CampaignCheckpoint sample_checkpoint() {
+  fuzzer::CampaignCheckpoint checkpoint;
+  checkpoint.frames_sent = 123456;
+  checkpoint.send_failures = 7;
+  checkpoint.elapsed = 90s;
+  checkpoint.generator_name = "mutation v2";
+  checkpoint.generator_state = {1, 2, 3, 4};
+  fuzzer::Finding finding;
+  finding.observation.verdict = oracle::Verdict::kFailure;
+  finding.observation.time = sim::SimTime{42s};
+  finding.observation.detail = "bus silent 120ms";
+  finding.frames_sent = 99999;
+  finding.seed = 181362413;
+  finding.generator = "random";
+  finding.recent_frames.push_back(
+      {can::CanFrame::data_std(0x580, {0xDE, 0xAD, 0xBE, 0xEF}), sim::SimTime{41s}});
+  finding.recent_frames.push_back(
+      {*can::CanFrame::remote(0x1FFFFFF0, 4, can::IdFormat::kExtended), sim::SimTime{42s}});
+  checkpoint.findings.push_back(finding);
+  const std::vector<std::uint8_t> fd_payload(12, 0xAB);
+  checkpoint.recent_frames.push_back(
+      {*can::CanFrame::fd_data(0x18DAF110, fd_payload, true, can::IdFormat::kExtended),
+       sim::SimTime{89s}});
+  return checkpoint;
+}
+
+std::optional<fuzzer::CampaignCheckpoint> decode_bytes(const std::vector<std::uint8_t>& bytes) {
+  return fuzzer::CampaignCheckpoint::decode(bytes);
+}
+
+std::vector<std::uint8_t> bytes_of(std::string_view text) { return {text.begin(), text.end()}; }
+
+/// A record's fixed header: magic, version, counters, elapsed time and
+/// generator name, up to (not including) the generator-state count.
+util::ByteWriter checkpoint_header() {
+  const std::vector<std::uint8_t> empty = fuzzer::CampaignCheckpoint{}.encode();
+  util::ByteReader prefix(empty);
+  util::ByteWriter w;
+  w.u32(prefix.u32());  // magic
+  w.u32(prefix.u32());  // version
+  w.u64(1);
+  w.u64(0);
+  w.i64(0);
+  w.str("g");
+  return w;
+}
+
+/// A record whose campaign window holds one frame with the given flag byte
+/// and length byte, followed by that many payload bytes (none for remote).
+std::vector<std::uint8_t> window_of_one_frame(std::uint8_t flags, std::uint8_t length) {
+  util::ByteWriter w = checkpoint_header();
+  w.u32(0);  // generator-state words
+  w.u32(0);  // findings
+  w.u32(1);  // window frames
+  w.i64(0);
+  w.u32(0x123);
+  w.u8(flags);
+  w.u8(length);
+  if ((flags & 0x02) == 0) {
+    for (std::uint8_t i = 0; i < length; ++i) w.u8(i);
+  }
+  return w.take();
+}
+
 TEST(CheckpointTest, RejectsCorruptAndMismatchedInput) {
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string("garbage").has_value());
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string("ACF-CHECKPOINT 999\n").has_value());
+  const std::vector<std::uint8_t> good = sample_checkpoint().encode();
+  ASSERT_TRUE(decode_bytes(good).has_value());
+  EXPECT_FALSE(decode_bytes(bytes_of("garbage")).has_value());
+  EXPECT_FALSE(decode_bytes({}).has_value());
+  std::vector<std::uint8_t> wrong_magic = good;
+  wrong_magic[0] ^= 0xFF;
+  EXPECT_FALSE(decode_bytes(wrong_magic).has_value());
+  std::vector<std::uint8_t> wrong_version = good;
+  wrong_version[4] = 2;  // the previous (text) version number
+  EXPECT_FALSE(decode_bytes(wrong_version).has_value());
+  for (std::size_t cut = 1; cut <= good.size(); ++cut) {
+    EXPECT_FALSE(decode_bytes({good.begin(), good.end() - static_cast<std::ptrdiff_t>(cut)}))
+        << "truncated by " << cut;
+  }
+  std::vector<std::uint8_t> padded = good;
+  padded.push_back(0);
+  EXPECT_FALSE(decode_bytes(padded).has_value());
   EXPECT_FALSE(fuzzer::CampaignCheckpoint::load("/nonexistent/path").has_value());
 
   // Restoring a random-generator checkpoint into a sweep campaign refuses.
@@ -590,19 +675,33 @@ TEST(CheckpointTest, RejectsCorruptAndMismatchedInput) {
   EXPECT_FALSE(campaign.restore(checkpoint));
 }
 
+TEST(CheckpointTest, RejectsTheParentTextFormat) {
+  // A checkpoint file written before the binary record must be refused
+  // cleanly, never half-read.
+  const std::string path = ::testing::TempDir() + "/acf_checkpoint_text.txt";
+  {
+    std::ofstream out(path);
+    out << "ACF-CHECKPOINT 2\nframes_sent 0\nsend_failures 0\nelapsed_ns 0\n"
+           "generator counter\nstate 4 1 2 3 4\nfindings 0\nwindow 0\nend\n";
+  }
+  EXPECT_FALSE(fuzzer::CampaignCheckpoint::load(path).has_value());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, HostileGeneratorNamesRoundTrip) {
-  // Regression: names are tokens in a line-oriented stream, and a name with
-  // whitespace ("mutation v2") used to shift every following field by one
-  // token, corrupting the checkpoint on load.  v2 percent-escapes them.
-  for (const std::string name :
-       {"mutation v2", "smart%gen", "tab\tand\nnewline", "-", "%2D", " ", ""}) {
+  // Regression: names were tokens in a line-oriented text stream, and a name
+  // with whitespace ("mutation v2") shifted every following field by one
+  // token.  The record length-prefixes them, so any bytes survive.
+  for (const std::string& name :
+       std::vector<std::string>{"mutation v2", "smart%gen", "tab\tand\nnewline", "-", "%2D",
+                                " ", "", std::string("nul\0inside", 10)}) {
     fuzzer::CampaignCheckpoint checkpoint;
     checkpoint.generator_name = name;
     checkpoint.generator_state = {1, 2, 3, 4};
     fuzzer::Finding finding;
     finding.generator = name;
     checkpoint.findings.push_back(finding);
-    const auto restored = fuzzer::CampaignCheckpoint::from_string(checkpoint.to_string());
+    const auto restored = decode_bytes(checkpoint.encode());
     ASSERT_TRUE(restored.has_value()) << "name: '" << name << "'";
     EXPECT_EQ(restored->generator_name, name);
     EXPECT_EQ(restored->findings.at(0).generator, name);
@@ -610,29 +709,49 @@ TEST(CheckpointTest, HostileGeneratorNamesRoundTrip) {
 }
 
 TEST(CheckpointTest, RejectsAbsurdDeclaredCounts) {
-  // Regression: deserialize used to reserve() whatever counts the stream
-  // declared, so a one-line hostile file could demand a multi-gigabyte
-  // allocation before any content validated it.
-  const std::string huge_state =
-      "ACF-CHECKPOINT 2\nframes_sent 1\nsend_failures 0\nelapsed_ns 0\n"
-      "generator g\nstate 18446744073709551615 1 2 3 4\nfindings 0\nwindow 0\nend\n";
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string(huge_state).has_value());
+  // Regression: the decoder used to reserve() whatever counts the input
+  // declared, so a tiny hostile file could demand a multi-gigabyte
+  // allocation before any content validated it.  Every count is now checked
+  // against the bytes left.
+  util::ByteWriter huge_state = checkpoint_header();
+  huge_state.u32(0xFFFFFFFFu);
+  for (const std::uint64_t word : {1ULL, 2ULL, 3ULL, 4ULL}) huge_state.u64(word);
+  huge_state.u32(0);
+  huge_state.u32(0);
+  EXPECT_FALSE(decode_bytes(huge_state.bytes()).has_value());
 
-  const std::string huge_findings =
-      "ACF-CHECKPOINT 2\nframes_sent 1\nsend_failures 0\nelapsed_ns 0\n"
-      "generator g\nstate 0\nfindings 18446744073709551615\nwindow 0\nend\n";
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string(huge_findings).has_value());
+  util::ByteWriter huge_findings = checkpoint_header();
+  huge_findings.u32(0);
+  huge_findings.u32(0xFFFFFFFFu);
+  huge_findings.u32(0);
+  EXPECT_FALSE(decode_bytes(huge_findings.bytes()).has_value());
 
-  const std::string huge_window =
-      "ACF-CHECKPOINT 2\nframes_sent 1\nsend_failures 0\nelapsed_ns 0\n"
-      "generator g\nstate 0\nfindings 0\nwindow 18446744073709551615\nend\n";
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string(huge_window).has_value());
+  util::ByteWriter huge_window = checkpoint_header();
+  huge_window.u32(0);
+  huge_window.u32(0);
+  huge_window.u32(0xFFFFFFFFu);
+  EXPECT_FALSE(decode_bytes(huge_window.bytes()).has_value());
 
-  // An oversized DLC on a stored remote frame must not narrow into range.
-  const std::string bad_dlc =
-      "ACF-CHECKPOINT 2\nframes_sent 1\nsend_failures 0\nelapsed_ns 0\n"
-      "generator g\nstate 0\nfindings 0\nwindow 1\nframe 0 R S 123 260\nend\n";
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string(bad_dlc).has_value());
+  // A stored remote frame requesting more than 8 bytes is not a frame.
+  for (const std::uint8_t dlc : {std::uint8_t{8}, std::uint8_t{9}, std::uint8_t{255}}) {
+    EXPECT_EQ(decode_bytes(window_of_one_frame(0x02, dlc)).has_value(), dlc == 8)
+        << "dlc " << int(dlc);
+  }
+}
+
+TEST(CheckpointTest, RejectsNonCanonicalFrames) {
+  // Flags: 0x01 extended, 0x02 remote, 0x04 FD, 0x08 bit-rate switch.  Only
+  // the form the encoder writes is accepted, so decode∘encode stays the
+  // identity on every stored frame.
+  EXPECT_TRUE(decode_bytes(window_of_one_frame(0x00, 8)).has_value());
+  EXPECT_TRUE(decode_bytes(window_of_one_frame(0x0C, 12)).has_value());
+  EXPECT_TRUE(decode_bytes(window_of_one_frame(0x04, 5)).has_value());
+  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x08, 2)).has_value());   // BRS, classic
+  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x06, 0)).has_value());   // FD remote
+  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x10, 0)).has_value());   // unknown bit
+  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x00, 9)).has_value());   // classic > 8
+  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x04, 9)).has_value());   // no FD length 9
+  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x04, 65)).has_value());  // FD > 64
 }
 
 TEST(CheckpointTest, SaveAndLoadRoundTripIsByteIdentical) {
@@ -654,11 +773,15 @@ TEST(CheckpointTest, SaveAndLoadRoundTripIsByteIdentical) {
   EXPECT_FALSE(checkpoint.findings.empty());
   EXPECT_FALSE(checkpoint.recent_frames.empty());
 
-  const std::string path = ::testing::TempDir() + "/acf_checkpoint_test.txt";
+  const std::string path = ::testing::TempDir() + "/acf_checkpoint_test.bin";
   ASSERT_TRUE(checkpoint.save(path));
   const auto loaded = fuzzer::CampaignCheckpoint::load(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->to_string(), checkpoint.to_string());
+  EXPECT_EQ(loaded->encode(), checkpoint.encode());
+  std::remove(path.c_str());
+
+  // A save whose bytes cannot reach the disk reports failure.
+  EXPECT_FALSE(sample_checkpoint().save("/dev/full"));
 }
 
 TEST(CheckpointTest, ResumedCampaignIsByteIdenticalToUninterrupted) {
@@ -679,7 +802,7 @@ TEST(CheckpointTest, ResumedCampaignIsByteIdenticalToUninterrupted) {
   fuzzer::FuzzCampaign campaign_a(sched_a, transport_a, generator_a, &oracle_a, config_a);
   ASSERT_EQ(campaign_a.run().reason, fuzzer::StopReason::kFrameLimit);
 
-  // Interrupted: stop at frame 100 and checkpoint through the text format.
+  // Interrupted: stop at frame 100 and checkpoint through the record.
   sim::Scheduler sched_b1;
   ScriptedTransport transport_b1;
   fuzzer::RandomGenerator generator_b1(fuzz);
@@ -689,8 +812,7 @@ TEST(CheckpointTest, ResumedCampaignIsByteIdenticalToUninterrupted) {
   fuzzer::FuzzCampaign campaign_b1(sched_b1, transport_b1, generator_b1, &oracle_b1,
                                    config_b1);
   ASSERT_EQ(campaign_b1.run().reason, fuzzer::StopReason::kFrameLimit);
-  const auto restored =
-      fuzzer::CampaignCheckpoint::from_string(campaign_b1.checkpoint().to_string());
+  const auto restored = decode_bytes(campaign_b1.checkpoint().encode());
   ASSERT_TRUE(restored.has_value());
 
   // Resume in a fresh process-worth of objects, clock pre-advanced to where
@@ -719,7 +841,7 @@ TEST(CheckpointTest, ResumedCampaignIsByteIdenticalToUninterrupted) {
   // Byte-identical end state: counters, findings, window, generator state.
   EXPECT_EQ(campaign_b2.result().frames_sent, 200u);
   EXPECT_EQ(campaign_b2.result().findings.size(), campaign_a.result().findings.size());
-  EXPECT_EQ(campaign_a.checkpoint().to_string(), campaign_b2.checkpoint().to_string());
+  EXPECT_EQ(campaign_a.checkpoint().encode(), campaign_b2.checkpoint().encode());
 }
 
 TEST(CheckpointTest, PeriodicCheckpointCallbackFires) {

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "util/file.hpp"
 #include "util/hex.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -13,6 +16,28 @@
 
 namespace acf::util {
 namespace {
+
+// --------------------------------------------------------------- File -----
+
+TEST(File, ReplaceThenReadRoundTripsAndLeavesNoTemp) {
+  const std::string path = ::testing::TempDir() + "/acf_file_test.bin";
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  const std::vector<std::uint8_t> second = {0, 0xFF, 7, 9};
+  ASSERT_TRUE(write_file(path, first));
+  EXPECT_EQ(read_file(path), first);
+  ASSERT_TRUE(replace_file(path, second));
+  EXPECT_EQ(read_file(path), second);
+  EXPECT_FALSE(read_file(path + ".tmp").has_value());
+  std::remove(path.c_str());
+  EXPECT_FALSE(read_file(path).has_value());
+}
+
+TEST(File, WriteToAFullDiskFails) {
+  // /dev/full accepts the open and fails the write with ENOSPC: the bytes
+  // are only lost when the last buffer is flushed at close.
+  const std::vector<std::uint8_t> bytes(64, 0xAB);
+  EXPECT_FALSE(write_file("/dev/full", bytes));
+}
 
 // ---------------------------------------------------------------- Rng -----
 
