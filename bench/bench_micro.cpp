@@ -7,7 +7,10 @@
 // BENCH_simcore.json so future PRs have a trajectory to gate against.
 //
 //   bench_micro [--json PATH] [--repeats K] [--quick] [--only NAME]
-//   bench_micro --gbench [google-benchmark args]   (legacy microbench suite)
+//
+// Layer rows time one operation (wire encode/decode, CRC-15, frame time,
+// the random and mutation generators, DBC signals, 3-receiver delivery) in
+// a fixed-count loop under the same median-of-K harness.
 //
 // The unlock-world bench also computes a trace digest per repeat and the
 // harness reports `deterministic: false` (and exits non-zero) if repeats
@@ -20,11 +23,10 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <sstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "can/crc.hpp"
 #include "can/wire_codec.hpp"
@@ -313,72 +315,82 @@ std::string to_json(const std::vector<BenchResult>& results) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy google-benchmark microbenches (run with --gbench).
+// Layer rows: one operation timed `iterations` times per repeat.
 
-void BM_WireEncode(benchmark::State& state) {
-  const auto frame = can::CanFrame::data_std(0x215, {0x20, 0x5F, 1, 0, 0, 1, 0x20});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::encode_wire(frame));
-  }
+/// Makes `value` observable and possibly changed, so neither the work that
+/// produced it nor the work that reads it can be folded away.
+template <typename T>
+void keep(T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
 }
-BENCHMARK(BM_WireEncode);
 
-void BM_WireDecode(benchmark::State& state) {
-  const auto wire = can::encode_wire(can::CanFrame::data_std(0x215, {0x20, 0x5F, 1, 0, 0, 1, 0x20}));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::decode_wire(wire));
-  }
+template <typename Op>
+RepeatOutcome time_ops(std::size_t iterations, Op op) {
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < iterations; ++i) op();
+  const double wall = std::chrono::duration<double>(Clock::now() - start).count();
+  return {wall, static_cast<double>(iterations), 0, 0};
 }
-BENCHMARK(BM_WireDecode);
 
-void BM_Crc15(benchmark::State& state) {
+RepeatOutcome bench_wire_encode(std::size_t iterations) {
+  auto frame = can::CanFrame::data_std(0x215, {0x20, 0x5F, 1, 0, 0, 1, 0x20});
+  return time_ops(iterations, [&] {
+    keep(frame);
+    can::BitVec wire = can::encode_wire(frame);
+    keep(wire);
+  });
+}
+
+RepeatOutcome bench_wire_decode(std::size_t iterations) {
+  can::BitVec wire =
+      can::encode_wire(can::CanFrame::data_std(0x215, {0x20, 0x5F, 1, 0, 0, 1, 0x20}));
+  return time_ops(iterations, [&] {
+    keep(wire);
+    std::optional<can::CanFrame> frame = can::decode_wire(wire);
+    keep(frame);
+  });
+}
+
+RepeatOutcome bench_crc15(std::size_t iterations) {
   std::vector<std::uint8_t> bits(98, 0);
   for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = (i * 7 % 3) == 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::crc15_bits(bits));
-  }
+  return time_ops(iterations, [&] {
+    keep(bits);
+    std::uint16_t crc = can::crc15_bits(bits);
+    keep(crc);
+  });
 }
-BENCHMARK(BM_Crc15);
 
-void BM_FrameTimeComputation(benchmark::State& state) {
-  const auto frame = can::CanFrame::data_std(0x123, {1, 2, 3, 4, 5, 6, 7, 8});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::frame_time(frame));
-  }
+RepeatOutcome bench_frame_time(std::size_t iterations) {
+  auto frame = can::CanFrame::data_std(0x123, {1, 2, 3, 4, 5, 6, 7, 8});
+  return time_ops(iterations, [&] {
+    keep(frame);
+    sim::Duration time = can::frame_time(frame);
+    keep(time);
+  });
 }
-BENCHMARK(BM_FrameTimeComputation);
 
-void BM_RandomGenerator(benchmark::State& state) {
-  fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.next());
-  }
+RepeatOutcome bench_generator(fuzzer::FrameGenerator& generator, std::size_t iterations) {
+  return time_ops(iterations, [&] {
+    std::optional<can::CanFrame> frame = generator.next();
+    keep(frame);
+  });
 }
-BENCHMARK(BM_RandomGenerator);
 
-void BM_MutationGenerator(benchmark::State& state) {
-  std::vector<can::CanFrame> corpus;
-  for (std::uint32_t id = 0x100; id < 0x140; ++id) {
-    corpus.push_back(can::CanFrame::data_std(id, {1, 2, 3, 4, 5, 6, 7, 8}));
-  }
-  fuzzer::MutationGenerator generator(corpus);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.next());
-  }
-}
-BENCHMARK(BM_MutationGenerator);
-
-void BM_SignalEncodeDecode(benchmark::State& state) {
+/// Two engine signals encoded into a frame and decoded back.
+RepeatOutcome bench_dbc_signals(std::size_t iterations) {
   const dbc::Database db = dbc::target_vehicle_database();
   const dbc::MessageDef* engine = db.by_id(dbc::kMsgEngineData);
-  for (auto _ : state) {
-    const auto frame = engine->encode({{"EngineRPM", 2400.0}, {"ThrottlePct", 40.0}});
-    benchmark::DoNotOptimize(engine->decode(*frame));
-  }
+  std::map<std::string, double> values = {{"EngineRPM", 2400.0}, {"ThrottlePct", 40.0}};
+  return time_ops(iterations, [&] {
+    keep(values);
+    std::map<std::string, double> decoded = engine->decode(*engine->encode(values));
+    keep(decoded);
+  });
 }
-BENCHMARK(BM_SignalEncodeDecode);
 
-void BM_BusDelivery(benchmark::State& state) {
+/// One 4-byte frame sent and delivered to three receivers per operation.
+RepeatOutcome bench_bus_delivery(std::size_t iterations) {
   sim::Scheduler scheduler;
   can::VirtualBus bus(scheduler);
   transport::VirtualBusTransport tx(bus, "tx");
@@ -386,27 +398,21 @@ void BM_BusDelivery(benchmark::State& state) {
   transport::VirtualBusTransport rx2(bus, "rx2");
   transport::VirtualBusTransport rx3(bus, "rx3");
   const auto frame = can::CanFrame::data_std(0x100, {1, 2, 3, 4});
-  for (auto _ : state) {
+  return time_ops(iterations, [&] {
     tx.send(frame);
     scheduler.run_for(std::chrono::milliseconds(1));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  });
 }
-BENCHMARK(BM_BusDelivery);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool gbench = false;
   std::string json_path = "BENCH_simcore.json";
   std::string only;
   int repeats = 5;
   bool quick = false;
-  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gbench") == 0) {
-      gbench = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
       repeats = std::max(1, std::atoi(argv[++i]));
@@ -416,16 +422,10 @@ int main(int argc, char** argv) {
       quick = true;
       repeats = std::min(repeats, 3);
     } else {
-      passthrough.push_back(argv[i]);
+      std::fprintf(stderr,
+                   "usage: %s [--json PATH] [--repeats K] [--quick] [--only NAME]\n", argv[0]);
+      return 2;
     }
-  }
-
-  if (gbench) {
-    int pass_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&pass_argc, passthrough.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
   }
 
   const std::size_t sched_events = quick ? 100'000 : 400'000;
@@ -433,6 +433,8 @@ int main(int argc, char** argv) {
   const std::size_t fanout_frames = quick ? 20'000 : 60'000;
   const auto unlock_horizon = quick ? std::chrono::seconds(5) : std::chrono::seconds(20);
   const auto vehicle_horizon = quick ? std::chrono::seconds(3) : std::chrono::seconds(10);
+  // Layer rows: ~0.1 s per repeat on a 4-core container (a quarter quick).
+  const auto ops = [quick](std::size_t full) { return quick ? full / 4 : full; };
 
   struct Spec {
     const char* name;
@@ -449,6 +451,26 @@ int main(int argc, char** argv) {
        [&] { return bench_bus_broadcast_fanout(fanout_frames); }},
       {"unlock_world_e2e", "frames/s", [&] { return bench_unlock_world(unlock_horizon); }},
       {"vehicle_sim", "frames/s", [&] { return bench_vehicle_sim(vehicle_horizon); }},
+      {"wire_encode", "frames/s", [&] { return bench_wire_encode(ops(200'000)); }},
+      {"wire_decode", "frames/s", [&] { return bench_wire_decode(ops(200'000)); }},
+      {"crc15", "crcs/s", [&] { return bench_crc15(ops(500'000)); }},
+      {"frame_time", "frames/s", [&] { return bench_frame_time(ops(1'000'000)); }},
+      {"random_generator", "frames/s",
+       [&] {
+         fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random());
+         return bench_generator(generator, ops(2'000'000));
+       }},
+      {"mutation_generator", "frames/s",
+       [&] {
+         std::vector<can::CanFrame> corpus;
+         for (std::uint32_t id = 0x100; id < 0x140; ++id) {
+           corpus.push_back(can::CanFrame::data_std(id, {1, 2, 3, 4, 5, 6, 7, 8}));
+         }
+         fuzzer::MutationGenerator generator(corpus);
+         return bench_generator(generator, ops(500'000));
+       }},
+      {"dbc_signal_roundtrip", "messages/s", [&] { return bench_dbc_signals(ops(100'000)); }},
+      {"bus_delivery_3rx", "frames/s", [&] { return bench_bus_delivery(ops(500'000)); }},
   };
 
   if (!only.empty() && std::none_of(std::begin(specs), std::end(specs),

@@ -14,6 +14,10 @@
 //   --budget-hours/--fast-world); the handshake fingerprint rejects drift.
 //   Forked workers get exactly that: the coordinator's own command line plus
 //   --connect (fleet::run_campaign, src/fleet/runner.hpp).
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +73,20 @@ void usage(const char* argv0) {
                "  --metrics-interval N  snapshot line every N completed trials\n"
                "                   (default 10; 0 = final line only)\n",
                argv0);
+}
+
+/// Parses all of `text` as a number in [min, max] (decimal, or 0x hex and
+/// leading-0 octal as strtoull reads them); anything else exits 2.
+std::uint64_t number(const char* argv0, const char* text, std::uint64_t min, std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
+      value < min || value > max) {
+    usage(argv0);
+    std::exit(2);
+  }
+  return value;
 }
 
 struct Options {
@@ -211,17 +229,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto count = [](const char* text) {
-      return static_cast<std::size_t>(std::strtoul(text, nullptr, 0));
+    const auto count = [&](const char* text, std::uint64_t min = 0) {
+      return static_cast<std::size_t>(number(argv[0], text, min, SIZE_MAX));
     };
     if (const char* runs_arg = take("--runs")) {
-      options.runs = count(runs_arg);
+      options.runs = count(runs_arg, 1);
     } else if (const char* threads_arg = take("--threads")) {
-      campaign.threads = static_cast<unsigned>(count(threads_arg));
+      campaign.threads = static_cast<unsigned>(number(argv[0], threads_arg, 0, UINT_MAX));
     } else if (const char* seed_arg = take("--seed")) {
-      options.seed = std::strtoull(seed_arg, nullptr, 0);
+      options.seed = number(argv[0], seed_arg, 0, UINT64_MAX);
     } else if (const char* budget_arg = take("--budget-hours")) {
-      options.budget_hours = std::strtol(budget_arg, nullptr, 0);
+      // At most what a simulated-time budget can hold.
+      constexpr auto kMaxHours =
+          std::chrono::duration_cast<std::chrono::hours>(sim::Duration::max()).count();
+      options.budget_hours = static_cast<long>(
+          number(argv[0], budget_arg, 1, static_cast<std::uint64_t>(kMaxHours)));
       options.budget_set = true;
     } else if (const char* jsonl_arg = take("--jsonl")) {
       options.jsonl_path = jsonl_arg;
@@ -235,7 +257,7 @@ int main(int argc, char** argv) {
       options.corpus_dir = corpus_arg;
     } else if (const char* serve_arg = take("--serve")) {
       campaign.serve = true;
-      campaign.serve_port = static_cast<std::uint16_t>(count(serve_arg));
+      campaign.serve_port = static_cast<std::uint16_t>(number(argv[0], serve_arg, 0, 65535));
     } else if (const char* workers_arg = take("--workers")) {
       campaign.workers = count(workers_arg);
     } else if (const char* connect_arg = take("--connect")) {
@@ -256,8 +278,7 @@ int main(int argc, char** argv) {
     }
   }
   // The fast world and the attack catalog carry no per-trial budget.
-  if (options.runs == 0 || options.budget_hours <= 0 ||
-      (options.budget_set && (options.fast_world || options.attacks)) ||
+  if ((options.budget_set && (options.fast_world || options.attacks)) ||
       (!options.corpus_dir.empty() && !options.feedback) ||
       (options.feedback && options.fast_world) ||
       (options.attacks && (options.feedback || options.fast_world))) {

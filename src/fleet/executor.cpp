@@ -1,14 +1,13 @@
 #include "fleet/executor.hpp"
 
+#include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "metrics/metrics.hpp"
-#include "metrics/snapshot.hpp"
 
 namespace acf::fleet {
 
@@ -57,35 +56,23 @@ TrialOutcome run_one_trial(const TrialSpec& spec, const WorldFactory& factory) {
 }
 
 void run_trial_pool(const TrialPlan& plan, const WorldFactory& factory, TrialSource& source,
-                    ResultSink& sink, const TrialPoolConfig& config,
+                    ResultSink& sink, const ExecutorConfig& config,
                     const std::atomic<bool>* cancelled, ProgressReporter* progress) {
-  const unsigned thread_count = config.threads == 0 ? 1 : config.threads;
+  const unsigned thread_count = std::max(config.threads, 1u);
   std::atomic<unsigned> active{thread_count};
-  std::atomic<std::size_t> completed{0};
   std::mutex coordinator_mutex;
   std::condition_variable coordinator_cv;
-
-  const bool snapshotting =
-      config.registry && config.snapshot_writer && config.snapshot_interval > 0;
 
   auto worker = [&] {
     while (!(cancelled && cancelled->load(std::memory_order_relaxed))) {
       const std::optional<std::size_t> index = source.next();
       if (!index) break;
       TrialOutcome outcome = run_one_trial(plan.spec(*index), factory);
-      if (progress) progress->record(outcome);
+      // Registry first, so a snapshot line this record() writes counts the
+      // trial in every instrument family.
       if (config.registry) record_trial_metrics(*config.registry, outcome);
+      if (progress) progress->record(outcome);
       sink.push(std::move(outcome));
-      const std::size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (snapshotting && done % config.snapshot_interval == 0) {
-        // Deterministic trigger (every Nth completion), live content: the
-        // snapshot reflects whatever has finished by now.  Only the final
-        // end-of-campaign snapshot is part of the determinism contract.
-        metrics::RegistrySnapshot snap = config.registry->snapshot();
-        const double sim_seconds =
-            config.registry->timer("fleet.trial.sim_seconds").sum();
-        config.snapshot_writer->write(snap, sim_seconds);
-      }
     }
     {
       // The lock pairs with the coordinator's predicate check, so the final
@@ -100,21 +87,14 @@ void run_trial_pool(const TrialPlan& plan, const WorldFactory& factory, TrialSou
   pool.reserve(thread_count);
   for (unsigned t = 0; t < thread_count; ++t) pool.emplace_back(worker);
 
-  const bool print = progress && config.progress_period.count() > 0;
   {
     std::unique_lock<std::mutex> lock(coordinator_mutex);
     const auto finished = [&] { return active.load(std::memory_order_acquire) == 0; };
-    while (!finished()) {
-      if (print) {
-        if (coordinator_cv.wait_for(lock, config.progress_period, finished)) break;
-        std::fprintf(stderr, "%s\n", progress->line().c_str());
-      } else {
-        coordinator_cv.wait(lock, finished);
-      }
+    while (!coordinator_cv.wait_for(lock, ProgressReporter::kStatusPeriod, finished)) {
+      if (progress) progress->tick();
     }
   }
   for (std::thread& thread : pool) thread.join();
-  if (print) std::fprintf(stderr, "%s\n", progress->line().c_str());
 }
 
 namespace {
@@ -173,13 +153,8 @@ std::vector<TrialOutcome> Executor::run(const TrialPlan& plan, const WorldFactor
 
   CursorSource source(total);
   VectorSink sink(outcomes);
-  TrialPoolConfig pool_config;
-  pool_config.threads = effective_threads(total);
-  pool_config.progress_period = config_.progress_period;
-  pool_config.registry = config_.registry;
-  pool_config.snapshot_writer = config_.snapshot_writer;
-  pool_config.snapshot_interval = config_.snapshot_interval;
-  run_trial_pool(plan, factory, source, sink, pool_config, &cancelled_, progress);
+  run_trial_pool(plan, factory, source, sink, {effective_threads(total), config_.registry},
+                 &cancelled_, progress);
   return outcomes;
 }
 

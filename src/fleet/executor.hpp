@@ -17,7 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <optional>
 #include <vector>
 
@@ -27,7 +26,6 @@
 
 namespace acf::metrics {
 class Registry;
-class SnapshotWriter;
 }
 
 namespace acf::fleet {
@@ -63,38 +61,21 @@ TrialOutcome run_one_trial(const TrialSpec& spec, const WorldFactory& factory);
 /// fleet-wide counters equal the in-process ones.
 void record_trial_metrics(metrics::Registry& registry, const TrialOutcome& outcome);
 
-struct TrialPoolConfig {
-  unsigned threads = 1;
-  /// Wall-clock interval between progress lines on stderr when a
-  /// ProgressReporter is attached; zero suppresses printing (counters still
-  /// update).
-  std::chrono::milliseconds progress_period{0};
-  /// When set, every outcome is folded in via record_trial_metrics.
-  metrics::Registry* registry = nullptr;
-  /// When both are set, a snapshot line is emitted every
-  /// `snapshot_interval` completed trials (deterministic trigger; the line
-  /// content reflects whatever has completed by then).
-  metrics::SnapshotWriter* snapshot_writer = nullptr;
-  std::size_t snapshot_interval = 0;
-};
-
-/// Drains `source` through `factory` on a worker pool, pushing outcomes to
-/// `sink`; blocks until the source is drained (or `cancelled` observed).
-void run_trial_pool(const TrialPlan& plan, const WorldFactory& factory, TrialSource& source,
-                    ResultSink& sink, const TrialPoolConfig& config,
-                    const std::atomic<bool>* cancelled = nullptr,
-                    ProgressReporter* progress = nullptr);
-
 struct ExecutorConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned threads = 0;
-  /// See TrialPoolConfig::progress_period (default: a line every 2 s).
-  std::chrono::milliseconds progress_period{2000};
-  /// Optional observability hooks, forwarded to the trial pool.
+  /// When set, every outcome is folded in via record_trial_metrics.
   metrics::Registry* registry = nullptr;
-  metrics::SnapshotWriter* snapshot_writer = nullptr;
-  std::size_t snapshot_interval = 0;
 };
+
+/// Drains `source` through `factory` on exactly `config.threads` pool
+/// threads (at least one; the callers resolve 0 first), pushing outcomes to
+/// `sink`; blocks until the source is drained (or `cancelled` observed).
+/// The calling thread waits, ticking `progress` for its status line.
+void run_trial_pool(const TrialPlan& plan, const WorldFactory& factory, TrialSource& source,
+                    ResultSink& sink, const ExecutorConfig& config,
+                    const std::atomic<bool>* cancelled = nullptr,
+                    ProgressReporter* progress = nullptr);
 
 /// The local backend: runs every trial of a TrialPlan in this process.
 class Executor {
@@ -103,7 +84,9 @@ class Executor {
 
   /// Runs the whole plan; blocks until every trial finished or cancel() was
   /// observed.  Returns one outcome per trial in trial-index order; trials
-  /// never started due to cancellation are TrialStatus::kSkipped.
+  /// never started due to cancellation are TrialStatus::kSkipped.  A
+  /// `progress` reporter is begun and records every result; its finish()
+  /// is the caller's.
   std::vector<TrialOutcome> run(const TrialPlan& plan, const WorldFactory& factory,
                                 ProgressReporter* progress = nullptr);
 

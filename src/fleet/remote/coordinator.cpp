@@ -3,13 +3,11 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "fleet/remote/checkpoint.hpp"
-#include "metrics/snapshot.hpp"
 
 namespace acf::fleet::remote {
 
@@ -262,11 +260,6 @@ void Coordinator::handle_payload(Connection& conn, std::span<const std::uint8_t>
       outcomes_[index] = std::move(result->outcome);
       dirty_ = true;
       if (progress_) progress_->record(outcomes_[index]);
-      if (config_.snapshot_writer && config_.snapshot_interval > 0 &&
-          ++results_since_snapshot_ >= config_.snapshot_interval) {
-        results_since_snapshot_ = 0;
-        write_snapshot_line();
-      }
       if (on_trial_done_) on_trial_done_(table_.done_count());
     } else if (completion == CompletionResult::kDuplicate) {
       // A stolen lease finished twice; same seed, identical bytes — first
@@ -300,22 +293,9 @@ metrics::RegistrySnapshot Coordinator::merged_metrics() {
   return metrics::merge_snapshots(parts);
 }
 
-void Coordinator::write_snapshot_line() {
-  metrics::RegistrySnapshot merged = merged_metrics();
-  double sim_seconds = 0.0;
-  for (const metrics::TimerSnap& timer : merged.timers) {
-    if (timer.name == "fleet.trial.sim_seconds") {
-      sim_seconds = timer.sum;
-      break;
-    }
-  }
-  config_.snapshot_writer->write(merged, sim_seconds);
-}
-
 std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
   progress_ = progress;
   if (progress_) progress_->begin(plan_.trial_count(), table_.done_count());
-  auto last_progress = WallClock::now();
 
   util::PollSet poll;
   const int poll_ms = static_cast<int>(std::max<std::int64_t>(config_.poll_period.count(), 1));
@@ -394,11 +374,7 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
     if (progress_) {
       progress_->set_lease_counters(table_.outstanding(), stats_.leases.trials_stolen,
                                     stats_.leases.leases_expired);
-      if (config_.progress_period.count() > 0 &&
-          now - last_progress >= config_.progress_period) {
-        std::fprintf(stderr, "%s\n", progress_->line().c_str());
-        last_progress = now;
-      }
+      progress_->tick();
     }
     save_checkpoint(/*force=*/false);
   }
@@ -478,12 +454,6 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
 
   stats_.leases = table_.stats();
   save_checkpoint(/*force=*/dirty_);
-  // Final merged snapshot after the linger drain, so the last heartbeat's
-  // totals are in: this line is the determinism-contract artifact.
-  if (config_.snapshot_writer) write_snapshot_line();
-  if (progress_ && config_.progress_period.count() > 0) {
-    std::fprintf(stderr, "%s\n", progress_->line().c_str());
-  }
   progress_ = nullptr;
   return outcomes_;
 }

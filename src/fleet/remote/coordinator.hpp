@@ -35,10 +35,6 @@
 #include "fleet/trial_plan.hpp"
 #include "util/socket.hpp"
 
-namespace acf::metrics {
-class SnapshotWriter;
-}
-
 namespace acf::fleet::remote {
 
 struct CoordinatorConfig {
@@ -52,8 +48,6 @@ struct CoordinatorConfig {
   std::chrono::milliseconds handshake_timeout{5'000};
   /// Poll-loop tick; bounds failure-detection and checkpoint latency.
   std::chrono::milliseconds poll_period{50};
-  /// Progress line cadence on stderr (zero = silent).
-  std::chrono::milliseconds progress_period{2000};
   /// Campaign checkpoint path; empty disables persistence.
   std::string checkpoint_path;
   /// Minimum interval between checkpoint writes (dirty state is also
@@ -66,14 +60,9 @@ struct CoordinatorConfig {
   /// resume path without actually calling abort().
   std::size_t stop_after_completed = 0;
   /// Coordinator-side registry (progress/lease instruments land here via
-  /// the attached ProgressReporter); merged with the per-worker heartbeat
+  /// the ProgressReporter built on it); merged with the per-worker heartbeat
   /// blocks by merged_metrics().  Optional.
   metrics::Registry* registry = nullptr;
-  /// When both are set, serve() writes a merged snapshot line every
-  /// `snapshot_interval` accepted results, plus one final line after the
-  /// linger window has drained the workers' last heartbeats.
-  metrics::SnapshotWriter* snapshot_writer = nullptr;
-  std::size_t snapshot_interval = 0;
 };
 
 struct CoordinatorStats {
@@ -105,7 +94,10 @@ class Coordinator {
 
   /// Runs the campaign service until every trial completed (or the
   /// stop_after hook / cancel() fires).  Returns one outcome per trial in
-  /// trial-index order; unfinished trials are TrialStatus::kSkipped.
+  /// trial-index order; unfinished trials are TrialStatus::kSkipped.  A
+  /// `progress` reporter is begun, records every accepted result and ticks
+  /// from the poll loop; its finish() is the caller's, after the linger
+  /// window has drained the workers' last heartbeats.
   std::vector<TrialOutcome> serve(ProgressReporter* progress = nullptr);
 
   /// Requests an orderly stop from any thread: the loop checkpoints and
@@ -140,7 +132,6 @@ class Coordinator {
   void flush(Connection& conn);
   void drop(Connection& conn, bool count_disconnect);
   void note_worker_metrics(const Connection& conn, const HeartbeatMsg& heartbeat);
-  void write_snapshot_line();
 
   const TrialPlan& plan_;
   CoordinatorConfig config_;
@@ -161,7 +152,6 @@ class Coordinator {
   /// and stable across its reconnects, so a reconnect replaces its own
   /// block while same-named workers never clobber each other.
   std::map<std::uint64_t, metrics::RegistrySnapshot> worker_metrics_;
-  std::size_t results_since_snapshot_ = 0;
 };
 
 }  // namespace acf::fleet::remote

@@ -257,12 +257,10 @@ WorkerResult Worker::run() {
           }
         });
 
-        TrialPoolConfig pool;
-        pool.threads = static_cast<unsigned>(
-            std::min<std::size_t>(threads, grant->trials.size()));
-        if (pool.threads == 0) pool.threads = 1;
-        pool.registry = config_.registry;
-        run_trial_pool(plan_, factory_, source, sink, pool, &cancelled_);
+        const auto pool_threads =
+            static_cast<unsigned>(std::min<std::size_t>(threads, grant->trials.size()));
+        run_trial_pool(plan_, factory_, source, sink, {pool_threads, config_.registry},
+                       &cancelled_);
 
         {
           std::lock_guard<std::mutex> hb_lock(hb_mutex);

@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -28,46 +29,47 @@ namespace {
 }
 
 /// What watches a campaign: the registry trials publish into, the
-/// `--metrics-out` writer and the progress line.
+/// `--metrics-out` stream, and the progress reporter that writes it.
 struct Observer {
   metrics::Registry registry;
   std::ofstream file;
   std::optional<metrics::SnapshotWriter> writer;
   ProgressReporter progress;
-  std::size_t interval;
 
   Observer(const CampaignOptions& options, const char* source, const std::string& program)
-      : interval(options.metrics_interval.value_or(10)) {
-    if (options.metrics_path.empty()) return;
+      : progress(registry, open(options, source, program),
+                 options.metrics_interval.value_or(10)) {}
+
+  metrics::SnapshotWriter* open(const CampaignOptions& options, const char* source,
+                                const std::string& program) {
+    if (options.metrics_path.empty()) return nullptr;
     if (options.metrics_path != "-") {
       file.open(options.metrics_path);
       if (!file) refuse(program, ("cannot open " + options.metrics_path).c_str());
     }
-    writer.emplace(file.is_open() ? static_cast<std::ostream&>(file) : std::cerr, source);
-    progress.attach_registry(&registry);
+    return &writer.emplace(file.is_open() ? static_cast<std::ostream&>(file) : std::cerr,
+                           source);
   }
 
   metrics::Registry* collecting() { return writer ? &registry : nullptr; }
-  metrics::SnapshotWriter* stream() { return writer ? &*writer : nullptr; }
+
+  /// The closing status line, the stream's final line, and the operator
+  /// table of the same snapshot.
+  void finish() {
+    if (const std::optional<metrics::RegistrySnapshot> snap = progress.finish()) {
+      std::fprintf(stderr, "%s", metrics::render_table(*snap).c_str());
+    }
+  }
 };
 
 std::vector<TrialOutcome> run_in_process(const TrialPlan& plan, const FactoryBuilder& make_factory,
                                          const CampaignOptions& options,
                                          const std::string& program) {
   Observer observer(options, "local", program);
-  ExecutorConfig config;
-  config.threads = options.threads;
-  config.registry = observer.collecting();
-  config.snapshot_writer = observer.stream();
-  config.snapshot_interval = observer.interval;
-  Executor executor(config);
+  Executor executor({options.threads, observer.collecting()});
   std::vector<TrialOutcome> outcomes =
-      executor.run(plan, make_factory(config.registry), &observer.progress);
-  if (observer.writer) {
-    const metrics::RegistrySnapshot snap = observer.registry.snapshot();
-    observer.writer->write(snap, observer.registry.timer("fleet.trial.sim_seconds").sum());
-    std::fprintf(stderr, "%s", metrics::render_table(snap).c_str());
-  }
+      executor.run(plan, make_factory(observer.collecting()), &observer.progress);
+  observer.finish();
   return outcomes;
 }
 
@@ -126,14 +128,13 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
   config.lease_ttl = options.lease_ttl.value_or(config.lease_ttl);
   config.max_batch = options.max_batch.value_or(config.max_batch);
   config.registry = observer.collecting();
-  config.snapshot_writer = observer.stream();
-  config.snapshot_interval = observer.interval;
   std::optional<remote::Coordinator> coordinator;
   try {
     coordinator.emplace(plan, config);
   } catch (const std::runtime_error& error) {
     refuse(program, error.what(), 1);
   }
+  observer.progress.set_snapshot_source([&] { return coordinator->merged_metrics(); });
   const remote::CoordinatorStats& stats = coordinator->stats();
   std::fprintf(stderr, "%s: serving %zu trials (%zu arms x %zu replicas) on 127.0.0.1:%u\n",
                program.c_str(), plan.trial_count(), plan.arm_count(), plan.replicas(),
@@ -156,12 +157,10 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
     });
   }
   std::vector<TrialOutcome> outcomes = coordinator->serve(&observer.progress);
+  // serve() returns after its linger window drained the workers' last
+  // heartbeats, so the final line holds the fleet's totals.
+  observer.finish();
   reap(children);
-  // serve() wrote the stream's final line after its linger window drained
-  // the workers' last heartbeats; the operator table renders the same view.
-  if (observer.writer) {
-    std::fprintf(stderr, "%s", metrics::render_table(coordinator->merged_metrics()).c_str());
-  }
   if (coordinator->done_count() < plan.trial_count()) {
     std::fprintf(stderr, "%s: paused after %zu trials; checkpoint at %s\n", program.c_str(),
                  coordinator->done_count(), options.checkpoint_path.c_str());
@@ -173,11 +172,20 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
 [[noreturn]] void serve_as_worker(const TrialPlan& plan, const FactoryBuilder& make_factory,
                                   std::string_view world_tag, const CampaignOptions& options,
                                   const std::string& program) {
+  constexpr const char* kBadConnect = "--connect wants HOST:PORT, PORT a decimal 1-65535";
   const std::size_t colon = options.connect.rfind(':');
-  if (colon == std::string::npos || colon == 0) refuse(program, "--connect wants HOST:PORT");
+  if (colon == std::string::npos || colon == 0) refuse(program, kBadConnect);
+  const std::string_view port = std::string_view(options.connect).substr(colon + 1);
+  unsigned port_number = 0;
+  const auto [port_end, port_error] =
+      std::from_chars(port.data(), port.data() + port.size(), port_number);
+  if (port_error != std::errc() || port_end != port.data() + port.size() || port_number == 0 ||
+      port_number > 65535) {
+    refuse(program, kBadConnect);
+  }
   remote::WorkerConfig config;
   config.host = options.connect.substr(0, colon);
-  config.port = static_cast<std::uint16_t>(std::strtoul(&options.connect[colon + 1], nullptr, 0));
+  config.port = static_cast<std::uint16_t>(port_number);
   config.threads = options.threads;
   config.world_tag = std::string(world_tag);
   config.name = "pid-" + std::to_string(static_cast<long>(::getpid()));

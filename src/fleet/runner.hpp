@@ -6,9 +6,10 @@
 // this process's argv unchanged plus `--connect 127.0.0.1:PORT`, so it
 // rebuilds the identical campaign from the identical flags, and its stdout
 // goes to stderr so the coordinator's stdout stays the report alone.  The
-// runner owns the metrics registry, the `--metrics-out` stream and its final
-// line, the ProgressReporter, the operator table on stderr, and forking and
-// reaping the workers.  Outcomes are byte-identical in every mode.
+// runner owns the metrics registry, the `--metrics-out` stream, the
+// ProgressReporter that writes it and the status line, the operator table
+// on stderr, and forking and reaping the workers.  Outcomes are
+// byte-identical in every mode.
 #pragma once
 
 #include <chrono>

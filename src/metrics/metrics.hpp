@@ -37,8 +37,9 @@ namespace acf::metrics {
 
 class Counter {
  public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
+  /// Returns the new total, so a caller can act on exactly every Nth add.
+  std::uint64_t add(std::uint64_t n = 1) noexcept {
+    return value_.fetch_add(n, std::memory_order_relaxed) + n;
   }
   /// Monotonic advance to an externally tracked total (CAS-max): safe to
   /// re-publish the same running total without double counting.  Name such

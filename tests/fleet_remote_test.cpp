@@ -30,6 +30,7 @@
 #include "fleet/worlds.hpp"
 #include "fuzzer/config.hpp"
 #include "metrics/metrics.hpp"
+#include "metrics/snapshot.hpp"
 #include "resilience/reconnect.hpp"
 #include "util/bytes.hpp"
 #include "util/hex.hpp"
@@ -68,7 +69,6 @@ std::string jsonl_of(const TrialPlan& plan, const std::vector<TrialOutcome>& out
 std::vector<TrialOutcome> reference_outcomes(const TrialPlan& plan) {
   ExecutorConfig config;
   config.threads = 2;
-  config.progress_period = std::chrono::milliseconds(0);
   Executor executor(config);
   return executor.run(plan, fast_unlock_factory());
 }
@@ -614,9 +614,10 @@ TEST(FleetRemoteReconnect, BreakerTripsEscalatesAndRecovers) {
 // ------------------------------------------------------------ progress ----
 
 TEST(FleetRemoteProgress, ToleratesOutOfOrderAndDuplicateCompletions) {
-  ProgressReporter progress;
-  progress.begin(10, /*already_done=*/4);
-  EXPECT_EQ(progress.completed(), 4u);
+  metrics::Registry registry;
+  ProgressReporter progress(registry);
+  progress.begin(10, /*already_done=*/4);  // a resumed checkpoint
+  EXPECT_NE(progress.line().find("4/10 trials"), std::string::npos) << progress.line();
   TrialOutcome late;
   late.spec.trial_index = 9;  // completion order is not index order
   late.status = TrialStatus::kCompleted;
@@ -626,20 +627,24 @@ TEST(FleetRemoteProgress, ToleratesOutOfOrderAndDuplicateCompletions) {
   progress.record(late);
   progress.record(early);
   progress.record_duplicate();
-  EXPECT_EQ(progress.completed(), 6u);  // duplicates never advance
-  EXPECT_EQ(progress.duplicates(), 1u);
-  EXPECT_EQ(progress.errors(), 1u);
-  EXPECT_FALSE(progress.finished());
+  // The status line counts the resumed trials; the registry counters are
+  // this session's, and duplicates never advance either.
+  EXPECT_NE(progress.line().find("6/10 trials (1 errors)"), std::string::npos)
+      << progress.line();
+  EXPECT_EQ(registry.counter("fleet.progress.completed").value(), 2u);
+  EXPECT_EQ(registry.counter("fleet.progress.duplicates").value(), 1u);
+  EXPECT_EQ(registry.counter("fleet.progress.errors").value(), 1u);
 }
 
 TEST(FleetRemoteProgress, LeaseCountersAreFirstClassInTheStatusLine) {
-  ProgressReporter progress;
+  metrics::Registry registry;
+  ProgressReporter progress(registry);
   progress.begin(8);
   EXPECT_EQ(progress.line().find("leases"), std::string::npos);  // local fleet: absent
   progress.set_lease_counters(3, 2, 1);
-  EXPECT_EQ(progress.leases_outstanding(), 3u);
-  EXPECT_EQ(progress.trials_stolen(), 2u);
-  EXPECT_EQ(progress.leases_expired(), 1u);
+  EXPECT_EQ(registry.gauge("fleet.leases.outstanding").value(), 3);
+  EXPECT_EQ(registry.counter("fleet.leases.trials_stolen").value(), 2u);
+  EXPECT_EQ(registry.counter("fleet.leases.expired").value(), 1u);
   const std::string line = progress.line();
   EXPECT_NE(line.find("leases out 3"), std::string::npos) << line;
   EXPECT_NE(line.find("stolen 2"), std::string::npos) << line;
@@ -654,7 +659,6 @@ TEST(FleetRemoteEndToEnd, TwoWorkersMatchTheExecutorByteForByte) {
 
   CoordinatorConfig config;
   config.world_tag = "fast";
-  config.progress_period = std::chrono::milliseconds(0);
   config.max_batch = 2;
   Coordinator coordinator(plan, config);
 
@@ -694,7 +698,6 @@ TEST(FleetRemoteEndToEnd, MergedMetricsMatchTheInProcessRegistryExactly) {
   metrics::Registry local;
   ExecutorConfig reference_config;
   reference_config.threads = 2;
-  reference_config.progress_period = std::chrono::milliseconds(0);
   reference_config.registry = &local;
   Executor executor(reference_config);
   executor.run(plan, fast_unlock_factory(&local));
@@ -703,7 +706,6 @@ TEST(FleetRemoteEndToEnd, MergedMetricsMatchTheInProcessRegistryExactly) {
 
   CoordinatorConfig config;
   config.world_tag = "fast";
-  config.progress_period = std::chrono::milliseconds(0);
   config.max_batch = 2;
   Coordinator coordinator(plan, config);
   std::thread server([&] { coordinator.serve(); });
@@ -742,6 +744,63 @@ TEST(FleetRemoteEndToEnd, MergedMetricsMatchTheInProcessRegistryExactly) {
     EXPECT_DOUBLE_EQ(m.min, r.min) << m.name;
     EXPECT_DOUBLE_EQ(m.max, r.max) << m.name;
   }
+}
+
+/// The coordinator's stream comes from the same reporter as an in-process
+/// one: eight accepted results at interval 3 give lines at the 3rd and 6th,
+/// then finish()'s final line, which shows the merged fleet-wide view.
+TEST(FleetRemoteEndToEnd, SnapshotLineEveryNthResultThenTheMergedFinalLine) {
+  const TrialPlan plan = fast_plan(4);  // 8 trials
+  metrics::Registry registry;
+  CoordinatorConfig config;
+  config.world_tag = "fast";
+  config.max_batch = 2;
+  config.registry = &registry;
+  Coordinator coordinator(plan, config);
+  std::ostringstream stream;
+  metrics::SnapshotWriter writer(stream, "coordinator");
+  ProgressReporter progress(registry, &writer, 3);
+  progress.set_snapshot_source([&] { return coordinator.merged_metrics(); });
+
+  std::thread server([&] { coordinator.serve(&progress); });
+  metrics::Registry worker_registries[2];
+  auto run_worker = [&](metrics::Registry& worker_registry) {
+    WorkerConfig wc;
+    wc.port = coordinator.port();
+    wc.threads = 2;
+    wc.world_tag = "fast";
+    wc.heartbeat_period = std::chrono::milliseconds(100);
+    wc.registry = &worker_registry;
+    Worker worker(plan, fast_unlock_factory(&worker_registry), wc);
+    EXPECT_EQ(worker.run().exit, WorkerExit::kCampaignComplete);
+  };
+  std::thread w1(run_worker, std::ref(worker_registries[0]));
+  std::thread w2(run_worker, std::ref(worker_registries[1]));
+  w1.join();
+  w2.join();
+  server.join();
+  progress.finish();
+
+  std::vector<metrics::SnapshotLine> lines;
+  std::istringstream in(stream.str());
+  for (std::string text; std::getline(in, text);) {
+    std::optional<metrics::SnapshotLine> line = metrics::parse_snapshot_line(text);
+    ASSERT_TRUE(line.has_value()) << text;
+    lines.push_back(std::move(*line));
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].seq, i + 1);
+    EXPECT_EQ(lines[i].source, "coordinator");
+  }
+  const metrics::RegistrySnapshot merged = coordinator.merged_metrics();
+  const std::vector<metrics::CounterSnap>& last = lines[2].registry.counters;
+  ASSERT_EQ(last.size(), merged.counters.size());
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    EXPECT_EQ(last[i].name, merged.counters[i].name);
+    EXPECT_EQ(last[i].value, merged.counters[i].value) << last[i].name;
+  }
+  EXPECT_EQ(registry.counter("fleet.progress.completed").value(), plan.trial_count());
 }
 
 /// Raw protocol client: takes a lease, never finishes it, hangs up.
@@ -787,11 +846,11 @@ TEST(FleetRemoteEndToEnd, DisconnectedWorkersTrialsAreStolenAndCampaignCompletes
 
   CoordinatorConfig config;
   config.world_tag = "fast";
-  config.progress_period = std::chrono::milliseconds(0);
   config.max_batch = 2;
   Coordinator coordinator(plan, config);
   std::vector<TrialOutcome> outcomes;
-  ProgressReporter progress;
+  metrics::Registry registry;
+  ProgressReporter progress(registry);
   std::thread server([&] { outcomes = coordinator.serve(&progress); });
 
   take_lease_and_vanish(plan, coordinator.port(), "fast");
@@ -809,15 +868,14 @@ TEST(FleetRemoteEndToEnd, DisconnectedWorkersTrialsAreStolenAndCampaignCompletes
   const CoordinatorStats& stats = coordinator.stats();
   EXPECT_EQ(stats.leases.leases_released, 1u);   // the vanished connection
   EXPECT_EQ(stats.leases.trials_stolen, 2u);     // its batch, re-issued
-  EXPECT_EQ(progress.trials_stolen(), 2u);       // surfaced as a counter
-  EXPECT_EQ(progress.completed(), plan.trial_count());
+  EXPECT_EQ(registry.counter("fleet.leases.trials_stolen").value(), 2u);  // surfaced
+  EXPECT_EQ(registry.counter("fleet.progress.completed").value(), plan.trial_count());
 }
 
 TEST(FleetRemoteEndToEnd, WorkerWithWrongCampaignIsRejected) {
   const TrialPlan plan = fast_plan(1);
   CoordinatorConfig config;
   config.world_tag = "fast";
-  config.progress_period = std::chrono::milliseconds(0);
   Coordinator coordinator(plan, config);
   std::vector<TrialOutcome> outcomes;
   std::thread server([&] { outcomes = coordinator.serve(); });
@@ -856,8 +914,11 @@ std::string temp_path(const std::string& stem) {
   return testing::TempDir() + stem + "_" + std::to_string(::getpid());
 }
 
-int run_fleet_bin(const std::string& args) {
-  const std::string command = std::string(ACF_FLEET_RUN_BIN) + " " + args +
+/// Runs fleet_run with `args`; a run still going after `timeout_s` seconds
+/// is killed (exit status 124).
+int run_fleet_bin(const std::string& args, int timeout_s = 120) {
+  const std::string command = "timeout " + std::to_string(timeout_s) + " " +
+                              std::string(ACF_FLEET_RUN_BIN) + " " + args +
                               " > /dev/null 2> /dev/null";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -908,6 +969,20 @@ TEST(FleetRemoteProcess, CoordinatorRestartResumesFromCheckpoint) {
   EXPECT_EQ(slurp(jsonl), reference);
   std::remove(checkpoint.c_str());
   std::remove(jsonl.c_str());
+}
+
+/// A malformed port or count must exit 2 at once, never run with a wrong
+/// value (a port mod 65536, a run count's leading digits) or retry port 0.
+TEST(FleetRemoteProcess, MalformedNumbersExitTwoAtOnce) {
+  for (const char* args :
+       {"--runs 1 --connect 127.0.0.1:", "--runs 1 --connect 127.0.0.1:70000",
+        "--runs 1 --connect 127.0.0.1:0", "--runs 1 --connect 127.0.0.1:+4464",
+        "--runs 1 --connect 127.0.0.1:0x1170", "--runs 1 --serve 70000", "--runs 2x",
+        "--runs 1 --threads -1", "--runs 1 --metrics-out /dev/null --metrics-interval 1e3"}) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(run_fleet_bin(std::string("--fast-world ") + args, /*timeout_s=*/10), 2) << args;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 1s) << args;
+  }
 }
 
 }  // namespace

@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "fleet/aggregator.hpp"
 #include "fleet/executor.hpp"
 #include "fleet/jsonl.hpp"
 #include "fleet/worlds.hpp"
+#include "metrics/snapshot.hpp"
 #include "util/log.hpp"
 
 namespace acf::fleet {
@@ -73,7 +77,6 @@ TEST(FleetDeterminism, ThreadCountInvariant) {
   for (const unsigned threads : {1u, 4u, 8u}) {
     ExecutorConfig config;
     config.threads = threads;
-    config.progress_period = std::chrono::milliseconds(0);  // silent
     Executor executor(config);
     const auto outcomes = executor.run(plan, fast_unlock_factory());
     ASSERT_EQ(outcomes.size(), plan.trial_count());
@@ -120,9 +123,9 @@ TEST(FleetExecutor, SurvivesThrowingTrials) {
   });
   ExecutorConfig config;
   config.threads = 4;
-  config.progress_period = std::chrono::milliseconds(0);
   Executor executor(config);
-  ProgressReporter progress;
+  metrics::Registry registry;
+  ProgressReporter progress(registry);
   const auto outcomes = executor.run(plan, factory, &progress);
   ASSERT_EQ(outcomes.size(), 8u);
   for (const TrialOutcome& outcome : outcomes) {
@@ -135,8 +138,8 @@ TEST(FleetExecutor, SurvivesThrowingTrials) {
       EXPECT_EQ(outcome.frames_sent, 10u);
     }
   }
-  EXPECT_EQ(progress.completed(), 8u);
-  EXPECT_EQ(progress.errors(), 4u);
+  EXPECT_EQ(registry.counter("fleet.progress.completed").value(), 8u);
+  EXPECT_EQ(registry.counter("fleet.progress.errors").value(), 4u);
   const FleetReport report = aggregate(plan, outcomes);
   EXPECT_EQ(report.errors, 4u);
   EXPECT_EQ(report.arms[0].timeouts, 4u);  // completed, oracle never fired
@@ -144,7 +147,7 @@ TEST(FleetExecutor, SurvivesThrowingTrials) {
 
 TEST(FleetExecutor, CancelBeforeRunSkipsEverything) {
   const TrialPlan plan({"arm"}, 4, 7);
-  Executor executor({.threads = 2, .progress_period = std::chrono::milliseconds(0)});
+  Executor executor({.threads = 2});
   executor.cancel();
   std::atomic<int> built{0};
   WorldFactory factory = world_from([&](const TrialSpec&) -> fuzzer::CampaignResult {
@@ -175,12 +178,95 @@ TEST(FleetExecutor, WorkersCanLogConcurrently) {
     result.reason = fuzzer::StopReason::kFrameLimit;
     return result;
   });
-  Executor executor({.threads = 4, .progress_period = std::chrono::milliseconds(0)});
+  Executor executor({.threads = 4});
   const auto outcomes = executor.run(plan, factory);
   for (const TrialOutcome& outcome : outcomes) {
     EXPECT_EQ(outcome.status, TrialStatus::kCompleted);
   }
   util::set_log_level(before);
+}
+
+// ----------------------------------------------------------- progress -----
+
+std::vector<metrics::SnapshotLine> snapshot_lines(const std::string& stream) {
+  std::vector<metrics::SnapshotLine> lines;
+  std::istringstream in(stream);
+  for (std::string text; std::getline(in, text);) {
+    std::optional<metrics::SnapshotLine> line = metrics::parse_snapshot_line(text);
+    EXPECT_TRUE(line.has_value()) << text;
+    if (line) lines.push_back(std::move(*line));
+  }
+  return lines;
+}
+
+std::map<std::string, std::uint64_t> counters_of(const metrics::RegistrySnapshot& snap) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const metrics::CounterSnap& counter : snap.counters) counters[counter.name] = counter.value;
+  return counters;
+}
+
+/// Pool threads write snapshot lines through the reporter, which takes each
+/// snapshot under the lock that orders the writes: no counter may read lower
+/// than on the line before it, however the eight threads interleave.  Each
+/// trial sleeps a millisecond, so the threads finish in bunches and their
+/// lines contend.
+TEST(FleetProgress, SnapshotLinesNeverGoBackwards) {
+  const TrialPlan plan({"arm"}, 64, 11);
+  const WorldFactory factory = world_from([](const TrialSpec& spec) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    fuzzer::CampaignResult result;
+    result.reason = fuzzer::StopReason::kFrameLimit;
+    result.frames_sent = spec.trial_index + 1;
+    return result;
+  });
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    metrics::Registry registry;
+    std::ostringstream stream;
+    metrics::SnapshotWriter writer(stream, "local");
+    ProgressReporter progress(registry, &writer, 1);
+    Executor executor({.threads = 8, .registry = &registry});
+    executor.run(plan, factory, &progress);
+    progress.finish();
+
+    const std::vector<metrics::SnapshotLine> lines = snapshot_lines(stream.str());
+    ASSERT_EQ(lines.size(), 65u) << "repeat " << repeat;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i].seq, i + 1);
+      if (i == 0) continue;
+      const std::map<std::string, std::uint64_t> now = counters_of(lines[i].registry);
+      for (const auto& [name, before] : counters_of(lines[i - 1].registry)) {
+        const auto it = now.find(name);
+        EXPECT_GE(it == now.end() ? 0 : it->second, before)
+            << name << " went backwards at seq " << lines[i].seq << ", repeat " << repeat;
+      }
+    }
+  }
+}
+
+/// Eight trials at interval 3: lines at the 3rd and 6th result, then
+/// finish()'s final line, which carries the registry's totals.
+TEST(FleetProgress, SnapshotLineEveryNthResultThenTheFinalLine) {
+  const TrialPlan plan = fast_plan(4);
+  metrics::Registry registry;
+  std::ostringstream stream;
+  metrics::SnapshotWriter writer(stream, "local");
+  ProgressReporter progress(registry, &writer, 3);
+  Executor executor({.threads = 4, .registry = &registry});
+  executor.run(plan, fast_unlock_factory(), &progress);
+  const std::optional<metrics::RegistrySnapshot> final_view = progress.finish();
+
+  const std::vector<metrics::SnapshotLine> lines = snapshot_lines(stream.str());
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].seq, i + 1);
+    EXPECT_EQ(lines[i].source, "local");
+  }
+  const std::map<std::string, std::uint64_t> totals = counters_of(registry.snapshot());
+  EXPECT_EQ(counters_of(lines[2].registry), totals);
+  EXPECT_EQ(totals.at("fleet.progress.completed"), 8u);
+  EXPECT_EQ(totals.at("fleet.trial.completed"), 8u);
+  ASSERT_TRUE(final_view.has_value());
+  EXPECT_EQ(counters_of(*final_view), totals);
 }
 
 // --------------------------------------------------------- aggregator -----

@@ -651,7 +651,6 @@ TEST(IdsFleet, EvaluationIsThreadCountInvariant) {
   for (const unsigned threads : {1u, 4u}) {
     fleet::ExecutorConfig config;
     config.threads = threads;
-    config.progress_period = std::chrono::milliseconds(0);
     fleet::Executor executor(config);
     EvalSink sink = make_eval_sink(plan);
     const auto outcomes = executor.run(plan, ids_unlock_world_factory(fast_ids_arms(), sink));
@@ -695,7 +694,7 @@ TEST(IdsFleet, EvaluationIsThreadCountInvariant) {
 
 TEST(IdsFleet, AllowlistCatchesBlindFuzzWithHighRecall) {
   const fleet::TrialPlan plan({"weak"}, 2, 0xACF17EE7ULL, std::chrono::minutes(5));
-  fleet::Executor executor({.threads = 2, .progress_period = std::chrono::milliseconds(0)});
+  fleet::Executor executor({.threads = 2});
   EvalSink sink = make_eval_sink(plan);
   std::vector<IdsArm> arms = {fast_ids_arms()[0]};
   executor.run(plan, ids_unlock_world_factory(std::move(arms), sink));

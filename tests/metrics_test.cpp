@@ -374,7 +374,6 @@ TEST(MetricsAcceptance, ReportedDetectionLatencyQuantilesMatchExactSortWithinEps
   ids::EvalSink sink = ids::make_eval_sink(plan);
   fleet::ExecutorConfig config;
   config.threads = 2;
-  config.progress_period = std::chrono::milliseconds(0);
   config.registry = &registry;
   fleet::Executor executor(config);
   executor.run(plan, ids::ids_unlock_world_factory({arm}, sink, &registry));
