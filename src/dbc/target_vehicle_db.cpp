@@ -23,9 +23,7 @@ SignalDef sig(std::string name, std::uint16_t start, std::uint16_t length, doubl
   return s;
 }
 
-}  // namespace
-
-Database target_vehicle_database() {
+Database build_target_vehicle_database() {
   Database db;
 
   {
@@ -160,10 +158,16 @@ Database target_vehicle_database() {
   return db;
 }
 
+}  // namespace
+
+const Database& target_vehicle_database() {
+  static const Database db = build_target_vehicle_database();
+  return db;
+}
+
 std::string target_vehicle_dbc_text() {
-  const Database db = target_vehicle_database();
   const std::string nodes[] = {"ECM", "ABS", "BCM", "IVI", "CLUSTER", "GATEWAY"};
-  return to_dbc_text(db, nodes);
+  return to_dbc_text(target_vehicle_database(), nodes);
 }
 
 }  // namespace acf::dbc

@@ -38,8 +38,10 @@ inline constexpr std::uint32_t kUdsBcmResponse = 0x748;
 inline constexpr std::uint8_t kCmdLock = 0x10;
 inline constexpr std::uint8_t kCmdUnlock = 0x20;
 
-/// Builds the target vehicle's database (fresh copy).
-Database target_vehicle_database();
+/// The target vehicle's database: one immutable instance per process, built
+/// on first use (thread-safe).  Every world and ECU model reads this same
+/// instance, so building a world never builds a database.
+const Database& target_vehicle_database();
 
 /// The same database as DBC text (exercises the parser; examples load it).
 std::string target_vehicle_dbc_text();

@@ -51,22 +51,27 @@ void FeedbackCampaign::seed_corpus(const Corpus& corpus) {
 FeedbackCampaign::ExecOutcome FeedbackCampaign::execute(
     const std::vector<can::CanFrame>& sequence) {
   ExecOutcome out;
-  sim::Scheduler scheduler{256};
+  // One 64-event slab chunk holds the sends (at most
+  // SequenceMutatorConfig::max_frames) plus the bench's own events.
+  sim::Scheduler scheduler{64};
   vehicle::UnlockTestbench bench(scheduler, config_.predicate);
   transport::VirtualBusTransport attacker(bench.bus(), "attacker");
   trace::CaptureTap tap(bench.bus(), "feedback.tap");
   oracle::UnlockOracle unlock_oracle(bench.bus(), &bench.bcm());
 
   for (std::size_t i = 0; i < sequence.size(); ++i) {
-    const can::CanFrame& frame = sequence[i];
-    scheduler.schedule_at(sim::SimTime{config_.tx_period * (i + 1)}, [&, frame] {
-      if (attacker.send(frame)) {
+    // Captures the index, not the frame: `sequence` outlives the run, and a
+    // by-value frame would push the closure past the inline action buffer.
+    const auto send = [&, i] {
+      if (attacker.send(sequence[i])) {
         ++out.frames_sent;
-        coverage_.add(frame);
+        coverage_.add(sequence[i]);
       } else {
         ++out.send_failures;
       }
-    });
+    };
+    static_assert(sim::PooledAction::inlined<decltype(send)>());
+    scheduler.schedule_at(sim::SimTime{config_.tx_period * (i + 1)}, send);
   }
   // Short, bounded window: the sends plus a settle margin for acks.  The
   // bench's 100 ms periodics never fire inside it, so the tap sees only the

@@ -50,8 +50,8 @@ class UnlockWorld final : public World {
 
  private:
   metrics::Registry* registry_ = nullptr;
-  // Pre-sized to the unlock world's steady-state event population (one slab
-  // chunk): trial construction in fleet workers never grows the scheduler.
+  // Pre-sized to the unlock world's steady-state event population (256
+  // slots): trial construction in fleet workers never grows the scheduler.
   sim::Scheduler scheduler_{256};
   vehicle::UnlockTestbench bench_;
   transport::VirtualBusTransport attacker_;

@@ -53,7 +53,8 @@ std::uint64_t siphash24(const Key128& key, std::span<const std::uint8_t> data) {
   // Final block: remaining bytes plus the length in the top byte.
   std::uint8_t tail[8] = {};
   const std::size_t remaining = data.size() % 8;
-  std::memcpy(tail, data.data() + full_blocks * 8, remaining);
+  // An empty span's data() may be null, which memcpy must never receive.
+  if (remaining > 0) std::memcpy(tail, data.data() + full_blocks * 8, remaining);
   tail[7] = static_cast<std::uint8_t>(data.size() & 0xFF);
   const std::uint64_t m = load_le64(tail);
   s.v3 ^= m;

@@ -14,10 +14,15 @@ std::string format_millis(SimTime t) {
   return buf;
 }
 
+void Scheduler::add_chunk() {
+  // Default-initialised, not value-initialised: each slot's inline callable
+  // buffer is written by emplace() before anything reads it, so zeroing the
+  // chunk first would be wasted work on every world built.
+  chunks_.push_back(std::make_unique_for_overwrite<Event[]>(kChunkSize));
+}
+
 void Scheduler::reserve(std::size_t events) {
-  while (chunks_.size() * kChunkSize < events) {
-    chunks_.push_back(std::make_unique<Event[]>(kChunkSize));
-  }
+  while (chunks_.size() * kChunkSize < events) add_chunk();
   if (heap_.capacity() < events) heap_.reserve(events);
 }
 
@@ -28,9 +33,7 @@ std::uint32_t Scheduler::acquire_slot() {
     ++slot_reuses_;
     return slot;
   }
-  if (slots_used_ == chunks_.size() * kChunkSize) {
-    chunks_.push_back(std::make_unique<Event[]>(kChunkSize));
-  }
+  if (slots_used_ == chunks_.size() * kChunkSize) add_chunk();
   return static_cast<std::uint32_t>(slots_used_++);
 }
 

@@ -38,7 +38,7 @@ struct EventId {
 /// Allocation telemetry, used by tests and the perf harness to prove the
 /// steady state is allocation-free (slab/heap capacities stop growing).
 struct SchedulerStats {
-  std::size_t slab_chunks = 0;    // 256-event chunks allocated
+  std::size_t slab_chunks = 0;    // 64-event chunks allocated
   std::size_t slab_capacity = 0;  // total event slots
   std::size_t heap_capacity = 0;  // ready-queue capacity
   std::uint64_t slot_reuses = 0;  // events served from the free list
@@ -109,7 +109,7 @@ class Scheduler {
 
  private:
   static constexpr std::uint32_t kNullIndex = ~std::uint32_t{0};
-  static constexpr std::size_t kChunkShift = 8;  // 256 events per slab chunk
+  static constexpr std::size_t kChunkShift = 6;  // 64 events per slab chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
   enum class SlotState : std::uint8_t { kFree, kQueued, kRunning };
@@ -146,6 +146,7 @@ class Scheduler {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
+  void add_chunk();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void heap_push(std::uint32_t slot, SimTime when, std::uint64_t seq);

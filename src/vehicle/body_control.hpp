@@ -76,7 +76,7 @@ class BodyControlModule final : public ecu::Ecu {
   bool matches(const can::CanFrame& frame, std::uint8_t command) const;
   void send_ack(std::uint8_t command, bool ok);
 
-  dbc::Database db_ = dbc::target_vehicle_database();
+  const dbc::Database& db_ = dbc::target_vehicle_database();
   UnlockPredicate predicate_;
   bool unlocked_ = false;
   double odometer_km_ = 18'204.0;

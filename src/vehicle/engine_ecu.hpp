@@ -68,7 +68,7 @@ class EngineEcu final : public ecu::Ecu {
   double last_rpm_ = 800.0;
   std::uint64_t implausible_inputs_ = 0;
 
-  dbc::Database db_ = dbc::target_vehicle_database();
+  const dbc::Database& db_ = dbc::target_vehicle_database();
   std::unique_ptr<obd::ObdServer> obd_;
 };
 

@@ -70,7 +70,7 @@ class InstrumentCluster final : public ecu::Ecu {
   void set_gauge(double& gauge, double value);
   void note_implausible(const char* what);
 
-  dbc::Database db_ = dbc::target_vehicle_database();
+  const dbc::Database& db_ = dbc::target_vehicle_database();
 
   double rpm_gauge_ = 0.0;
   double speed_gauge_ = 0.0;

@@ -227,6 +227,11 @@ TEST(TargetVehicleDb, SignalsFitTheirMessages) {
   }
 }
 
+TEST(TargetVehicleDb, EveryCallReturnsTheOneSharedInstance) {
+  // ECU models hold a reference to it, so building a world builds no database.
+  EXPECT_EQ(&target_vehicle_database(), &target_vehicle_database());
+}
+
 TEST(TargetVehicleDb, BodyCommandMatchesPaperShape) {
   const Database db = target_vehicle_database();
   const MessageDef* cmd = db.by_id(kMsgBodyCommand);

@@ -274,6 +274,96 @@ TEST(FeedbackCampaign, CheckpointSurvivesTheRecord) {
   EXPECT_TRUE(resumed.restore(*restored));
 }
 
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+struct RecordedFinding {
+  std::int64_t time_ns;
+  std::string detail;
+};
+
+struct RecordedTrajectory {
+  std::uint64_t seed;
+  bool hardened;
+  FeedbackStats stats;
+  std::size_t map_occupied;
+  std::size_t corpus_size;
+  std::uint64_t corpus_fnv1a;
+  std::int64_t elapsed_ns;
+  fuzzer::StopReason reason;
+  std::vector<RecordedFinding> findings;
+};
+
+TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
+  // ReRunIsByteIdentical compares two runs of one build; this pins the loop
+  // across builds.  The values are recorded, not computed, so any change
+  // that moves the loop for a fixed seed fails here; a deliberate one
+  // re-records them and says why.  The arms are perfbench's `feedback`
+  // workload: the weak and the length-checked predicate at a 0.5 s budget.
+  // Seeds 8 and 35 unlock only the weak BCM, 229 unlocks both, and 43
+  // unlocks neither but diverges between them.
+  using fuzzer::StopReason;
+  const std::vector<RecordedTrajectory> recorded = {
+      {8, false, {94, 28, 48, 0, 170}, 46, 28, 0x93c8264c725d0cf3ULL, 452000000,
+       StopReason::kFailureDetected,
+       {{448300000, "unlock security function activated without authorisation via "
+                    "215#4CDC3C00 215#20DC8100 7DD#4CDC81"}}},
+      {8, true, {106, 32, 54, 0, 186}, 45, 32, 0x6c8886cbf94d0104ULL, 504000000,
+       StopReason::kDurationElapsed, {}},
+      {35, false, {17, 8, 8, 0, 26}, 15, 8, 0x53596e66b17b0657ULL, 77000000,
+       StopReason::kFailureDetected,
+       {{73268000, "unlock security function activated without authorisation via "
+                   "215#20D8 76E#83895A"}}},
+      {35, true, {108, 38, 63, 2, 181}, 51, 36, 0x6b9cb812d5c69046ULL, 505000000,
+       StopReason::kDurationElapsed, {}},
+      {43, false, {98, 28, 62, 0, 209}, 44, 28, 0xb520492d48a7076aULL, 503000000,
+       StopReason::kDurationElapsed, {}},
+      {43, true, {101, 29, 61, 0, 218}, 48, 29, 0x9e06bb44215a8592ULL, 521000000,
+       StopReason::kDurationElapsed, {}},
+      {229, false, {76, 24, 42, 0, 129}, 39, 24, 0x302591d22275ab95ULL, 357000000,
+       StopReason::kFailureDetected,
+       {{354350000, "unlock security function activated without authorisation via "
+                    "215#2436139FF5F667 215#2036139FF8F667"}}},
+      {229, true, {76, 24, 42, 0, 129}, 39, 24, 0x302591d22275ab95ULL, 357000000,
+       StopReason::kFailureDetected,
+       {{354350000, "unlock security function activated without authorisation via "
+                    "215#2436139FF5F667 215#2036139FF8F667"}}},
+  };
+  for (const RecordedTrajectory& want : recorded) {
+    SCOPED_TRACE(testing::Message() << "seed " << want.seed
+                                    << (want.hardened ? " hardened" : " weak"));
+    FeedbackConfig config;
+    config.seed = want.seed;
+    config.max_total_sim = std::chrono::milliseconds(500);
+    if (want.hardened) config.predicate = vehicle::UnlockPredicate::id_byte_and_length();
+    FeedbackCampaign campaign(config);
+    const fuzzer::CampaignResult& result = campaign.run();
+
+    const FeedbackStats& stats = campaign.stats();
+    EXPECT_EQ(stats.executions, want.stats.executions);
+    EXPECT_EQ(stats.novel_inputs, want.stats.novel_inputs);
+    EXPECT_EQ(stats.trim_executions, want.stats.trim_executions);
+    EXPECT_EQ(stats.seeds_dropped, want.stats.seeds_dropped);
+    EXPECT_EQ(stats.frames_sent, want.stats.frames_sent);
+    EXPECT_EQ(campaign.map().occupied(), want.map_occupied);
+    EXPECT_EQ(campaign.corpus().size(), want.corpus_size);
+    EXPECT_EQ(fnv1a64(campaign.corpus().encode()), want.corpus_fnv1a);
+    EXPECT_EQ(result.elapsed.count(), want.elapsed_ns);
+    EXPECT_EQ(result.reason, want.reason);
+    ASSERT_EQ(result.findings.size(), want.findings.size());
+    for (std::size_t i = 0; i < want.findings.size(); ++i) {
+      EXPECT_EQ(result.findings[i].observation.time.count(), want.findings[i].time_ns);
+      EXPECT_EQ(result.findings[i].observation.detail, want.findings[i].detail);
+    }
+  }
+}
+
 TEST(FeedbackCampaign, RestoreRejectsForeignCheckpoints) {
   fuzzer::CampaignCheckpoint cp;
   cp.generator_name = "random";

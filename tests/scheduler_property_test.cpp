@@ -254,5 +254,48 @@ TEST(SchedulerProperty, SteadyStateIsAllocationFree) {
   EXPECT_EQ(after.heap_capacity, warm.heap_capacity);
 }
 
+TEST(SchedulerProperty, ReserveGivesTheCapacityAskedInWholeChunks) {
+  // Worlds publish their slab capacity as sim.scheduler.slab_capacity_max, so
+  // what a reservation yields is part of the metrics contract.
+  EXPECT_EQ(Scheduler{256}.stats().slab_capacity, 256u);
+  const SchedulerStats one_chunk = Scheduler{64}.stats();
+  EXPECT_EQ(one_chunk.slab_capacity, 64u);
+  EXPECT_EQ(one_chunk.slab_chunks, 1u);
+
+  Scheduler scheduler;
+  EXPECT_EQ(scheduler.stats().slab_capacity, 0u);
+  const SimTime when{1000};
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 65; ++i) {
+    ids.push_back(scheduler.schedule_at(when, [i, &fired] { fired.push_back(i); }));
+  }
+  EXPECT_EQ(scheduler.pending_events(), 65u);
+  EXPECT_EQ(scheduler.stats().slab_capacity, 128u);
+  EXPECT_EQ(scheduler.stats().slab_chunks, 2u);
+
+  // Free every third slot, then schedule more at the same instant: the first
+  // 22 take recycled slots (popped in reverse slot order), the rest take
+  // never-used slots up into a third chunk.  Firing order is still the order
+  // of scheduling, whatever slot an event landed in.
+  std::vector<int> expected;
+  for (int i = 0; i < 65; ++i) {
+    if (i % 3 == 0) {
+      scheduler.cancel(ids[static_cast<std::size_t>(i)]);
+    } else {
+      expected.push_back(i);
+    }
+  }
+  for (int i = 65; i < 165; ++i) {
+    scheduler.schedule_at(when, [i, &fired] { fired.push_back(i); });
+    expected.push_back(i);
+  }
+  EXPECT_EQ(scheduler.stats().slot_reuses, 22u);
+  EXPECT_EQ(scheduler.stats().slab_capacity, 192u);
+  while (scheduler.step()) {
+  }
+  EXPECT_EQ(fired, expected);
+}
+
 }  // namespace
 }  // namespace acf::sim
