@@ -1,5 +1,6 @@
 #include "dbc/message_def.hpp"
 
+#include <array>
 #include <vector>
 
 namespace acf::dbc {
@@ -13,6 +14,16 @@ const SignalDef* MessageDef::signal(std::string_view sig_name) const noexcept {
 
 bool MessageDef::dlc_matches(const can::CanFrame& frame) const noexcept {
   return !frame.is_remote() && frame.dlc() == dlc;
+}
+
+std::optional<can::CanFrame> MessageDef::encode(std::span<const double> values) const {
+  std::array<std::uint8_t, can::kMaxClassicPayload> buffer{};
+  if (values.size() != signals.size() || dlc > buffer.size()) return std::nullopt;
+  const std::span<std::uint8_t> payload(buffer.data(), dlc);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!dbc::encode(signals[i], values[i], payload)) return std::nullopt;
+  }
+  return can::CanFrame::data(id, payload, format);
 }
 
 std::optional<can::CanFrame> MessageDef::encode(

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,13 +32,22 @@ struct MessageDef {
   /// cannot drift apart.
   bool dlc_matches(const can::CanFrame& frame) const noexcept;
 
-  /// Encodes a set of physical values into a frame.  Signals not present in
-  /// `values` encode as raw zero.  Returns nullopt if any named signal is
-  /// unknown or does not fit the DLC.
+  /// Encodes one physical value per declared signal, in declaration order
+  /// (`values[i]` is `signals[i]`), into a frame.  Returns nullopt if the
+  /// count is not signals.size() or a signal does not fit the DLC.  Builds
+  /// the payload on the stack: this is the per-frame path of the ECU models,
+  /// which address signals by the positions target_vehicle_db.hpp names.
+  std::optional<can::CanFrame> encode(std::span<const double> values) const;
+
+  /// Encodes a set of physical values, keyed by signal name, into a frame.
+  /// Signals not present in `values` encode as raw zero.  Returns nullopt if
+  /// any named signal is unknown or does not fit the DLC.
   std::optional<can::CanFrame> encode(const std::map<std::string, double>& values) const;
 
   /// Decodes every signal of the message from `frame`.  Signals that do not
   /// fit the actual payload are omitted (short frames happen under fuzzing).
+  /// A consumer that reads a few signals decodes just those instead, with
+  /// dbc::decode(signals[i], frame.payload()).
   std::map<std::string, double> decode(const can::CanFrame& frame) const;
 };
 

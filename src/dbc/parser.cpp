@@ -1,6 +1,7 @@
 #include "dbc/parser.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -36,12 +37,11 @@ bool parse_number(std::string_view token, T& out) {
   return ec == std::errc{} && ptr == end;
 }
 
+/// A finite decimal number.  from_chars also reads "nan" and "inf", but no
+/// signal factor, offset or range may be non-finite: the linear map would
+/// turn every raw value into NaN or ±inf.
 bool parse_double(std::string_view token, double& out) {
-  // from_chars for double is available in libstdc++ 11+; keep it simple.
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+  return parse_number(token, out) && std::isfinite(out);
 }
 
 struct SignalLine {
@@ -139,7 +139,8 @@ SignalLine parse_signal(std::string_view rest) {
 /// Shortest round-trip rendering for signal factors/ranges: %g's six
 /// significant digits turn 16383.9921875 into 16384, so a parse→print→parse
 /// cycle would silently change declared ranges.  to_chars emits the shortest
-/// string that reparses to the identical double (inf/nan included).
+/// string that reparses to the identical double (a non-finite value prints
+/// as "inf"/"nan", which the parser rejects).
 std::string fmt_g(double value) {
   char buf[32];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);

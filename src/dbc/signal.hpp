@@ -35,7 +35,9 @@ struct SignalDef {
 
   /// Raw (on-wire integer) -> physical value.
   double raw_to_physical(std::uint64_t raw) const noexcept;
-  /// Physical -> raw, clamped to the representable raw range.
+  /// Physical -> raw, clamped to the representable raw range (±inf clamp to
+  /// its ends).  NaN, whether passed in or produced by a non-finite
+  /// scale/offset, maps to raw 0.
   std::uint64_t physical_to_raw(double physical) const noexcept;
 
   /// True if the signal fits entirely inside a payload of `payload_bytes`.
@@ -47,7 +49,9 @@ struct SignalDef {
 };
 
 /// Extracts the raw value of `sig` from `payload`.  Returns nullopt if the
-/// signal does not fit the payload.
+/// signal does not fit the payload.  A little-endian signal is read as one
+/// integer (the at most 9 bytes it covers, shifted and masked); a big-endian
+/// one bit by bit.  insert_raw() works the same way.
 std::optional<std::uint64_t> extract_raw(const SignalDef& sig,
                                          std::span<const std::uint8_t> payload) noexcept;
 

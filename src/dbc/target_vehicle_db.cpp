@@ -23,136 +23,117 @@ SignalDef sig(std::string name, std::uint16_t start, std::uint16_t length, doubl
   return s;
 }
 
+MessageDef message(std::uint32_t id, std::string name, std::uint8_t dlc, std::string sender,
+                   std::uint32_t cycle_time_ms, std::size_t signal_count) {
+  MessageDef m;
+  m.id = id;
+  m.name = std::move(name);
+  m.dlc = dlc;
+  m.sender = std::move(sender);
+  m.cycle_time_ms = cycle_time_ms;
+  m.signals.resize(signal_count);
+  return m;
+}
+
 Database build_target_vehicle_database() {
   Database db;
 
   {
-    MessageDef m;
-    m.id = kMsgEngineData;
-    m.name = "ENGINE_DATA";
-    m.dlc = 8;
-    m.sender = "ECM";
-    m.cycle_time_ms = 10;
+    using S = EngineDataSignal;
+    MessageDef m = message(kMsgEngineData, "ENGINE_DATA", 8, "ECM", 10, S::kCount);
     // RPM is signed on purpose: several production gauges treat the raw
     // field as two's complement, which is exactly what lets a fuzzed frame
     // display a negative RPM (paper Fig. 8).
-    m.signals.push_back(sig("EngineRPM", 0, 16, 0.25, 0.0, true, 0, 8000, "rpm"));
-    m.signals.push_back(sig("ThrottlePct", 16, 8, 0.4, 0.0, false, 0, 100, "%"));
-    m.signals.push_back(sig("CoolantTempC", 24, 8, 1.0, -40.0, false, -40, 215, "degC"));
-    m.signals.push_back(sig("EngineRunning", 32, 1));
-    m.signals.push_back(sig("FuelRate", 40, 16, 0.05, 0.0, false, 0, 3000, "mg/s"));
+    m.signals[S::kEngineRpm] = sig("EngineRPM", 0, 16, 0.25, 0.0, true, 0, 8000, "rpm");
+    m.signals[S::kThrottlePct] = sig("ThrottlePct", 16, 8, 0.4, 0.0, false, 0, 100, "%");
+    m.signals[S::kCoolantTempC] =
+        sig("CoolantTempC", 24, 8, 1.0, -40.0, false, -40, 215, "degC");
+    m.signals[S::kEngineRunning] = sig("EngineRunning", 32, 1);
+    m.signals[S::kFuelRate] = sig("FuelRate", 40, 16, 0.05, 0.0, false, 0, 3000, "mg/s");
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgVehicleSpeed;
-    m.name = "VEHICLE_SPEED";
-    m.dlc = 8;
-    m.sender = "ECM";
-    m.cycle_time_ms = 20;
-    m.signals.push_back(sig("SpeedKph", 0, 16, 0.01, 0.0, false, 0, 300, "km/h"));
-    m.signals.push_back(sig("AccelPct", 16, 8, 0.4, 0.0, false, 0, 100, "%"));
-    m.signals.push_back(sig("BrakeActive", 24, 1));
-    m.signals.push_back(sig("GearPosition", 56, 4, 1.0, 0.0, false, 0, 8));
-    m.signals.push_back(sig("SpeedValid", 61, 1));
-    m.signals.push_back(sig("CruiseEngaged", 62, 1));
+    using S = VehicleSpeedSignal;
+    MessageDef m = message(kMsgVehicleSpeed, "VEHICLE_SPEED", 8, "ECM", 20, S::kCount);
+    m.signals[S::kSpeedKph] = sig("SpeedKph", 0, 16, 0.01, 0.0, false, 0, 300, "km/h");
+    m.signals[S::kAccelPct] = sig("AccelPct", 16, 8, 0.4, 0.0, false, 0, 100, "%");
+    m.signals[S::kBrakeActive] = sig("BrakeActive", 24, 1);
+    m.signals[S::kGearPosition] = sig("GearPosition", 56, 4, 1.0, 0.0, false, 0, 8);
+    m.signals[S::kSpeedValid] = sig("SpeedValid", 61, 1);
+    m.signals[S::kCruiseEngaged] = sig("CruiseEngaged", 62, 1);
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgWheelSpeeds;
-    m.name = "WHEEL_SPEEDS";
-    m.dlc = 8;
-    m.sender = "ABS";
-    m.cycle_time_ms = 20;
-    m.signals.push_back(sig("WheelFL", 0, 16, 0.01, 0.0, false, 0, 300, "km/h"));
-    m.signals.push_back(sig("WheelFR", 16, 16, 0.01, 0.0, false, 0, 300, "km/h"));
-    m.signals.push_back(sig("WheelRL", 32, 16, 0.01, 0.0, false, 0, 300, "km/h"));
-    m.signals.push_back(sig("WheelRR", 48, 16, 0.01, 0.0, false, 0, 300, "km/h"));
+    using S = WheelSpeedsSignal;
+    MessageDef m = message(kMsgWheelSpeeds, "WHEEL_SPEEDS", 8, "ABS", 20, S::kCount);
+    m.signals[S::kWheelFl] = sig("WheelFL", 0, 16, 0.01, 0.0, false, 0, 300, "km/h");
+    m.signals[S::kWheelFr] = sig("WheelFR", 16, 16, 0.01, 0.0, false, 0, 300, "km/h");
+    m.signals[S::kWheelRl] = sig("WheelRL", 32, 16, 0.01, 0.0, false, 0, 300, "km/h");
+    m.signals[S::kWheelRr] = sig("WheelRR", 48, 16, 0.01, 0.0, false, 0, 300, "km/h");
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgPowertrainStatus;
-    m.name = "POWERTRAIN_STATUS";
-    m.dlc = 8;
-    m.sender = "ECM";
-    m.cycle_time_ms = 100;
-    m.signals.push_back(sig("OilTempC", 0, 8, 1.0, -40.0, false, -40, 215, "degC"));
-    m.signals.push_back(sig("OilPressureKpa", 8, 8, 4.0, 0.0, false, 0, 1000, "kPa"));
-    m.signals.push_back(sig("IntakeTempC", 16, 8, 1.0, -40.0, false, -40, 215, "degC"));
-    m.signals.push_back(sig("BatteryVolts", 24, 8, 0.1, 0.0, false, 0, 25.5, "V"));
-    m.signals.push_back(sig("FuelLevelPct", 32, 8, 0.4, 0.0, false, 0, 100, "%"));
-    m.signals.push_back(sig("AmbientTempC", 40, 8, 1.0, -40.0, false, -40, 215, "degC"));
+    using S = PowertrainStatusSignal;
+    MessageDef m =
+        message(kMsgPowertrainStatus, "POWERTRAIN_STATUS", 8, "ECM", 100, S::kCount);
+    m.signals[S::kOilTempC] = sig("OilTempC", 0, 8, 1.0, -40.0, false, -40, 215, "degC");
+    m.signals[S::kOilPressureKpa] =
+        sig("OilPressureKpa", 8, 8, 4.0, 0.0, false, 0, 1000, "kPa");
+    m.signals[S::kIntakeTempC] = sig("IntakeTempC", 16, 8, 1.0, -40.0, false, -40, 215, "degC");
+    m.signals[S::kBatteryVolts] = sig("BatteryVolts", 24, 8, 0.1, 0.0, false, 0, 25.5, "V");
+    m.signals[S::kFuelLevelPct] = sig("FuelLevelPct", 32, 8, 0.4, 0.0, false, 0, 100, "%");
+    m.signals[S::kAmbientTempC] =
+        sig("AmbientTempC", 40, 8, 1.0, -40.0, false, -40, 215, "degC");
     // Bytes 6..7 are reserved and transmitted as 0xFF by the ECM (matching
     // the "FF FF" tail visible in the paper's Table II capture of 0x43A).
-    m.signals.push_back(sig("Reserved", 48, 16, 1.0, 0.0, false, 0, 65535));
+    m.signals[S::kReserved] = sig("Reserved", 48, 16, 1.0, 0.0, false, 0, 65535);
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgClusterDisplay;
-    m.name = "CLUSTER_DISPLAY";
-    m.dlc = 8;
-    m.sender = "BCM";
-    m.cycle_time_ms = 100;
-    m.signals.push_back(sig("DisplayMode", 0, 8));
-    m.signals.push_back(sig("DisplayArg", 8, 8));
-    m.signals.push_back(sig("OdometerKm", 16, 24, 0.1, 0.0, false, 0, 1677721, "km"));
-    m.signals.push_back(sig("TripKm", 40, 16, 0.1, 0.0, false, 0, 6553.5, "km"));
+    using S = ClusterDisplaySignal;
+    MessageDef m = message(kMsgClusterDisplay, "CLUSTER_DISPLAY", 8, "BCM", 100, S::kCount);
+    m.signals[S::kDisplayMode] = sig("DisplayMode", 0, 8);
+    m.signals[S::kDisplayArg] = sig("DisplayArg", 8, 8);
+    m.signals[S::kOdometerKm] = sig("OdometerKm", 16, 24, 0.1, 0.0, false, 0, 1677721, "km");
+    m.signals[S::kTripKm] = sig("TripKm", 40, 16, 0.1, 0.0, false, 0, 6553.5, "km");
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgTelltales;
-    m.name = "TELLTALES";
-    m.dlc = 8;
-    m.sender = "ECM";
-    m.cycle_time_ms = 100;
-    m.signals.push_back(sig("MilOn", 0, 1));
-    m.signals.push_back(sig("OilWarning", 1, 1));
-    m.signals.push_back(sig("BatteryWarning", 2, 1));
-    m.signals.push_back(sig("CoolantWarning", 3, 1));
-    m.signals.push_back(sig("AbsWarning", 4, 1));
-    m.signals.push_back(sig("AirbagWarning", 5, 1));
-    m.signals.push_back(sig("DtcCount", 8, 8, 1.0, 0.0, false, 0, 255));
+    using S = TelltalesSignal;
+    MessageDef m = message(kMsgTelltales, "TELLTALES", 8, "ECM", 100, S::kCount);
+    m.signals[S::kMilOn] = sig("MilOn", 0, 1);
+    m.signals[S::kOilWarning] = sig("OilWarning", 1, 1);
+    m.signals[S::kBatteryWarning] = sig("BatteryWarning", 2, 1);
+    m.signals[S::kCoolantWarning] = sig("CoolantWarning", 3, 1);
+    m.signals[S::kAbsWarning] = sig("AbsWarning", 4, 1);
+    m.signals[S::kAirbagWarning] = sig("AirbagWarning", 5, 1);
+    m.signals[S::kDtcCount] = sig("DtcCount", 8, 8, 1.0, 0.0, false, 0, 255);
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgBodyCommand;
-    m.name = "BODY_COMMAND";
-    m.dlc = 7;  // the paper's lock/unlock app transmits DLC 7 on id 0x215
-    m.sender = "IVI";
-    m.cycle_time_ms = 0;  // event-driven
-    m.signals.push_back(sig("Command", 0, 8));
-    m.signals.push_back(sig("Source", 8, 8));
-    m.signals.push_back(sig("SessionId", 16, 16));
-    m.signals.push_back(sig("SequenceNum", 32, 8));
+    // The paper's lock/unlock app transmits DLC 7 on id 0x215; event-driven.
+    using S = BodyCommandSignal;
+    MessageDef m = message(kMsgBodyCommand, "BODY_COMMAND", 7, "IVI", 0, S::kCount);
+    m.signals[S::kCommand] = sig("Command", 0, 8);
+    m.signals[S::kSource] = sig("Source", 8, 8);
+    m.signals[S::kSessionId] = sig("SessionId", 16, 16);
+    m.signals[S::kSequenceNum] = sig("SequenceNum", 32, 8);
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgBodyAck;
-    m.name = "BODY_ACK";
-    m.dlc = 2;
-    m.sender = "BCM";
-    m.cycle_time_ms = 0;
-    m.signals.push_back(sig("AckCommand", 0, 8));
-    m.signals.push_back(sig("AckResult", 8, 8));
+    using S = BodyAckSignal;
+    MessageDef m = message(kMsgBodyAck, "BODY_ACK", 2, "BCM", 0, S::kCount);
+    m.signals[S::kAckCommand] = sig("AckCommand", 0, 8);
+    m.signals[S::kAckResult] = sig("AckResult", 8, 8);
     db.add(std::move(m));
   }
   {
-    MessageDef m;
-    m.id = kMsgDoorStatus;
-    m.name = "DOOR_STATUS";
-    m.dlc = 4;
-    m.sender = "BCM";
-    m.cycle_time_ms = 100;
-    m.signals.push_back(sig("LockState", 0, 1));  // 0 locked, 1 unlocked
-    m.signals.push_back(sig("DriverDoorOpen", 1, 1));
-    m.signals.push_back(sig("PassengerDoorOpen", 2, 1));
-    m.signals.push_back(sig("InteriorLight", 8, 1));
+    using S = DoorStatusSignal;
+    MessageDef m = message(kMsgDoorStatus, "DOOR_STATUS", 4, "BCM", 100, S::kCount);
+    m.signals[S::kLockState] = sig("LockState", 0, 1);  // 0 locked, 1 unlocked
+    m.signals[S::kDriverDoorOpen] = sig("DriverDoorOpen", 1, 1);
+    m.signals[S::kPassengerDoorOpen] = sig("PassengerDoorOpen", 2, 1);
+    m.signals[S::kInteriorLight] = sig("InteriorLight", 8, 1);
     db.add(std::move(m));
   }
   return db;

@@ -8,6 +8,7 @@
 // these definitions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "dbc/database.hpp"
@@ -24,6 +25,48 @@ inline constexpr std::uint32_t kMsgTelltales = 0x420;         // 100 ms
 inline constexpr std::uint32_t kMsgBodyCommand = 0x215;       // event (body bus)
 inline constexpr std::uint32_t kMsgBodyAck = 0x216;           // event (body bus)
 inline constexpr std::uint32_t kMsgDoorStatus = 0x21A;        // 100 ms (body bus)
+
+// Signal positions: each signal's index in its message's
+// MessageDef::signals, which is its declaration order; kCount is the
+// message's signal count.  The ECU models encode a frame with one value per
+// position (MessageDef::encode(span)) and decode only the signals they read
+// (dbc::decode(signals[i], payload)), so no per-frame path looks a signal up
+// by name and this header is the one place that knows each layout.
+struct EngineDataSignal {
+  enum : std::size_t { kEngineRpm, kThrottlePct, kCoolantTempC, kEngineRunning, kFuelRate, kCount };
+};
+struct VehicleSpeedSignal {
+  enum : std::size_t {
+    kSpeedKph, kAccelPct, kBrakeActive, kGearPosition, kSpeedValid, kCruiseEngaged, kCount
+  };
+};
+struct WheelSpeedsSignal {
+  enum : std::size_t { kWheelFl, kWheelFr, kWheelRl, kWheelRr, kCount };
+};
+struct PowertrainStatusSignal {
+  enum : std::size_t {
+    kOilTempC, kOilPressureKpa, kIntakeTempC, kBatteryVolts, kFuelLevelPct, kAmbientTempC,
+    kReserved, kCount
+  };
+};
+struct ClusterDisplaySignal {
+  enum : std::size_t { kDisplayMode, kDisplayArg, kOdometerKm, kTripKm, kCount };
+};
+struct TelltalesSignal {
+  enum : std::size_t {
+    kMilOn, kOilWarning, kBatteryWarning, kCoolantWarning, kAbsWarning, kAirbagWarning,
+    kDtcCount, kCount
+  };
+};
+struct BodyCommandSignal {
+  enum : std::size_t { kCommand, kSource, kSessionId, kSequenceNum, kCount };
+};
+struct BodyAckSignal {
+  enum : std::size_t { kAckCommand, kAckResult, kCount };
+};
+struct DoorStatusSignal {
+  enum : std::size_t { kLockState, kDriverDoorOpen, kPassengerDoorOpen, kInteriorLight, kCount };
+};
 
 // UDS diagnostic addressing (physical request/response pairs).
 inline constexpr std::uint32_t kUdsEngineRequest = 0x7E0;

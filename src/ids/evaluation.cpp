@@ -5,6 +5,7 @@
 #include <functional>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 namespace acf::ids {
 
@@ -29,15 +30,55 @@ FrameLabeler::Key FrameLabeler::key_of(const can::CanFrame& frame) noexcept {
   return key;
 }
 
+std::size_t FrameLabeler::probe(const Key& key) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = key.hash & mask;
+  while (slots_[i].count != 0 && !(slots_[i].key == key)) i = (i + 1) & mask;
+  return i;
+}
+
+void FrameLabeler::erase(std::size_t slot) noexcept {
+  // Backward-shift deletion: move each later slot of the probe run into the
+  // hole unless its home lies cyclically in (hole, i], where the move would
+  // put it before its home.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t i = (slot + 1) & mask; slots_[i].count != 0; i = (i + 1) & mask) {
+    const std::size_t home = slots_[i].key.hash & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole].count = 0;
+  --occupied_;
+}
+
+void FrameLabeler::grow() {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.empty() ? 16 : slots_.size() * 2));
+  for (const Slot& slot : old) {
+    if (slot.count != 0) slots_[probe(slot.key)] = slot;
+  }
+}
+
 void FrameLabeler::note_injected(const can::CanFrame& frame) {
-  ++pending_[key_of(frame)];
   ++injected_;
+  if ((occupied_ + 1) * 4 > slots_.size() * 3) grow();
+  const Key key = key_of(frame);
+  Slot& slot = slots_[probe(key)];
+  if (slot.count == 0) {
+    slot.key = key;
+    ++occupied_;
+  }
+  ++slot.count;
 }
 
 bool FrameLabeler::consume_if_attack(const can::CanFrame& frame) {
-  const auto it = pending_.find(key_of(frame));
-  if (it == pending_.end()) return false;
-  if (--it->second == 0) pending_.erase(it);
+  if (occupied_ == 0) return false;
+  const std::size_t i = probe(key_of(frame));
+  if (slots_[i].count == 0) return false;
+  if (--slots_[i].count == 0) erase(i);
   ++matched_;
   return true;
 }

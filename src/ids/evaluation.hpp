@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "can/frame.hpp"
@@ -22,11 +21,18 @@
 
 namespace acf::ids {
 
-/// FIFO ground-truth labeler.  note_injected() at send time; a later
-/// consume_if_attack() with an identical frame pops one note and labels the
-/// observation as attack traffic.  Content matching is exact (id, format,
-/// remote and FD flags, DLC, payload; the FD bit-rate switch is ignored); a
-/// frame dropped by the bus simply leaves its note unconsumed.
+/// Ground-truth labeler: a multiset of injected frame contents.
+/// note_injected() at send time; a later consume_if_attack() with an
+/// identical frame takes one note and labels the observation as attack
+/// traffic.  Content matching is exact (id, format, remote and FD flags, DLC,
+/// payload; the FD bit-rate switch is ignored); a frame dropped by the bus
+/// simply leaves its note unconsumed.
+///
+/// Pending notes live in one flat open-addressing table of {content, count}
+/// slots: linear probing on the content hash, backward-shift deletion (no
+/// tombstones) and doubling at 3/4 load, so a probe stays a few slots long
+/// however many notes are never consumed.  Once the table has grown to a
+/// trial's peak pending set, noting and consuming allocate nothing.
 class FrameLabeler {
  public:
   void note_injected(const can::CanFrame& frame);
@@ -39,8 +45,8 @@ class FrameLabeler {
 
  private:
   /// A frame's matched content as a fixed-size POD, payload bytes past
-  /// `length` zero, carrying its own hash: the map recomputes a key's hash
-  /// whenever it walks a bucket, so that is a load, not a pass over bytes.
+  /// `length` zero, carrying its own hash: probing and moving slots read
+  /// it, and comparing two keys checks it first.
   struct Key {
     std::size_t hash;
     std::uint32_t id;
@@ -51,13 +57,20 @@ class FrameLabeler {
 
     friend bool operator==(const Key&, const Key&) = default;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept { return key.hash; }
+  /// One table slot; count 0 marks it empty.
+  struct Slot {
+    Key key;
+    std::uint32_t count;
   };
 
   static Key key_of(const can::CanFrame& frame) noexcept;
+  /// The slot holding `key`, or the empty slot that ends its probe.
+  std::size_t probe(const Key& key) const noexcept;
+  void erase(std::size_t slot) noexcept;
+  void grow();
 
-  std::unordered_map<Key, std::uint32_t, KeyHash> pending_;
+  std::vector<Slot> slots_;  // power-of-two size, or empty before the first note
+  std::size_t occupied_ = 0;
   std::uint64_t injected_ = 0;
   std::uint64_t matched_ = 0;
 };

@@ -13,6 +13,7 @@
 #include "selftest/targets.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
@@ -186,8 +187,37 @@ Verdict run_checkpoint_roundtrip(Bytes input) {
 }
 
 // ---------------------------------------------------------------------------
-// dbc: parse arbitrary text; whatever loads must be structurally sound and
-// survive print→parse unchanged.  [R][M][S]
+// dbc: parse arbitrary text; whatever loads must be structurally sound,
+// survive print→parse unchanged, and encode and decode through the signal
+// codec.  [R][M][S]
+
+/// Runs one loaded signal through the codec on a payload of its message's
+/// DLC, filled from the input: the raw value survives extract→insert, an
+/// inserted raw value reads back, and encoding the decoded physical value
+/// writes only the signal's own bits.
+Verdict check_signal_codec(const dbc::MessageDef& message, const dbc::SignalDef& sig,
+                           Bytes input) {
+  std::array<std::uint8_t, can::kMaxClassicPayload> original{};
+  for (std::size_t i = 0; i < message.dlc && !input.empty(); ++i) {
+    original[i] = input[(i + sig.start_bit) % input.size()];
+  }
+  const std::span<const std::uint8_t> payload(original.data(), message.dlc);
+  const auto raw = dbc::extract_raw(sig, payload);
+  const auto physical = dbc::decode(sig, payload);
+  if (!raw || !physical) return "signal '" + sig.name + "' does not decode from its message";
+  auto written = original;
+  const std::span<std::uint8_t> writable(written.data(), message.dlc);
+  const std::uint64_t mask = sig.bit_length >= 64 ? ~0ULL : (1ULL << sig.bit_length) - 1;
+  if (!dbc::insert_raw(sig, ~*raw & mask, writable) ||
+      dbc::extract_raw(sig, writable) != (~*raw & mask)) {
+    return "signal '" + sig.name + "' does not read back an inserted raw value";
+  }
+  if (!dbc::encode(sig, *physical, writable) || !dbc::insert_raw(sig, *raw, writable) ||
+      written != original) {
+    return "encoding signal '" + sig.name + "' changed bits outside it";
+  }
+  return std::nullopt;
+}
 
 bool signals_equal(const dbc::SignalDef& a, const dbc::SignalDef& b) {
   return a.name == b.name && a.start_bit == b.start_bit && a.bit_length == b.bit_length &&
@@ -224,6 +254,7 @@ Verdict run_dbc(Bytes input) {
         return "parser accepted signal '" + sig.name + "' exceeding DLC of '" +
                message.name + "'";
       }
+      if (Verdict verdict = check_signal_codec(message, sig, input)) return verdict;
     }
   }
   const std::string printed = dbc::to_dbc_text(first.database, first.nodes);

@@ -1,5 +1,7 @@
 #include "vehicle/body_control.hpp"
 
+#include <array>
+
 namespace acf::vehicle {
 
 namespace {
@@ -21,18 +23,22 @@ BodyControlModule::BodyControlModule(sim::Scheduler& scheduler, can::VirtualBus&
   uds_server()->set_did(0xF195, {'2', '.', '0', '.', '9'});
 
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgDoorStatus);
-    return def->encode({{"LockState", unlocked_ ? 1.0 : 0.0},
-                        {"DriverDoorOpen", 0.0},
-                        {"PassengerDoorOpen", 0.0},
-                        {"InteriorLight", unlocked_ ? 1.0 : 0.0}});
+    using S = dbc::DoorStatusSignal;
+    std::array<double, S::kCount> values{};
+    values[S::kLockState] = unlocked_ ? 1.0 : 0.0;
+    values[S::kDriverDoorOpen] = 0.0;
+    values[S::kPassengerDoorOpen] = 0.0;
+    values[S::kInteriorLight] = unlocked_ ? 1.0 : 0.0;
+    return db_.by_id(dbc::kMsgDoorStatus)->encode(values);
   });
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgClusterDisplay);
-    return def->encode({{"DisplayMode", 0.0},
-                        {"DisplayArg", 0.0},
-                        {"OdometerKm", odometer_km_},
-                        {"TripKm", 104.2}});
+    using S = dbc::ClusterDisplaySignal;
+    std::array<double, S::kCount> values{};
+    values[S::kDisplayMode] = 0.0;
+    values[S::kDisplayArg] = 0.0;
+    values[S::kOdometerKm] = odometer_km_;
+    values[S::kTripKm] = 104.2;
+    return db_.by_id(dbc::kMsgClusterDisplay)->encode(values);
   });
 }
 
@@ -67,11 +73,11 @@ void BodyControlModule::actuate(bool unlocked, std::uint8_t command) {
 }
 
 void BodyControlModule::send_ack(std::uint8_t command, bool ok) {
-  const auto* def = db_.by_id(dbc::kMsgBodyAck);
-  if (const auto frame = def->encode({{"AckCommand", static_cast<double>(command)},
-                                      {"AckResult", ok ? 1.0 : 0.0}})) {
-    send(*frame);
-  }
+  using S = dbc::BodyAckSignal;
+  std::array<double, S::kCount> values{};
+  values[S::kAckCommand] = static_cast<double>(command);
+  values[S::kAckResult] = ok ? 1.0 : 0.0;
+  if (const auto frame = db_.by_id(dbc::kMsgBodyAck)->encode(values)) send(*frame);
 }
 
 void BodyControlModule::handle_frame(const can::CanFrame& frame, sim::SimTime) {

@@ -1,6 +1,7 @@
 #include "vehicle/engine_ecu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace acf::vehicle {
@@ -54,43 +55,50 @@ EngineEcu::EngineEcu(sim::Scheduler& scheduler, can::VirtualBus& bus,
       dbc::kUdsEngineRequest, std::move(source));
 
   add_periodic(kControlPeriod, [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgEngineData);
-    return def->encode({{"EngineRPM", rpm_},
-                        {"ThrottlePct", throttle_pct_},
-                        {"CoolantTempC", coolant_c_},
-                        {"EngineRunning", 1.0},
-                        {"FuelRate", 50.0 + rpm_ * 0.3}});
+    using S = dbc::EngineDataSignal;
+    std::array<double, S::kCount> values{};
+    values[S::kEngineRpm] = rpm_;
+    values[S::kThrottlePct] = throttle_pct_;
+    values[S::kCoolantTempC] = coolant_c_;
+    values[S::kEngineRunning] = 1.0;
+    values[S::kFuelRate] = 50.0 + rpm_ * 0.3;
+    return db_.by_id(dbc::kMsgEngineData)->encode(values);
   });
   add_periodic(std::chrono::milliseconds(20), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgVehicleSpeed);
+    using S = dbc::VehicleSpeedSignal;
     const double gear = speed_kph_ < 1 ? 0 : std::clamp(speed_kph_ / 20.0 + 1.0, 1.0, 6.0);
-    return def->encode({{"SpeedKph", speed_kph_},
-                        {"AccelPct", throttle_pct_},
-                        {"BrakeActive", throttle_pct_ < 2.0 && speed_kph_ > 1.0 ? 1.0 : 0.0},
-                        {"GearPosition", std::floor(gear)},
-                        {"SpeedValid", 1.0},
-                        {"CruiseEngaged", 0.0}});
+    std::array<double, S::kCount> values{};
+    values[S::kSpeedKph] = speed_kph_;
+    values[S::kAccelPct] = throttle_pct_;
+    values[S::kBrakeActive] = throttle_pct_ < 2.0 && speed_kph_ > 1.0 ? 1.0 : 0.0;
+    values[S::kGearPosition] = std::floor(gear);
+    values[S::kSpeedValid] = 1.0;
+    values[S::kCruiseEngaged] = 0.0;
+    return db_.by_id(dbc::kMsgVehicleSpeed)->encode(values);
   });
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgPowertrainStatus);
-    return def->encode({{"OilTempC", coolant_c_ * 0.9},
-                        {"OilPressureKpa", 180.0 + rpm_ * 0.05},
-                        {"IntakeTempC", 23.0},
-                        {"BatteryVolts", 14.1},
-                        {"FuelLevelPct", fuel_pct_},
-                        {"AmbientTempC", 17.0},
-                        {"Reserved", 65535.0}});
+    using S = dbc::PowertrainStatusSignal;
+    std::array<double, S::kCount> values{};
+    values[S::kOilTempC] = coolant_c_ * 0.9;
+    values[S::kOilPressureKpa] = 180.0 + rpm_ * 0.05;
+    values[S::kIntakeTempC] = 23.0;
+    values[S::kBatteryVolts] = 14.1;
+    values[S::kFuelLevelPct] = fuel_pct_;
+    values[S::kAmbientTempC] = 17.0;
+    values[S::kReserved] = 65535.0;
+    return db_.by_id(dbc::kMsgPowertrainStatus)->encode(values);
   });
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgTelltales);
-    const bool mil = dtcs().mil_requested();
-    return def->encode({{"MilOn", mil ? 1.0 : 0.0},
-                        {"OilWarning", 0.0},
-                        {"BatteryWarning", 0.0},
-                        {"CoolantWarning", coolant_c_ > 115.0 ? 1.0 : 0.0},
-                        {"AbsWarning", 0.0},
-                        {"AirbagWarning", 0.0},
-                        {"DtcCount", static_cast<double>(dtcs().count())}});
+    using S = dbc::TelltalesSignal;
+    std::array<double, S::kCount> values{};
+    values[S::kMilOn] = dtcs().mil_requested() ? 1.0 : 0.0;
+    values[S::kOilWarning] = 0.0;
+    values[S::kBatteryWarning] = 0.0;
+    values[S::kCoolantWarning] = coolant_c_ > 115.0 ? 1.0 : 0.0;
+    values[S::kAbsWarning] = 0.0;
+    values[S::kAirbagWarning] = 0.0;
+    values[S::kDtcCount] = static_cast<double>(dtcs().count());
+    return db_.by_id(dbc::kMsgTelltales)->encode(values);
   });
 }
 
@@ -148,12 +156,12 @@ void EngineEcu::control_tick() {
 void EngineEcu::handle_frame(const can::CanFrame& frame, sim::SimTime time) {
   if (obd_) obd_->handle_frame(frame, time);
   if (frame.id() != dbc::kMsgWheelSpeeds || frame.is_remote()) return;
-  const auto* def = db_.by_id(dbc::kMsgWheelSpeeds);
-  const auto values = def->decode(frame);
-  const auto fl = values.find("WheelFL");
-  const auto fr = values.find("WheelFR");
-  if (fl == values.end() || fr == values.end()) return;
-  const double avg = (fl->second + fr->second) / 2.0;
+  using S = dbc::WheelSpeedsSignal;
+  const auto& signals = db_.by_id(dbc::kMsgWheelSpeeds)->signals;
+  const auto fl = dbc::decode(signals[S::kWheelFl], frame.payload());
+  const auto fr = dbc::decode(signals[S::kWheelFr], frame.payload());
+  if (!fl || !fr) return;
+  const double avg = (*fl + *fr) / 2.0;
 
   // Plausibility: wheel speed must roughly agree with our own road speed.
   const double discrepancy = std::fabs(avg - speed_kph_);

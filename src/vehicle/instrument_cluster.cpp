@@ -90,55 +90,52 @@ void InstrumentCluster::handle_frame(const can::CanFrame& frame, sim::SimTime ti
   if (frame.is_remote()) return;
   if (xcp_) xcp_->handle_frame(frame, time);
 
+  const auto payload = frame.payload();
   switch (frame.id()) {
     case dbc::kMsgEngineData: {
-      const auto* def = db_.by_id(dbc::kMsgEngineData);
-      const auto values = def->decode(frame);
-      if (const auto it = values.find("EngineRPM"); it != values.end()) {
+      using S = dbc::EngineDataSignal;
+      const auto& signals = db_.by_id(dbc::kMsgEngineData)->signals;
+      if (const auto rpm = dbc::decode(signals[S::kEngineRpm], payload)) {
         // No plausibility gate: a negative or absurd RPM is displayed as-is.
-        set_gauge(rpm_gauge_, it->second);
-        if (!def->signal("EngineRPM")->in_declared_range(it->second)) {
-          note_implausible("EngineRPM");
-        }
+        set_gauge(rpm_gauge_, *rpm);
+        if (!signals[S::kEngineRpm].in_declared_range(*rpm)) note_implausible("EngineRPM");
       }
-      if (const auto it = values.find("CoolantTempC"); it != values.end()) {
-        set_gauge(coolant_gauge_, it->second);
+      if (const auto coolant = dbc::decode(signals[S::kCoolantTempC], payload)) {
+        set_gauge(coolant_gauge_, *coolant);
       }
       break;
     }
     case dbc::kMsgVehicleSpeed: {
-      const auto* def = db_.by_id(dbc::kMsgVehicleSpeed);
-      const auto values = def->decode(frame);
-      if (const auto it = values.find("SpeedKph"); it != values.end()) {
-        set_gauge(speed_gauge_, it->second);
-        if (!def->signal("SpeedKph")->in_declared_range(it->second)) {
-          note_implausible("SpeedKph");
-        }
+      using S = dbc::VehicleSpeedSignal;
+      const auto& signals = db_.by_id(dbc::kMsgVehicleSpeed)->signals;
+      if (const auto speed = dbc::decode(signals[S::kSpeedKph], payload)) {
+        set_gauge(speed_gauge_, *speed);
+        if (!signals[S::kSpeedKph].in_declared_range(*speed)) note_implausible("SpeedKph");
       }
       break;
     }
     case dbc::kMsgPowertrainStatus: {
-      const auto* def = db_.by_id(dbc::kMsgPowertrainStatus);
-      const auto values = def->decode(frame);
-      if (const auto it = values.find("FuelLevelPct"); it != values.end()) {
-        set_gauge(fuel_gauge_, it->second);
+      using S = dbc::PowertrainStatusSignal;
+      const auto& signals = db_.by_id(dbc::kMsgPowertrainStatus)->signals;
+      if (const auto fuel = dbc::decode(signals[S::kFuelLevelPct], payload)) {
+        set_gauge(fuel_gauge_, *fuel);
       }
       break;
     }
     case dbc::kMsgTelltales: {
-      const auto* def = db_.by_id(dbc::kMsgTelltales);
-      const auto values = def->decode(frame);
-      auto bit = [&values](const char* signal_name) {
-        const auto it = values.find(signal_name);
-        return it != values.end() && it->second >= 0.5;
+      using S = dbc::TelltalesSignal;
+      const auto& signals = db_.by_id(dbc::kMsgTelltales)->signals;
+      auto bit = [&](std::size_t position) {
+        const auto value = dbc::decode(signals[position], payload);
+        return value && *value >= 0.5;
       };
       const bool was_warning = any_warning_lit();
-      mil_on_ = bit("MilOn") || mil_on_;
-      oil_warning_ = bit("OilWarning");
-      battery_warning_ = bit("BatteryWarning");
-      coolant_warning_ = bit("CoolantWarning");
-      abs_warning_ = bit("AbsWarning");
-      airbag_warning_ = bit("AirbagWarning");
+      mil_on_ = bit(S::kMilOn) || mil_on_;
+      oil_warning_ = bit(S::kOilWarning);
+      battery_warning_ = bit(S::kBatteryWarning);
+      coolant_warning_ = bit(S::kCoolantWarning);
+      abs_warning_ = bit(S::kAbsWarning);
+      airbag_warning_ = bit(S::kAirbagWarning);
       if (!was_warning && any_warning_lit()) ++warning_sounds_;
       break;
     }
@@ -161,11 +158,11 @@ void InstrumentCluster::handle_display_command(const can::CanFrame& frame) {
 
   if (mode < 0x06) {
     // Normal display modes: odometer / trip / text pages.
-    const auto* def = db_.by_id(dbc::kMsgClusterDisplay);
-    const auto values = def->decode(frame);
-    if (const auto it = values.find("OdometerKm"); it != values.end()) {
+    const auto& odometer =
+        db_.by_id(dbc::kMsgClusterDisplay)->signals[dbc::ClusterDisplaySignal::kOdometerKm];
+    if (const auto km = dbc::decode(odometer, payload)) {
       char buf[16];
-      std::snprintf(buf, sizeof buf, "%.0f", it->second);
+      std::snprintf(buf, sizeof buf, "%.0f", *km);
       display_text_ = buf;
     }
     return;

@@ -1,17 +1,21 @@
 #include "vehicle/vehicle.hpp"
 
+#include <array>
+
 namespace acf::vehicle {
 
 AbsEcu::AbsEcu(sim::Scheduler& scheduler, can::VirtualBus& bus, const EngineEcu& engine)
     : Ecu(scheduler, bus, "ABS"), engine_(engine) {
   add_periodic(std::chrono::milliseconds(20), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgWheelSpeeds);
+    using S = dbc::WheelSpeedsSignal;
     const double v = engine_.speed_kph();
     // Per-wheel deltas: slight differential offsets as in a gentle curve.
-    return def->encode({{"WheelFL", v * 1.002},
-                        {"WheelFR", v * 0.998},
-                        {"WheelRL", v * 1.001},
-                        {"WheelRR", v * 0.999}});
+    std::array<double, S::kCount> values{};
+    values[S::kWheelFl] = v * 1.002;
+    values[S::kWheelFr] = v * 0.998;
+    values[S::kWheelRl] = v * 1.001;
+    values[S::kWheelRr] = v * 0.999;
+    return db_.by_id(dbc::kMsgWheelSpeeds)->encode(values);
   });
 }
 

@@ -1,0 +1,109 @@
+// Heap-allocation budgets of the per-frame paths.  This binary replaces the
+// global operator new with a counting one (each test source links into its
+// own executable, so no other suite sees it) and counts only inside a
+// window around warm steady-state work, which must not allocate: the full
+// vehicle's ECUs encode and decode signals by position on the stack, and the
+// IDS labeler's flat table stops growing once it holds the pending peak.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "can/frame.hpp"
+#include "ids/evaluation.hpp"
+#include "sim/scheduler.hpp"
+#include "vehicle/vehicle.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* p = std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded)) return p;
+  throw std::bad_alloc();
+}
+
+std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+// The array, nothrow and sized forms of the library forward to these.
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace acf {
+namespace {
+
+using namespace std::chrono_literals;
+
+TEST(VehicleAllocations, SteadyStateDriveCycleAllocatesNothing) {
+  const std::uint64_t at_start = allocations();
+  sim::Scheduler scheduler{256};
+  vehicle::Vehicle vehicle(scheduler);
+  ASSERT_GT(allocations(), at_start) << "building a vehicle allocates: the counter is not live";
+
+  scheduler.run_until(sim::SimTime{200ms});  // warm-up: every periodic has fired
+  auto frames_delivered = [&vehicle] {
+    return vehicle.powertrain_bus().stats().frames_delivered +
+           vehicle.body_bus().stats().frames_delivered;
+  };
+  const std::uint64_t before = allocations();
+  const std::uint64_t frames_before = frames_delivered();
+  scheduler.run_until(sim::SimTime{2200ms});
+  const std::uint64_t during = allocations() - before;
+  const std::uint64_t frames = frames_delivered() - frames_before;
+
+  EXPECT_GT(frames, 800u);  // 2 s of both buses' periodic traffic (920 frames)
+  EXPECT_EQ(during, 0u) << "over " << frames << " frames";
+}
+
+TEST(LabelerAllocations, WarmTableAllocatesNothing) {
+  std::vector<can::CanFrame> frames;
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    const std::uint8_t payload[8] = {i, 0x5F, 0x01, 0x00, i, 0x20, 0x00, 0x00};
+    frames.push_back(*can::CanFrame::data(0x215 + (i % 3), payload));
+  }
+  ids::FrameLabeler labeler;
+  // Notes run eight frames ahead of observations, and every other
+  // observation is legitimate traffic the labeler holds no note for; each
+  // run ends drained.
+  auto run = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      labeler.note_injected(frames[i % frames.size()]);
+      if (i >= 8) labeler.consume_if_attack(frames[(i - 8) % frames.size()]);
+      labeler.consume_if_attack(*can::CanFrame::data(0x7DF, frames[i % frames.size()].payload()));
+    }
+    for (std::size_t i = count - 8; i < count; ++i) {
+      labeler.consume_if_attack(frames[i % frames.size()]);
+    }
+  };
+  run(10000);  // warm-up: the table grows to the pending peak
+  const std::uint64_t before = allocations();
+  run(10000);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(labeler.injected(), 20000u);
+  EXPECT_EQ(labeler.matched(), 20000u);
+}
+
+}  // namespace
+}  // namespace acf

@@ -15,6 +15,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -481,6 +482,93 @@ TEST(IdsEvaluation, FrameLabelerKeysOnFormatFlagsDlcAndFdPayload) {
   EXPECT_TRUE(labeler.consume_if_attack(extended));
   EXPECT_TRUE(labeler.consume_if_attack(remote));
   EXPECT_EQ(labeler.outstanding(), 0u);
+}
+
+// The labeler is a multiset of frame contents: check it against std::map
+// counts over random interleavings of notes and observations.  The frame
+// pool collides on everything but one field at a time (format, remote, FD,
+// DLC, length with the same leading bytes), and a burst of 10k notes that are
+// never observed grows the table while the pool's notes sit in it.
+TEST(IdsEvaluation, FrameLabelerMatchesMultisetModel) {
+  std::vector<CanFrame> pool;
+  const std::array<std::uint8_t, 64> bytes = [] {
+    std::array<std::uint8_t, 64> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<std::uint8_t>(i % 3);
+    return out;
+  }();
+  for (const std::uint32_t id : {0x100u, 0x101u, 0x7FFu}) {
+    for (std::size_t length = 0; length <= 8; ++length) {
+      // Lengths differing by a trailing zero byte share every stored byte.
+      const auto payload = std::span(bytes.data(), length);
+      pool.push_back(*CanFrame::data(id, payload));
+      pool.push_back(*CanFrame::data(id, payload, can::IdFormat::kExtended));
+      pool.push_back(*CanFrame::remote(id, static_cast<std::uint8_t>(length)));
+    }
+    for (const std::size_t length : {8u, 12u, 16u, 64u}) {
+      pool.push_back(*CanFrame::fd_data(id, std::span(bytes.data(), length), true));
+    }
+  }
+
+  using ModelKey = std::tuple<std::uint32_t, bool, bool, bool, std::uint8_t,
+                              std::vector<std::uint8_t>>;
+  auto model_key = [](const CanFrame& frame) {
+    return ModelKey{frame.id(),     frame.is_extended(), frame.is_remote(),
+                    frame.is_fd(),  frame.dlc(),
+                    std::vector<std::uint8_t>(frame.payload().begin(), frame.payload().end())};
+  };
+  std::map<ModelKey, std::uint64_t> model;
+  std::uint64_t injected = 0;
+  std::uint64_t matched = 0;
+  FrameLabeler labeler;
+  util::Rng rng(0x1ABE1);
+
+  auto check_counts = [&] {
+    ASSERT_EQ(labeler.injected(), injected);
+    ASSERT_EQ(labeler.matched(), matched);
+    ASSERT_EQ(labeler.outstanding(), injected - matched);
+  };
+  auto note = [&](const CanFrame& frame) {
+    labeler.note_injected(frame);
+    ++model[model_key(frame)];
+    ++injected;
+  };
+  auto consume = [&](const CanFrame& frame) {
+    auto it = model.find(model_key(frame));
+    const bool expected = it != model.end();
+    if (expected && --it->second == 0) model.erase(it);
+    matched += expected ? 1 : 0;
+    ASSERT_EQ(labeler.consume_if_attack(frame), expected) << frame.to_string();
+  };
+  auto interleave = [&](int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const CanFrame& frame = rng.pick(pool);
+      if (rng.next_bool(0.45)) {
+        note(frame);
+      } else {
+        consume(frame);
+      }
+      check_counts();
+    }
+  };
+
+  interleave(20000);
+  std::vector<CanFrame> unobserved;
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    const std::uint8_t payload[4] = {static_cast<std::uint8_t>(i),
+                                     static_cast<std::uint8_t>(i >> 8), 0x5A, 0xA5};
+    unobserved.push_back(*CanFrame::data(0x300 + (i % 7), payload));
+    note(unobserved.back());
+  }
+  check_counts();
+  interleave(20000);
+  for (const CanFrame& frame : unobserved) consume(frame);
+  check_counts();
+  for (const CanFrame& frame : pool) {
+    while (model.contains(model_key(frame))) consume(frame);
+  }
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(labeler.outstanding(), 0u);
+  for (const CanFrame& frame : pool) EXPECT_FALSE(labeler.consume_if_attack(frame));
 }
 
 TEST(IdsEvaluation, ConfusionCountsAndRocFromHistograms) {
