@@ -182,9 +182,11 @@ void VirtualBus::request_contest() {
   if (busy_ || contest_pending_) return;
   if (tx_pending_nodes_ == 0) return;  // a contest could only no-op
   contest_pending_ = true;
-  // Zero-delay event: every node whose tx event fires at the same simulated
-  // instant has enqueued by the time the contest runs, which is what makes
-  // same-instant arbitration (lowest id wins) come out right.
+  // Zero-delay event, so it joins the scheduler's same-instant lane, which
+  // runs after every heap event due at this instant: every node whose tx
+  // event fires at the same simulated instant has enqueued by the time the
+  // contest runs, which is what makes same-instant arbitration (lowest id
+  // wins) come out right.
   scheduler_.schedule_at(scheduler_.now(), [this] { run_contest(); });
 }
 

@@ -179,113 +179,57 @@ consteval StuffByteTable make_stuff_byte_table() {
 
 constexpr StuffByteTable kStuffByte = make_stuff_byte_table();
 
-/// 128-bit left-shift register built from two 64-bit words: a classic
-/// frame's whole stuffed region (SOF..CRC, at most 103 + 15 = 118 bits)
-/// fits without touching memory.
-struct PackedBits {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  std::size_t count = 0;
-
-  void append(std::uint32_t value, int width) {  // width in [1, 63]
-    hi = (hi << width) | (lo >> (64 - width));
-    lo = (lo << width) | value;
-    count += static_cast<std::size_t>(width);
-  }
-};
-
-/// Streams a PackedBits register MSB-first, a byte or a bit at a time.
-struct BitReader {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  std::size_t remaining = 0;
-
-  explicit BitReader(const PackedBits& packed) : remaining(packed.count) {
-    const std::size_t shift = 128 - packed.count;  // left-align (count >= 19)
-    if (shift >= 64) {
-      hi = shift == 64 ? packed.lo : packed.lo << (shift - 64);
-      lo = 0;
-    } else {
-      hi = (packed.hi << shift) | (packed.lo >> (64 - shift));
-      lo = packed.lo << shift;
-    }
-  }
-
-  std::uint8_t take_byte() {
-    const auto byte = static_cast<std::uint8_t>(hi >> 56);
-    hi = (hi << 8) | (lo >> 56);
-    lo <<= 8;
-    remaining -= 8;
-    return byte;
-  }
-
-  std::uint8_t take_bit() {
-    const auto bit = static_cast<std::uint8_t>(hi >> 63);
-    hi = (hi << 1) | (lo >> 63);
-    lo <<= 1;
-    --remaining;
-    return bit;
-  }
-};
-
 std::size_t classic_wire_bit_count(const CanFrame& frame) {
-  PackedBits packed;
-  packed.append(0, 1);  // SOF, dominant
+  // SOF..DLC as one right-aligned word, SOF (dominant) its top bit.
+  const std::uint64_t rtr = frame.is_remote() ? 1 : 0;
+  const std::uint64_t dlc = frame.dlc();
+  std::uint64_t header = 0;
+  int header_bits = 0;
   if (!frame.is_extended()) {
-    packed.append(frame.id(), 11);
-    packed.append(frame.is_remote() ? 1u : 0u, 1);  // RTR
-    packed.append(0, 2);                            // IDE, r0
+    // id, RTR, IDE and r0 (both dominant), DLC.
+    header = (std::uint64_t{frame.id()} << 7) | (rtr << 6) | dlc;
+    header_bits = 19;
   } else {
-    packed.append(frame.id() >> 18, 11);  // base id
-    packed.append(3, 2);                  // SRR, IDE (both recessive)
-    packed.append(frame.id() & 0x3FFFF, 18);
-    packed.append(frame.is_remote() ? 1u : 0u, 1);  // RTR
-    packed.append(0, 2);                            // r1, r0
+    // base id, SRR and IDE (both recessive), id extension, RTR, r1, r0, DLC.
+    header = (std::uint64_t{frame.id() >> 18} << 27) | (std::uint64_t{3} << 25) |
+             (std::uint64_t{frame.id() & 0x3FFFF} << 7) | (rtr << 6) | dlc;
+    header_bits = 39;
   }
-  packed.append(frame.dlc(), 4);
-  for (std::uint8_t byte : frame.payload()) packed.append(byte, 8);
 
-  // CRC15 over SOF..data.
+  // Both recurrences run over whole bytes, so the header is padded in front
+  // to 24 or 40 bits.  The CRC register starts at zero and zero bits leave
+  // it there, so the CRC reads zero padding.  The stuffing automaton reads
+  // alternating padding that ends in a recessive 1: no run forms, and after
+  // SOF it sits where a fresh start reading SOF would.
+  const std::uint64_t stuff_header =
+      header | (0xAAAAAAAAAAULL & ~((std::uint64_t{1} << header_bits) - 1));
+
   std::uint16_t crc = 0;
-  for (BitReader reader(packed); reader.remaining != 0;) {
-    if (reader.remaining >= 8) {
-      crc = crc15_step_byte(crc, reader.take_byte());
-    } else {
-      const std::uint8_t bit = reader.take_bit();
-      const bool do_xor = (((crc & 0x4000) != 0) != (bit != 0));
-      crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
-      if (do_xor) crc = static_cast<std::uint16_t>(crc ^ 0x4599);
-    }
-  }
-
-  // Stuff count over SOF..data..CRC via the byte automaton.
-  packed.append(crc, 15);
   std::size_t stuffed = 0;
   std::uint8_t state = 8;
-  BitReader reader(packed);
-  while (reader.remaining >= 8) {
-    const std::uint8_t byte = reader.take_byte();
+  auto stuff_byte = [&stuffed, &state](std::uint8_t byte) {
     stuffed += kStuffByte.added[state][byte];
     state = kStuffByte.next[state][byte];
+  };
+  // One interleaved pass: the CRC and stuffing lookup chains are independent
+  // until the CRC bytes, so the core overlaps them.
+  for (int shift = header_bits / 8 * 8; shift >= 0; shift -= 8) {
+    crc = crc15_step_byte(crc, static_cast<std::uint8_t>(header >> shift));
+    stuff_byte(static_cast<std::uint8_t>(stuff_header >> shift));
   }
-  std::uint8_t last = static_cast<std::uint8_t>(state / 4);
-  int run = static_cast<int>(state % 4) + 1;
-  while (reader.remaining != 0) {
-    const std::uint8_t bit = reader.take_bit();
-    if (bit == last) {
-      ++run;
-    } else {
-      last = bit;
-      run = 1;
-    }
-    if (run == 5) {
-      ++stuffed;
-      last = static_cast<std::uint8_t>(1 - last);
-      run = 1;
-    }
+  for (const std::uint8_t byte : frame.payload()) {
+    crc = crc15_step_byte(crc, byte);
+    stuff_byte(byte);
   }
+  // The 15 CRC bits and one pad bit opposite the last of them, which can
+  // neither complete a run nor extend the one a stuff bit starts.
+  const auto crc_field = static_cast<std::uint16_t>((crc << 1) | (~crc & 1));
+  stuff_byte(static_cast<std::uint8_t>(crc_field >> 8));
+  stuff_byte(static_cast<std::uint8_t>(crc_field));
 
-  return packed.count + stuffed + kTailBits + kInterframeSpace;
+  const std::size_t logical =
+      static_cast<std::size_t>(header_bits) + 8 * frame.payload().size() + 15;
+  return logical + stuffed + kTailBits + kInterframeSpace;
 }
 
 }  // namespace

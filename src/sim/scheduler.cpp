@@ -29,7 +29,7 @@ void Scheduler::reserve(std::size_t events) {
 std::uint32_t Scheduler::acquire_slot() {
   if (free_head_ != kNullIndex) {
     const std::uint32_t slot = free_head_;
-    free_head_ = event(slot).next_free;
+    free_head_ = event(slot).next;
     ++slot_reuses_;
     return slot;
   }
@@ -43,8 +43,7 @@ void Scheduler::release_slot(std::uint32_t slot) {
   ++ev.generation;  // invalidate any EventId still naming this slot
   ev.state = SlotState::kFree;
   ev.cancel_requested = false;
-  ev.heap_index = kNullIndex;
-  ev.next_free = free_head_;
+  ev.next = free_head_;
   free_head_ = slot;
 }
 
@@ -84,13 +83,12 @@ std::size_t Scheduler::sift_down(std::size_t pos) {
 }
 
 void Scheduler::heap_push(std::uint32_t slot, SimTime when, std::uint64_t seq) {
+  event(slot).state = SlotState::kHeap;
   heap_.push_back(HeapEntry{when, seq, slot});
-  event(slot).heap_index = static_cast<std::uint32_t>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
 }
 
 void Scheduler::heap_remove(std::size_t pos) {
-  event(heap_[pos].slot).heap_index = kNullIndex;
   const std::size_t last = heap_.size() - 1;
   if (pos == last) {
     heap_.pop_back();
@@ -103,7 +101,28 @@ void Scheduler::heap_remove(std::size_t pos) {
   if (sift_down(pos) == pos) sift_up(pos);
 }
 
-void Scheduler::heap_pop_root() { heap_remove(0); }
+void Scheduler::heap_pop_root() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  heap_[0] = last;
+  sift_down(0);
+}
+
+void Scheduler::lane_push(std::uint32_t slot) {
+  Event& ev = event(slot);
+  ev.state = SlotState::kLane;
+  ev.next = kNullIndex;
+  ev.prev = lane_tail_;
+  (lane_tail_ == kNullIndex ? lane_head_ : event(lane_tail_).next) = slot;
+  lane_tail_ = slot;
+}
+
+void Scheduler::lane_unlink(std::uint32_t slot) {
+  const Event& ev = event(slot);
+  (ev.prev == kNullIndex ? lane_head_ : event(ev.prev).next) = ev.next;
+  (ev.next == kNullIndex ? lane_tail_ : event(ev.next).prev) = ev.prev;
+}
 
 void Scheduler::cancel(EventId id) {
   if (!id.valid()) return;
@@ -112,62 +131,87 @@ void Scheduler::cancel(EventId id) {
   if (slot >= slots_used_) return;
   Event& ev = event(slot);
   if (ev.generation != generation) return;  // stale id: the event already died
-  if (ev.state == SlotState::kQueued) {
+  switch (ev.state) {
+    case SlotState::kHeap:
+      heap_remove(ev.heap_index);
+      break;
+    case SlotState::kLane:
+      lane_unlink(slot);
+      break;
+    case SlotState::kRunning:
+      // Cancelled from inside its own handler: defer the release until the
+      // handler returns (destroying an executing closure would be UB).  For a
+      // periodic event this also suppresses the re-arm.
+      ev.cancel_requested = true;
+      return;
+    case SlotState::kFree:
+      return;
+  }
+  release_slot(slot);
+  --live_;
+}
+
+void Scheduler::run_periodic(std::uint32_t slot) {
+  Event& ev = event(slot);  // slab slots are stable; safe across handler calls
+  // The event keeps the heap root while its handler runs: whatever the
+  // handler schedules sorts after it (due now joins the lane, later lands
+  // below the root), and a cancel of another event never lifts an entry
+  // past it.  The re-arm seq is reserved first, so anything the handler
+  // schedules at when+period fires AFTER the next tick.
+  const std::uint64_t rearm_seq = next_seq_++;
+  ev.state = SlotState::kRunning;
+  ++executed_;
+  ev.action();
+  if (ev.cancel_requested) {  // cancelled by its own handler: no re-arm
     heap_remove(ev.heap_index);
     release_slot(slot);
     --live_;
-  } else if (ev.state == SlotState::kRunning) {
-    // Cancelled from inside its own handler: defer the release until the
-    // handler returns (destroying an executing closure would be UB).  For a
-    // periodic event this also suppresses the re-arm.
-    ev.cancel_requested = true;
+    return;
   }
+  ev.when += ev.period;
+  ev.seq = rearm_seq;
+  ev.state = SlotState::kHeap;
+  heap_[ev.heap_index] = HeapEntry{ev.when, ev.seq, slot};
+  sift_down(ev.heap_index);
 }
 
-void Scheduler::dispatch_top() {
-  const std::uint32_t slot = heap_[0].slot;
-  Event& ev = event(slot);  // slab slots are stable; safe across handler calls
-  now_ = ev.when;
-  heap_pop_root();
+bool Scheduler::dispatch_next(SimTime deadline) {
+  std::uint32_t slot = lane_head_;
+  if (slot != kNullIndex && (heap_.empty() || heap_[0].when > now_)) {
+    // Heap entries due now precede the lane (they were scheduled before the
+    // clock reached now); the lane drains before the clock moves on.
+    if (now_ > deadline) return false;
+    lane_unlink(slot);
+  } else {
+    if (heap_.empty() || heap_[0].when > deadline) return false;
+    slot = heap_[0].slot;
+    now_ = heap_[0].when;
+    if (event(slot).period != Duration{0}) {
+      run_periodic(slot);
+      return true;
+    }
+    heap_pop_root();
+  }
+  Event& ev = event(slot);
   ev.state = SlotState::kRunning;
   ++executed_;
-  if (ev.period > Duration{0}) {
-    // Reserve the re-arm sequence number before running the handler, exactly
-    // where the previous implementation pushed its re-arm entry: anything the
-    // handler schedules at when+period must fire AFTER the next tick.
-    const std::uint64_t rearm_seq = next_seq_++;
-    ev.action();
-    if (ev.cancel_requested) {
-      release_slot(slot);
-      --live_;
-    } else {
-      ev.when += ev.period;
-      ev.seq = rearm_seq;
-      ev.state = SlotState::kQueued;
-      heap_push(slot, ev.when, ev.seq);
-    }
-  } else {
-    --live_;  // a one-shot stops being "pending" the moment it starts running
-    ev.action();
-    release_slot(slot);
-  }
-}
-
-bool Scheduler::step() {
-  if (heap_.empty()) return false;
-  dispatch_top();
+  --live_;  // a one-shot stops being "pending" the moment it starts running
+  ev.action();
+  release_slot(slot);
   return true;
 }
 
+bool Scheduler::step() { return dispatch_next(SimTime::max()); }
+
 void Scheduler::run_until(SimTime deadline) {
-  while (!heap_.empty() && heap_[0].when <= deadline) dispatch_top();
+  while (dispatch_next(deadline)) {
+  }
   if (now_ < deadline) now_ = deadline;
 }
 
 bool Scheduler::run_until_condition(const std::function<bool()>& stop, SimTime deadline) {
   if (stop()) return true;
-  while (!heap_.empty() && heap_[0].when <= deadline) {
-    dispatch_top();
+  while (dispatch_next(deadline)) {
     if (stop()) return true;
   }
   if (now_ < deadline) now_ = deadline;

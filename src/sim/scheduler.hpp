@@ -5,11 +5,21 @@
 //
 // Built for throughput: events live in a slab of stable 128-byte slots
 // recycled through a free list, callables are stored inline (PooledAction
-// small-buffer optimisation), and the ready queue is a 4-ary indexed heap —
-// each slot knows its heap position, so cancel() is a true O(log n) removal
-// with no tombstones to skip, and a periodic event re-arms by pushing the
-// SAME slot back (no callable copy, no allocation).  Steady-state operation
-// of a warmed-up world performs zero heap allocations.
+// small-buffer optimisation), and pending events wait in one of two places.
+// An event due at the current instant when it is scheduled (a zero-delay
+// bus contest, once per frame) joins a FIFO lane threaded through the slots;
+// every later event goes into a 4-ary indexed heap keyed by (when, seq).
+// Every heap entry due now was scheduled before the clock reached now, so it
+// precedes every lane entry: dispatch runs the heap's due entries, then the
+// lane, and only then advances the clock, which is exactly (when, seq)
+// order.  Each slot knows its heap position or lane neighbours, so cancel()
+// is a true removal with no tombstones to skip.  A periodic event stays at
+// the heap root while its handler runs and then re-keys in place with one
+// sift-down (no callable copy, no pop and push).  Steady-state operation of
+// a warmed-up world performs zero heap allocations.
+//
+// Handlers may schedule and cancel events, but must not run the scheduler
+// (step/run_*) themselves.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +72,10 @@ class Scheduler {
   /// One-shot event at absolute simulated time `when` (clamped to >= now).
   template <typename F>
   EventId schedule_at(SimTime when, F&& action) {
-    return arm(when < now_ ? now_ : when, Duration{0}, std::forward<F>(action));
+    return arm(when, Duration{0}, std::forward<F>(action));
   }
 
-  /// One-shot event `delay` after now.
+  /// One-shot event `delay` after now (a negative delay counts as zero).
   template <typename F>
   EventId schedule_after(Duration delay, F&& action) {
     return arm(now_ + delay, Duration{0}, std::forward<F>(action));
@@ -112,19 +122,22 @@ class Scheduler {
   static constexpr std::size_t kChunkShift = 6;  // 64 events per slab chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
-  enum class SlotState : std::uint8_t { kFree, kQueued, kRunning };
+  enum class SlotState : std::uint8_t { kFree, kHeap, kLane, kRunning };
 
   struct Event {
     SimTime when{0};
     std::uint64_t seq = 0;  // FIFO tie-break for equal times
     Duration period{0};     // zero => one-shot
     std::uint32_t generation = 1;
-    std::uint32_t heap_index = kNullIndex;
-    std::uint32_t next_free = kNullIndex;
+    std::uint32_t heap_index = kNullIndex;  // position while in the heap
+    std::uint32_t next = kNullIndex;        // free list or lane successor
+    std::uint32_t prev = kNullIndex;        // lane predecessor
     SlotState state = SlotState::kFree;
     bool cancel_requested = false;
     PooledAction action;
   };
+  // The lane links sit in the padding before the callable's aligned buffer.
+  static_assert(sizeof(Event) == 128, "an event slot must stay 128 bytes");
 
   /// Heap entries carry the ordering key so sifting never chases into the
   /// slab; the slot's heap_index back-pointer makes removal indexed.
@@ -154,8 +167,13 @@ class Scheduler {
   void heap_remove(std::size_t pos);
   std::size_t sift_up(std::size_t pos);
   std::size_t sift_down(std::size_t pos);
-  void dispatch_top();
+  void lane_push(std::uint32_t slot);
+  void lane_unlink(std::uint32_t slot);
+  /// Runs the next event due by `deadline`; false when there is none.
+  bool dispatch_next(SimTime deadline);
+  void run_periodic(std::uint32_t slot);
 
+  /// Queues a new event; a time at or before now joins the same-instant lane.
   template <typename F>
   EventId arm(SimTime when, Duration period, F&& action) {
     const std::uint32_t slot = acquire_slot();
@@ -163,11 +181,14 @@ class Scheduler {
     ev.when = when;
     ev.seq = next_seq_++;
     ev.period = period;
-    ev.state = SlotState::kQueued;
     ev.cancel_requested = false;
     ev.action.emplace(std::forward<F>(action));
     if (ev.action.on_heap()) ++action_heap_spills_;
-    heap_push(slot, ev.when, ev.seq);
+    if (when <= now_) {
+      lane_push(slot);
+    } else {
+      heap_push(slot, when, ev.seq);
+    }
     ++live_;
     return EventId{make_id(slot, ev.generation)};
   }
@@ -175,6 +196,8 @@ class Scheduler {
   std::vector<std::unique_ptr<Event[]>> chunks_;
   std::vector<HeapEntry> heap_;
   std::uint32_t free_head_ = kNullIndex;
+  std::uint32_t lane_head_ = kNullIndex;  // same-instant FIFO, oldest first
+  std::uint32_t lane_tail_ = kNullIndex;
   std::size_t slots_used_ = 0;  // high-water slot count (never shrinks)
   SimTime now_{0};
   std::uint64_t next_seq_ = 0;

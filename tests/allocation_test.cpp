@@ -1,9 +1,12 @@
-// Heap-allocation budgets of the per-frame paths.  This binary replaces the
-// global operator new with a counting one (each test source links into its
-// own executable, so no other suite sees it) and counts only inside a
-// window around warm steady-state work, which must not allocate: the full
-// vehicle's ECUs encode and decode signals by position on the stack, and the
-// IDS labeler's flat table stops growing once it holds the pending peak.
+// Heap-allocation budgets of the per-frame paths and of world set-up.  This
+// binary replaces the global operator new with a counting one (each test
+// source links into its own executable, so no other suite sees it) and
+// counts only inside a window around the work under test.  Warm
+// steady-state work must not allocate: the full vehicle's ECUs encode and
+// decode signals by position on the stack, the IDS labeler's flat table
+// stops growing once it holds the pending peak, and the scheduler's
+// same-instant lane is threaded through its event slots.  Building a
+// feedback execution's world has a fixed budget.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +19,10 @@
 
 #include "can/frame.hpp"
 #include "ids/evaluation.hpp"
+#include "oracle/vehicle_oracles.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/capture.hpp"
+#include "transport/virtual_bus_transport.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace {
@@ -41,15 +47,26 @@ std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxe
 
 }  // namespace
 
-// The array, nothrow and sized forms of the library forward to these.
+// The nothrow and sized forms of the library forward to these.  The array
+// forms are replaced too: the library's forward to the scalar ones, but
+// AddressSanitizer intercepts `new[]` itself, so the scheduler's slab chunk
+// (`new Event[64]`) would go uncounted in the sanitizer build.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, align);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace acf {
 namespace {
@@ -103,6 +120,52 @@ TEST(LabelerAllocations, WarmTableAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(labeler.injected(), 20000u);
   EXPECT_EQ(labeler.matched(), 20000u);
+}
+
+// Heap allocations made by building and destroying the world of one
+// feedback execution (FeedbackCampaign::execute), counted before the
+// scheduler had a same-instant lane.  Feedback builds one such world per
+// execution, so the lane must not add to it.
+constexpr std::uint64_t kFeedbackWorldAllocations = 22;
+
+TEST(WorldAllocations, FeedbackExecutionWorldKeepsItsBudget) {
+  auto build_and_destroy = [] {
+    sim::Scheduler scheduler{64};
+    vehicle::UnlockTestbench bench(scheduler);
+    transport::VirtualBusTransport attacker(bench.bus(), "attacker");
+    trace::CaptureTap tap(bench.bus(), "feedback.tap");
+    oracle::UnlockOracle unlock_oracle(bench.bus(), &bench.bcm());
+  };
+  build_and_destroy();  // first use builds the shared target-vehicle database
+  const std::uint64_t before = allocations();
+  build_and_destroy();
+  EXPECT_EQ(allocations() - before, kFeedbackWorldAllocations);
+}
+
+TEST(SchedulerAllocations, WarmSameInstantTrafficAllocatesNothing) {
+  // Every tick of eight periodic events schedules two same-instant events
+  // and cancels one of them, so the lane, lane cancels and in-place
+  // re-arms carry all the traffic.
+  sim::Scheduler scheduler{256};
+  std::uint64_t lane_fires = 0;
+  for (std::int64_t period = 1; period <= 8; ++period) {
+    scheduler.schedule_every(sim::Duration{period * 1000}, [&scheduler, &lane_fires] {
+      scheduler.schedule_at(scheduler.now(), [&lane_fires] { ++lane_fires; });
+      const sim::EventId doomed =
+          scheduler.schedule_after(sim::Duration{0}, [&lane_fires] { ++lane_fires; });
+      scheduler.cancel(doomed);
+    });
+  }
+  scheduler.run_until(sim::SimTime{100us});  // warm-up
+  const std::uint64_t before = allocations();
+  const std::uint64_t executed_before = scheduler.executed_events();
+  const std::uint64_t lane_before = lane_fires;
+  scheduler.run_until(sim::SimTime{2100us});
+  const std::uint64_t during = allocations() - before;
+
+  EXPECT_GE(scheduler.executed_events() - executed_before, 10000u);
+  EXPECT_GE(lane_fires - lane_before, 5000u);
+  EXPECT_EQ(during, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Property tests for the classic-CAN wire codec: randomized round trips
 // (logical and wire images reproduce id / DLC / payload / flags exactly) and
 // a cross-check of the table-driven wire-length fast path against the
-// bitwise reference (encode_logical + stuff), which the frame-timing model
-// and therefore every Table V result depend on.
+// bitwise reference (encode_logical + stuff), on random frames and on
+// structured ones (uniform fills, extreme ids, CRCs ending in long runs),
+// which the frame-timing model and therefore every Table V result depend on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -84,7 +85,7 @@ TEST(CodecProperty, TableDrivenWireLengthMatchesBitwiseReference) {
   util::Rng rng(0x40D4C);
   constexpr std::size_t kTailBits = 10;        // CRC delim + ACK slot + delim + EOF
   constexpr std::size_t kInterframeSpace = 3;  // intermission
-  for (int i = 0; i < 5000; ++i) {
+  for (int i = 0; i < 200000; ++i) {
     const CanFrame frame = random_classic_frame(rng);
     const BitVec logical = encode_logical(frame);
     const std::size_t reference =
@@ -93,6 +94,61 @@ TEST(CodecProperty, TableDrivenWireLengthMatchesBitwiseReference) {
     // And the fully materialised image agrees with the counter.
     EXPECT_EQ(wire_bit_count(frame), encode_wire(frame).size() + kInterframeSpace)
         << frame.to_string();
+  }
+}
+
+/// The bitwise reference length: the materialised SOF..CRC image, its stuff
+/// bits, the 10-bit fixed tail and the 3-bit interframe space.
+std::size_t reference_wire_bits(const CanFrame& frame) {
+  const BitVec logical = encode_logical(frame);
+  return logical.size() + count_stuff_bits(logical) + 10 + 3;
+}
+
+/// Length of the run of equal bits that ends a logical image (its CRC).
+int trailing_run(const BitVec& bits) {
+  int run = 1;
+  for (std::size_t i = bits.size() - 1; i > 0 && bits[i - 1] == bits[i]; --i) ++run;
+  return run;
+}
+
+TEST(CodecProperty, ClassicWireLengthMatchesBitwiseReferenceOnStructuredFrames) {
+  // The classic fast path pads the header in front to whole bytes and ends
+  // the CRC with one pad bit.  Uniform ids, DLCs and fill bytes put long
+  // runs at every border that padding touches.
+  const std::uint8_t fills[] = {0x00, 0xFF, 0x55, 0xAA, 0x0F, 0xF0, 0x1F, 0xE0};
+  for (const IdFormat format : {IdFormat::kStandard, IdFormat::kExtended}) {
+    const bool extended = format == IdFormat::kExtended;
+    const std::uint32_t ids[] = {0, extended ? kMaxExtendedId : kMaxStandardId,
+                                 extended ? 0x15555555u : 0x555u,
+                                 extended ? 0x0AAAAAAAu : 0x2AAu};
+    for (const std::uint32_t id : ids) {
+      for (std::uint8_t dlc = 0; dlc <= 8; ++dlc) {
+        const CanFrame remote = *CanFrame::remote(id, dlc, format);
+        EXPECT_EQ(wire_bit_count(remote), reference_wire_bits(remote)) << remote.to_string();
+        for (const std::uint8_t fill : fills) {
+          const std::vector<std::uint8_t> payload(dlc, fill);
+          const CanFrame data = *CanFrame::data(id, payload, format);
+          EXPECT_EQ(wire_bit_count(data), reference_wire_bits(data)) << data.to_string();
+        }
+      }
+    }
+  }
+
+  // Frames whose CRC ends in a run of exactly four equal bits, where a pad
+  // bit equal to the last CRC bit would complete a run of five, and in a
+  // run of five or more, where a stuff bit can follow the CRC.
+  util::Rng rng(0x60D6C);
+  int run_of_four = 0;
+  int run_of_five_or_more = 0;
+  while (run_of_four < 256 || run_of_five_or_more < 256) {
+    const CanFrame frame = random_classic_frame(rng);
+    const int run = trailing_run(encode_logical(frame));
+    if (run < 4) continue;
+    int& found = run == 4 ? run_of_four : run_of_five_or_more;
+    if (found == 256) continue;
+    ++found;
+    EXPECT_EQ(wire_bit_count(frame), reference_wire_bits(frame))
+        << frame.to_string() << " (CRC ends in a run of " << run << ")";
   }
 }
 

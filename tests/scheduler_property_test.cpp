@@ -1,5 +1,6 @@
 // Property and regression tests for the slab-pooled scheduler: randomized
-// schedule/cancel interleavings checked against a reference model, FIFO
+// schedule/cancel interleavings checked against a reference model (with
+// same-instant lane traffic and in-place periodic re-arms in the mix), FIFO
 // ordering at equal timestamps, cancel-from-inside-a-running-action safety
 // (including the schedule_every self-cancel regression), stale-id
 // generation guards, run_until_condition overshoot bounds, and the
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,6 +104,321 @@ TEST(SchedulerProperty, RandomScheduleCancelInterleavingsMatchModel) {
       fired_total += static_cast<std::uint64_t>(t.fires);
     }
     EXPECT_EQ(scheduler.executed_events(), fired_total) << "round " << round;
+    EXPECT_EQ(scheduler.pending_events(), 0u) << "round " << round;
+  }
+}
+
+/// Naive reference for the scheduler's contract: pending events in an
+/// unordered list, the next one found by an O(n) scan for the smallest
+/// (when, seq).  It knows nothing of lanes or heaps; it only remembers which
+/// events were due when scheduled, so a test can aim at the lane's front.
+struct ReferenceScheduler {
+  struct Pending {
+    int label;
+    SimTime when;
+    std::uint64_t seq;
+    Duration period;
+    bool due_when_scheduled;
+  };
+
+  SimTime now{0};
+  std::uint64_t next_seq = 0;
+  std::uint64_t executed = 0;
+  std::vector<Pending> pending;
+  int running_periodic = -1;  // label of the periodic whose handler runs
+  bool running_cancelled = false;
+
+  void schedule(int label, SimTime when, Duration period) {
+    const bool due = when <= now;
+    pending.push_back({label, due ? now : when, next_seq++, period, due});
+  }
+
+  std::vector<Pending>::iterator next() {
+    return std::min_element(pending.begin(), pending.end(),
+                            [](const Pending& a, const Pending& b) {
+                              return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+                            });
+  }
+
+  bool any_due_by(SimTime deadline) const {
+    return std::any_of(pending.begin(), pending.end(),
+                       [deadline](const Pending& p) { return p.when <= deadline; });
+  }
+
+  void cancel(int label) {
+    if (label == running_periodic) {
+      running_cancelled = true;
+      return;
+    }
+    std::erase_if(pending, [label](const Pending& p) { return p.label == label; });
+  }
+
+  /// Oldest pending event that was due when scheduled (-1 if none).
+  int lane_front() const {
+    const Pending* front = nullptr;
+    for (const Pending& p : pending) {
+      if (p.due_when_scheduled && (front == nullptr || p.seq < front->seq)) front = &p;
+    }
+    return front == nullptr ? -1 : front->label;
+  }
+
+  /// A periodic event counts as pending while its own handler runs.
+  std::size_t live() const { return pending.size() + (running_periodic >= 0 ? 1 : 0); }
+};
+
+/// Drives a Scheduler and the reference in lockstep.  Every action, from the
+/// test body or from inside a handler, is applied to both; every firing is
+/// checked against the reference's next (label, time), and the pending and
+/// executed counts are compared after every action.
+class LockstepHarness {
+ public:
+  LockstepHarness(Scheduler& scheduler, util::Rng& rng) : scheduler_(scheduler), rng_(rng) {}
+
+  bool broken() const { return !failure_.empty(); }
+  const std::string& failure() const { return failure_; }
+
+  void top_level_op() {
+    switch (rng_.next_below(8)) {
+      case 0:
+      case 1:
+        schedule_random();
+        break;
+      case 2:
+        cancel(pick_label());
+        break;
+      case 3:
+        cancel(model_.lane_front());
+        break;
+      case 4:
+        step();
+        break;
+      case 5:
+      case 6:
+        run_until(model_.now + pick_offset());
+        break;
+      default: {
+        const int events = static_cast<int>(rng_.next_below(7));
+        run_until_condition(events, model_.now + pick_offset());
+        break;
+      }
+    }
+    check_counts("after a top-level op");
+  }
+
+  /// Cancels every periodic event, then steps until nothing is pending.
+  void drain() {
+    draining_ = true;
+    for (std::size_t label = 0; label < periodic_.size(); ++label) {
+      if (periodic_[label]) cancel(static_cast<int>(label));
+    }
+    while (!broken() && step()) {
+    }
+    if (!broken() && !model_.pending.empty()) fail("the reference still holds pending events");
+    check_counts("after draining");
+  }
+
+ private:
+  static constexpr std::size_t kMaxLabels = 400;
+
+  Duration pick_delay() {
+    return Duration{static_cast<std::int64_t>(rng_.next_in(1, 3)) * 1000};
+  }
+  Duration pick_offset() {  // run deadlines, the past and the present included
+    const auto whole = static_cast<std::int64_t>(rng_.next_below(6)) - 1;
+    const std::int64_t half = rng_.next_bool(0.2) ? 500 : 0;
+    return Duration{whole * 1000 + half};
+  }
+  int pick_label() {
+    if (ids_.empty()) return -1;
+    return static_cast<int>(rng_.next_below(ids_.size()));
+  }
+
+  void schedule_random() {
+    if (draining_ || ids_.size() >= kMaxLabels) return;
+    const int label = static_cast<int>(ids_.size());
+    const auto handler = [this, label] { on_fire(label); };
+    const SimTime now = scheduler_.now();
+    SimTime when = now;
+    Duration period{0};
+    EventId id;
+    switch (rng_.next_below(8)) {
+      case 0:
+        id = scheduler_.schedule_at(now, handler);
+        break;
+      case 1:
+        id = scheduler_.schedule_after(Duration{0}, handler);
+        break;
+      case 2:  // a past time clamps to now
+        when = now - pick_delay();
+        id = scheduler_.schedule_at(when, handler);
+        break;
+      case 3:  // a negative delay counts as zero
+        id = scheduler_.schedule_after(-pick_delay(), handler);
+        break;
+      case 4:
+        when = now + pick_delay();
+        id = scheduler_.schedule_at(when, handler);
+        break;
+      case 5: {
+        const Duration delay = pick_delay();
+        when = now + delay;
+        id = scheduler_.schedule_after(delay, handler);
+        break;
+      }
+      case 6:
+        period = pick_delay();
+        when = now + period;
+        id = scheduler_.schedule_every(period, handler);
+        break;
+      default:  // an absolute instant from a small pool: past, present or future
+        when = SimTime{static_cast<std::int64_t>(rng_.next_below(12)) * 1000};
+        id = scheduler_.schedule_at(when, handler);
+        break;
+    }
+    ids_.push_back(id);
+    periodic_.push_back(period > Duration{0});
+    model_.schedule(label, when, period);
+  }
+
+  void cancel(int label) {
+    if (label < 0) return;
+    scheduler_.cancel(ids_[static_cast<std::size_t>(label)]);
+    model_.cancel(label);
+  }
+
+  bool step() {
+    const bool expected = !model_.pending.empty();
+    const std::uint64_t before = model_.executed;
+    const bool ran = scheduler_.step();
+    if (broken()) return false;
+    if (ran != expected || model_.executed != before + (expected ? 1 : 0)) {
+      fail("step() ran " + std::to_string(ran) + ", the reference expected " +
+           std::to_string(expected));
+    }
+    return ran;
+  }
+
+  void run_until(SimTime deadline) {
+    scheduler_.run_until(deadline);
+    if (broken()) return;
+    if (model_.any_due_by(deadline)) fail("run_until left an event due by its deadline");
+    model_.now = std::max(model_.now, deadline);
+    if (scheduler_.now() != model_.now) fail("run_until ended at the wrong time");
+  }
+
+  void run_until_condition(int events, SimTime deadline) {
+    const std::uint64_t target = model_.executed + static_cast<std::uint64_t>(events);
+    const bool stopped = scheduler_.run_until_condition(
+        [this, target] { return model_.executed >= target; }, deadline);
+    if (broken()) return;
+    if (stopped) {
+      if (model_.executed != target) fail("run_until_condition overshot its predicate");
+      return;
+    }
+    if (model_.executed >= target) fail("run_until_condition missed its predicate");
+    if (model_.any_due_by(deadline)) fail("run_until_condition left an event due");
+    model_.now = std::max(model_.now, deadline);
+    if (scheduler_.now() != model_.now) fail("run_until_condition ended at the wrong time");
+  }
+
+  void on_fire(int label) {
+    if (broken()) return;
+    const auto next = model_.next();
+    if (next == model_.pending.end() || next->label != label ||
+        next->when != scheduler_.now()) {
+      std::ostringstream out;
+      out << "event " << label << " fired at " << scheduler_.now().count() << " ns; expected ";
+      if (next == model_.pending.end()) {
+        out << "nothing";
+      } else {
+        out << "event " << next->label << " at " << next->when.count() << " ns";
+      }
+      fail(out.str());
+      return;
+    }
+    const ReferenceScheduler::Pending fired = *next;
+    model_.pending.erase(next);
+    model_.now = fired.when;
+    ++model_.executed;
+    const bool periodic = fired.period > Duration{0};
+    std::uint64_t rearm_seq = 0;
+    if (periodic) {
+      rearm_seq = model_.next_seq++;
+      model_.running_periodic = label;
+      model_.running_cancelled = false;
+    }
+    check_counts("on entry to a handler");
+    for (auto actions = rng_.next_below(4); actions > 0 && !broken(); --actions) {
+      switch (rng_.next_below(8)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          schedule_random();
+          break;
+        case 4:
+          cancel(pick_label());
+          break;
+        case 5:
+          cancel(label);  // itself: a no-op for a one-shot, no re-arm for a periodic
+          break;
+        case 6:
+          cancel(model_.lane_front());
+          break;
+        default: {
+          const auto soonest = model_.next();
+          if (soonest != model_.pending.end()) cancel(soonest->label);
+          break;
+        }
+      }
+      check_counts("inside a handler");
+    }
+    if (periodic) {
+      if (!model_.running_cancelled) {
+        model_.pending.push_back({label, fired.when + fired.period, rearm_seq, fired.period,
+                                  false});
+      }
+      model_.running_periodic = -1;
+    }
+  }
+
+  void check_counts(const char* where) {
+    if (broken()) return;
+    if (scheduler_.pending_events() != model_.live()) {
+      fail(std::string("pending_events() ") + std::to_string(scheduler_.pending_events()) +
+           ", reference " + std::to_string(model_.live()) + " " + where);
+    } else if (scheduler_.executed_events() != model_.executed) {
+      fail(std::string("executed_events() ") + std::to_string(scheduler_.executed_events()) +
+           ", reference " + std::to_string(model_.executed) + " " + where);
+    }
+  }
+
+  void fail(std::string message) {
+    if (failure_.empty()) failure_ = std::move(message);
+  }
+
+  Scheduler& scheduler_;
+  util::Rng& rng_;
+  ReferenceScheduler model_;
+  std::vector<EventId> ids_;  // by label
+  std::vector<bool> periodic_;
+  bool draining_ = false;
+  std::string failure_;
+};
+
+TEST(SchedulerProperty, MatchesReferenceModelWithSameInstantEvents) {
+  // Handlers schedule at now (schedule_at(now), schedule_after(0), past
+  // times and negative delays), at future instants from a tiny pool so
+  // times collide, and periodic events; they cancel other events, the
+  // lane's front, the soonest event and themselves.  Runs stop mid-instant
+  // (step, run_until_condition), so heap entries due now meet lane entries.
+  util::Rng rng(0x1A4E5);
+  for (int round = 0; round < 100; ++round) {
+    Scheduler scheduler;
+    LockstepHarness harness(scheduler, rng);
+    for (int op = 0; op < 300 && !harness.broken(); ++op) harness.top_level_op();
+    if (!harness.broken()) harness.drain();
+    ASSERT_FALSE(harness.broken()) << "round " << round << ": " << harness.failure();
     EXPECT_EQ(scheduler.pending_events(), 0u) << "round " << round;
   }
 }
