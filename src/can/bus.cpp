@@ -178,6 +178,23 @@ void VirtualBus::flush_deliveries() {
   delivery_slab_.swap(batch);  // hand the arena back for reuse
 }
 
+void VirtualBus::reset() {
+  flush_deliveries();
+  for (Node& node : nodes_) {
+    node.powered = true;
+    node.in_bus_off_recovery = false;
+    node.forced_tx_errors = 0;
+    node.errors = ErrorState{};
+    node.tx_queue.clear();
+  }
+  tx_pending_nodes_ = 0;
+  stats_ = BusStats{};
+  busy_ = false;
+  contest_pending_ = false;
+  rng_ = util::Rng(config_.seed);
+  fanout_dirty_ = true;
+}
+
 void VirtualBus::request_contest() {
   if (busy_ || contest_pending_) return;
   if (tx_pending_nodes_ == 0) return;  // a contest could only no-op

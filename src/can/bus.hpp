@@ -121,6 +121,16 @@ class VirtualBus {
   /// Batched taps call this before reading their own capture state.
   void flush_deliveries();
 
+  /// Returns the bus to its just-built state after pending deliveries are
+  /// flushed: every node is powered, error-active with zeroed counters and
+  /// lifetime error tallies, out of bus-off recovery, without forced errors
+  /// and with an empty transmit queue; the stats, the busy and contest flags
+  /// and the corruption RNG restart.  Keeps every attachment (listener,
+  /// name, filters, listen-only and batched modes) and every allocation.
+  /// Call it with the scheduler reset too: an event the bus left pending
+  /// would act on the reset state.
+  void reset();
+
   /// Moves a tap between slab and immediate delivery (same eligibility rules
   /// as attach; pending slab frames are flushed first).
   void set_batched(NodeId id, bool batched);

@@ -49,8 +49,11 @@ void Ecu::add_periodic(sim::Duration period,
     }
   }
   tick_groups_.push_back({period, {index}});
-  const std::size_t group = tick_groups_.size() - 1;
-  scheduler_.schedule_every(period, [this, group] {
+  arm_tick_group(tick_groups_.size() - 1);
+}
+
+void Ecu::arm_tick_group(std::size_t group) {
+  scheduler_.schedule_every(tick_groups_[group].period, [this, group] {
     for (std::size_t entry : tick_groups_[group].entries) {
       // Re-checked per entry: a producer may crash or power down the ECU
       // mid-tick, which must silence the rest of the group this cycle.
@@ -58,6 +61,18 @@ void Ecu::add_periodic(sim::Duration period,
       if (const auto frame = periodics_[entry].producer()) bus_.submit(node_, *frame);
     }
   });
+}
+
+void Ecu::factory_reset() {
+  powered_ = true;
+  bus_.set_power(node_, true);
+  crashed_ = false;
+  crash_reason_.clear();
+  crash_count_ = 0;
+  dtcs_.clear_all();
+  if (uds_server_) uds_server_->reset();
+  if (uds_channel_) uds_channel_->reset();
+  for (std::size_t group = 0; group < tick_groups_.size(); ++group) arm_tick_group(group);
 }
 
 bool Ecu::send(const can::CanFrame& frame) {

@@ -77,9 +77,21 @@ class Ecu : protected can::BusListener {
   void enable_uds(std::uint32_t request_id, std::uint32_t response_id,
                   uds::UdsServerConfig config = {});
 
+  /// The Ecu part of a subclass's full reset to its just-built state:
+  /// powered, no crash latch (crash count included), no DTCs, the UDS
+  /// server back to its built state, the ISO-TP channel idle, and every
+  /// tick group armed again in registration order.  Unlike power_cycle()
+  /// it also clears the latches that survive a power cycle.  Keeps the
+  /// periodic producers, the bus attachment and every allocation.  The
+  /// scheduler must have been reset first (the old tick events are gone).
+  void factory_reset();
+
  private:
   // can::BusListener
   void on_frame(const can::CanFrame& frame, sim::SimTime time) final;
+
+  /// Schedules tick group `group`'s repeating event.
+  void arm_tick_group(std::size_t group);
 
   struct PeriodicEntry {
     sim::Duration period;

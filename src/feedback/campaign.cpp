@@ -1,20 +1,13 @@
 #include "feedback/campaign.hpp"
 
 #include <algorithm>
-#include <map>
-
-#include "oracle/vehicle_oracles.hpp"
-#include "sim/scheduler.hpp"
-#include "trace/capture.hpp"
-#include "transport/virtual_bus_transport.hpp"
-#include "vehicle/vehicle.hpp"
 
 namespace acf::feedback {
 
 namespace {
 
 constexpr char kGeneratorName[] = "feedback";
-constexpr std::uint64_t kStateVersion = 1;
+constexpr std::uint64_t kStateVersion = 2;
 
 /// True when `haystack` (sorted unique) contains every element of `needles`
 /// (sorted unique) — the trim acceptance test.
@@ -48,92 +41,13 @@ void FeedbackCampaign::seed_corpus(const Corpus& corpus) {
   }
 }
 
-FeedbackCampaign::ExecOutcome FeedbackCampaign::execute(
-    const std::vector<can::CanFrame>& sequence) {
-  ExecOutcome out;
-  // One 64-event slab chunk holds the sends (at most
-  // SequenceMutatorConfig::max_frames) plus the bench's own events.
-  sim::Scheduler scheduler{64};
-  vehicle::UnlockTestbench bench(scheduler, config_.predicate);
-  transport::VirtualBusTransport attacker(bench.bus(), "attacker");
-  trace::CaptureTap tap(bench.bus(), "feedback.tap");
-  oracle::UnlockOracle unlock_oracle(bench.bus(), &bench.bcm());
-
-  for (std::size_t i = 0; i < sequence.size(); ++i) {
-    // Captures the index, not the frame: `sequence` outlives the run, and a
-    // by-value frame would push the closure past the inline action buffer.
-    const auto send = [&, i] {
-      if (attacker.send(sequence[i])) {
-        ++out.frames_sent;
-        coverage_.add(sequence[i]);
-      } else {
-        ++out.send_failures;
-      }
-    };
-    static_assert(sim::PooledAction::inlined<decltype(send)>());
-    scheduler.schedule_at(sim::SimTime{config_.tx_period * (i + 1)}, send);
+ExecOutcome FeedbackCampaign::execute(const std::vector<can::CanFrame>& sequence) {
+  if (world_ == nullptr) {
+    world_ = std::make_unique<ExecWorld>(config_.predicate, config_.tx_period, config_.settle);
+  } else {
+    world_->reset();
   }
-  // Short, bounded window: the sends plus a settle margin for acks.  The
-  // bench's 100 ms periodics never fire inside it, so the tap sees only the
-  // injected traffic and its direct consequences.
-  scheduler.run_for(config_.tx_period * (sequence.size() + 1) + config_.settle);
-  out.elapsed = sim::Duration{scheduler.now()};
-
-  const auto observation = unlock_oracle.poll(scheduler.now());
-  if (observation && observation->verdict == oracle::Verdict::kFailure) {
-    out.failure = true;
-    out.failure_observation = *observation;
-    coverage_.add_oracle_event();
-  }
-
-  // --- behaviour -> features ---------------------------------------------
-  // (id, dlc) traffic cells with bucketed hit counts, from the tap.
-  std::map<std::uint64_t, std::uint64_t> cells;
-  for (const trace::TimestampedFrame& seen : tap.frames()) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(seen.frame.id()) << 8) | seen.frame.dlc();
-    ++cells[key];
-  }
-  for (const auto& [key, count] : cells) {
-    out.features.push_back(make_feature(Domain::kFrameCell, key, count));
-  }
-  // Simulator-internal ECU state: the counters a real bench hides.  Any
-  // movement here marks the seed "hot" — it found the command channel.
-  const auto ecu_state = [&](std::uint64_t key, std::uint64_t count) {
-    if (count == 0) return;
-    out.features.push_back(make_feature(Domain::kEcuState, key, count));
-    out.hot = true;
-  };
-  ecu_state(1, bench.bcm().unlock_events());
-  ecu_state(2, bench.bcm().lock_events());
-  ecu_state(3, bench.bcm().rejected_commands());
-  ecu_state(4, bench.bcm().unlocked() ? 1 : 0);
-  // Oracle-domain observations (verdict level only — detail strings are
-  // human-facing and must not fake novelty).
-  if (unlock_oracle.ack_frames_seen() > 0) {
-    out.features.push_back(make_feature(Domain::kOracle, 1, unlock_oracle.ack_frames_seen()));
-    out.hot = true;
-  }
-  if (observation) {
-    out.features.push_back(make_feature(
-        Domain::kOracle, 2 + static_cast<std::uint64_t>(observation->verdict), 1));
-    out.hot = true;
-  }
-  // Bus error excursions.
-  const can::BusStats& bus = bench.bus().stats();
-  const auto bus_error = [&](std::uint64_t key, std::uint64_t count) {
-    if (count == 0) return;
-    out.features.push_back(make_feature(Domain::kBusError, key, count));
-  };
-  bus_error(1, bus.error_frames);
-  bus_error(2, bus.drops_bus_off);
-  bus_error(3, bus.drops_queue_full);
-  bus_error(4, bus.arbitration_contests);
-
-  std::sort(out.features.begin(), out.features.end());
-  out.features.erase(std::unique(out.features.begin(), out.features.end()),
-                     out.features.end());
-  return out;
+  return world_->execute(sequence, coverage_);
 }
 
 void FeedbackCampaign::record_failure(const std::vector<can::CanFrame>& sequence,
@@ -294,6 +208,7 @@ fuzzer::CampaignCheckpoint FeedbackCampaign::checkpoint() const {
   state.push_back(additions_since_minimize_);
   state.push_back(finished_ ? 1 : 0);
   state.push_back(static_cast<std::uint64_t>(result_.reason));
+  coverage_.append_state(state);
   const auto words = map_.words();
   state.push_back(words.size());
   state.insert(state.end(), words.begin(), words.end());
@@ -323,6 +238,12 @@ bool FeedbackCampaign::restore(const fuzzer::CampaignCheckpoint& checkpoint) {
       !next(stats.frames_sent) || !next(additions) || !next(finished) || !next(reason)) {
     return false;
   }
+  fuzzer::CoverageTracker coverage;
+  if (state.size() - pos < fuzzer::CoverageTracker::kStateWords ||
+      !coverage.restore_state({state.data() + pos, fuzzer::CoverageTracker::kStateWords})) {
+    return false;
+  }
+  pos += fuzzer::CoverageTracker::kStateWords;
   std::uint64_t word_count = 0;
   if (!next(word_count) || word_count > state.size() - pos) return false;
   const std::span<const std::uint64_t> map_words(state.data() + pos,
@@ -349,6 +270,7 @@ bool FeedbackCampaign::restore(const fuzzer::CampaignCheckpoint& checkpoint) {
   stats_ = stats;
   additions_since_minimize_ = static_cast<std::uint32_t>(additions);
   finished_ = finished != 0;
+  coverage_ = coverage;
   map_ = std::move(map);
   corpus_ = std::move(*corpus);
   total_sim_ = checkpoint.elapsed;

@@ -1,28 +1,31 @@
 // FeedbackCampaign: the coverage-guided loop — pick a seed by energy,
-// mutate it, run it against a fresh isolated world, keep it if it reached
+// mutate it, run it in an isolated world, keep it if it reached
 // novel behaviour.  The AFL recipe, with the NoveltyMap standing in for
 // branch coverage (DESIGN.md §16).
 //
-// Each *execution* builds its own discrete-event world (scheduler, unlock
-// testbench, attacker transport, capture tap, unlock oracle), replays one
-// frame sequence at the configured tx period, and tears the world down —
-// so executions are perfectly isolated and the whole campaign is a pure
-// function of its 64-bit seed.  Simulated time is accounted honestly:
-// every execution (including AFL-tmin style seed trimming) adds its
-// scheduler time to the campaign's elapsed total, which is what the
-// feedback-vs-random bench compares.
+// Every execution replays one frame sequence at the configured tx period in
+// a discrete-event ExecWorld (scheduler, unlock testbench, attacker
+// transport, capture tap, unlock oracle).  The campaign builds that world on
+// its first execution and resets it in place before each later one; a reset
+// world runs exactly as a newly built one, so executions stay isolated and
+// the whole campaign is a pure function of its 64-bit seed.  Simulated time
+// is accounted honestly: every execution (including AFL-tmin style seed
+// trimming) adds its scheduler time to the campaign's elapsed total, which
+// is what the feedback-vs-random bench compares.
 //
 // The campaign speaks the same interfaces as the blind FuzzCampaign: it
 // returns a fuzzer::CampaignResult, and its state checkpoints through
-// fuzzer::CampaignCheckpoint (corpus + novelty map + RNG packed into
-// generator_state), so it rides the fleet's trial/checkpoint machinery and
-// runs in-process or distributed unchanged.
+// fuzzer::CampaignCheckpoint (corpus + novelty map + coverage + RNG packed
+// into generator_state), so it rides the fleet's trial/checkpoint machinery
+// and runs in-process or distributed unchanged.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "feedback/corpus.hpp"
+#include "feedback/exec_world.hpp"
 #include "feedback/novelty.hpp"
 #include "feedback/sequence_mutator.hpp"
 #include "fuzzer/campaign.hpp"
@@ -91,10 +94,10 @@ class FeedbackCampaign {
   const fuzzer::CoverageTracker& coverage() const noexcept { return coverage_; }
   const FeedbackConfig& config() const noexcept { return config_; }
 
-  /// Packs the loop state (RNG, counters, novelty map, corpus bytes) into a
-  /// standard campaign checkpoint with generator_name "feedback" — the
-  /// corpus rides the same hardened v2 checkpoint path as every other
-  /// campaign (PR-5/PR-6).
+  /// Packs the loop state (RNG, counters, coverage tracker, novelty map,
+  /// corpus bytes) into a standard campaign checkpoint with generator_name
+  /// "feedback" — the corpus rides the same hardened checkpoint record as
+  /// every other campaign.
   fuzzer::CampaignCheckpoint checkpoint() const;
 
   /// Restores loop state.  Returns false (campaign untouched) on a
@@ -103,16 +106,6 @@ class FeedbackCampaign {
   bool restore(const fuzzer::CampaignCheckpoint& checkpoint);
 
  private:
-  struct ExecOutcome {
-    std::vector<Feature> features;  // sorted unique
-    bool hot = false;               // touched ECU-state / oracle domains
-    sim::Duration elapsed{0};
-    std::uint64_t frames_sent = 0;
-    std::uint64_t send_failures = 0;
-    bool failure = false;
-    oracle::Observation failure_observation;  // valid when failure
-  };
-
   ExecOutcome execute(const std::vector<can::CanFrame>& sequence);
   void record_failure(const std::vector<can::CanFrame>& sequence,
                       const ExecOutcome& outcome);
@@ -130,6 +123,7 @@ class FeedbackCampaign {
   sim::Duration total_sim_{0};
   std::uint32_t additions_since_minimize_ = 0;
   bool finished_ = false;
+  std::unique_ptr<ExecWorld> world_;  // built by the first execution
 };
 
 }  // namespace acf::feedback

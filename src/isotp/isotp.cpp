@@ -263,6 +263,17 @@ void IsoTpChannel::arm_rx_timeout() {
   });
 }
 
+void IsoTpChannel::reset() {
+  scheduler_.cancel(tx_.timer);
+  scheduler_.cancel(rx_.timer);
+  // Fresh transfer records that keep the payload buffers.
+  tx_ = TxTransfer{.payload = std::move(tx_.payload)};
+  rx_ = RxTransfer{.payload = std::move(rx_.payload)};
+  tx_.payload.clear();
+  rx_.payload.clear();
+  stats_ = IsoTpStats{};
+}
+
 void IsoTpChannel::abort_tx() {
   scheduler_.cancel(tx_.timer);
   tx_.state = TxState::kIdle;

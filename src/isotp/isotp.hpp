@@ -72,6 +72,11 @@ class IsoTpChannel {
   const IsoTpStats& stats() const noexcept { return stats_; }
   const IsoTpConfig& config() const noexcept { return config_; }
 
+  /// Drops any transfer in progress without reporting it (no abort count,
+  /// no tx-done callback), cancels its timers and zeroes the stats.  Keeps
+  /// the callbacks and the payload buffers' capacity.
+  void reset();
+
  private:
   enum class TxState { kIdle, kAwaitingFlowControl, kSendingConsecutive };
   enum class RxState { kIdle, kReceiving };

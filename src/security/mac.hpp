@@ -65,6 +65,14 @@ class FrameAuthenticator {
   std::uint32_t tx_counter() const noexcept { return tx_counter_; }
   std::uint32_t rx_counter() const noexcept { return rx_counter_; }
 
+  /// Restarts both counters and the stats; keeps the key and the window.
+  void reset() noexcept {
+    tx_counter_ = 0;
+    rx_counter_ = 0;
+    last_command_ = 0;
+    stats_ = AuthStats{};
+  }
+
   /// Expected MAC for a given (id, counter, command) — exposed for tests.
   std::uint32_t compute_mac(std::uint32_t id, std::uint32_t counter,
                             std::uint8_t command) const;

@@ -10,6 +10,7 @@
 //       documented invariants (DLC bounds, signals fit, valid verdicts)
 //   [L] liveness: protocol state machines return to idle once input stops
 //       (plus bounded tolerance of hostile stalling, e.g. N_WFTmax)
+//   [P] persistence: a world reset in place runs as a newly built one
 #include "selftest/targets.hpp"
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "ids/eval_codec.hpp"
 #include "isotp/isotp.hpp"
 #include "metrics/snapshot.hpp"
+#include "selftest/world_reset.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/asc_log.hpp"
 #include "trace/candump_log.hpp"
@@ -1143,6 +1145,15 @@ Verdict run_ids_eval_line(Bytes input) {
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// world_reset: the feedback loop's persistent world.  Running one script,
+// resetting and running a second must end where the second script leaves a
+// newly built world (selftest/world_reset.hpp has the script format).  [P]
+
+Verdict run_world_reset(Bytes input) {
+  return check_world_reset(decode_world_reset_case(input));
+}
+
 std::vector<FuzzTarget> make_targets() {
   return {
       {"checkpoint", "CampaignCheckpoint strict decode + re-encode identity", run_checkpoint},
@@ -1168,6 +1179,8 @@ std::vector<FuzzTarget> make_targets() {
        run_fleet_checkpoint},
       {"ids_eval_line", "ids-eval/1 digest line decode + encode round-trip",
        run_ids_eval_line},
+      {"world_reset", "feedback world reset in place runs as a newly built one",
+       run_world_reset},
   };
 }
 

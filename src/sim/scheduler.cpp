@@ -26,6 +26,25 @@ void Scheduler::reserve(std::size_t events) {
   if (heap_.capacity() < events) heap_.reserve(events);
 }
 
+void Scheduler::reset() {
+  for (std::uint32_t slot = 0; slot < slots_used_; ++slot) {
+    if (event(slot).state != SlotState::kFree) release_slot(slot);
+  }
+  // Slots are handed out from zero again, in the order a new scheduler
+  // would hand them out; the free list built above is dropped with them.
+  free_head_ = kNullIndex;
+  lane_head_ = kNullIndex;
+  lane_tail_ = kNullIndex;
+  slots_used_ = 0;
+  heap_.clear();
+  now_ = SimTime{0};
+  next_seq_ = 0;
+  executed_ = 0;
+  live_ = 0;
+  slot_reuses_ = 0;
+  action_heap_spills_ = 0;
+}
+
 std::uint32_t Scheduler::acquire_slot() {
   if (free_head_ != kNullIndex) {
     const std::uint32_t slot = free_head_;

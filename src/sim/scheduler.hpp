@@ -16,7 +16,8 @@
 // is a true removal with no tombstones to skip.  A periodic event stays at
 // the heap root while its handler runs and then re-keys in place with one
 // sift-down (no callable copy, no pop and push).  Steady-state operation of
-// a warmed-up world performs zero heap allocations.
+// a warmed-up world performs zero heap allocations, and reset() keeps the
+// slab and heap, so a world reset in place re-runs without allocating.
 //
 // Handlers may schedule and cancel events, but must not run the scheduler
 // (step/run_*) themselves.
@@ -66,6 +67,14 @@ class Scheduler {
 
   /// Ensures capacity for `events` concurrently pending events.
   void reserve(std::size_t events);
+
+  /// Returns to the just-built state: every pending event is dropped, and
+  /// the clock, FIFO sequence and counters restart from zero, so the same
+  /// schedule replays exactly as on a new scheduler.  Keeps the slab chunks
+  /// and the heap's capacity.  Each dropped event's slot moves to a new
+  /// generation, so an EventId from before the reset cancels nothing.
+  /// Must not be called from inside an event handler.
+  void reset();
 
   SimTime now() const noexcept { return now_; }
 

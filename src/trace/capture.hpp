@@ -53,6 +53,13 @@ class CaptureTap final : private can::BusListener {
     bus_.flush_deliveries();
     frames_.clear();
   }
+  /// clear() plus zeroed totals: the just-attached state.  Keeps the
+  /// attachment, the limit, the live callback and the frame buffer.
+  void reset() {
+    clear();
+    total_seen_ = 0;
+    error_frames_ = 0;
+  }
 
   /// Optional live callback invoked for each frame as it is captured.
   /// Installing one switches the tap from slab (batched) to immediate

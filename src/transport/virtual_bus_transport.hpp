@@ -24,6 +24,9 @@ class VirtualBusTransport final : public CanTransport, private can::BusListener 
   std::string name() const override { return "vbus:" + name_; }
   const TransportStats& stats() const override { return stats_; }
 
+  /// Zeroes the stats (the node's bus state belongs to VirtualBus::reset).
+  void reset_stats() noexcept { stats_ = TransportStats{}; }
+
   can::NodeId node_id() const noexcept { return node_; }
   const can::ErrorState& error_state() const { return bus_.error_state(node_); }
   const can::ErrorState* bus_error_state() const override { return &error_state(); }

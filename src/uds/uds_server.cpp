@@ -84,7 +84,8 @@ std::vector<std::uint8_t> UdsServer::handle_read_did(std::span<const std::uint8_
   if (it == dids_.end()) return negative(request[0], kNrcRequestOutOfRange);
   std::vector<std::uint8_t> response = {static_cast<std::uint8_t>(request[0] + 0x40),
                                         request[1], request[2]};
-  response.insert(response.end(), it->second.value.begin(), it->second.value.end());
+  const std::vector<std::uint8_t>& value = it->second.value();
+  response.insert(response.end(), value.begin(), value.end());
   return response;
 }
 
@@ -99,7 +100,8 @@ std::vector<std::uint8_t> UdsServer::handle_write_did(std::span<const std::uint8
   if (it->second.write_needs_unlock && security_ != SecurityState::kUnlocked) {
     return negative(request[0], kNrcSecurityAccessDenied);
   }
-  it->second.value.assign(request.begin() + 3, request.end());
+  it->second.written.assign(request.begin() + 3, request.end());
+  it->second.overwritten = true;
   return {static_cast<std::uint8_t>(request[0] + 0x40), request[1], request[2]};
 }
 
@@ -175,12 +177,12 @@ std::vector<std::uint8_t> UdsServer::handle_read_dtc(std::span<const std::uint8_
 
 void UdsServer::set_did(std::uint16_t did, std::vector<std::uint8_t> value, bool writable,
                         bool write_needs_unlock) {
-  dids_[did] = DidEntry{std::move(value), writable, write_needs_unlock};
+  dids_[did] = DidEntry{std::move(value), {}, false, writable, write_needs_unlock};
 }
 
 const std::vector<std::uint8_t>* UdsServer::did_value(std::uint16_t did) const {
   const auto it = dids_.find(did);
-  return it == dids_.end() ? nullptr : &it->second.value;
+  return it == dids_.end() ? nullptr : &it->second.value();
 }
 
 void UdsServer::reset_state() {
@@ -189,6 +191,14 @@ void UdsServer::reset_state() {
   failed_attempts_ = 0;
   scheduler_.cancel(s3_timer_);
   s3_timer_ = {};
+}
+
+void UdsServer::reset() {
+  reset_state();
+  lockout_until_ = sim::SimTime{0};
+  rng_ = util::Rng(config_.seed_rng);
+  stats_ = UdsServerStats{};
+  for (auto& [did, entry] : dids_) entry.overwritten = false;
 }
 
 void UdsServer::touch_s3_timer() {

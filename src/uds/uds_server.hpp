@@ -100,11 +100,24 @@ class UdsServer {
   /// Drops to the default session and relocks (power-on state).
   void reset_state();
 
+  /// Returns to the just-built state: reset_state() plus no lockout, the
+  /// seed RNG re-seeded, zeroed stats and every DID back to the value
+  /// set_did() installed.  Keeps the DID table, the providers and handlers,
+  /// and every allocation.  (A seed left pending is never read again: only
+  /// a new seed request leaves the locked state.)
+  void reset();
+
  private:
   struct DidEntry {
-    std::vector<std::uint8_t> value;
+    std::vector<std::uint8_t> installed;  // as set_did() gave it
+    std::vector<std::uint8_t> written;    // WriteDataByIdentifier's value
+    bool overwritten = false;             // `written` replaces `installed`
     bool writable = false;
     bool write_needs_unlock = true;
+
+    const std::vector<std::uint8_t>& value() const noexcept {
+      return overwritten ? written : installed;
+    }
   };
 
   std::vector<std::uint8_t> dispatch(std::span<const std::uint8_t> request);

@@ -42,6 +42,15 @@ BodyControlModule::BodyControlModule(sim::Scheduler& scheduler, can::VirtualBus&
   });
 }
 
+void BodyControlModule::reset() {
+  factory_reset();
+  unlocked_ = false;
+  unlock_events_ = 0;
+  lock_events_ = 0;
+  rejected_commands_ = 0;
+  if (verifier_ != nullptr) verifier_->reset();
+}
+
 void BodyControlModule::on_power_on() {
   // Lock state is held in the actuator; a module reboot does not move it.
 }

@@ -55,6 +55,11 @@ class BodyControlModule final : public ecu::Ecu {
   /// Re-locks without emitting an ack (used between Table V trials).
   void force_lock() noexcept { unlocked_ = false; }
 
+  /// Back to the just-built state (Ecu::factory_reset): locked, zeroed
+  /// command counters and the verifier's counters restarted.  Keeps the
+  /// predicate, an installed key and the actuator listener.
+  void reset();
+
   /// Installs the shared authentication key (enables require_auth
   /// predicates).  The head unit must hold the same key.
   void install_auth_key(const security::Key128& key) {

@@ -5,6 +5,14 @@ namespace acf::vehicle {
 HeadUnit::HeadUnit(sim::Scheduler& scheduler, can::VirtualBus& bus)
     : Ecu(scheduler, bus, "IVI") {}
 
+void HeadUnit::reset() {
+  factory_reset();
+  sequence_ = 0;
+  acks_seen_ = 0;
+  last_acked_command_ = 0;
+  if (signer_ != nullptr) signer_->reset();
+}
+
 bool HeadUnit::send_command(std::uint8_t command) {
   if (signer_ != nullptr) {
     return send(signer_->sign_command(dbc::kMsgBodyCommand, command));

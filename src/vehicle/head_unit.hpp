@@ -32,6 +32,11 @@ class HeadUnit final : public ecu::Ecu {
     signer_ = std::make_unique<security::FrameAuthenticator>(key);
   }
 
+  /// Back to the just-built state (Ecu::factory_reset), with the command
+  /// sequence, the ack tally and the signer's counters restarted.  Keeps
+  /// an installed key.
+  void reset();
+
  private:
   void handle_frame(const can::CanFrame& frame, sim::SimTime time) override;
   bool send_command(std::uint8_t command);

@@ -53,4 +53,10 @@ UnlockTestbench::UnlockTestbench(sim::Scheduler& scheduler, UnlockPredicate pred
   }
 }
 
+void UnlockTestbench::reset() {
+  bus_->reset();
+  head_unit_->reset();
+  bcm_->reset();
+}
+
 }  // namespace acf::vehicle

@@ -86,6 +86,11 @@ class UnlockTestbench {
   HeadUnit& head_unit() noexcept { return *head_unit_; }
   BodyControlModule& bcm() noexcept { return *bcm_; }
 
+  /// Resets the bus, the head unit and the BCM in that (construction)
+  /// order, so the re-armed periodics take the scheduler sequence numbers a
+  /// new testbench's would.  Reset the scheduler first.
+  void reset();
+
  private:
   std::unique_ptr<can::VirtualBus> bus_;
   std::unique_ptr<HeadUnit> head_unit_;

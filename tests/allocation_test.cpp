@@ -6,7 +6,8 @@
 // decode signals by position on the stack, the IDS labeler's flat table
 // stops growing once it holds the pending peak, and the scheduler's
 // same-instant lane is threaded through its event slots.  Building a
-// feedback execution's world has a fixed budget.
+// feedback execution's world has a fixed budget, resetting it in place
+// allocates nothing, and a warm execution allocates only its outcome.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,11 +19,10 @@
 #include <vector>
 
 #include "can/frame.hpp"
+#include "dbc/target_vehicle_db.hpp"
+#include "feedback/exec_world.hpp"
 #include "ids/evaluation.hpp"
-#include "oracle/vehicle_oracles.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/capture.hpp"
-#include "transport/virtual_bus_transport.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace {
@@ -122,24 +122,78 @@ TEST(LabelerAllocations, WarmTableAllocatesNothing) {
   EXPECT_EQ(labeler.matched(), 20000u);
 }
 
-// Heap allocations made by building and destroying the world of one
-// feedback execution (FeedbackCampaign::execute), counted before the
-// scheduler had a same-instant lane.  Feedback builds one such world per
-// execution, so the lane must not add to it.
+// Heap allocations made by building and destroying a feedback campaign's
+// world (scheduler, testbench, attacker, tap and oracle), counted before the
+// scheduler had a same-instant lane.  A campaign builds it once and resets
+// it for every later execution.
 constexpr std::uint64_t kFeedbackWorldAllocations = 22;
 
 TEST(WorldAllocations, FeedbackExecutionWorldKeepsItsBudget) {
   auto build_and_destroy = [] {
-    sim::Scheduler scheduler{64};
-    vehicle::UnlockTestbench bench(scheduler);
-    transport::VirtualBusTransport attacker(bench.bus(), "attacker");
-    trace::CaptureTap tap(bench.bus(), "feedback.tap");
-    oracle::UnlockOracle unlock_oracle(bench.bus(), &bench.bcm());
+    feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte(), 1ms, 2ms);
   };
   build_and_destroy();  // first use builds the shared target-vehicle database
   const std::uint64_t before = allocations();
   build_and_destroy();
   EXPECT_EQ(allocations() - before, kFeedbackWorldAllocations);
+}
+
+/// Frames that leave state in every piece of the world: an unlock and a
+/// rejected command at the BCM, a UDS session change and seed request, the
+/// first frame of a UDS request the BCM never gets the rest of, and frames
+/// on an id nobody listens to.
+std::vector<can::CanFrame> dirtying_sequence() {
+  const std::uint8_t unlock[7] = {dbc::kCmdUnlock, 0x5F, 0x01, 0x00, 0x01, 0x20, 0x00};
+  const std::uint8_t rejected[2] = {0x33, 0x5F};
+  const std::uint8_t session[8] = {0x02, 0x10, 0x03, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC};
+  const std::uint8_t seed[8] = {0x02, 0x27, 0x01, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC};
+  const std::uint8_t first_frame[8] = {0x10, 0x14, 0x2E, 0xF1, 0x90, 0x01, 0x02, 0x03};
+  const std::uint8_t noise[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  return {*can::CanFrame::data(dbc::kMsgBodyCommand, unlock),
+          *can::CanFrame::data(dbc::kMsgBodyCommand, rejected),
+          *can::CanFrame::data(dbc::kUdsBcmRequest, session),
+          *can::CanFrame::data(dbc::kUdsBcmRequest, seed),
+          *can::CanFrame::data(dbc::kUdsBcmRequest, first_frame),
+          *can::CanFrame::data(0x123, noise)};
+}
+
+TEST(WorldAllocations, FeedbackWorldResetAllocatesNothing) {
+  feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte(), 1ms, 2ms);
+  fuzzer::CoverageTracker coverage;
+  const std::vector<can::CanFrame> sequence = dirtying_sequence();
+  for (int warm_up = 0; warm_up < 2; ++warm_up) {
+    world.reset();
+    world.execute(sequence, coverage);
+  }
+  ASSERT_EQ(world.bench().bcm().unlock_events(), 1u);
+  ASSERT_GT(world.scheduler().pending_events(), 0u);  // the reset drops them
+  const std::uint64_t before = allocations();
+  world.reset();
+  EXPECT_EQ(allocations() - before, 0u);
+}
+
+// Heap allocations of one warm feedback execution (ExecWorld::reset and
+// execute) of a sequence the world has run before and the BCM rejects: the
+// outcome's feature list and nothing else.
+constexpr std::uint64_t kWarmExecutionAllocations = 1;
+
+TEST(FeedbackAllocations, WarmExecutionKeepsItsBudget) {
+  feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte(), 1ms, 2ms);
+  fuzzer::CoverageTracker coverage;
+  const std::uint8_t rejected[3] = {0x33, 0x5F, 0x01};
+  const std::uint8_t noise[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<can::CanFrame> sequence = {
+      *can::CanFrame::data(dbc::kMsgBodyCommand, rejected), *can::CanFrame::data(0x123, noise)};
+  world.execute(sequence, coverage);  // warm-up
+  world.reset();
+  world.execute(sequence, coverage);
+  const std::uint64_t before = allocations();
+  world.reset();
+  const feedback::ExecOutcome outcome = world.execute(sequence, coverage);
+  const std::uint64_t during = allocations() - before;
+  EXPECT_EQ(outcome.frames_sent, 2u);
+  EXPECT_TRUE(outcome.hot);  // the rejected command moved a BCM counter
+  EXPECT_EQ(during, kWarmExecutionAllocations);
 }
 
 TEST(SchedulerAllocations, WarmSameInstantTrafficAllocatesNothing) {

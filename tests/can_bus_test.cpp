@@ -246,6 +246,82 @@ TEST_F(BusTest, NodeNamesAndErrorStateAccessors) {
 
 // -------------------------------------------------------- error state -----
 
+/// A two-node bus with random corruption, driven into every kind of state:
+/// queued and corrupted frames, a node forced to bus-off, error frames.
+struct DirtyRig {
+  explicit DirtyRig(const BusConfig& config) : bus(scheduler, config) {
+    na = bus.attach(a, "a");
+    nb = bus.attach(b, "b");
+    nc = bus.attach(c, "c");
+  }
+  void drive() {
+    for (std::uint8_t i = 0; i < 20; ++i) {
+      bus.submit(na, CanFrame::data_std(0x300u + i, {i}));
+      bus.submit(nb, CanFrame::data_std(0x080u + i, {i}));  // wins arbitration
+    }
+    bus.force_tx_errors(nb, 40);  // b's next 32 attempts take it to bus-off
+    bus.inject_error_frame();
+    // Stops mid-traffic: a's queue non-empty, b recovering from bus-off with
+    // forced errors left over; then a third node powers down.
+    scheduler.run_for(std::chrono::milliseconds(4));
+    bus.set_power(nc, false);
+  }
+
+  sim::Scheduler scheduler;
+  VirtualBus bus;
+  Recorder a, b, c;
+  NodeId na = kInvalidNode;
+  NodeId nb = kInvalidNode;
+  NodeId nc = kInvalidNode;
+};
+
+TEST(BusReset, TrafficRunsAsOnANewBus) {
+  BusConfig config;
+  config.corruption_probability = 0.3;
+  config.seed = 5;
+  DirtyRig reused(config);
+  reused.drive();
+  ASSERT_TRUE(reused.bus.bus_off_recovering(reused.nb));
+  ASSERT_GT(reused.bus.forced_tx_errors_remaining(reused.nb), 0u);
+  ASSERT_GT(reused.bus.pending(reused.na), 0u);
+  reused.scheduler.reset();
+  reused.bus.reset();
+  reused.a = Recorder{};
+  reused.b = Recorder{};
+  reused.c = Recorder{};
+  reused.drive();
+  DirtyRig fresh(config);
+  fresh.drive();
+
+  EXPECT_EQ(reused.a.frames, fresh.a.frames);
+  EXPECT_EQ(reused.b.frames, fresh.b.frames);
+  EXPECT_EQ(reused.c.frames, fresh.c.frames);
+  EXPECT_EQ(reused.a.times, fresh.a.times);
+  EXPECT_EQ(reused.a.error_frames, fresh.a.error_frames);
+  const BusStats& got = reused.bus.stats();
+  const BusStats& want = fresh.bus.stats();
+  EXPECT_EQ(got.frames_submitted, want.frames_submitted);
+  EXPECT_EQ(got.frames_delivered, want.frames_delivered);
+  EXPECT_EQ(got.error_frames, want.error_frames);
+  EXPECT_EQ(got.drops_bus_off, want.drops_bus_off);
+  EXPECT_EQ(got.arbitration_contests, want.arbitration_contests);
+  EXPECT_EQ(got.busy_time, want.busy_time);
+  EXPECT_EQ(reused.bus.busy(), fresh.bus.busy());
+  for (const NodeId id : {reused.na, reused.nb}) {
+    SCOPED_TRACE(reused.bus.node_name(id));
+    const ErrorState& errors = reused.bus.error_state(id);
+    const ErrorState& fresh_errors = fresh.bus.error_state(id);
+    EXPECT_EQ(errors.tec(), fresh_errors.tec());
+    EXPECT_EQ(errors.rec(), fresh_errors.rec());
+    EXPECT_EQ(errors.tx_error_events(), fresh_errors.tx_error_events());
+    EXPECT_EQ(errors.bus_off_events(), fresh_errors.bus_off_events());
+    EXPECT_EQ(reused.bus.bus_off_recovering(id), fresh.bus.bus_off_recovering(id));
+    EXPECT_EQ(reused.bus.pending(id), fresh.bus.pending(id));
+    EXPECT_EQ(reused.bus.forced_tx_errors_remaining(id),
+              fresh.bus.forced_tx_errors_remaining(id));
+  }
+}
+
 TEST(ErrorState, ThresholdTransitions) {
   ErrorState state;
   EXPECT_EQ(state.mode(), ErrorMode::kErrorActive);

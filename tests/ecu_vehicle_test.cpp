@@ -26,6 +26,11 @@ class ProbeEcu final : public ecu::Ecu {
                  });
   }
   void trigger_crash() { crash("test-induced"); }
+  void reset() {
+    factory_reset();
+    produced = 0;
+    received = 0;
+  }
   using Ecu::send;
 
   int produced = 0;
@@ -77,6 +82,28 @@ TEST_F(EcuTest, CrashSilencesUntilPowerCycle) {
   scheduler.run_for(std::chrono::milliseconds(100));
   EXPECT_FALSE(ecu.crashed());
   EXPECT_GT(tap.size(), 0u);
+}
+
+TEST_F(EcuTest, FactoryResetClearsWhatAPowerCycleKeeps) {
+  ProbeEcu ecu(scheduler, bus);
+  trace::CaptureTap tap(bus, "tap");
+  scheduler.run_for(std::chrono::milliseconds(25));
+  ecu.dtcs().raise(0x123456, "test DTC");
+  ecu.trigger_crash();
+  ecu.power_off();
+  scheduler.reset();
+  bus.reset();
+  ecu.reset();
+  tap.reset();
+  EXPECT_TRUE(ecu.powered());
+  EXPECT_TRUE(bus.powered(ecu.node_id()));
+  EXPECT_FALSE(ecu.crashed());
+  EXPECT_EQ(ecu.crash_count(), 0u);
+  EXPECT_EQ(ecu.dtcs().count(), 0u);
+  // The periodic is armed again, once.
+  scheduler.run_for(std::chrono::milliseconds(105));
+  EXPECT_EQ(tap.size(), 10u);
+  EXPECT_EQ(ecu.produced, 10);
 }
 
 TEST_F(EcuTest, SendRejectedWhenCrashedOrOff) {
@@ -352,6 +379,46 @@ TEST(HeadUnit, AppCommandsActuateBcm) {
   scheduler.run_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(bench.bcm().unlocked());
   EXPECT_EQ(bench.head_unit().acks_seen(), 2u);
+}
+
+TEST(UnlockTestbench, ResetRunsAsANewTestbench) {
+  // The authenticated rig, so the head unit's signer and the BCM's verifier
+  // carry counters too.  The drive spans three rounds of the BCM's 100 ms
+  // periodics, which the reset must re-arm in construction order.
+  const auto drive = [](sim::Scheduler& scheduler, UnlockTestbench& bench) {
+    bench.head_unit().request_unlock();
+    scheduler.run_for(std::chrono::milliseconds(150));
+    bench.head_unit().request_lock();
+    scheduler.run_for(std::chrono::milliseconds(200));
+  };
+  sim::Scheduler scheduler;
+  UnlockTestbench reused(scheduler, UnlockPredicate::authenticated());
+  trace::CaptureTap reused_tap(reused.bus());
+  drive(scheduler, reused);
+  scheduler.reset();
+  reused.reset();
+  reused_tap.reset();
+  EXPECT_FALSE(reused.bcm().unlocked());
+  EXPECT_EQ(reused.head_unit().acks_seen(), 0u);
+  drive(scheduler, reused);
+
+  sim::Scheduler fresh_scheduler;
+  UnlockTestbench fresh(fresh_scheduler, UnlockPredicate::authenticated());
+  trace::CaptureTap fresh_tap(fresh.bus());
+  drive(fresh_scheduler, fresh);
+
+  const auto& got = reused_tap.frames();
+  const auto& want = fresh_tap.frames();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].frame, want[i].frame) << i;
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+  }
+  EXPECT_EQ(reused.bcm().unlock_events(), 1u);
+  EXPECT_EQ(reused.bcm().lock_events(), 1u);
+  EXPECT_EQ(reused.bcm().verifier()->stats().accepted, 2u);
+  EXPECT_EQ(reused.head_unit().acks_seen(), fresh.head_unit().acks_seen());
+  EXPECT_EQ(scheduler.executed_events(), fresh_scheduler.executed_events());
 }
 
 // ----------------------------------------------------------- gateway ------

@@ -1,17 +1,19 @@
 // Feedback-driven fuzzing tests: novelty-map semantics, corpus scheduling /
-// minimisation / codec hardening, sequence-mutator bounds, and the
-// campaign-level determinism contracts — byte-identical re-runs, checkpoint
-// resume equal to the uninterrupted run, and thread-count-invariant fleet
-// outcomes.
+// minimisation / codec hardening, sequence-mutator bounds, the persistent
+// execution world (a reset world runs as a new one), and the campaign-level
+// determinism contracts — byte-identical re-runs, checkpoint resume equal to
+// the uninterrupted run, and thread-count-invariant fleet outcomes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 
+#include "dbc/target_vehicle_db.hpp"
 #include "feedback/campaign.hpp"
 #include "feedback/worlds.hpp"
 #include "fleet/executor.hpp"
 #include "metrics/metrics.hpp"
+#include "selftest/world_reset.hpp"
 
 namespace acf::feedback {
 namespace {
@@ -188,6 +190,88 @@ TEST(FeedbackSequenceMutator, StaysWithinBoundsAndIsDeterministic) {
   }
 }
 
+// -------------------------------------------------- FeedbackWorldReset ----
+
+can::CanFrame uds_request(std::vector<std::uint8_t> bytes) {
+  bytes.resize(8, 0xCC);
+  return *can::CanFrame::data(dbc::kUdsBcmRequest, bytes);
+}
+
+/// A random execution input: a SequenceMutator sequence (fresh, or mutated
+/// against a donor), into which a UDS dialogue with the BCM, body commands
+/// and bus faults are mixed, each in about a third of the scripts.
+selftest::WorldScript random_script(util::Rng& rng, const SequenceMutator& mutator) {
+  selftest::WorldScript script;
+  script.frames = mutator.fresh(rng);
+  if (rng.next_bool()) {
+    const std::vector<can::CanFrame> donor = mutator.fresh(rng);
+    mutator.mutate(rng, script.frames, &donor);
+  }
+  const auto insert_block = [&](const std::vector<can::CanFrame>& block) {
+    const auto at = static_cast<std::ptrdiff_t>(rng.next_below(script.frames.size() + 1));
+    script.frames.insert(script.frames.begin() + at, block.begin(), block.end());
+  };
+  if (rng.next_below(3) == 0) {
+    // Extended session first, so seed and key requests get answered.
+    std::vector<can::CanFrame> dialogue = {uds_request({0x02, 0x10, 0x03})};
+    if (rng.next_bool()) {
+      // Wrong keys: the third in a row locks seed requests out for 10 s.
+      for (std::uint64_t i = rng.next_in(1, 4); i > 0; --i) {
+        dialogue.push_back(uds_request({0x02, 0x27, 0x01}));
+        dialogue.push_back(uds_request({0x06, 0x27, 0x02, rng.next_byte(), rng.next_byte(),
+                                        rng.next_byte(), rng.next_byte()}));
+      }
+    }
+    for (std::uint64_t i = rng.next_in(1, 4); i > 0; --i) {
+      switch (rng.next_below(6)) {
+        case 0: dialogue.push_back(uds_request({0x02, 0x27, 0x01})); break;
+        // A multi-frame answer: the BCM then waits for the tester's flow
+        // control.
+        case 1: dialogue.push_back(uds_request({0x03, 0x22, 0xF1, 0x90})); break;
+        // The first frame of a 20-byte request: the BCM waits for the rest.
+        case 2:
+          dialogue.push_back(uds_request({0x10, 0x14, 0x2E, 0xF1, 0x90, 0x01, 0x02, 0x03}));
+          break;
+        case 3: dialogue.push_back(uds_request({0x30, 0x00, 0x00})); break;
+        case 4: dialogue.push_back(uds_request({0x21, 0x04, 0x05, 0x06, 0x07})); break;
+        default: dialogue.push_back(uds_request({0x02, 0x11, 0x01})); break;
+      }
+    }
+    insert_block(dialogue);
+  }
+  if (rng.next_below(3) == 0) {
+    const std::uint8_t command = rng.next_bool() ? dbc::kCmdUnlock : dbc::kCmdLock;
+    const std::uint8_t tail[7] = {command, 0x5F, 0x01, 0x00, rng.next_byte(), 0x20, 0x00};
+    const auto length = static_cast<std::size_t>(rng.next_in(1, 7));
+    insert_block({*can::CanFrame::data(dbc::kMsgBodyCommand, std::span(tail, length))});
+  }
+  if (rng.next_below(3) == 0) {
+    // Corrupted transmissions on any of the five nodes (32 take one to
+    // bus-off) and error frames on the wire.
+    script.forced_errors.emplace_back(static_cast<can::NodeId>(rng.next_below(5)),
+                                      static_cast<std::uint32_t>(rng.next_below(48)));
+    for (std::uint64_t i = rng.next_below(3); i > 0; --i) {
+      script.error_frame_slots.push_back(static_cast<std::uint32_t>(rng.next_below(8)));
+    }
+  }
+  return script;
+}
+
+TEST(FeedbackWorldReset, ResetThenRunEqualsANewWorldsRun) {
+  util::Rng rng(0x5E7E7);
+  const SequenceMutator mutator;
+  constexpr int kPairs = 500;
+  int failures = 0;
+  for (int pair = 0; pair < kPairs && failures < 5; ++pair) {
+    selftest::WorldResetCase check{selftest::world_predicate(static_cast<std::uint8_t>(pair)),
+                                   random_script(rng, mutator), random_script(rng, mutator)};
+    if (const auto difference = selftest::check_world_reset(check)) {
+      ++failures;
+      ADD_FAILURE() << "pair " << pair << ": " << *difference;
+    }
+  }
+}
+
 // ---------------------------------------------------- FeedbackCampaign ----
 
 FeedbackConfig fast_config(std::uint64_t seed) {
@@ -258,6 +342,19 @@ TEST(FeedbackCampaign, CheckpointResumeEqualsUninterrupted) {
   EXPECT_EQ(resumed.map().occupied(), uninterrupted.map().occupied());
   // The corpus round-trips byte-identically through the checkpoint path.
   EXPECT_EQ(resumed.corpus().encode(), uninterrupted.corpus().encode());
+  // So does the coverage tracker: the resumed report (and the
+  // fuzz.coverage.* counters published from it) counts both halves.
+  const fuzzer::CoverageTracker& got = resumed.coverage();
+  const fuzzer::CoverageTracker& want = uninterrupted.coverage();
+  EXPECT_GT(want.frames(), first_half.coverage().frames());
+  EXPECT_EQ(got.frames(), want.frames());
+  EXPECT_EQ(got.ids_covered(), want.ids_covered());
+  EXPECT_EQ(got.id_dlc_cells_covered(), want.id_dlc_cells_covered());
+  std::vector<std::uint64_t> got_state;
+  std::vector<std::uint64_t> want_state;
+  got.append_state(got_state);
+  want.append_state(want_state);
+  EXPECT_EQ(got_state, want_state);
 }
 
 TEST(FeedbackCampaign, CheckpointSurvivesTheRecord) {

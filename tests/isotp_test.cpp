@@ -187,6 +187,34 @@ TEST_F(IsoTpPair, SequenceErrorAborts) {
   EXPECT_TRUE(received.empty());
 }
 
+TEST_F(IsoTpPair, ResetDropsTransfersInBothDirections) {
+  // The server is half-way through receiving 20 bytes, and the client is
+  // waiting for flow control that never comes.
+  transport::VirtualBusTransport raw(bus, "raw");
+  raw.send(*can::CanFrame::data(0x7E0, {0x10, 20, 1, 2, 3, 4, 5, 6}));
+  client_port.set_rx_callback({});
+  client->send(std::vector<std::uint8_t>(30, 1));
+  scheduler.run_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(client->tx_busy());
+  bool done_reported = false;
+  client->set_on_tx_done([&](bool) { done_reported = true; });
+
+  server->reset();
+  client->reset();
+  EXPECT_FALSE(client->tx_busy());
+  EXPECT_EQ(client->stats().frames_sent, 0u);
+  EXPECT_EQ(client->stats().tx_aborts, 0u);
+  // The rest of the old transfer is now a stray consecutive frame, and the
+  // old timeouts are gone.
+  raw.send(*can::CanFrame::data(0x7E0, {0x21, 7, 8, 9, 10, 11, 12, 13}));
+  scheduler.run_for(std::chrono::seconds(3));
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(server->stats().malformed_frames, 1u);
+  EXPECT_EQ(server->stats().rx_aborts, 0u);
+  EXPECT_EQ(client->stats().tx_aborts, 0u);
+  EXPECT_FALSE(done_reported);
+}
+
 TEST_F(IsoTpPair, MalformedPciCounted) {
   transport::VirtualBusTransport raw(bus, "raw");
   raw.send(*can::CanFrame::data(0x7E0, {0x40, 1, 2}));  // PCI type 4: undefined

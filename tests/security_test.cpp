@@ -54,6 +54,21 @@ TEST(FrameAuthenticator, SignVerifyRoundTrip) {
   EXPECT_EQ(receiver.stats().accepted, 50u);
 }
 
+TEST(FrameAuthenticator, ResetRestartsCountersAndStats) {
+  FrameAuthenticator sender(kTestKey);
+  FrameAuthenticator receiver(kTestKey);
+  const auto first = sender.sign_command(0x215, dbc::kCmdUnlock);
+  ASSERT_EQ(receiver.verify_command(first), VerifyResult::kOk);
+  sender.reset();
+  receiver.reset();
+  EXPECT_EQ(sender.stats().signed_frames, 0u);
+  EXPECT_EQ(receiver.stats().accepted, 0u);
+  EXPECT_EQ(receiver.rx_counter(), 0u);
+  // Counter 1 again, and fresh to the receiver.
+  EXPECT_EQ(sender.sign_command(0x215, dbc::kCmdUnlock), first);
+  EXPECT_EQ(receiver.verify_command(first), VerifyResult::kOk);
+}
+
 TEST(FrameAuthenticator, ReplayRejected) {
   FrameAuthenticator sender(kTestKey);
   FrameAuthenticator receiver(kTestKey);

@@ -177,6 +177,48 @@ TEST(Scheduler, RunForAdvancesRelative) {
   EXPECT_EQ(scheduler.now(), SimTime{150});
 }
 
+TEST(Scheduler, ResetReplaysAsANewScheduler) {
+  const auto run = [](Scheduler& scheduler, std::vector<int>& order) {
+    scheduler.schedule_every(Duration{3}, [&order] { order.push_back(0); });
+    scheduler.schedule_at(SimTime{3}, [&order] { order.push_back(1); });
+    scheduler.schedule_at(SimTime{0}, [&order, &scheduler] {
+      order.push_back(2);
+      scheduler.schedule_after(Duration{0}, [&order] { order.push_back(3); });
+    });
+    // Scheduled after event 1 has freed its slot, so it reuses one.
+    scheduler.schedule_at(SimTime{5}, [&order, &scheduler] {
+      scheduler.schedule_after(Duration{1}, [&order] { order.push_back(4); });
+    });
+    scheduler.run_until(SimTime{7});
+  };
+  Scheduler reused;
+  // Takes slot 0, which the periodic event takes after the reset.
+  const EventId stale = reused.schedule_at(SimTime{100}, [] {});
+  std::vector<int> before_reset;
+  run(reused, before_reset);
+  reused.reset();
+  EXPECT_EQ(reused.now(), SimTime{0});
+  EXPECT_EQ(reused.pending_events(), 0u);
+  EXPECT_EQ(reused.executed_events(), 0u);
+
+  std::vector<int> after_reset;
+  run(reused, after_reset);
+  reused.cancel(stale);  // an id from before the reset cancels nothing
+  Scheduler fresh;
+  std::vector<int> on_new;
+  run(fresh, on_new);
+  EXPECT_EQ(after_reset, on_new);
+  EXPECT_EQ(reused.executed_events(), fresh.executed_events());
+  EXPECT_EQ(reused.pending_events(), fresh.pending_events());
+
+  EXPECT_EQ(reused.stats().slot_reuses, fresh.stats().slot_reuses);
+  EXPECT_GT(fresh.stats().slot_reuses, 0u);
+
+  reused.run_until(SimTime{20});
+  fresh.run_until(SimTime{20});
+  EXPECT_EQ(after_reset, on_new);  // the stale cancel left the periodic alone
+}
+
 TEST(FormatMillis, PaperStyleTimestamps) {
   EXPECT_EQ(format_millis(SimTime{5'328'009'000}), "5328.009");
   EXPECT_EQ(format_millis(SimTime{0}), "0.000");

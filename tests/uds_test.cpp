@@ -213,6 +213,37 @@ TEST_F(UdsServerTest, StatsCountResponses) {
 
 // ------------------------------------------------------------ security ----
 
+TEST_F(UdsServerTest, ResetRestoresTheBuiltServer) {
+  server.set_did(0x0200, {0x00}, /*writable=*/true, /*write_needs_unlock=*/false);
+  // Leave state everywhere: a session, a written DID, spent seeds and a
+  // lockout.
+  enter_extended_session();
+  ASSERT_EQ(request({kSidWriteDataByIdentifier, 0x02, 0x00, 0xAA, 0xBB})[0], 0x6E);
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    unlock_seed();
+    request({kSidSecurityAccess, 0x02, 0, 0, 0, 0});
+  }
+  ASSERT_EQ(request({kSidSecurityAccess, 0x01})[2], kNrcTimeDelayNotExpired);
+
+  server.reset();
+  EXPECT_EQ(server.session(), Session::kDefault);
+  EXPECT_EQ(server.security_state(), SecurityState::kLocked);
+  EXPECT_EQ(server.stats().requests, 0u);
+  EXPECT_EQ(server.stats().positive_responses, 0u);
+  EXPECT_EQ(server.stats().negative_responses, 0u);
+  EXPECT_EQ(server.stats().failed_key_attempts, 0u);
+  EXPECT_EQ(*server.did_value(0x0200), (std::vector<std::uint8_t>{0x00}));
+  // No lockout, and the seed stream starts over: the first seed is a new
+  // server's first seed.
+  UdsServer fresh{scheduler, UdsServerConfig{}};
+  std::vector<std::uint8_t> fresh_seed;
+  const auto keep = [&fresh_seed](std::vector<std::uint8_t> r) { fresh_seed = std::move(r); };
+  fresh.handle_request(std::vector<std::uint8_t>{kSidDiagnosticSessionControl, 0x03}, keep);
+  fresh.handle_request(std::vector<std::uint8_t>{kSidSecurityAccess, 0x01}, keep);
+  enter_extended_session();
+  EXPECT_EQ(request({kSidSecurityAccess, 0x01}), fresh_seed);
+}
+
 TEST(SeedKey, DeterministicAndSeedSensitive) {
   const XorRotateAlgorithm algorithm;
   const Seed a{1, 2, 3, 4};
