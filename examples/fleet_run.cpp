@@ -65,7 +65,8 @@ void usage(const char* argv0) {
                "  --workers K      with --serve: fork K worker processes of this binary\n"
                "  --connect H:P    run as campaign worker against a coordinator\n"
                "  --checkpoint P   coordinator: persist progress; resume if P exists\n"
-               "  --stop-after N   coordinator: checkpoint and exit after N trials\n"
+               "  --stop-after N   coordinator with --checkpoint: save and exit after N\n"
+               "                   trials (exit 1 if the checkpoint cannot be written)\n"
                "  --kill-worker-after N  SIGKILL the first forked worker after N\n"
                "                   completions (crash-tolerance smoke)\n"
                "  --metrics-out P  stream acf-metrics-v1 JSONL snapshots to P (- = stderr);\n"

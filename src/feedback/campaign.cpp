@@ -7,23 +7,11 @@ namespace acf::feedback {
 namespace {
 
 constexpr char kGeneratorName[] = "feedback";
-constexpr std::uint64_t kStateVersion = 2;
 
 /// True when `haystack` (sorted unique) contains every element of `needles`
 /// (sorted unique) — the trim acceptance test.
 bool covers(const std::vector<Feature>& haystack, const std::vector<Feature>& needles) {
   return std::includes(haystack.begin(), haystack.end(), needles.begin(), needles.end());
-}
-
-void pack_bytes(std::vector<std::uint64_t>& state, const std::vector<std::uint8_t>& bytes) {
-  state.push_back(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); i += 8) {
-    std::uint64_t word = 0;
-    for (std::size_t j = 0; j < 8 && i + j < bytes.size(); ++j) {
-      word |= static_cast<std::uint64_t>(bytes[i + j]) << (8 * j);
-    }
-    state.push_back(word);
-  }
 }
 
 }  // namespace
@@ -130,8 +118,6 @@ bool FeedbackCampaign::budget_exhausted() const noexcept {
 const fuzzer::CampaignResult& FeedbackCampaign::run() {
   while (!finished_) {
     if (budget_exhausted()) {
-      // Not a terminal state: a checkpoint taken here restores into a
-      // campaign whose config may carry a larger budget and continues.
       result_.reason = total_sim_ >= config_.max_total_sim
                            ? fuzzer::StopReason::kDurationElapsed
                            : fuzzer::StopReason::kFrameLimit;
@@ -187,100 +173,6 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
   }
   result_.elapsed = total_sim_;
   return result_;
-}
-
-fuzzer::CampaignCheckpoint FeedbackCampaign::checkpoint() const {
-  fuzzer::CampaignCheckpoint cp;
-  cp.frames_sent = result_.frames_sent;
-  cp.send_failures = result_.send_failures;
-  cp.elapsed = total_sim_;
-  cp.generator_name = kGeneratorName;
-  cp.findings = result_.findings;
-
-  std::vector<std::uint64_t>& state = cp.generator_state;
-  state.push_back(kStateVersion);
-  for (const std::uint64_t word : rng_.state()) state.push_back(word);
-  state.push_back(stats_.executions);
-  state.push_back(stats_.novel_inputs);
-  state.push_back(stats_.trim_executions);
-  state.push_back(stats_.seeds_dropped);
-  state.push_back(stats_.frames_sent);
-  state.push_back(additions_since_minimize_);
-  state.push_back(finished_ ? 1 : 0);
-  state.push_back(static_cast<std::uint64_t>(result_.reason));
-  coverage_.append_state(state);
-  const auto words = map_.words();
-  state.push_back(words.size());
-  state.insert(state.end(), words.begin(), words.end());
-  pack_bytes(state, corpus_.encode());
-  return cp;
-}
-
-bool FeedbackCampaign::restore(const fuzzer::CampaignCheckpoint& checkpoint) {
-  if (checkpoint.generator_name != kGeneratorName) return false;
-  const std::vector<std::uint64_t>& state = checkpoint.generator_state;
-  std::size_t pos = 0;
-  const auto next = [&](std::uint64_t& out) {
-    if (pos >= state.size()) return false;
-    out = state[pos++];
-    return true;
-  };
-  std::uint64_t version = 0;
-  if (!next(version) || version != kStateVersion) return false;
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) {
-    if (!next(word)) return false;
-  }
-  FeedbackStats stats;
-  std::uint64_t additions = 0, finished = 0, reason = 0;
-  if (!next(stats.executions) || !next(stats.novel_inputs) ||
-      !next(stats.trim_executions) || !next(stats.seeds_dropped) ||
-      !next(stats.frames_sent) || !next(additions) || !next(finished) || !next(reason)) {
-    return false;
-  }
-  fuzzer::CoverageTracker coverage;
-  if (state.size() - pos < fuzzer::CoverageTracker::kStateWords ||
-      !coverage.restore_state({state.data() + pos, fuzzer::CoverageTracker::kStateWords})) {
-    return false;
-  }
-  pos += fuzzer::CoverageTracker::kStateWords;
-  std::uint64_t word_count = 0;
-  if (!next(word_count) || word_count > state.size() - pos) return false;
-  const std::span<const std::uint64_t> map_words(state.data() + pos,
-                                                 static_cast<std::size_t>(word_count));
-  pos += static_cast<std::size_t>(word_count);
-  std::uint64_t byte_count = 0;
-  if (!next(byte_count) || byte_count > 8 * (state.size() - pos)) return false;
-  const std::size_t packed_words = (static_cast<std::size_t>(byte_count) + 7) / 8;
-  if (pos + packed_words != state.size()) return false;
-  std::vector<std::uint8_t> corpus_bytes;
-  corpus_bytes.reserve(static_cast<std::size_t>(byte_count));
-  for (std::size_t i = 0; i < byte_count; ++i) {
-    corpus_bytes.push_back(
-        static_cast<std::uint8_t>(state[pos + i / 8] >> (8 * (i % 8))));
-  }
-  auto corpus = Corpus::decode(corpus_bytes);
-  if (!corpus) return false;
-
-  NoveltyMap map(config_.map_cells);
-  if (!map.restore_words(map_words)) return false;
-
-  // All parsed and validated; commit.
-  rng_.set_state(rng_state);
-  stats_ = stats;
-  additions_since_minimize_ = static_cast<std::uint32_t>(additions);
-  finished_ = finished != 0;
-  coverage_ = coverage;
-  map_ = std::move(map);
-  corpus_ = std::move(*corpus);
-  total_sim_ = checkpoint.elapsed;
-  result_.frames_sent = checkpoint.frames_sent;
-  result_.send_failures = checkpoint.send_failures;
-  result_.findings = checkpoint.findings;
-  result_.elapsed = total_sim_;
-  result_.reason = finished_ ? static_cast<fuzzer::StopReason>(reason)
-                             : fuzzer::StopReason::kStillRunning;
-  return true;
 }
 
 }  // namespace acf::feedback

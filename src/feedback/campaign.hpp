@@ -13,11 +13,9 @@
 // trimming) adds its scheduler time to the campaign's elapsed total, which
 // is what the feedback-vs-random bench compares.
 //
-// The campaign speaks the same interfaces as the blind FuzzCampaign: it
-// returns a fuzzer::CampaignResult, and its state checkpoints through
-// fuzzer::CampaignCheckpoint (corpus + novelty map + coverage + RNG packed
-// into generator_state), so it rides the fleet's trial/checkpoint machinery
-// and runs in-process or distributed unchanged.
+// The campaign returns a fuzzer::CampaignResult, as the blind FuzzCampaign
+// does, so a fleet world (feedback/worlds.hpp) can run it as one trial,
+// in-process or distributed.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include "feedback/novelty.hpp"
 #include "feedback/sequence_mutator.hpp"
 #include "fuzzer/campaign.hpp"
-#include "fuzzer/checkpoint.hpp"
 #include "fuzzer/coverage.hpp"
 #include "vehicle/body_control.hpp"
 
@@ -83,8 +80,7 @@ class FeedbackCampaign {
   void seed_corpus(const Corpus& corpus);
 
   /// Drives the loop until budget, execution limit or (stop_on_failure)
-  /// the first failure.  Resumable: after restore(), continues where the
-  /// checkpointed campaign left off.
+  /// the first failure.
   const fuzzer::CampaignResult& run();
 
   const fuzzer::CampaignResult& result() const noexcept { return result_; }
@@ -93,17 +89,6 @@ class FeedbackCampaign {
   const FeedbackStats& stats() const noexcept { return stats_; }
   const fuzzer::CoverageTracker& coverage() const noexcept { return coverage_; }
   const FeedbackConfig& config() const noexcept { return config_; }
-
-  /// Packs the loop state (RNG, counters, coverage tracker, novelty map,
-  /// corpus bytes) into a standard campaign checkpoint with generator_name
-  /// "feedback" — the corpus rides the same hardened checkpoint record as
-  /// every other campaign.
-  fuzzer::CampaignCheckpoint checkpoint() const;
-
-  /// Restores loop state.  Returns false (campaign untouched) on a
-  /// generator mismatch or malformed state.  A restored campaign continues
-  /// byte-identically to the uninterrupted run.
-  bool restore(const fuzzer::CampaignCheckpoint& checkpoint);
 
  private:
   ExecOutcome execute(const std::vector<can::CanFrame>& sequence);

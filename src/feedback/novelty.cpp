@@ -83,14 +83,4 @@ void NoveltyMap::reset() noexcept {
   occupied_ = 0;
 }
 
-bool NoveltyMap::restore_words(std::span<const std::uint64_t> words) noexcept {
-  if (words.size() != words_.size()) return false;
-  occupied_ = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] = words[i];
-    occupied_ += static_cast<std::size_t>(std::popcount(words[i]));
-  }
-  return true;
-}
-
 }  // namespace acf::feedback

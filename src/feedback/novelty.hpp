@@ -72,12 +72,6 @@ class NoveltyMap {
 
   void reset() noexcept;
 
-  /// Raw bitmap words, for checkpointing.  restore_words re-derives the
-  /// occupied count; it rejects (returns false) a word count that does not
-  /// match this map's size.
-  std::span<const std::uint64_t> words() const noexcept { return words_; }
-  bool restore_words(std::span<const std::uint64_t> words) noexcept;
-
  private:
   std::size_t cell_of(Feature feature) const noexcept;
 

@@ -30,11 +30,16 @@ class FeedbackWorld final : public fleet::World {
 
   fuzzer::CampaignResult run() override {
     fuzzer::CampaignResult result = campaign_->run();
-    if (registry_ != nullptr) publish();
     if (!corpus_dir_.empty()) {
-      campaign_->corpus().save(corpus_dir_ + "/trial-" + std::to_string(trial_index_) +
-                               ".corpus");
+      // A corpus that never reached the disk fails the trial: the run's
+      // product is lost, and the fleet reports the trial as an error.
+      const std::string path =
+          corpus_dir_ + "/trial-" + std::to_string(trial_index_) + ".corpus";
+      if (!campaign_->corpus().save(path)) {
+        throw std::runtime_error("feedback: cannot write corpus " + path);
+      }
     }
+    if (registry_ != nullptr) publish();
     return result;
   }
 

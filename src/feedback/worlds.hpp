@@ -37,7 +37,8 @@ struct FeedbackArm {
 /// `seed.corpus` inside it (if present and valid) pre-populates every
 /// trial's corpus, and each trial writes its final corpus to
 /// `trial-<index>.corpus` — distinct names, so parallel trials never
-/// collide.
+/// collide.  A trial whose corpus cannot be written fails with an error
+/// naming the file.
 fleet::WorldFactory feedback_world_factory(std::vector<FeedbackArm> arms,
                                            metrics::Registry* registry = nullptr,
                                            std::string corpus_dir = {});

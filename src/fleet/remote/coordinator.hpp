@@ -106,6 +106,9 @@ class Coordinator {
 
   const CoordinatorStats& stats() const noexcept { return stats_; }
   std::size_t done_count() const noexcept { return table_.done_count(); }
+  /// After serve(): true when the checkpoint file holds every result, false
+  /// when its final write failed (a missing directory, a full disk).
+  bool checkpoint_saved() const noexcept { return !config_.checkpoint_path.empty() && !dirty_; }
 
   /// Observer invoked (on the serve() thread) after each accepted result —
   /// the worker-kill smoke uses it to injure the fleet at a precise point.

@@ -114,7 +114,8 @@ void reap(const std::vector<pid_t>& children) {
 }
 
 /// Coordinator mode.  A campaign paused before its end exits the process:
-/// an orderly pause is a success, and the checkpoint holds the rest (the
+/// an orderly pause is a success once the checkpoint holds every finished
+/// trial, and a failure (status 1) when that final write failed (the
 /// metrics stream flushes every line, so exiting loses none of it).
 std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view world_tag,
                                      const CampaignOptions& options, char* const* argv,
@@ -162,6 +163,11 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
   observer.finish();
   reap(children);
   if (coordinator->done_count() < plan.trial_count()) {
+    if (!coordinator->checkpoint_saved()) {
+      std::fprintf(stderr, "%s: paused after %zu trials, but the checkpoint %s was not written\n",
+                   program.c_str(), coordinator->done_count(), options.checkpoint_path.c_str());
+      std::exit(1);
+    }
     std::fprintf(stderr, "%s: paused after %zu trials; checkpoint at %s\n", program.c_str(),
                  coordinator->done_count(), options.checkpoint_path.c_str());
     std::exit(0);
@@ -222,6 +228,9 @@ std::vector<TrialOutcome> run_campaign(const TrialPlan& plan, const FactoryBuild
   if (!options.serve && (options.workers > 0 || !options.checkpoint_path.empty() ||
                          options.stop_after > 0 || options.kill_worker_after > 0)) {
     refuse(program, "--workers, --checkpoint, --stop-after and --kill-worker-after need --serve");
+  }
+  if (options.stop_after > 0 && options.checkpoint_path.empty()) {
+    refuse(program, "--stop-after needs --checkpoint: a pause keeps its trials only there");
   }
   if (options.serve && options.workers == 0 &&
       (options.threads != 0 || options.kill_worker_after > 0)) {

@@ -63,8 +63,10 @@ struct CampaignOptions {
 /// `world_tag` names the campaign in the handshake fingerprint; `argv` is
 /// main()'s null-terminated argv, re-used to exec workers.  Returns only
 /// when every trial has finished: worker mode, and a coordinator paused at
-/// `stop_after` (status 0; the checkpoint holds the rest), exit the process
-/// instead.  Options that cannot take effect in the chosen mode exit 2.
+/// `stop_after` (status 0 once the checkpoint holds every finished trial,
+/// 1 when writing it failed), exit the process instead.  Options that cannot
+/// take effect in the chosen mode, `stop_after` without a checkpoint among
+/// them, exit 2.
 std::vector<TrialOutcome> run_campaign(const TrialPlan& plan, const FactoryBuilder& make_factory,
                                        std::string_view world_tag,
                                        const CampaignOptions& options, char* const* argv);

@@ -34,7 +34,7 @@ FuzzCampaign::FuzzCampaign(sim::Scheduler& scheduler, transport::CanTransport& t
 
 sim::Duration FuzzCampaign::elapsed_now() const {
   if (finished_) return result_.elapsed;  // frozen at finish time
-  return resumed_elapsed_ + (started_flag_ ? scheduler_.now() - started_ : sim::Duration{0});
+  return started_flag_ ? scheduler_.now() - started_ : sim::Duration{0};
 }
 
 void FuzzCampaign::start() {
@@ -45,18 +45,8 @@ void FuzzCampaign::start() {
   if (oracle_ != nullptr) {
     oracle_event_ = scheduler_.schedule_every(config_.oracle_period, [this] { oracle_tick(); });
   }
-  // A resumed campaign only runs the remainder of its duration budget.
-  const sim::Duration remaining =
-      config_.max_duration > resumed_elapsed_
-          ? config_.max_duration - resumed_elapsed_
-          : sim::Duration{0};
-  deadline_event_ = scheduler_.schedule_after(remaining,
+  deadline_event_ = scheduler_.schedule_after(config_.max_duration,
                                               [this] { finish(StopReason::kDurationElapsed); });
-  if (config_.checkpoint_period.count() > 0 && on_checkpoint_) {
-    checkpoint_event_ = scheduler_.schedule_every(config_.checkpoint_period, [this] {
-      if (!finished_) on_checkpoint_(checkpoint());
-    });
-  }
 }
 
 void FuzzCampaign::stop() { finish(StopReason::kStoppedByUser); }
@@ -67,30 +57,6 @@ const CampaignResult& FuzzCampaign::run() {
   scheduler_.run_until_condition([this] { return finished_; },
                                  started_ + config_.max_duration + std::chrono::seconds(1));
   return result_;
-}
-
-CampaignCheckpoint FuzzCampaign::checkpoint() const {
-  CampaignCheckpoint checkpoint;
-  checkpoint.frames_sent = result_.frames_sent;
-  checkpoint.send_failures = result_.send_failures;
-  checkpoint.elapsed = elapsed_now();
-  checkpoint.generator_name = std::string(generator_.name());
-  checkpoint.generator_state = generator_.save_state();
-  checkpoint.findings = result_.findings;
-  checkpoint.recent_frames = recent_.snapshot();
-  return checkpoint;
-}
-
-bool FuzzCampaign::restore(const CampaignCheckpoint& checkpoint) {
-  if (started_flag_) return false;
-  if (checkpoint.generator_name != std::string(generator_.name())) return false;
-  if (!generator_.restore_state(checkpoint.generator_state)) return false;
-  result_.frames_sent = checkpoint.frames_sent;
-  result_.send_failures = checkpoint.send_failures;
-  result_.findings = checkpoint.findings;
-  for (const auto& entry : checkpoint.recent_frames) recent_.push(entry);
-  resumed_elapsed_ = checkpoint.elapsed;
-  return true;
 }
 
 void FuzzCampaign::tx_tick() {
@@ -147,7 +113,6 @@ void FuzzCampaign::finish(StopReason reason) {
   scheduler_.cancel(tx_event_);
   scheduler_.cancel(oracle_event_);
   scheduler_.cancel(deadline_event_);
-  scheduler_.cancel(checkpoint_event_);
 }
 
 }  // namespace acf::fuzzer

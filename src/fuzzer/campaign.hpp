@@ -2,18 +2,15 @@
 // send fuzz at a fixed rate, monitor the target through oracles, record the
 // conditions of any failure, repeat a large number of times.
 //
-// Hardened for endurance runs: a retry-aware transport failure policy (the
+// Hardened for endurance runs by a retry-aware transport failure policy: the
 // campaign distinguishes a transient send failure from a dead transport and
-// stops with StopReason::kTransportDead instead of spinning), and
-// checkpoint/resume — an interrupted campaign restored from a checkpoint
-// emits the byte-identical frame stream the uninterrupted run would have.
+// stops with StopReason::kTransportDead instead of spinning.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "fuzzer/checkpoint.hpp"
 #include "fuzzer/coverage.hpp"
 #include "fuzzer/finding.hpp"
 #include "fuzzer/generator.hpp"
@@ -46,9 +43,6 @@ struct CampaignConfig {
   /// own retries and circuit breaker have given up, so a small value here
   /// composes into "retry hard, then stop cleanly".
   std::uint32_t max_consecutive_send_failures = 0;
-  /// Automatic checkpoint interval (simulated time; 0 = disabled).  Each
-  /// interval the on_checkpoint callback receives a fresh checkpoint.
-  sim::Duration checkpoint_period{0};
 };
 
 enum class StopReason : std::uint8_t {
@@ -93,17 +87,6 @@ class FuzzCampaign {
   const CampaignResult& result() const noexcept { return result_; }
   const CampaignConfig& config() const noexcept { return config_; }
 
-  /// Captures the campaign's resumable state.  Valid while running (from a
-  /// scheduler event or the on_checkpoint hook) and after finish.
-  CampaignCheckpoint checkpoint() const;
-
-  /// Restores state from a checkpoint.  Must be called before start(); the
-  /// generator is rewound to the exact stream position, counters, elapsed
-  /// time and findings are re-established, and max_duration / max_frames
-  /// account for the work already done.  Returns false (leaving the
-  /// campaign untouched) on a generator name/state mismatch.
-  bool restore(const CampaignCheckpoint& checkpoint);
-
   /// Invoked on every finding as it is recorded.
   void set_on_finding(std::function<void(const Finding&)> callback) {
     on_finding_ = std::move(callback);
@@ -114,11 +97,6 @@ class FuzzCampaign {
   /// learn exactly which bus frames the fuzzer injected.
   void set_on_frame_sent(std::function<void(const can::CanFrame&, sim::SimTime)> callback) {
     on_frame_sent_ = std::move(callback);
-  }
-
-  /// Invoked every checkpoint_period with a fresh checkpoint.
-  void set_on_checkpoint(std::function<void(const CampaignCheckpoint&)> callback) {
-    on_checkpoint_ = std::move(callback);
   }
 
   /// Optional coverage metrics (not owned; must outlive the campaign).
@@ -139,16 +117,13 @@ class FuzzCampaign {
   CampaignResult result_;
   util::RingBuffer<trace::TimestampedFrame> recent_;
   sim::SimTime started_{0};
-  sim::Duration resumed_elapsed_{0};  // sim time consumed before restore()
   sim::EventId tx_event_{};
   sim::EventId oracle_event_{};
   sim::EventId deadline_event_{};
-  sim::EventId checkpoint_event_{};
   std::uint32_t consecutive_send_failures_ = 0;
   bool started_flag_ = false;
   bool finished_ = false;
   std::function<void(const Finding&)> on_finding_;
-  std::function<void(const CampaignCheckpoint&)> on_checkpoint_;
   std::function<void(const can::CanFrame&, sim::SimTime)> on_frame_sent_;
   CoverageTracker* coverage_ = nullptr;
 };

@@ -6,34 +6,6 @@
 
 namespace acf::fuzzer {
 
-namespace {
-
-template <std::size_t N>
-void append_bits(std::vector<std::uint64_t>& out, const std::bitset<N>& bits) {
-  static_assert(N % 64 == 0);
-  for (std::size_t word = 0; word < N / 64; ++word) {
-    std::uint64_t value = 0;
-    for (std::size_t bit = 0; bit < 64; ++bit) {
-      if (bits.test(word * 64 + bit)) value |= std::uint64_t{1} << bit;
-    }
-    out.push_back(value);
-  }
-}
-
-template <std::size_t N>
-std::span<const std::uint64_t> read_bits(std::span<const std::uint64_t> in,
-                                         std::bitset<N>& bits) {
-  bits.reset();
-  for (std::size_t word = 0; word < N / 64; ++word) {
-    for (std::size_t bit = 0; bit < 64; ++bit) {
-      if ((in[word] >> bit) & 1) bits.set(word * 64 + bit);
-    }
-  }
-  return in.subspan(N / 64);
-}
-
-}  // namespace
-
 void CoverageTracker::add(const can::CanFrame& frame) {
   ++frames_;
   if (frame.is_extended()) return;  // metrics are for the 11-bit space
@@ -92,24 +64,6 @@ void CoverageTracker::publish_metrics(metrics::Registry& registry) const {
   registry.counter("fuzz.coverage.oracle_events").add(oracle_events_);
   registry.counter("fuzz.coverage.ids_max").bump_to(ids_covered());
   registry.counter("fuzz.coverage.id_dlc_cells_max").bump_to(id_dlc_cells_covered());
-}
-
-void CoverageTracker::append_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(frames_);
-  out.push_back(oracle_events_);
-  append_bits(out, ids_);
-  append_bits(out, id_dlc_);
-  for (const auto& values : byte_values_) append_bits(out, values);
-}
-
-bool CoverageTracker::restore_state(std::span<const std::uint64_t> words) {
-  if (words.size() != kStateWords) return false;
-  frames_ = words[0];
-  oracle_events_ = words[1];
-  words = read_bits(words.subspan(2), ids_);
-  words = read_bits(words, id_dlc_);
-  for (auto& values : byte_values_) words = read_bits(words, values);
-  return true;
 }
 
 }  // namespace acf::fuzzer

@@ -9,9 +9,7 @@
 #include <array>
 #include <bitset>
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "can/frame.hpp"
 #include "fuzzer/config.hpp"
@@ -49,16 +47,6 @@ class CoverageTracker {
   /// cells are per-trial set sizes that do not sum, so they publish as
   /// `*_max` watermarks (merged by max).  Worlds call it once at trial end.
   void publish_metrics(metrics::Registry& registry) const;
-
-  /// Words append_state() writes: the frame and oracle-event counts, then
-  /// the id, (id, dlc) and per-position byte-value bitsets, 64 bits a word.
-  static constexpr std::size_t kStateWords =
-      2 + 2048 / 64 + 2048 * 9 / 64 + can::kMaxClassicPayload * 256 / 64;
-  /// Appends the whole tracker state, for campaign checkpoints.
-  void append_state(std::vector<std::uint64_t>& out) const;
-  /// Restores what append_state() wrote; false (tracker untouched) unless
-  /// `words` holds exactly kStateWords words.
-  bool restore_state(std::span<const std::uint64_t> words);
 
  private:
   std::uint64_t frames_ = 0;

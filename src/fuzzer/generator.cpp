@@ -19,19 +19,6 @@ std::optional<can::CanFrame> RandomGenerator::next() {
   return generate();
 }
 
-std::vector<std::uint64_t> RandomGenerator::save_state() const {
-  const auto& words = rng_.state();
-  return {generated_, words[0], words[1], words[2], words[3]};
-}
-
-bool RandomGenerator::restore_state(std::span<const std::uint64_t> state) {
-  if (state.size() == 1) return FrameGenerator::restore_state(state);  // legacy form
-  if (state.size() != 5) return false;
-  generated_ = state[0];
-  rng_.set_state({state[1], state[2], state[3], state[4]});
-  return true;
-}
-
 can::CanFrame RandomGenerator::generate() {
   // id
   std::uint32_t id;

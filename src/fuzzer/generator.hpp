@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -31,20 +30,6 @@ class FrameGenerator {
   /// Restarts the stream from the beginning (same seed => same stream).
   virtual void rewind() = 0;
 
-  /// Opaque position state for campaign checkpointing.  The default is the
-  /// frame counter alone; restore replays the stream to that point, which
-  /// is valid for every deterministic generator.  Generators with cheap
-  /// explicit state (RNG words) override both for O(1) restore.
-  virtual std::vector<std::uint64_t> save_state() const { return {generated_}; }
-  virtual bool restore_state(std::span<const std::uint64_t> state) {
-    if (state.size() != 1) return false;
-    rewind();
-    for (std::uint64_t i = 0; i < state[0]; ++i) {
-      if (!next()) return false;
-    }
-    return generated_ == state[0];
-  }
-
   std::uint64_t generated() const noexcept { return generated_; }
 
  protected:
@@ -61,10 +46,6 @@ class RandomGenerator final : public FrameGenerator {
   std::string_view name() const override { return "random"; }
   std::optional<can::CanFrame> next() override;
   void rewind() override;
-
-  /// O(1) checkpointing: frame counter plus the four xoshiro state words.
-  std::vector<std::uint64_t> save_state() const override;
-  bool restore_state(std::span<const std::uint64_t> state) override;
 
   const FuzzConfig& config() const noexcept { return config_; }
 

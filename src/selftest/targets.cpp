@@ -26,7 +26,6 @@
 #include "feedback/corpus.hpp"
 #include "fleet/remote/checkpoint.hpp"
 #include "fleet/remote/wire.hpp"
-#include "fuzzer/checkpoint.hpp"
 #include "ids/eval_codec.hpp"
 #include "isotp/isotp.hpp"
 #include "metrics/snapshot.hpp"
@@ -63,129 +62,15 @@ bool doubles_equal(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
 }
 
-bool frames_equal(const trace::TimestampedFrame& a, const trace::TimestampedFrame& b) {
-  return a.frame == b.frame && a.time == b.time;
-}
-
-// ---------------------------------------------------------------------------
-// checkpoint: CampaignCheckpoint::decode on arbitrary bytes.  [R][M][S]
-
-bool checkpoints_equal(const fuzzer::CampaignCheckpoint& a,
-                       const fuzzer::CampaignCheckpoint& b) {
-  if (a.frames_sent != b.frames_sent || a.send_failures != b.send_failures ||
-      a.elapsed != b.elapsed || a.generator_name != b.generator_name ||
-      a.generator_state != b.generator_state || a.findings.size() != b.findings.size() ||
-      a.recent_frames.size() != b.recent_frames.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.findings.size(); ++i) {
-    const fuzzer::Finding& fa = a.findings[i];
-    const fuzzer::Finding& fb = b.findings[i];
-    if (fa.observation.verdict != fb.observation.verdict ||
-        fa.observation.time != fb.observation.time ||
-        fa.observation.detail != fb.observation.detail ||
-        fa.frames_sent != fb.frames_sent || fa.seed != fb.seed ||
-        fa.generator != fb.generator ||
-        fa.recent_frames.size() != fb.recent_frames.size()) {
-      return false;
-    }
-    for (std::size_t f = 0; f < fa.recent_frames.size(); ++f) {
-      if (!frames_equal(fa.recent_frames[f], fb.recent_frames[f])) return false;
-    }
-  }
-  for (std::size_t f = 0; f < a.recent_frames.size(); ++f) {
-    if (!frames_equal(a.recent_frames[f], b.recent_frames[f])) return false;
-  }
-  return true;
-}
-
-Verdict run_checkpoint(Bytes input) {
-  const auto parsed = fuzzer::CampaignCheckpoint::decode(input);
-  if (!parsed) return std::nullopt;  // clean rejection is the contract
-  const std::vector<std::uint8_t> encoded = parsed->encode();
-  if (!std::equal(encoded.begin(), encoded.end(), input.begin(), input.end())) {
-    return "accepted checkpoint does not re-encode to itself";
-  }
-  const auto reparsed = fuzzer::CampaignCheckpoint::decode(encoded);
-  if (!reparsed || !checkpoints_equal(*parsed, *reparsed)) {
-    return "checkpoint encode/decode round-trip diverges";
-  }
-  return std::nullopt;
-}
-
-// checkpoint_roundtrip: metamorphic — synthesise a checkpoint whose string
-// fields come straight from the input bytes (whitespace, '%', control
-// characters and all), then require encode→decode identity.  [R]
-
+/// Up to `max_len` consecutive input bytes (whitespace, control characters
+/// and all) from a position the RNG picks: the text of values that targets
+/// build from their input.
 std::string slice_text(Bytes input, util::Rng& rng, std::size_t max_len) {
   if (input.empty()) return {};
   const auto len = rng.next_below(std::min(input.size(), max_len) + 1);
   const auto start = rng.next_below(input.size() - len + 1);
   return {reinterpret_cast<const char*>(input.data()) + start,
           static_cast<std::size_t>(len)};
-}
-
-can::CanFrame random_frame(util::Rng& rng) {
-  const auto kind = rng.next_below(4);
-  const auto format = rng.next_bool() ? can::IdFormat::kExtended : can::IdFormat::kStandard;
-  const std::uint32_t id = static_cast<std::uint32_t>(rng.next_below(
-      format == can::IdFormat::kExtended ? can::kMaxExtendedId + 1 : can::kMaxStandardId + 1));
-  if (kind == 0) {
-    return *can::CanFrame::remote(id, static_cast<std::uint8_t>(rng.next_below(9)), format);
-  }
-  std::vector<std::uint8_t> payload(kind == 1 ? rng.next_below(9)
-                                              : can::fd_dlc_to_length(static_cast<std::uint8_t>(
-                                                    rng.next_below(16))));
-  rng.fill(payload);
-  if (kind == 1) return *can::CanFrame::data(id, payload, format);
-  return *can::CanFrame::fd_data(id, payload, rng.next_bool(), format);
-}
-
-Verdict run_checkpoint_roundtrip(Bytes input) {
-  util::Rng rng(fnv1a(input) ^ 0xC0FFEEULL);
-  fuzzer::CampaignCheckpoint original;
-  original.frames_sent = rng.next_u64();
-  original.send_failures = rng.next_u64();
-  original.elapsed = sim::Duration{static_cast<std::int64_t>(
-      rng.next_below(9'000'000'000'000'000'000ULL))};
-  original.generator_name = slice_text(input, rng, 48);
-  original.generator_state.resize(rng.next_below(9));
-  for (auto& word : original.generator_state) word = rng.next_u64();
-  const auto finding_count = rng.next_below(4);
-  for (std::uint64_t i = 0; i < finding_count; ++i) {
-    fuzzer::Finding finding;
-    finding.observation.verdict = static_cast<oracle::Verdict>(rng.next_below(3));
-    finding.observation.time = sim::SimTime{static_cast<std::int64_t>(
-        rng.next_below(9'000'000'000'000'000'000ULL))};
-    finding.observation.detail = slice_text(input, rng, 64);
-    finding.frames_sent = rng.next_u64();
-    finding.seed = rng.next_u64();
-    finding.generator = slice_text(input, rng, 48);
-    const auto recent = rng.next_below(3);
-    for (std::uint64_t f = 0; f < recent; ++f) {
-      finding.recent_frames.push_back(
-          {random_frame(rng),
-           sim::SimTime{static_cast<std::int64_t>(rng.next_below(1'000'000'000'000ULL))}});
-    }
-    original.findings.push_back(std::move(finding));
-  }
-  const auto window = rng.next_below(4);
-  for (std::uint64_t f = 0; f < window; ++f) {
-    original.recent_frames.push_back(
-        {random_frame(rng),
-         sim::SimTime{static_cast<std::int64_t>(rng.next_below(1'000'000'000'000ULL))}});
-  }
-
-  const auto restored = fuzzer::CampaignCheckpoint::decode(original.encode());
-  if (!restored) {
-    return "encoded checkpoint failed to decode (generator name: \"" +
-           original.generator_name + "\")";
-  }
-  if (!checkpoints_equal(original, *restored)) {
-    return "checkpoint round-trip lost data (generator name: \"" +
-           original.generator_name + "\")";
-  }
-  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,10 +1041,6 @@ Verdict run_world_reset(Bytes input) {
 
 std::vector<FuzzTarget> make_targets() {
   return {
-      {"checkpoint", "CampaignCheckpoint strict decode + re-encode identity", run_checkpoint},
-      {"checkpoint_roundtrip",
-       "encode→decode identity for checkpoints built from input bytes",
-       run_checkpoint_roundtrip},
       {"dbc", "dbc::parse_dbc + to_dbc_text print/parse identity", run_dbc},
       {"candump", "candump line reader print/parse fixed point", run_candump},
       {"asc", "ASC line reader print/parse fixed point", run_asc},

@@ -1,7 +1,7 @@
-// Whole-file byte I/O for the repo's on-disk records (campaign and fleet
-// checkpoints, feedback corpora).  A write reports success only once the
-// file is closed, so bytes that never reached the disk (ENOSPC, EIO on the
-// final flush) fail the save instead of passing silently.
+// Whole-file byte I/O for the repo's on-disk records (fleet checkpoints,
+// feedback corpora).  A write reports success only once the file is closed,
+// so bytes that never reached the disk (ENOSPC, EIO on the final flush) fail
+// the save instead of passing silently.
 #pragma once
 
 #include <cstdint>

@@ -86,14 +86,6 @@ class Rng {
   /// not perturb the parent stream).
   Rng split() noexcept;
 
-  /// Raw generator state, for checkpointing: a generator restored with
-  /// set_state emits exactly the stream the saved generator would have.
-  const std::array<std::uint64_t, 4>& state() const noexcept { return s_; }
-  void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
-    s_ = state;
-    if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;  // keep xoshiro alive
-  }
-
   /// UniformRandomBitGenerator interface for <algorithm> interop.
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }

@@ -1,11 +1,12 @@
 // Feedback-driven fuzzing tests: novelty-map semantics, corpus scheduling /
 // minimisation / codec hardening, sequence-mutator bounds, the persistent
 // execution world (a reset world runs as a new one), and the campaign-level
-// determinism contracts — byte-identical re-runs, checkpoint resume equal to
-// the uninterrupted run, and thread-count-invariant fleet outcomes.
+// determinism contracts — byte-identical re-runs, a trajectory pinned across
+// builds, and thread-count-invariant fleet outcomes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
 
 #include "dbc/target_vehicle_db.hpp"
@@ -55,19 +56,6 @@ TEST(FeedbackNovelty, FirstHitIsNovelLaterHitsAreNot) {
   map.reset();
   EXPECT_EQ(map.occupied(), 0u);
   EXPECT_TRUE(map.observe(f));
-}
-
-TEST(FeedbackNovelty, RestoreWordsRoundTripsOccupancy) {
-  NoveltyMap map(1 << 8);
-  for (std::uint64_t key = 0; key < 40; ++key) {
-    map.observe(make_feature(Domain::kFrameCell, key, 1));
-  }
-  NoveltyMap restored(1 << 8);
-  ASSERT_TRUE(restored.restore_words(map.words()));
-  EXPECT_EQ(restored.occupied(), map.occupied());
-  EXPECT_TRUE(restored.seen(make_feature(Domain::kFrameCell, 7, 1)));
-  NoveltyMap wrong_size(1 << 9);
-  EXPECT_FALSE(wrong_size.restore_words(map.words()));
 }
 
 // -------------------------------------------------------------- Corpus ----
@@ -309,68 +297,6 @@ TEST(FeedbackCampaign, ReRunIsByteIdentical) {
   EXPECT_EQ(first.stats().executions, second.stats().executions);
 }
 
-FeedbackConfig hardened_config(std::uint64_t seed, std::uint64_t max_executions) {
-  FeedbackConfig config;
-  config.seed = seed;
-  config.max_executions = max_executions;
-  config.max_total_sim = std::chrono::hours(1);
-  // A predicate the loop will not crack in a handful of executions, so the
-  // campaign runs its full execution budget deterministically.
-  config.predicate = vehicle::UnlockPredicate{4, true, false};
-  return config;
-}
-
-TEST(FeedbackCampaign, CheckpointResumeEqualsUninterrupted) {
-  // Uninterrupted: 90 executions.
-  FeedbackCampaign uninterrupted(hardened_config(0x5EED, 90));
-  uninterrupted.run();
-
-  // Interrupted at 45, checkpointed, restored into a fresh campaign with
-  // the full budget, then run to completion.
-  FeedbackCampaign first_half(hardened_config(0x5EED, 45));
-  first_half.run();
-  const fuzzer::CampaignCheckpoint cp = first_half.checkpoint();
-
-  FeedbackCampaign resumed(hardened_config(0x5EED, 90));
-  ASSERT_TRUE(resumed.restore(cp));
-  resumed.run();
-
-  EXPECT_EQ(resumed.stats().executions, uninterrupted.stats().executions);
-  EXPECT_EQ(resumed.stats().novel_inputs, uninterrupted.stats().novel_inputs);
-  EXPECT_EQ(resumed.result().frames_sent, uninterrupted.result().frames_sent);
-  EXPECT_EQ(resumed.result().elapsed, uninterrupted.result().elapsed);
-  EXPECT_EQ(resumed.map().occupied(), uninterrupted.map().occupied());
-  // The corpus round-trips byte-identically through the checkpoint path.
-  EXPECT_EQ(resumed.corpus().encode(), uninterrupted.corpus().encode());
-  // So does the coverage tracker: the resumed report (and the
-  // fuzz.coverage.* counters published from it) counts both halves.
-  const fuzzer::CoverageTracker& got = resumed.coverage();
-  const fuzzer::CoverageTracker& want = uninterrupted.coverage();
-  EXPECT_GT(want.frames(), first_half.coverage().frames());
-  EXPECT_EQ(got.frames(), want.frames());
-  EXPECT_EQ(got.ids_covered(), want.ids_covered());
-  EXPECT_EQ(got.id_dlc_cells_covered(), want.id_dlc_cells_covered());
-  std::vector<std::uint64_t> got_state;
-  std::vector<std::uint64_t> want_state;
-  got.append_state(got_state);
-  want.append_state(want_state);
-  EXPECT_EQ(got_state, want_state);
-}
-
-TEST(FeedbackCampaign, CheckpointSurvivesTheRecord) {
-  // The packed state (RNG, novelty bitmap, corpus) runs past a thousand
-  // words; the record bounds it by the bytes present, not a fixed cap.
-  FeedbackCampaign first_half(hardened_config(0x5EED, 45));
-  first_half.run();
-  const fuzzer::CampaignCheckpoint cp = first_half.checkpoint();
-  ASSERT_GT(cp.generator_state.size(), 1024u);
-  const auto restored = fuzzer::CampaignCheckpoint::decode(cp.encode());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->generator_state, cp.generator_state);
-  FeedbackCampaign resumed(hardened_config(0x5EED, 90));
-  EXPECT_TRUE(resumed.restore(*restored));
-}
-
 std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const std::uint8_t byte : bytes) {
@@ -461,16 +387,6 @@ TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
   }
 }
 
-TEST(FeedbackCampaign, RestoreRejectsForeignCheckpoints) {
-  fuzzer::CampaignCheckpoint cp;
-  cp.generator_name = "random";
-  FeedbackCampaign campaign(fast_config(1));
-  EXPECT_FALSE(campaign.restore(cp));
-  cp.generator_name = "feedback";
-  cp.generator_state = {999};  // wrong version
-  EXPECT_FALSE(campaign.restore(cp));
-}
-
 // ------------------------------------------------------------- fleet ------
 
 std::vector<fleet::TrialOutcome> run_fleet(unsigned threads, const std::string& corpus_dir) {
@@ -512,6 +428,24 @@ TEST(FleetFeedback, CorpusDirPersistsByteIdenticalCorpora) {
   for (std::size_t i = 0; i < 4; ++i) {
     std::remove((dir + "/trial-" + std::to_string(i) + ".corpus").c_str());
   }
+}
+
+TEST(FleetFeedback, UnwritableCorpusDirFailsEveryTrial) {
+  // A directory below a regular file can be neither created nor written: the
+  // corpora are lost, so every trial must say so rather than report success.
+  const std::string file = testing::TempDir() + "acf_feedback_corpus_file";
+  { std::ofstream(file) << "not a directory"; }
+  const std::string dir = file + "/sub";
+  const auto outcomes = run_fleet(2, dir);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const fleet::TrialOutcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.status, fleet::TrialStatus::kFailed);
+    EXPECT_NE(outcome.error.find(dir + "/trial-" + std::to_string(outcome.spec.trial_index) +
+                                 ".corpus"),
+              std::string::npos)
+        << outcome.error;
+  }
+  std::remove(file.c_str());
 }
 
 }  // namespace

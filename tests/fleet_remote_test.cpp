@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -914,12 +915,13 @@ std::string temp_path(const std::string& stem) {
   return testing::TempDir() + stem + "_" + std::to_string(::getpid());
 }
 
-/// Runs fleet_run with `args`; a run still going after `timeout_s` seconds
-/// is killed (exit status 124).
-int run_fleet_bin(const std::string& args, int timeout_s = 120) {
+/// Runs fleet_run with `args`, its stderr to `stderr_path`; a run still
+/// going after `timeout_s` seconds is killed (exit status 124).
+int run_fleet_bin(const std::string& args, int timeout_s = 120,
+                  const std::string& stderr_path = "/dev/null") {
   const std::string command = "timeout " + std::to_string(timeout_s) + " " +
                               std::string(ACF_FLEET_RUN_BIN) + " " + args +
-                              " > /dev/null 2> /dev/null";
+                              " > /dev/null 2> " + stderr_path;
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -946,39 +948,60 @@ TEST(FleetRemoteProcess, SigkilledWorkerDoesNotChangeTheCampaignOutput) {
 }
 
 /// And the coordinator side: pause after N trials (checkpoint), restart,
-/// resume — still byte-identical, without recomputing finished trials.
+/// resume — byte-identical to the same binary's in-process run, without
+/// recomputing finished trials, for every kind of world.
 TEST(FleetRemoteProcess, CoordinatorRestartResumesFromCheckpoint) {
-  const TrialPlan plan = fast_plan(4);
-  const std::string reference = jsonl_of(plan, reference_outcomes(plan));
-  const std::string checkpoint = temp_path("resume") + ".ck";
-  const std::string jsonl = temp_path("resume") + ".jsonl";
+  for (const char* world : {"--fast-world --runs 4", "--feedback --runs 4", "--attacks --runs 1"}) {
+    SCOPED_TRACE(world);
+    const std::string checkpoint = temp_path("resume") + ".ck";
+    const std::string reference = temp_path("resume_reference") + ".jsonl";
+    const std::string jsonl = temp_path("resume") + ".jsonl";
+    const std::string campaign = std::string(world) + " --threads 2 --serve 0 --workers 2 ";
 
-  const int pause_exit = run_fleet_bin(
+    ASSERT_EQ(run_fleet_bin(std::string(world) + " --jsonl " + reference), 0);
+    const int pause_exit = run_fleet_bin(campaign + "--stop-after 3 --checkpoint " + checkpoint);
+    EXPECT_EQ(pause_exit, 0);
+    const std::optional<FleetCheckpoint> saved = FleetCheckpoint::load(checkpoint);
+    ASSERT_TRUE(saved.has_value());
+    EXPECT_GE(saved->completed.size(), 3u);
+    EXPECT_LT(saved->completed.size(), saved->trial_count);
+
+    const int resume_exit =
+        run_fleet_bin(campaign + "--checkpoint " + checkpoint + " --jsonl " + jsonl);
+    EXPECT_EQ(resume_exit, 0);
+    EXPECT_FALSE(slurp(reference).empty());
+    EXPECT_EQ(slurp(jsonl), slurp(reference));
+    std::remove(checkpoint.c_str());
+    std::remove(reference.c_str());
+    std::remove(jsonl.c_str());
+  }
+}
+
+/// A pause whose checkpoint cannot be written has kept nothing: it must fail
+/// and name the path, never report a checkpoint that does not exist.
+TEST(FleetRemoteProcess, PauseIntoAMissingDirectoryExitsOne) {
+  const std::string checkpoint = temp_path("no_such_dir") + "/c.ckpt";
+  const std::string log = temp_path("pause_stderr") + ".txt";
+  const int exit_code = run_fleet_bin(
       "--fast-world --runs 4 --threads 2 --serve 0 --workers 2 --stop-after 3 "
-      "--checkpoint " + checkpoint);
-  EXPECT_EQ(pause_exit, 0);
-  const std::optional<FleetCheckpoint> saved = FleetCheckpoint::load(checkpoint);
-  ASSERT_TRUE(saved.has_value());
-  EXPECT_GE(saved->completed.size(), 3u);
-  EXPECT_LT(saved->completed.size(), plan.trial_count());
-
-  const int resume_exit = run_fleet_bin(
-      "--fast-world --runs 4 --threads 2 --serve 0 --workers 2 "
-      "--checkpoint " + checkpoint + " --jsonl " + jsonl);
-  EXPECT_EQ(resume_exit, 0);
-  EXPECT_EQ(slurp(jsonl), reference);
-  std::remove(checkpoint.c_str());
-  std::remove(jsonl.c_str());
+      "--checkpoint " + checkpoint, 120, log);
+  EXPECT_EQ(exit_code, 1);
+  EXPECT_FALSE(std::filesystem::exists(checkpoint));
+  EXPECT_NE(slurp(log).find(checkpoint), std::string::npos) << slurp(log);
+  std::remove(log.c_str());
 }
 
 /// A malformed port or count must exit 2 at once, never run with a wrong
 /// value (a port mod 65536, a run count's leading digits) or retry port 0.
+/// So must a pause with nowhere to keep its trials (--stop-after without
+/// --checkpoint).
 TEST(FleetRemoteProcess, MalformedNumbersExitTwoAtOnce) {
   for (const char* args :
        {"--runs 1 --connect 127.0.0.1:", "--runs 1 --connect 127.0.0.1:70000",
         "--runs 1 --connect 127.0.0.1:0", "--runs 1 --connect 127.0.0.1:+4464",
         "--runs 1 --connect 127.0.0.1:0x1170", "--runs 1 --serve 70000", "--runs 2x",
-        "--runs 1 --threads -1", "--runs 1 --metrics-out /dev/null --metrics-interval 1e3"}) {
+        "--runs 1 --threads -1", "--runs 1 --metrics-out /dev/null --metrics-interval 1e3",
+        "--runs 4 --threads 2 --serve 0 --workers 2 --stop-after 3"}) {
     const auto start = std::chrono::steady_clock::now();
     EXPECT_EQ(run_fleet_bin(std::string("--fast-world ") + args, /*timeout_s=*/10), 2) << args;
     EXPECT_LT(std::chrono::steady_clock::now() - start, 1s) << args;

@@ -5,6 +5,10 @@
 // ASan/UBSan and TSan, where "no invariant failures" also means "no UB".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+
 #include "selftest/harness.hpp"
 #include "selftest/targets.hpp"
 
@@ -13,6 +17,9 @@ namespace {
 
 #ifndef ACF_CORPUS_DIR
 #define ACF_CORPUS_DIR ""
+#endif
+#ifndef ACF_FUZZ_CMAKELISTS
+#define ACF_FUZZ_CMAKELISTS ""
 #endif
 
 class FuzzSmoke : public ::testing::TestWithParam<std::string> {};
@@ -94,6 +101,29 @@ TEST(FuzzHarness, EveryTargetHasUniqueName) {
     }
   }
   EXPECT_EQ(find_target("no-such-target"), nullptr);
+}
+
+// The libFuzzer binaries build only with Clang, so no GCC leg would notice a
+// target missing from fuzz/CMakeLists.txt's ACF_FUZZ_TARGETS; this test does.
+TEST(FuzzHarness, LibFuzzerListNamesEveryTarget) {
+  std::ifstream file(ACF_FUZZ_CMAKELISTS);
+  ASSERT_TRUE(file.is_open()) << "cannot read " << ACF_FUZZ_CMAKELISTS;
+  std::stringstream text;
+  text << file.rdbuf();
+  const std::string cmake = text.str();
+  const std::string opening = "set(ACF_FUZZ_TARGETS";
+  const std::size_t begin = cmake.find(opening);
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = cmake.find(')', begin);
+  ASSERT_NE(end, std::string::npos);
+  std::istringstream list(cmake.substr(begin + opening.size(), end - begin - opening.size()));
+  std::vector<std::string> listed;
+  for (std::string name; list >> name;) listed.push_back(name);
+
+  std::vector<std::string> registered = target_names();
+  std::sort(listed.begin(), listed.end());
+  std::sort(registered.begin(), registered.end());
+  EXPECT_EQ(listed, registered);
 }
 
 }  // namespace

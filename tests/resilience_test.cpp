@@ -1,16 +1,13 @@
 // Resilience layer: transport retry/backoff + circuit breaker, node
-// supervision, richer fault injection, and campaign checkpoint/resume.
+// supervision, richer fault injection, and the campaign's transport-failure
+// policy.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "can/bus.hpp"
 #include "fuzzer/campaign.hpp"
-#include "fuzzer/checkpoint.hpp"
 #include "fuzzer/generator.hpp"
 #include "oracle/supervision_oracle.hpp"
 #include "resilience/supervisor.hpp"
@@ -18,7 +15,6 @@
 #include "transport/fault_injector.hpp"
 #include "transport/resilient_transport.hpp"
 #include "transport/virtual_bus_transport.hpp"
-#include "util/bytes.hpp"
 
 namespace acf {
 namespace {
@@ -56,16 +52,6 @@ class ScriptedTransport final : public transport::CanTransport {
  private:
   transport::TransportStats stats_;
   transport::RxCallback rx_;
-};
-
-/// Oracle that reports a suspicious observation on every poll (stateless, so
-/// a resumed campaign reproduces the same findings without oracle state).
-class EveryPollOracle final : public oracle::Oracle {
- public:
-  std::string_view name() const override { return "every-poll"; }
-  std::optional<oracle::Observation> poll(sim::SimTime now) override {
-    return oracle::Observation{oracle::Verdict::kSuspicious, "tick", now};
-  }
 };
 
 // ===================================================== ResilientTransport ==
@@ -539,332 +525,6 @@ TEST(CampaignResilienceTest, TransientFailuresDoNotKillTheCampaign) {
   EXPECT_EQ(result.reason, fuzzer::StopReason::kFrameLimit);
   EXPECT_EQ(result.send_failures, 3u);
   EXPECT_EQ(result.frames_sent, 20u);
-}
-
-// ================================================== checkpoint / resume ====
-
-TEST(CheckpointTest, RandomGeneratorStateRestoresInO1) {
-  fuzzer::RandomGenerator a(fuzzer::FuzzConfig::full_random(0xBEEF));
-  for (int i = 0; i < 37; ++i) a.next();
-  const auto state = a.save_state();
-  ASSERT_EQ(state.size(), 5u);  // counter + 4 xoshiro words
-
-  fuzzer::RandomGenerator b(fuzzer::FuzzConfig::full_random(0xBEEF));
-  ASSERT_TRUE(b.restore_state(state));
-  EXPECT_EQ(b.generated(), 37u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(*a.next(), *b.next());
-}
-
-TEST(CheckpointTest, ReplayRestoreWorksForAnyDeterministicGenerator) {
-  fuzzer::FuzzConfig config;
-  config.id_min = 0x10;
-  config.id_max = 0x12;
-  config.dlc_min = 0;
-  config.dlc_max = 1;
-  fuzzer::SweepGenerator a(config);
-  for (int i = 0; i < 5; ++i) a.next();
-  const auto state = a.save_state();
-  ASSERT_EQ(state.size(), 1u);  // base-class form: frame counter only
-
-  fuzzer::SweepGenerator b(config);
-  ASSERT_TRUE(b.restore_state(state));
-  for (int i = 0; i < 10; ++i) {
-    const auto fa = a.next();
-    const auto fb = b.next();
-    ASSERT_EQ(fa.has_value(), fb.has_value());
-    if (fa) {
-      EXPECT_EQ(*fa, *fb);
-    }
-  }
-}
-
-/// A checkpoint with every section populated: state words, a finding with
-/// its frame window, and a campaign window holding data, remote and FD frames.
-fuzzer::CampaignCheckpoint sample_checkpoint() {
-  fuzzer::CampaignCheckpoint checkpoint;
-  checkpoint.frames_sent = 123456;
-  checkpoint.send_failures = 7;
-  checkpoint.elapsed = 90s;
-  checkpoint.generator_name = "mutation v2";
-  checkpoint.generator_state = {1, 2, 3, 4};
-  fuzzer::Finding finding;
-  finding.observation.verdict = oracle::Verdict::kFailure;
-  finding.observation.time = sim::SimTime{42s};
-  finding.observation.detail = "bus silent 120ms";
-  finding.frames_sent = 99999;
-  finding.seed = 181362413;
-  finding.generator = "random";
-  finding.recent_frames.push_back(
-      {can::CanFrame::data_std(0x580, {0xDE, 0xAD, 0xBE, 0xEF}), sim::SimTime{41s}});
-  finding.recent_frames.push_back(
-      {*can::CanFrame::remote(0x1FFFFFF0, 4, can::IdFormat::kExtended), sim::SimTime{42s}});
-  checkpoint.findings.push_back(finding);
-  const std::vector<std::uint8_t> fd_payload(12, 0xAB);
-  checkpoint.recent_frames.push_back(
-      {*can::CanFrame::fd_data(0x18DAF110, fd_payload, true, can::IdFormat::kExtended),
-       sim::SimTime{89s}});
-  return checkpoint;
-}
-
-std::optional<fuzzer::CampaignCheckpoint> decode_bytes(const std::vector<std::uint8_t>& bytes) {
-  return fuzzer::CampaignCheckpoint::decode(bytes);
-}
-
-std::vector<std::uint8_t> bytes_of(std::string_view text) { return {text.begin(), text.end()}; }
-
-/// A record's fixed header: magic, version, counters, elapsed time and
-/// generator name, up to (not including) the generator-state count.
-util::ByteWriter checkpoint_header() {
-  const std::vector<std::uint8_t> empty = fuzzer::CampaignCheckpoint{}.encode();
-  util::ByteReader prefix(empty);
-  util::ByteWriter w;
-  w.u32(prefix.u32());  // magic
-  w.u32(prefix.u32());  // version
-  w.u64(1);
-  w.u64(0);
-  w.i64(0);
-  w.str("g");
-  return w;
-}
-
-/// A record whose campaign window holds one frame with the given flag byte
-/// and length byte, followed by that many payload bytes (none for remote).
-std::vector<std::uint8_t> window_of_one_frame(std::uint8_t flags, std::uint8_t length) {
-  util::ByteWriter w = checkpoint_header();
-  w.u32(0);  // generator-state words
-  w.u32(0);  // findings
-  w.u32(1);  // window frames
-  w.i64(0);
-  w.u32(0x123);
-  w.u8(flags);
-  w.u8(length);
-  if ((flags & 0x02) == 0) {
-    for (std::uint8_t i = 0; i < length; ++i) w.u8(i);
-  }
-  return w.take();
-}
-
-TEST(CheckpointTest, RejectsCorruptAndMismatchedInput) {
-  const std::vector<std::uint8_t> good = sample_checkpoint().encode();
-  ASSERT_TRUE(decode_bytes(good).has_value());
-  EXPECT_FALSE(decode_bytes(bytes_of("garbage")).has_value());
-  EXPECT_FALSE(decode_bytes({}).has_value());
-  std::vector<std::uint8_t> wrong_magic = good;
-  wrong_magic[0] ^= 0xFF;
-  EXPECT_FALSE(decode_bytes(wrong_magic).has_value());
-  std::vector<std::uint8_t> wrong_version = good;
-  wrong_version[4] = 2;  // the previous (text) version number
-  EXPECT_FALSE(decode_bytes(wrong_version).has_value());
-  for (std::size_t cut = 1; cut <= good.size(); ++cut) {
-    EXPECT_FALSE(decode_bytes({good.begin(), good.end() - static_cast<std::ptrdiff_t>(cut)}))
-        << "truncated by " << cut;
-  }
-  std::vector<std::uint8_t> padded = good;
-  padded.push_back(0);
-  EXPECT_FALSE(decode_bytes(padded).has_value());
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::load("/nonexistent/path").has_value());
-
-  // Restoring a random-generator checkpoint into a sweep campaign refuses.
-  sim::Scheduler scheduler;
-  ScriptedTransport transport;
-  fuzzer::SweepGenerator generator(fuzzer::FuzzConfig::full_random(1));
-  fuzzer::FuzzCampaign campaign(scheduler, transport, generator, nullptr, {});
-  fuzzer::CampaignCheckpoint checkpoint;
-  checkpoint.generator_name = "random";
-  checkpoint.generator_state = {0, 1, 2, 3, 4};
-  EXPECT_FALSE(campaign.restore(checkpoint));
-}
-
-TEST(CheckpointTest, RejectsTheParentTextFormat) {
-  // A checkpoint file written before the binary record must be refused
-  // cleanly, never half-read.
-  const std::string path = ::testing::TempDir() + "/acf_checkpoint_text.txt";
-  {
-    std::ofstream out(path);
-    out << "ACF-CHECKPOINT 2\nframes_sent 0\nsend_failures 0\nelapsed_ns 0\n"
-           "generator counter\nstate 4 1 2 3 4\nfindings 0\nwindow 0\nend\n";
-  }
-  EXPECT_FALSE(fuzzer::CampaignCheckpoint::load(path).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, HostileGeneratorNamesRoundTrip) {
-  // Regression: names were tokens in a line-oriented text stream, and a name
-  // with whitespace ("mutation v2") shifted every following field by one
-  // token.  The record length-prefixes them, so any bytes survive.
-  for (const std::string& name :
-       std::vector<std::string>{"mutation v2", "smart%gen", "tab\tand\nnewline", "-", "%2D",
-                                " ", "", std::string("nul\0inside", 10)}) {
-    fuzzer::CampaignCheckpoint checkpoint;
-    checkpoint.generator_name = name;
-    checkpoint.generator_state = {1, 2, 3, 4};
-    fuzzer::Finding finding;
-    finding.generator = name;
-    checkpoint.findings.push_back(finding);
-    const auto restored = decode_bytes(checkpoint.encode());
-    ASSERT_TRUE(restored.has_value()) << "name: '" << name << "'";
-    EXPECT_EQ(restored->generator_name, name);
-    EXPECT_EQ(restored->findings.at(0).generator, name);
-  }
-}
-
-TEST(CheckpointTest, RejectsAbsurdDeclaredCounts) {
-  // Regression: the decoder used to reserve() whatever counts the input
-  // declared, so a tiny hostile file could demand a multi-gigabyte
-  // allocation before any content validated it.  Every count is now checked
-  // against the bytes left.
-  util::ByteWriter huge_state = checkpoint_header();
-  huge_state.u32(0xFFFFFFFFu);
-  for (const std::uint64_t word : {1ULL, 2ULL, 3ULL, 4ULL}) huge_state.u64(word);
-  huge_state.u32(0);
-  huge_state.u32(0);
-  EXPECT_FALSE(decode_bytes(huge_state.bytes()).has_value());
-
-  util::ByteWriter huge_findings = checkpoint_header();
-  huge_findings.u32(0);
-  huge_findings.u32(0xFFFFFFFFu);
-  huge_findings.u32(0);
-  EXPECT_FALSE(decode_bytes(huge_findings.bytes()).has_value());
-
-  util::ByteWriter huge_window = checkpoint_header();
-  huge_window.u32(0);
-  huge_window.u32(0);
-  huge_window.u32(0xFFFFFFFFu);
-  EXPECT_FALSE(decode_bytes(huge_window.bytes()).has_value());
-
-  // A stored remote frame requesting more than 8 bytes is not a frame.
-  for (const std::uint8_t dlc : {std::uint8_t{8}, std::uint8_t{9}, std::uint8_t{255}}) {
-    EXPECT_EQ(decode_bytes(window_of_one_frame(0x02, dlc)).has_value(), dlc == 8)
-        << "dlc " << int(dlc);
-  }
-}
-
-TEST(CheckpointTest, RejectsNonCanonicalFrames) {
-  // Flags: 0x01 extended, 0x02 remote, 0x04 FD, 0x08 bit-rate switch.  Only
-  // the form the encoder writes is accepted, so decode∘encode stays the
-  // identity on every stored frame.
-  EXPECT_TRUE(decode_bytes(window_of_one_frame(0x00, 8)).has_value());
-  EXPECT_TRUE(decode_bytes(window_of_one_frame(0x0C, 12)).has_value());
-  EXPECT_TRUE(decode_bytes(window_of_one_frame(0x04, 5)).has_value());
-  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x08, 2)).has_value());   // BRS, classic
-  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x06, 0)).has_value());   // FD remote
-  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x10, 0)).has_value());   // unknown bit
-  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x00, 9)).has_value());   // classic > 8
-  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x04, 9)).has_value());   // no FD length 9
-  EXPECT_FALSE(decode_bytes(window_of_one_frame(0x04, 65)).has_value());  // FD > 64
-}
-
-TEST(CheckpointTest, SaveAndLoadRoundTripIsByteIdentical) {
-  sim::Scheduler scheduler;
-  ScriptedTransport transport;
-  fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random(0xC0FFEE));
-  EveryPollOracle oracle;
-  fuzzer::CampaignConfig config;
-  config.tx_period = 1ms;
-  config.oracle_period = 10ms;
-  config.max_frames = 50;
-  config.max_duration = 1s;
-  config.stop_on_failure = false;
-  fuzzer::FuzzCampaign campaign(scheduler, transport, generator, &oracle, config);
-  campaign.run();
-
-  const auto checkpoint = campaign.checkpoint();
-  EXPECT_EQ(checkpoint.frames_sent, 50u);
-  EXPECT_FALSE(checkpoint.findings.empty());
-  EXPECT_FALSE(checkpoint.recent_frames.empty());
-
-  const std::string path = ::testing::TempDir() + "/acf_checkpoint_test.bin";
-  ASSERT_TRUE(checkpoint.save(path));
-  const auto loaded = fuzzer::CampaignCheckpoint::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->encode(), checkpoint.encode());
-  std::remove(path.c_str());
-
-  // A save whose bytes cannot reach the disk reports failure.
-  EXPECT_FALSE(sample_checkpoint().save("/dev/full"));
-}
-
-TEST(CheckpointTest, ResumedCampaignIsByteIdenticalToUninterrupted) {
-  fuzzer::CampaignConfig config;
-  config.tx_period = 1ms;
-  config.oracle_period = 10ms;
-  config.max_duration = 1s;
-  config.stop_on_failure = false;
-  const auto fuzz = fuzzer::FuzzConfig::full_random(0xD15EA5E);
-
-  // Reference: one uninterrupted 200-frame campaign.
-  sim::Scheduler sched_a;
-  ScriptedTransport transport_a;
-  fuzzer::RandomGenerator generator_a(fuzz);
-  EveryPollOracle oracle_a;
-  auto config_a = config;
-  config_a.max_frames = 200;
-  fuzzer::FuzzCampaign campaign_a(sched_a, transport_a, generator_a, &oracle_a, config_a);
-  ASSERT_EQ(campaign_a.run().reason, fuzzer::StopReason::kFrameLimit);
-
-  // Interrupted: stop at frame 100 and checkpoint through the record.
-  sim::Scheduler sched_b1;
-  ScriptedTransport transport_b1;
-  fuzzer::RandomGenerator generator_b1(fuzz);
-  EveryPollOracle oracle_b1;
-  auto config_b1 = config;
-  config_b1.max_frames = 100;
-  fuzzer::FuzzCampaign campaign_b1(sched_b1, transport_b1, generator_b1, &oracle_b1,
-                                   config_b1);
-  ASSERT_EQ(campaign_b1.run().reason, fuzzer::StopReason::kFrameLimit);
-  const auto restored = decode_bytes(campaign_b1.checkpoint().encode());
-  ASSERT_TRUE(restored.has_value());
-
-  // Resume in a fresh process-worth of objects, clock pre-advanced to where
-  // the interrupted run left off.
-  sim::Scheduler sched_b2;
-  sched_b2.run_until(sim::SimTime{100ms});
-  ScriptedTransport transport_b2;
-  fuzzer::RandomGenerator generator_b2(fuzz);
-  EveryPollOracle oracle_b2;
-  auto config_b2 = config;
-  config_b2.max_frames = 200;
-  fuzzer::FuzzCampaign campaign_b2(sched_b2, transport_b2, generator_b2, &oracle_b2,
-                                   config_b2);
-  ASSERT_TRUE(campaign_b2.restore(*restored));
-  ASSERT_EQ(campaign_b2.run().reason, fuzzer::StopReason::kFrameLimit);
-
-  // Byte-identical frame sequence: first 100 + resumed 100 == reference 200.
-  ASSERT_EQ(transport_a.sent.size(), 200u);
-  ASSERT_EQ(transport_b1.sent.size(), 100u);
-  ASSERT_EQ(transport_b2.sent.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(transport_a.sent[i], transport_b1.sent[i]);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(transport_a.sent[100 + i], transport_b2.sent[i]);
-  }
-
-  // Byte-identical end state: counters, findings, window, generator state.
-  EXPECT_EQ(campaign_b2.result().frames_sent, 200u);
-  EXPECT_EQ(campaign_b2.result().findings.size(), campaign_a.result().findings.size());
-  EXPECT_EQ(campaign_a.checkpoint().encode(), campaign_b2.checkpoint().encode());
-}
-
-TEST(CheckpointTest, PeriodicCheckpointCallbackFires) {
-  sim::Scheduler scheduler;
-  ScriptedTransport transport;
-  fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random(3));
-  fuzzer::CampaignConfig config;
-  config.tx_period = 1ms;
-  config.max_frames = 90;
-  config.max_duration = 1s;
-  config.checkpoint_period = 25ms;
-  fuzzer::FuzzCampaign campaign(scheduler, transport, generator, nullptr, config);
-  std::vector<std::uint64_t> snapshots;
-  campaign.set_on_checkpoint([&](const fuzzer::CampaignCheckpoint& checkpoint) {
-    snapshots.push_back(checkpoint.frames_sent);
-  });
-  campaign.run();
-  // t = 25, 50, 75 ms (each checkpoint fires before that instant's tx tick);
-  // the campaign finished at frame 90 before the 100 ms checkpoint.
-  ASSERT_EQ(snapshots.size(), 3u);
-  EXPECT_EQ(snapshots[0], 24u);
-  EXPECT_EQ(snapshots[1], 49u);
-  EXPECT_EQ(snapshots[2], 74u);
 }
 
 }  // namespace
