@@ -65,6 +65,7 @@ void usage(const char* argv0) {
                "  --workers K      with --serve: fork K worker processes of this binary\n"
                "  --connect H:P    run as campaign worker against a coordinator\n"
                "  --checkpoint P   coordinator: persist progress; resume if P exists\n"
+               "                   (exit 1 before any trial if P cannot be written)\n"
                "  --stop-after N   coordinator with --checkpoint: save and exit after N\n"
                "                   trials (exit 1 if the checkpoint cannot be written)\n"
                "  --kill-worker-after N  SIGKILL the first forked worker after N\n"

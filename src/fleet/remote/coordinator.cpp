@@ -62,6 +62,14 @@ Coordinator::Coordinator(const TrialPlan& plan, CoordinatorConfig config)
   for (std::size_t i = 0; i < outcomes_.size(); ++i) outcomes_[i].spec = plan_.spec(i);
 
   load_checkpoint();
+  // Write the state back at once: a path that cannot be written fails the
+  // campaign before it starts, not after it ran without the protection it
+  // asked for.
+  save_checkpoint(/*force=*/true);
+  if (!config_.checkpoint_path.empty() && !checkpoint_saved()) {
+    throw std::runtime_error("coordinator: cannot write campaign checkpoint: " +
+                             config_.checkpoint_path);
+  }
 }
 
 Coordinator::~Coordinator() = default;
@@ -107,10 +115,10 @@ void Coordinator::save_checkpoint(bool force) {
     if (table_.state(i) == TrialState::kDone) checkpoint.completed.push_back(outcomes_[i]);
   }
   checkpoint.leased = table_.leased_indices();
-  if (checkpoint.save(config_.checkpoint_path)) {
-    dirty_ = false;
-    last_checkpoint_ = now;
-  }
+  // A failed write leaves the state dirty, so checkpoint_saved() says so and
+  // the next poll tick tries again.
+  dirty_ = !checkpoint.save(config_.checkpoint_path);
+  if (!dirty_) last_checkpoint_ = now;
 }
 
 void Coordinator::send_message(Connection& conn, const Message& message) {

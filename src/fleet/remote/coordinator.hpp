@@ -79,11 +79,12 @@ struct CoordinatorStats {
 
 class Coordinator {
  public:
-  /// Binds and listens immediately (so port() is valid before serve()) and
-  /// loads the checkpoint when one exists at config.checkpoint_path.
-  /// Throws std::runtime_error when the socket cannot be bound, or the
-  /// checkpoint is corrupt (a stored spec that differs from the plan's
-  /// included) or belongs to a different campaign.
+  /// Binds and listens immediately (so port() is valid before serve()),
+  /// loads the checkpoint when one exists at config.checkpoint_path, and
+  /// writes it there at once.  Throws std::runtime_error when the socket
+  /// cannot be bound, the checkpoint cannot be written, or it is corrupt (a
+  /// stored spec that differs from the plan's included) or belongs to a
+  /// different campaign.
   Coordinator(const TrialPlan& plan, CoordinatorConfig config);
   ~Coordinator();
 

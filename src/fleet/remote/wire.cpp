@@ -13,8 +13,7 @@ using util::ByteWriter;
 namespace {
 
 constexpr std::uint8_t kMaxTrialStatus = static_cast<std::uint8_t>(TrialStatus::kSkipped);
-constexpr std::uint8_t kMaxStopReason =
-    static_cast<std::uint8_t>(fuzzer::StopReason::kTransportDead);
+constexpr std::uint8_t kMaxStopReason = fuzzer::kStopReasonCount - 1;
 
 // Strings cross the wire length-prefixed and bounded; anything longer is
 // truncated at encode time so a pathological finding cannot poison the

@@ -118,10 +118,12 @@ enum class SessionEnd : std::uint8_t { kComplete, kPaused, kRejected, kCancelled
 
 namespace {
 
-// Worker identity for the coordinator's metrics map.  Randomness (not the
-// campaign seed) is correct here: the id must differ between two worker
-// processes launched identically on different hosts, and it never feeds
-// back into trial execution, so determinism of results is untouched.
+// Worker identity for the coordinator's metrics map and the reconnect
+// gate's jitter seed.  Randomness (not the campaign seed) is correct here:
+// the id must differ between two worker processes launched identically, so
+// that they neither share a metrics block nor retry in lockstep, and it
+// never feeds back into trial execution, so determinism of results is
+// untouched.
 std::uint64_t make_instance_id() {
   std::random_device rd;
   std::uint64_t id = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
@@ -143,7 +145,7 @@ WorkerResult Worker::run() {
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
 
-  resilience::ReconnectGate gate(config_.retry, config_.breaker, config_.give_up_after);
+  ReconnectGate gate(instance_id_, config_.give_up_after);
 
   const auto cancelled = [this] {
     return cancelled_.load(std::memory_order_relaxed);

@@ -1,10 +1,10 @@
 // Worker: the client side of the distributed campaign service.  It rebuilds
 // the trial plan and world factory from its own configuration (only the
 // campaign fingerprint crosses the wire — worlds are code, not data),
-// connects to the coordinator through a ReconnectGate (the PR 1
-// retry/backoff + circuit-breaker machinery on the wall clock), and then
-// pulls lease batches: request, receive a grant, run the batch on the
-// shared run_trial_pool() seam, stream one LeaseResult per finished trial.
+// connects to the coordinator through a ReconnectGate (jittered backoff and
+// a circuit breaker on the wall clock), and then pulls lease batches:
+// request, receive a grant, run the batch on the shared run_trial_pool()
+// seam, stream one LeaseResult per finished trial.
 // A heartbeat side-thread keeps the lease alive through long trials; a lost
 // connection sends the worker back through the gate, and trials whose
 // results never reached the coordinator are simply re-leased — the
@@ -16,9 +16,9 @@
 #include <cstdint>
 #include <string>
 
+#include "fleet/remote/reconnect.hpp"
 #include "fleet/trial.hpp"
 #include "fleet/trial_plan.hpp"
-#include "resilience/reconnect.hpp"
 
 namespace acf::metrics {
 class Registry;
@@ -35,9 +35,6 @@ struct WorkerConfig {
   std::string name = "worker";
   /// Must match the coordinator's world tag (campaign fingerprint input).
   std::string world_tag = "unlock";
-  /// Reconnect policy for the coordinator link.
-  transport::RetryPolicy retry{};
-  transport::CircuitBreakerPolicy breaker{};
   /// Consecutive connection failures before run() gives up; 0 = never.
   std::uint32_t give_up_after = 30;
   /// Lease-liveness heartbeat cadence while a batch is running (and the
@@ -66,7 +63,7 @@ struct WorkerResult {
   /// stolen lease this worker finished late still ran here).
   std::size_t trials_run = 0;
   std::uint64_t leases_served = 0;
-  resilience::ReconnectStats reconnect;
+  ReconnectStats reconnect;
   std::string message;  // human-readable exit detail (Rejected reason etc.)
 };
 
@@ -87,7 +84,7 @@ class Worker {
   std::uint64_t fingerprint_;
   /// Sent in Hello; stable across reconnects (the Worker object and its
   /// registry survive the reconnect gate), unique across worker processes
-  /// even when operators reuse `config.name`.
+  /// even when operators reuse `config.name`.  Also the gate's jitter seed.
   std::uint64_t instance_id_;
   std::atomic<bool> cancelled_{false};
 };

@@ -113,10 +113,13 @@ void reap(const std::vector<pid_t>& children) {
   }
 }
 
-/// Coordinator mode.  A campaign paused before its end exits the process:
-/// an orderly pause is a success once the checkpoint holds every finished
-/// trial, and a failure (status 1) when that final write failed (the
-/// metrics stream flushes every line, so exiting loses none of it).
+/// Coordinator mode.  A checkpoint path that cannot be written fails the
+/// run (status 1) before any worker starts.  A campaign paused before its
+/// end exits the process: an orderly pause is a success once the checkpoint
+/// holds every finished trial, and a failure (status 1) when that final
+/// write failed (the metrics stream flushes every line, so exiting loses
+/// none of it).  A completed campaign whose final write failed says so and
+/// still returns its outcomes.
 std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view world_tag,
                                      const CampaignOptions& options, char* const* argv,
                                      const std::string& program) {
@@ -171,6 +174,10 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
     std::fprintf(stderr, "%s: paused after %zu trials; checkpoint at %s\n", program.c_str(),
                  coordinator->done_count(), options.checkpoint_path.c_str());
     std::exit(0);
+  }
+  if (!options.checkpoint_path.empty() && !coordinator->checkpoint_saved()) {
+    std::fprintf(stderr, "%s: campaign complete, but the checkpoint %s was not written\n",
+                 program.c_str(), options.checkpoint_path.c_str());
   }
   return outcomes;
 }

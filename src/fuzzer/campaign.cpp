@@ -12,7 +12,6 @@ const char* to_string(StopReason reason) noexcept {
     case StopReason::kGeneratorExhausted: return "generator-exhausted";
     case StopReason::kFailureDetected: return "failure-detected";
     case StopReason::kStoppedByUser: return "stopped-by-user";
-    case StopReason::kTransportDead: return "transport-dead";
   }
   return "?";
 }
@@ -68,17 +67,10 @@ void FuzzCampaign::tx_tick() {
   }
   if (transport_.send(*frame)) {
     ++result_.frames_sent;
-    consecutive_send_failures_ = 0;
     if (coverage_ != nullptr) coverage_->add(*frame);
     if (on_frame_sent_) on_frame_sent_(*frame, scheduler_.now());
   } else {
     ++result_.send_failures;
-    ++consecutive_send_failures_;
-    if (config_.max_consecutive_send_failures != 0 &&
-        consecutive_send_failures_ >= config_.max_consecutive_send_failures) {
-      finish(StopReason::kTransportDead);
-      return;
-    }
   }
   recent_.push({*frame, scheduler_.now()});
   if (config_.max_frames != 0 && result_.frames_sent >= config_.max_frames) {

@@ -2,9 +2,9 @@
 // send fuzz at a fixed rate, monitor the target through oracles, record the
 // conditions of any failure, repeat a large number of times.
 //
-// Hardened for endurance runs by a retry-aware transport failure policy: the
-// campaign distinguishes a transient send failure from a dead transport and
-// stops with StopReason::kTransportDead instead of spinning.
+// A send the transport refuses is counted in CampaignResult::send_failures
+// and the loop goes on: a campaign ends only at its limits, on a failure
+// verdict, when its generator runs dry or by stop().
 #pragma once
 
 #include <cstdint>
@@ -36,13 +36,6 @@ struct CampaignConfig {
   bool record_suspicious = true;
   /// Injected frames retained per finding for reproduction.
   std::size_t finding_window = 32;
-  /// Consecutive send failures tolerated before the campaign declares the
-  /// transport dead (StopReason::kTransportDead).  0 = never give up — the
-  /// legacy behaviour of blindly counting send_failures.  A resilient
-  /// transport (transport::ResilientTransport) only fails a send once its
-  /// own retries and circuit breaker have given up, so a small value here
-  /// composes into "retry hard, then stop cleanly".
-  std::uint32_t max_consecutive_send_failures = 0;
 };
 
 enum class StopReason : std::uint8_t {
@@ -51,9 +44,12 @@ enum class StopReason : std::uint8_t {
   kFrameLimit,
   kGeneratorExhausted,
   kFailureDetected,
-  kStoppedByUser,
-  kTransportDead,
+  kStoppedByUser,  // keep last: kStopReasonCount follows it
 };
+
+/// Number of StopReason values: wire decoders reject any byte at or above it.
+inline constexpr std::uint8_t kStopReasonCount =
+    static_cast<std::uint8_t>(StopReason::kStoppedByUser) + 1;
 
 const char* to_string(StopReason reason) noexcept;
 
@@ -120,7 +116,6 @@ class FuzzCampaign {
   sim::EventId tx_event_{};
   sim::EventId oracle_event_{};
   sim::EventId deadline_event_{};
-  std::uint32_t consecutive_send_failures_ = 0;
   bool started_flag_ = false;
   bool finished_ = false;
   std::function<void(const Finding&)> on_finding_;

@@ -6,17 +6,17 @@ namespace acf::selftest {
 
 namespace {
 
-// Format keywords from every in-repo input surface: checkpoint keys, DBC
-// grammar, candump/ASC syntax, plus boundary numbers parsers tend to choke
-// on.  Splicing these lets a structure-blind mutator cross token-level
-// validation instead of dying in the first keyword comparison.
+// Format keywords from every in-repo text input surface: DBC grammar,
+// candump/ASC syntax, the ids-eval/1 digest line and the acf-metrics-v1
+// snapshot, plus boundary numbers parsers tend to choke on.  Splicing these
+// lets a structure-blind mutator cross token-level validation instead of
+// dying in the first keyword comparison.
 constexpr std::string_view kDictionary[] = {
-    "ACF-CHECKPOINT", "frames_sent", "send_failures", "elapsed_ns", "generator",
-    "state", "findings", "verdict", "time_ns", "detail", "at_frame", "seed", "gen",
-    "recent", "window", "frame", "end", "D S", "R E", "F S",
     "BO_", "SG_", "BU_:", "BA_", "\"GenMsgCycleTime\"", "Vector__XXX", ":",
     "@1+", "@0-", "(1,0)", "[0|255]", "8|16",
     "Rx", "Tx", "d 8", "r 1", "can0", "#", "##1", "#R",
+    "ids-eval/1", "totals", "det", "name=", "thr=", "ab=", "lb=",
+    "\"schema\"", "acf-metrics-v1", "\"counters\"", "\"timers\"",
     "(0.000000)", "0", "1", "-1", "4095", "65535", "4294967295",
     "18446744073709551615", "99999999999999999999", "nan", "inf", "1e308", "-",
 };

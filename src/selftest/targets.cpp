@@ -555,7 +555,8 @@ fr::Message random_message(Bytes input, util::Rng& rng) {
       msg.outcome.spec.sim_budget =
           sim::Duration{static_cast<std::int64_t>(rng.next_u64())};
       msg.outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
-      msg.outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
+      msg.outcome.stop_reason =
+          static_cast<fuzzer::StopReason>(rng.next_below(fuzzer::kStopReasonCount));
       msg.outcome.frames_sent = rng.next_u64();
       msg.outcome.send_failures = rng.next_u64();
       msg.outcome.sim_seconds = std::bit_cast<double>(rng.next_u64());
@@ -943,7 +944,8 @@ Verdict run_fleet_checkpoint(Bytes input) {
     outcome.spec = {index, rng.next_below(64), rng.next_below(1024), rng.next_u64(),
                     sim::Duration{static_cast<std::int64_t>(rng.next_u64())}};
     outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
-    outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
+    outcome.stop_reason =
+        static_cast<fuzzer::StopReason>(rng.next_below(fuzzer::kStopReasonCount));
     outcome.frames_sent = rng.next_u64();
     outcome.send_failures = rng.next_u64();
     outcome.sim_seconds = std::bit_cast<double>(rng.next_u64());

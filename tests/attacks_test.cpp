@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "attacks/attacks.hpp"
-#include "resilience/supervisor.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/capture.hpp"
 #include "transport/virtual_bus_transport.hpp"
@@ -178,38 +177,6 @@ TEST(DosFlood, FloodResumesAfterBusOffRecovery) {
   EXPECT_GT(flood.frames_sent(), sent_at_bus_off);
   EXPECT_GT(flood.ticks_silenced(), 0u);
   flood.stop();
-}
-
-TEST(DosFlood, SupervisionOracleSeesTheBabblerGoBusOff) {
-  // The PR 1 supervision layer observes the same story from outside: the
-  // flooding node trips the babbling ceiling, then fault confinement takes
-  // it off the bus and the supervisor records the kBusOff event.
-  sim::Scheduler scheduler;
-  can::BusConfig config;
-  config.auto_bus_off_recovery = false;
-  can::VirtualBus bus(scheduler, config);
-  transport::VirtualBusTransport attacker(bus, "attacker");
-  resilience::SupervisorConfig watch_config;
-  watch_config.restart_budget = 1;
-  resilience::NodeSupervisor supervisor(scheduler, bus, watch_config);
-  supervisor.watch(attacker.node_id());
-  supervisor.start();
-
-  DosFlood flood(scheduler, attacker);
-  flood.start();
-  scheduler.run_for(std::chrono::milliseconds(50));
-  bus.force_tx_errors(attacker.node_id(), 32);
-  scheduler.run_for(std::chrono::milliseconds(200));
-  flood.stop();
-
-  bool saw_bus_off = false;
-  for (const resilience::SupervisionEvent& event : supervisor.events()) {
-    if (event.type == resilience::SupervisionEventType::kBusOff &&
-        event.node == attacker.node_id()) {
-      saw_bus_off = true;
-    }
-  }
-  EXPECT_TRUE(saw_bus_off);
 }
 
 TEST(XcpTamper, ExtinguishesTheMilRemotely) {

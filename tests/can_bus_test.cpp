@@ -4,9 +4,12 @@
 
 #include "can/bus.hpp"
 #include "sim/scheduler.hpp"
+#include "transport/virtual_bus_transport.hpp"
 
 namespace acf::can {
 namespace {
+
+using namespace std::chrono_literals;
 
 /// Test listener recording everything it sees.
 class Recorder : public BusListener {
@@ -356,6 +359,70 @@ TEST(ErrorState, PrimaryDetectorPenalty) {
   ErrorState state;
   state.on_rx_error_primary();
   EXPECT_EQ(state.rec(), 8u);
+}
+
+// ------------------------------------------------ error frames / bus-off ---
+
+class FaultInjectionTest : public ::testing::Test {
+ protected:
+  sim::Scheduler scheduler;
+  can::VirtualBus bus{scheduler};
+};
+
+TEST_F(FaultInjectionTest, InjectedErrorFrameHitsEveryPoweredNode) {
+  transport::VirtualBusTransport a(bus, "a");
+  transport::VirtualBusTransport b(bus, "b");
+  bus.inject_error_frame();
+  EXPECT_EQ(bus.error_state(a.node_id()).rec(), 1u);
+  EXPECT_EQ(bus.error_state(b.node_id()).rec(), 1u);
+  EXPECT_EQ(bus.stats().error_frames, 1u);
+}
+
+TEST(BusOffRecoveryTest, NodeRejoinsAfterStandardRecoveryTime) {
+  sim::Scheduler scheduler;
+  can::VirtualBus bus{scheduler};  // auto_bus_off_recovery = true (default)
+  transport::VirtualBusTransport tx(bus, "victim");
+  transport::VirtualBusTransport rx(bus, "peer");
+
+  // 32 forced bus errors at TEC += 8 each drive the transmitter past 255.
+  bus.force_tx_errors(tx.node_id(), 32);
+  ASSERT_TRUE(tx.send(can::CanFrame::data_std(0x123, {0xAA})));
+  ASSERT_TRUE(scheduler.run_until_condition(
+      [&] { return bus.bus_off_recovering(tx.node_id()); }, sim::SimTime{1s}));
+  const sim::SimTime went_off = scheduler.now();
+
+  // Recovery takes 128 x 11 bit times: 2.816 ms at 500 kb/s.
+  scheduler.run_until(went_off + 2ms);
+  EXPECT_TRUE(bus.bus_off_recovering(tx.node_id()));
+  scheduler.run_until(went_off + 3ms);
+  EXPECT_FALSE(bus.bus_off_recovering(tx.node_id()));
+  EXPECT_EQ(bus.error_state(tx.node_id()).tec(), 0u);
+
+  // And it can transmit again.
+  int received = 0;
+  rx.set_rx_callback([&](const can::CanFrame&, sim::SimTime) { ++received; });
+  EXPECT_TRUE(tx.send(can::CanFrame::data_std(0x124, {0xBB})));
+  scheduler.run_for(5ms);
+  EXPECT_EQ(received, 1);
+}
+
+TEST(BusOffRecoveryTest, NodeStaysOffWithoutAutoRecovery) {
+  sim::Scheduler scheduler;
+  can::BusConfig config;
+  config.auto_bus_off_recovery = false;
+  can::VirtualBus bus{scheduler, config};
+  transport::VirtualBusTransport tx(bus, "victim");
+  transport::VirtualBusTransport rx(bus, "peer");
+
+  bus.force_tx_errors(tx.node_id(), 32);
+  ASSERT_TRUE(tx.send(can::CanFrame::data_std(0x123, {0xAA})));
+  ASSERT_TRUE(scheduler.run_until_condition(
+      [&] { return bus.error_state(tx.node_id()).bus_off(); }, sim::SimTime{1s}));
+
+  scheduler.run_for(100ms);  // far beyond the 2.816 ms recovery window
+  EXPECT_TRUE(bus.error_state(tx.node_id()).bus_off());
+  EXPECT_FALSE(bus.bus_off_recovering(tx.node_id()));
+  EXPECT_FALSE(tx.send(can::CanFrame::data_std(0x124, {})));
 }
 
 }  // namespace

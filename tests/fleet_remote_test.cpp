@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,13 +27,13 @@
 #include "fleet/remote/checkpoint.hpp"
 #include "fleet/remote/coordinator.hpp"
 #include "fleet/remote/lease.hpp"
+#include "fleet/remote/reconnect.hpp"
 #include "fleet/remote/wire.hpp"
 #include "fleet/remote/worker.hpp"
 #include "fleet/worlds.hpp"
 #include "fuzzer/config.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/snapshot.hpp"
-#include "resilience/reconnect.hpp"
 #include "util/bytes.hpp"
 #include "util/hex.hpp"
 #include "util/socket.hpp"
@@ -149,6 +150,26 @@ TEST(FleetRemoteWire, TruncatedAndPaddedPayloadsAreRejected) {
   payload.push_back(0x00);  // strict: trailing garbage is not tolerated
   EXPECT_FALSE(decode(payload).has_value());
   EXPECT_FALSE(decode(std::span<const std::uint8_t>{}).has_value());
+}
+
+/// A stop byte past the last StopReason is rejected, so 6, the retired
+/// transport-dead reason, no longer decodes.
+TEST(FleetRemoteWire, OutOfRangeStopReasonIsRejected) {
+  LeaseResultMsg result;
+  result.lease_id = 3;
+  result.outcome.stop_reason = fuzzer::StopReason::kStoppedByUser;
+  std::vector<std::uint8_t> payload = encode(Message{result});
+  result.outcome.stop_reason = fuzzer::StopReason::kDurationElapsed;
+  const std::vector<std::uint8_t> other = encode(Message{result});
+  ASSERT_EQ(payload.size(), other.size());
+  const auto stop = std::mismatch(payload.begin(), payload.end(), other.begin()).first;
+  ASSERT_NE(stop, payload.end());
+  ASSERT_EQ(*stop, fuzzer::kStopReasonCount - 1);
+  EXPECT_TRUE(decode(payload).has_value());
+  for (const int byte : {6, 7, 0xFF}) {
+    *stop = static_cast<std::uint8_t>(byte);
+    EXPECT_FALSE(decode(payload).has_value()) << byte;
+  }
 }
 
 TEST(FleetRemoteWire, UnknownMessageTypeIsPreservedVerbatim) {
@@ -562,10 +583,35 @@ TEST(FleetRemoteCheckpoint, CoordinatorRejectsAStoredSpecThatDiffersFromThePlan)
   std::remove(path.c_str());
 }
 
+/// A final write that fails after a good start shows in checkpoint_saved(),
+/// which the runner reports on stderr.
+TEST(FleetRemoteCheckpoint, FailedFinalWriteIsNotReportedAsSaved) {
+  const TrialPlan plan = fast_plan(1);
+  const std::filesystem::path dir =
+      testing::TempDir() + "fleet_ck_dir_" + std::to_string(::getpid());
+  std::filesystem::create_directory(dir);
+  CoordinatorConfig config;
+  config.world_tag = "fast";
+  config.checkpoint_path = (dir / "c.ckpt").string();
+  Coordinator coordinator(plan, config);
+  EXPECT_TRUE(coordinator.checkpoint_saved());
+  std::filesystem::remove_all(dir);
+
+  std::thread server([&] { coordinator.serve(); });
+  WorkerConfig wc;
+  wc.port = coordinator.port();
+  wc.world_tag = "fast";
+  Worker worker(plan, fast_unlock_factory(), wc);
+  EXPECT_EQ(worker.run().exit, WorkerExit::kCampaignComplete);
+  server.join();
+  EXPECT_EQ(coordinator.done_count(), plan.trial_count());
+  EXPECT_FALSE(coordinator.checkpoint_saved());
+}
+
 // ----------------------------------------------------------- reconnect ----
 
 TEST(FleetRemoteReconnect, FirstAttemptIsImmediateAndGiveUpBounds) {
-  resilience::ReconnectGate gate({}, {}, /*give_up_after=*/2);
+  ReconnectGate gate(/*jitter_seed=*/1, /*give_up_after=*/2);
   EXPECT_EQ(gate.next_delay(), std::chrono::milliseconds(0));
   gate.note_failure();
   const auto backoff = gate.next_delay();
@@ -577,7 +623,7 @@ TEST(FleetRemoteReconnect, FirstAttemptIsImmediateAndGiveUpBounds) {
 }
 
 TEST(FleetRemoteReconnect, SuccessResetsTheGate) {
-  resilience::ReconnectGate gate({}, {}, /*give_up_after=*/2);
+  ReconnectGate gate(/*jitter_seed=*/1, /*give_up_after=*/2);
   (void)gate.next_delay();
   gate.note_failure();
   gate.note_success();
@@ -586,30 +632,47 @@ TEST(FleetRemoteReconnect, SuccessResetsTheGate) {
 }
 
 TEST(FleetRemoteReconnect, BreakerTripsEscalatesAndRecovers) {
-  transport::CircuitBreakerPolicy breaker;
-  breaker.failure_threshold = 2;
-  breaker.open_duration = std::chrono::milliseconds(40);
-  breaker.max_open_duration = std::chrono::milliseconds(100);
-  resilience::ReconnectGate gate({}, breaker, 0);
-  gate.note_failure();
-  EXPECT_EQ(gate.state(), transport::BreakerState::kClosed);
-  gate.note_failure();
-  EXPECT_EQ(gate.state(), transport::BreakerState::kOpen);
+  using State = ReconnectGate::BreakerState;
+  ReconnectGate gate(/*jitter_seed=*/1);
+  for (int failure = 1; failure < 8; ++failure) gate.note_failure();
+  EXPECT_EQ(gate.state(), State::kClosed);
+  gate.note_failure();  // the 8th consecutive failure trips it
+  EXPECT_EQ(gate.state(), State::kOpen);
   // Open window: wait it out, half-open for the probe.
   const auto open_wait = gate.next_delay();
   ASSERT_TRUE(open_wait.has_value());
-  EXPECT_GE(*open_wait, std::chrono::milliseconds(40));
-  EXPECT_EQ(gate.state(), transport::BreakerState::kHalfOpen);
+  EXPECT_GE(*open_wait, std::chrono::milliseconds(100));
+  EXPECT_EQ(gate.state(), State::kHalfOpen);
   gate.note_failure();  // probe failed: re-open, escalated window
-  EXPECT_EQ(gate.state(), transport::BreakerState::kOpen);
+  EXPECT_EQ(gate.state(), State::kOpen);
   const auto escalated = gate.next_delay();
   ASSERT_TRUE(escalated.has_value());
   EXPECT_GT(*escalated, *open_wait);
-  EXPECT_LE(*escalated, std::chrono::milliseconds(100));
+  EXPECT_LE(*escalated, std::chrono::seconds(5));
   gate.note_success();
-  EXPECT_EQ(gate.state(), transport::BreakerState::kClosed);
+  EXPECT_EQ(gate.state(), State::kClosed);
   EXPECT_EQ(gate.stats().breaker_trips, 2u);
   EXPECT_EQ(gate.stats().breaker_recoveries, 1u);
+}
+
+/// Workers that lose one coordinator must not retry in lockstep: the
+/// backoff's jitter follows the seed, which a worker draws at random.
+TEST(FleetRemoteReconnect, JitterFollowsTheSeed) {
+  const auto delays = [](std::uint64_t seed) {
+    ReconnectGate gate(seed);
+    std::vector<std::chrono::milliseconds> waits;
+    for (int outage = 0; outage < 8; ++outage) {
+      // Seven failures stay below the breaker, so every wait is a backoff.
+      for (int failure = 0; failure <= 7; ++failure) {
+        waits.push_back(gate.next_delay().value());
+        if (failure < 7) gate.note_failure();
+      }
+      gate.note_success();
+    }
+    return waits;
+  };
+  EXPECT_EQ(delays(0x1DB01DB0CAFEF00Dull), delays(0x1DB01DB0CAFEF00Dull));
+  EXPECT_NE(delays(0x1DB01DB0CAFEF00Dull), delays(0x5EED5EED5EED5EEDull));
 }
 
 // ------------------------------------------------------------ progress ----
@@ -982,12 +1045,16 @@ TEST(FleetRemoteProcess, CoordinatorRestartResumesFromCheckpoint) {
 TEST(FleetRemoteProcess, PauseIntoAMissingDirectoryExitsOne) {
   const std::string checkpoint = temp_path("no_such_dir") + "/c.ckpt";
   const std::string log = temp_path("pause_stderr") + ".txt";
-  const int exit_code = run_fleet_bin(
-      "--fast-world --runs 4 --threads 2 --serve 0 --workers 2 --stop-after 3 "
-      "--checkpoint " + checkpoint, 120, log);
-  EXPECT_EQ(exit_code, 1);
-  EXPECT_FALSE(std::filesystem::exists(checkpoint));
-  EXPECT_NE(slurp(log).find(checkpoint), std::string::npos) << slurp(log);
+  // A pause, and a whole campaign that would otherwise run unprotected.
+  for (const char* pause : {"--stop-after 3 ", ""}) {
+    SCOPED_TRACE(pause);
+    const int exit_code = run_fleet_bin("--fast-world --runs 4 --threads 2 --serve 0 --workers 2 " +
+                                            std::string(pause) + "--checkpoint " + checkpoint,
+                                        120, log);
+    EXPECT_EQ(exit_code, 1);
+    EXPECT_FALSE(std::filesystem::exists(checkpoint));
+    EXPECT_NE(slurp(log).find(checkpoint), std::string::npos) << slurp(log);
+  }
   std::remove(log.c_str());
 }
 

@@ -14,6 +14,8 @@
 namespace acf::fuzzer {
 namespace {
 
+using namespace std::chrono_literals;
+
 // ------------------------------------------------------------- config -----
 
 TEST(FuzzConfig, PaperCombinatorics) {
@@ -432,6 +434,40 @@ TEST_F(CampaignTest, SendFailuresCounted) {
   const auto& result = campaign.run();
   EXPECT_EQ(result.frames_sent, 0u);
   EXPECT_NEAR(static_cast<double>(result.send_failures), 100.0, 2.0);
+}
+
+/// In-memory transport that fails its next `fail_next` sends.
+class ScriptedTransport final : public transport::CanTransport {
+ public:
+  bool send(const can::CanFrame&) override {
+    if (fail_next == 0) return true;
+    --fail_next;
+    return false;
+  }
+  void set_rx_callback(transport::RxCallback) override {}
+  std::string name() const override { return "scripted"; }
+  const transport::TransportStats& stats() const override { return stats_; }
+
+  int fail_next = 0;  // fail this many upcoming sends
+
+ private:
+  transport::TransportStats stats_;
+};
+
+TEST(CampaignResilienceTest, TransientFailuresDoNotKillTheCampaign) {
+  sim::Scheduler scheduler;
+  ScriptedTransport transport;
+  transport.fail_next = 3;  // a burst of failures, then healthy again
+  fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random(7));
+  fuzzer::CampaignConfig config;
+  config.tx_period = 1ms;
+  config.max_duration = 1s;
+  config.max_frames = 20;
+  fuzzer::FuzzCampaign campaign(scheduler, transport, generator, nullptr, config);
+  const auto& result = campaign.run();
+  EXPECT_EQ(result.reason, fuzzer::StopReason::kFrameLimit);
+  EXPECT_EQ(result.send_failures, 3u);
+  EXPECT_EQ(result.frames_sent, 20u);
 }
 
 TEST(Finding, SummaryIsInformative) {

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/scheduler.hpp"
-#include "transport/fault_injector.hpp"
 #include "transport/socketcan_transport.hpp"
 #include "transport/virtual_bus_transport.hpp"
 
@@ -58,65 +59,6 @@ TEST_F(TransportTest, DetachOnDestruction) {
     EXPECT_EQ(bus.node_count(), 1u);
   }
   EXPECT_EQ(bus.node_count(), 0u);
-}
-
-// ------------------------------------------------------ fault injector ----
-
-TEST_F(TransportTest, FaultInjectorDropsTxDeterministically) {
-  VirtualBusTransport a(bus, "a");
-  VirtualBusTransport b(bus, "b");
-  FaultPlan plan;
-  plan.tx_drop = 1.0;
-  FaultInjector faulty(a, plan);
-  int received = 0;
-  b.set_rx_callback([&](const can::CanFrame&, sim::SimTime) { ++received; });
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(faulty.send(can::CanFrame::data_std(0x1, {})));
-  scheduler.run_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(received, 0);
-  EXPECT_EQ(faulty.fault_stats().tx_dropped, 10u);
-}
-
-TEST_F(TransportTest, FaultInjectorCorruptsPayloadBits) {
-  VirtualBusTransport a(bus, "a");
-  VirtualBusTransport b(bus, "b");
-  FaultPlan plan;
-  plan.tx_corrupt = 1.0;
-  FaultInjector faulty(a, plan);
-  std::vector<can::CanFrame> received;
-  b.set_rx_callback([&](const can::CanFrame& f, sim::SimTime) { received.push_back(f); });
-  const auto original = can::CanFrame::data_std(0x10, {0xAA, 0xBB, 0xCC});
-  faulty.send(original);
-  scheduler.run_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_NE(received[0], original);          // exactly one bit flipped
-  EXPECT_EQ(received[0].id(), original.id());
-  EXPECT_EQ(received[0].length(), original.length());
-  EXPECT_EQ(faulty.fault_stats().tx_corrupted, 1u);
-}
-
-TEST_F(TransportTest, FaultInjectorRxDropAndDuplicate) {
-  VirtualBusTransport a(bus, "a");
-  VirtualBusTransport b(bus, "b");
-  FaultPlan plan;
-  plan.rx_duplicate = 1.0;
-  FaultInjector faulty(b, plan);
-  int count = 0;
-  faulty.set_rx_callback([&](const can::CanFrame&, sim::SimTime) { ++count; });
-  a.send(can::CanFrame::data_std(0x99, {1}));
-  scheduler.run_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(count, 2);  // delivered twice
-  EXPECT_EQ(faulty.fault_stats().rx_duplicated, 1u);
-}
-
-TEST_F(TransportTest, FaultInjectorPassThroughWhenCleanPlan) {
-  VirtualBusTransport a(bus, "a");
-  VirtualBusTransport b(bus, "b");
-  FaultInjector clean(a, FaultPlan{});
-  int received = 0;
-  b.set_rx_callback([&](const can::CanFrame&, sim::SimTime) { ++received; });
-  for (int i = 0; i < 20; ++i) clean.send(can::CanFrame::data_std(0x1, {1}));
-  scheduler.run_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(received, 20);
 }
 
 // ---------------------------------------------------------- SocketCAN ----
