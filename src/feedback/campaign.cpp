@@ -73,34 +73,32 @@ void FeedbackCampaign::trim_seed(std::vector<can::CanFrame>& sequence,
   // that burns simulated budget and counts in the stats.  The acceptance
   // test is "the trimmed sequence still produces every feature that made
   // the original novel" — tracked via `outcome.features` superset checks
-  // against the fresh subset the caller computed before observing.
-  std::vector<Feature> must_keep;
+  // against the fresh subset, taken before the caller observes them.
+  trim_keep_.clear();
   for (const Feature f : outcome.features) {
-    if (!map_.seen(f)) must_keep.push_back(f);  // caller has not observed yet
+    if (!map_.seen(f)) trim_keep_.push_back(f);
   }
   std::uint32_t budget = config_.trim_budget;
   for (std::size_t chunk = sequence.size() / 2; chunk >= 1 && budget > 0; chunk /= 2) {
     std::size_t pos = 0;
     while (pos + chunk <= sequence.size() && sequence.size() > chunk && budget > 0 &&
            !finished_) {
-      std::vector<can::CanFrame> candidate;
-      candidate.reserve(sequence.size() - chunk);
-      candidate.insert(candidate.end(), sequence.begin(),
-                       sequence.begin() + static_cast<std::ptrdiff_t>(pos));
-      candidate.insert(candidate.end(),
-                       sequence.begin() + static_cast<std::ptrdiff_t>(pos + chunk),
-                       sequence.end());
-      ExecOutcome trial = execute(candidate);
+      trim_candidate_.assign(sequence.begin(),
+                             sequence.begin() + static_cast<std::ptrdiff_t>(pos));
+      trim_candidate_.insert(trim_candidate_.end(),
+                             sequence.begin() + static_cast<std::ptrdiff_t>(pos + chunk),
+                             sequence.end());
+      ExecOutcome trial = execute(trim_candidate_);
       --budget;
       ++stats_.trim_executions;
-      if (trial.failure) record_failure(candidate, trial);
+      if (trial.failure) record_failure(trim_candidate_, trial);
       total_sim_ += trial.elapsed;
       result_.frames_sent += trial.frames_sent;
       result_.send_failures += trial.send_failures;
       stats_.frames_sent += trial.frames_sent;
       ++stats_.executions;
-      if (covers(trial.features, must_keep)) {
-        sequence = std::move(candidate);
+      if (covers(trial.features, trim_keep_)) {
+        sequence.swap(trim_candidate_);  // both buffers keep their capacity
         outcome = std::move(trial);  // the seed's recorded behaviour is the trimmed run's
       } else {
         pos += chunk;
@@ -116,6 +114,7 @@ bool FeedbackCampaign::budget_exhausted() const noexcept {
 }
 
 const fuzzer::CampaignResult& FeedbackCampaign::run() {
+  std::vector<can::CanFrame> sequence;  // a corpus pick copies into its capacity
   while (!finished_) {
     if (budget_exhausted()) {
       result_.reason = total_sim_ >= config_.max_total_sim
@@ -124,7 +123,6 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
       break;
     }
     // --- pick ------------------------------------------------------------
-    std::vector<can::CanFrame> sequence;
     if (corpus_.empty() ||
         (config_.fresh_one_in != 0 && rng_.next_below(config_.fresh_one_in) == 0)) {
       sequence = mutator_.fresh(rng_);
@@ -140,10 +138,8 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
     }
     // --- run -------------------------------------------------------------
     ExecOutcome outcome = execute(sequence);
-    std::vector<Feature> fresh;
-    for (const Feature f : outcome.features) {
-      if (!map_.seen(f)) fresh.push_back(f);
-    }
+    const bool novel = std::any_of(outcome.features.begin(), outcome.features.end(),
+                                   [this](Feature f) { return !map_.seen(f); });
     if (outcome.failure) record_failure(sequence, outcome);
     total_sim_ += outcome.elapsed;
     result_.frames_sent += outcome.frames_sent;
@@ -151,14 +147,14 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
     stats_.frames_sent += outcome.frames_sent;
     ++stats_.executions;
     // --- keep if novel ---------------------------------------------------
-    if (!fresh.empty()) {
+    if (novel) {
       ++stats_.novel_inputs;
       if (config_.trim && sequence.size() > 1 && !finished_) {
         trim_seed(sequence, outcome);
       }
       map_.observe_all(outcome.features);
       Seed seed;
-      seed.frames = std::move(sequence);
+      seed.frames = sequence;
       seed.features = std::move(outcome.features);
       seed.hot = outcome.hot;
       seed.found_at_exec = stats_.executions;

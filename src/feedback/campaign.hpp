@@ -108,6 +108,10 @@ class FeedbackCampaign {
   sim::Duration total_sim_{0};
   std::uint32_t additions_since_minimize_ = 0;
   bool finished_ = false;
+  // trim_seed's buffers, kept across seeds so they grow once instead of
+  // being allocated for every candidate.
+  std::vector<Feature> trim_keep_;
+  std::vector<can::CanFrame> trim_candidate_;
   std::unique_ptr<ExecWorld> world_;  // built by the first execution
 };
 

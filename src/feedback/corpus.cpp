@@ -1,7 +1,7 @@
 #include "feedback/corpus.hpp"
 
 #include <algorithm>
-#include <set>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/file.hpp"
@@ -21,6 +21,18 @@ constexpr std::uint8_t kFrameFlagExtended = 0x01;
 constexpr std::size_t kMinSeedBytes = 1 + 8 + 8 + 4 + 4;  // flags + u64s + counts
 constexpr std::size_t kMinFrameBytes = 4 + 1 + 1;         // id + flags + len
 
+// Sorted, deduplicated union of every seed's feature list.
+std::vector<Feature> feature_union(const std::vector<Seed>& seeds) {
+  std::size_t total = 0;
+  for (const Seed& seed : seeds) total += seed.features.size();
+  std::vector<Feature> all;
+  all.reserve(total);
+  for (const Seed& seed : seeds) all.insert(all.end(), seed.features.begin(), seed.features.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
+
 }  // namespace
 
 bool Corpus::add(Seed seed) {
@@ -29,6 +41,8 @@ bool Corpus::add(Seed seed) {
   seed.features.erase(std::unique(seed.features.begin(), seed.features.end()),
                       seed.features.end());
   seeds_.push_back(std::move(seed));
+  const std::uint64_t before = cumulative_energy_.empty() ? 0 : cumulative_energy_.back();
+  cumulative_energy_.push_back(before + energy(seeds_.size() - 1));
   return true;
 }
 
@@ -38,41 +52,79 @@ std::uint64_t Corpus::energy(std::size_t i) const {
   return seeds_.at(i).hot ? 32 : 1;
 }
 
-std::size_t Corpus::pick(util::Rng& rng) const {
+void Corpus::rebuild_cumulative_energy() {
+  cumulative_energy_.clear();
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < seeds_.size(); ++i) total += energy(i);
-  std::uint64_t roll = rng.next_below(total);
   for (std::size_t i = 0; i < seeds_.size(); ++i) {
-    const std::uint64_t e = energy(i);
-    if (roll < e) return i;
-    roll -= e;
+    total += energy(i);
+    cumulative_energy_.push_back(total);
   }
-  return seeds_.size() - 1;  // unreachable; guards rounding mistakes
+}
+
+std::size_t Corpus::pick(util::Rng& rng) const {
+  // The roll lands in the first seed whose running total exceeds it: the
+  // seed a linear scan subtracting energies in order stops at.
+  const std::uint64_t roll = rng.next_below(cumulative_energy_.back());
+  return static_cast<std::size_t>(
+      std::upper_bound(cumulative_energy_.begin(), cumulative_energy_.end(), roll) -
+      cumulative_energy_.begin());
 }
 
 std::size_t Corpus::minimize() {
   if (seeds_.size() < 2) return 0;
-  std::set<Feature> uncovered;
+  // Dense feature indices: a feature's rank in the sorted union.  Seed i's
+  // indices are ids[offsets[i] .. offsets[i + 1]).
+  const std::vector<Feature> universe = feature_union(seeds_);
+  std::vector<std::uint32_t> ids;
+  std::vector<std::size_t> offsets;
+  offsets.reserve(seeds_.size() + 1);
+  offsets.push_back(0);
   for (const Seed& seed : seeds_) {
-    uncovered.insert(seed.features.begin(), seed.features.end());
-  }
-  std::vector<bool> kept(seeds_.size(), false);
-  while (!uncovered.empty()) {
-    std::size_t best = seeds_.size();
-    std::size_t best_gain = 0;
-    for (std::size_t i = 0; i < seeds_.size(); ++i) {
-      if (kept[i]) continue;
-      std::size_t gain = 0;
-      for (const Feature f : seeds_[i].features) gain += uncovered.count(f);
-      if (gain > best_gain) {  // ties resolve to the earliest seed
-        best_gain = gain;
-        best = i;
-      }
+    for (const Feature f : seed.features) {
+      ids.push_back(static_cast<std::uint32_t>(
+          std::lower_bound(universe.begin(), universe.end(), f) - universe.begin()));
     }
-    if (best == seeds_.size()) break;  // remaining seeds add nothing
-    kept[best] = true;
-    for (const Feature f : seeds_[best].features) uncovered.erase(f);
+    offsets.push_back(ids.size());
   }
+
+  // Lazy greedy over a max-heap of (gain, -index).  Every stored gain is an
+  // upper bound on its seed's true gain, because covering features only
+  // lowers gains.  A popped entry whose recomputed gain still equals its
+  // stored gain therefore outranks every other seed's true (gain, -index):
+  // it is exactly the seed eager greedy takes next, ties going to the
+  // earliest seed.  A stale entry goes back with its true gain.
+  std::vector<std::pair<std::uint32_t, std::int32_t>> heap;
+  heap.reserve(seeds_.size());
+  for (std::size_t i = 0; i < seeds_.size(); ++i) {
+    const auto gain = static_cast<std::uint32_t>(offsets[i + 1] - offsets[i]);
+    if (gain > 0) heap.emplace_back(gain, -static_cast<std::int32_t>(i));
+  }
+  std::make_heap(heap.begin(), heap.end());
+
+  std::vector<bool> covered(universe.size(), false);
+  std::size_t uncovered = universe.size();
+  std::vector<bool> kept(seeds_.size(), false);
+  while (uncovered > 0 && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    auto& [stored, negated_index] = heap.back();
+    const auto index = static_cast<std::size_t>(-negated_index);
+    const auto first = ids.begin() + static_cast<std::ptrdiff_t>(offsets[index]);
+    const auto last = ids.begin() + static_cast<std::ptrdiff_t>(offsets[index + 1]);
+    const auto gain = static_cast<std::uint32_t>(
+        std::count_if(first, last, [&](std::uint32_t id) { return !covered[id]; }));
+    if (gain == stored) {
+      kept[index] = true;
+      for (auto id = first; id != last; ++id) covered[*id] = true;
+      uncovered -= gain;  // a seed's features, so its indices, are distinct
+      heap.pop_back();
+    } else if (gain > 0) {
+      stored = gain;
+      std::push_heap(heap.begin(), heap.end());
+    } else {
+      heap.pop_back();  // adds nothing any more
+    }
+  }
+
   std::vector<Seed> survivors;
   survivors.reserve(seeds_.size());
   for (std::size_t i = 0; i < seeds_.size(); ++i) {
@@ -80,14 +132,11 @@ std::size_t Corpus::minimize() {
   }
   const std::size_t dropped = seeds_.size() - survivors.size();
   seeds_ = std::move(survivors);
+  rebuild_cumulative_energy();
   return dropped;
 }
 
-std::size_t Corpus::distinct_features() const {
-  std::set<Feature> all;
-  for (const Seed& seed : seeds_) all.insert(seed.features.begin(), seed.features.end());
-  return all.size();
-}
+std::size_t Corpus::distinct_features() const { return feature_union(seeds_).size(); }
 
 std::vector<std::uint8_t> Corpus::encode() const {
   ByteWriter out;
@@ -163,6 +212,7 @@ std::optional<Corpus> Corpus::decode(std::span<const std::uint8_t> bytes) {
     corpus.seeds_.push_back(std::move(seed));
   }
   if (!in.done()) return std::nullopt;  // trailing garbage
+  corpus.rebuild_cumulative_energy();
   return corpus;
 }
 

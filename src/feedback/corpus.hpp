@@ -9,9 +9,14 @@
 //  * energy-based scheduling — pick() draws seeds weighted by an energy
 //    score, so seeds that touched ECU state or an oracle (the domains
 //    closest to a security finding) are mutated far more often than seeds
-//    that merely produced new traffic cells;
+//    that merely produced new traffic cells.  One RNG draw and a binary
+//    search over cumulative energies: O(log n) for n seeds;
 //  * minimisation — a greedy set cover over the feature lists drops seeds
-//    whose entire coverage is subsumed by others, bounding corpus growth;
+//    whose entire coverage is subsumed by others, bounding corpus growth.
+//    Lazy greedy over dense feature indices keeps exactly the seeds eager
+//    greedy keeps, in O(F log F + (F + n) log n + R) for n seeds, F feature
+//    entries and R entries rescanned to recompute popped gains (DESIGN.md
+//    §16);
 //  * a versioned on-disk format — magic + version, every count bounded and
 //    validated BEFORE allocation, strict full consumption, canonical
 //    encoding so decode∘encode is the identity on everything accepted
@@ -68,7 +73,9 @@ class Corpus {
   /// reproducible.
   std::uint64_t energy(std::size_t i) const;
 
-  /// Energy-weighted seed index draw.  Corpus must be non-empty.
+  /// Energy-weighted seed index draw: one `next_below(total energy)` roll,
+  /// landing in the seed whose slice of the running energy total holds it.
+  /// Corpus must be non-empty.
   std::size_t pick(util::Rng& rng) const;
 
   /// Greedy set cover over the feature lists: keeps seeds in order of
@@ -87,7 +94,13 @@ class Corpus {
   static std::optional<Corpus> load(const std::string& path);
 
  private:
+  /// Recomputes cumulative_energy_ from seeds_.
+  void rebuild_cumulative_energy();
+
   std::vector<Seed> seeds_;
+  /// cumulative_energy_[i] = energy(0) + ... + energy(i); add() extends it,
+  /// minimize() and decode() rebuild it.
+  std::vector<std::uint64_t> cumulative_energy_;
 };
 
 }  // namespace acf::feedback

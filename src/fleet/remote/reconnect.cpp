@@ -18,24 +18,27 @@ constexpr std::chrono::milliseconds kMaxOpenWindow{5'000};
 ReconnectGate::ReconnectGate(std::uint64_t jitter_seed, std::uint32_t give_up_after)
     : give_up_after_(give_up_after), jitter_rng_(jitter_seed), current_open_(kOpenWindow) {}
 
-std::chrono::milliseconds ReconnectGate::backoff_for(std::uint32_t failures) {
+std::chrono::microseconds ReconnectGate::backoff_for(std::uint32_t failures) {
   std::chrono::microseconds backoff = kInitialBackoff;
   for (std::uint32_t i = 1; i < failures && backoff < kMaxBackoff; ++i) backoff *= 2;
   backoff = std::min<std::chrono::microseconds>(backoff, kMaxBackoff);
   const double stretch = 1.0 + kJitter * jitter_rng_.next_double();
-  // Whole milliseconds, at least one, so a sub-ms backoff still yields.
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(backoff * stretch);
-  return std::max(waited, std::chrono::milliseconds(1));
+  // Whole microseconds keep the stretch even on sub-millisecond backoffs,
+  // so gates seeded apart retry apart from their first failure on.
+  return std::chrono::duration_cast<std::chrono::microseconds>(backoff * stretch);
 }
 
-std::optional<std::chrono::milliseconds> ReconnectGate::next_delay() {
+std::optional<std::chrono::microseconds> ReconnectGate::next_delay() {
   if (give_up_after_ > 0 && consecutive_failures_ >= give_up_after_) return std::nullopt;
   ++stats_.attempts;
-  if (consecutive_failures_ == 0) return std::chrono::milliseconds(0);
+  if (consecutive_failures_ == 0) return std::chrono::microseconds(0);
   if (state_ == BreakerState::kOpen) {
     // Cool-down: wait out the open window, then half-open for one probe.
+    // The window escalates only once it has been waited.
     state_ = BreakerState::kHalfOpen;
-    return current_open_;
+    const std::chrono::milliseconds window = current_open_;
+    current_open_ = std::min(current_open_ * 2, kMaxOpenWindow);
+    return window;
   }
   return backoff_for(consecutive_failures_);
 }
@@ -50,14 +53,13 @@ void ReconnectGate::note_success() noexcept {
 void ReconnectGate::trip_breaker() {
   state_ = BreakerState::kOpen;
   ++stats_.breaker_trips;
-  current_open_ = std::min(current_open_ * 2, kMaxOpenWindow);
 }
 
 void ReconnectGate::note_failure() {
   ++consecutive_failures_;
   ++stats_.failures;
   if (state_ == BreakerState::kHalfOpen) {
-    // Probe failed: re-open with the escalated window.
+    // Probe failed: re-open; the window was escalated when it was waited.
     trip_breaker();
     return;
   }

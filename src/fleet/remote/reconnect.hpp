@@ -23,9 +23,9 @@ struct ReconnectStats {
 
 /// The schedule is fixed (reconnect.cpp): the n-th consecutive failure waits
 /// 200 us * 2^(n-1), capped at 50 ms and stretched by a uniform factor in
-/// [1, 1.25], in whole milliseconds and at least one.  The 8th consecutive
-/// failure trips the breaker open; each trip doubles the open window, which
-/// starts at 100 ms, up to 5 s.
+/// [1, 1.25], in whole microseconds.  The 8th consecutive failure trips the
+/// breaker open.  The first open window is 100 ms; each window waited
+/// doubles the next, up to 5 s, and a success restores 100 ms.
 class ReconnectGate {
  public:
   enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
@@ -39,7 +39,7 @@ class ReconnectGate {
   /// Wall-clock time to wait before the next connection attempt, or nullopt
   /// when the gate has given up.  The first call (and the first after any
   /// success) returns zero delay.
-  std::optional<std::chrono::milliseconds> next_delay();
+  std::optional<std::chrono::microseconds> next_delay();
 
   void note_success() noexcept;
   void note_failure();
@@ -49,7 +49,7 @@ class ReconnectGate {
   const ReconnectStats& stats() const noexcept { return stats_; }
 
  private:
-  std::chrono::milliseconds backoff_for(std::uint32_t failures);
+  std::chrono::microseconds backoff_for(std::uint32_t failures);
   void trip_breaker();
 
   std::uint32_t give_up_after_;

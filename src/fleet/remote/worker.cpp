@@ -289,7 +289,7 @@ WorkerResult Worker::run() {
       result.exit = WorkerExit::kCancelled;
       break;
     }
-    const std::optional<std::chrono::milliseconds> delay = gate.next_delay();
+    const std::optional<std::chrono::microseconds> delay = gate.next_delay();
     if (!delay) {
       result.exit = WorkerExit::kGaveUp;
       result.message = "reconnect gate exhausted";
@@ -299,7 +299,8 @@ WorkerResult Worker::run() {
     // breaker-open windows.
     auto remaining = *delay;
     while (remaining.count() > 0 && !cancelled()) {
-      const auto step = std::min(remaining, std::chrono::milliseconds(50));
+      const auto step =
+          std::min<std::chrono::microseconds>(remaining, std::chrono::milliseconds(50));
       std::this_thread::sleep_for(step);
       remaining -= step;
     }

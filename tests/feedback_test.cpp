@@ -5,6 +5,7 @@
 // builds, and thread-count-invariant fleet outcomes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -94,6 +95,146 @@ TEST(FeedbackCorpus, MinimizeDropsSubsumedSeedsAndKeepsUnion) {
   EXPECT_EQ(corpus.minimize(), 2u);
   EXPECT_EQ(corpus.size(), 2u);
   EXPECT_EQ(corpus.distinct_features(), before);
+}
+
+// The eager greedy set cover minimize() ran before it went lazy: for every
+// seed it keeps, rescan every seed's gain against the uncovered set.  Returns
+// the kept indices in corpus order.
+std::vector<std::size_t> eager_minimize(const std::vector<std::vector<Feature>>& lists) {
+  std::vector<std::size_t> all(lists.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  if (lists.size() < 2) return all;
+  std::set<Feature> uncovered;
+  for (const auto& list : lists) uncovered.insert(list.begin(), list.end());
+  std::vector<bool> kept(lists.size(), false);
+  while (!uncovered.empty()) {
+    std::size_t best = lists.size();
+    std::size_t best_gain = 0;
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      if (kept[i]) continue;
+      std::size_t gain = 0;
+      for (const Feature f : lists[i]) gain += uncovered.count(f);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = i;
+      }
+    }
+    if (best == lists.size()) break;
+    kept[best] = true;
+    for (const Feature f : lists[best]) uncovered.erase(f);
+  }
+  std::vector<std::size_t> survivors;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    if (kept[i]) survivors.push_back(i);
+  }
+  return survivors;
+}
+
+/// A random corpus built to stress the cover's tie-breaks: few distinct
+/// features, so gains tie often, and seeds that repeat, nest inside or
+/// extend an earlier seed's list, or carry no features at all.
+std::vector<std::vector<Feature>> random_feature_lists(util::Rng& rng) {
+  const std::size_t seeds = rng.next_below(3) == 0 ? rng.next_below(4) : rng.next_below(300);
+  const std::uint64_t universe = 1 + rng.next_below(rng.next_bool() ? 12 : 80);
+  std::vector<std::vector<Feature>> lists;
+  for (std::size_t i = 0; i < seeds; ++i) {
+    std::vector<Feature> list;
+    const std::uint64_t shape = rng.next_below(6);
+    if (shape == 0) {
+      // no features
+    } else if (shape <= 2 && !lists.empty()) {
+      list = lists[rng.next_below(lists.size())];  // a duplicate ...
+      if (shape == 2 && !list.empty()) {            // ... or a subset of one
+        list.erase(list.begin() + static_cast<std::ptrdiff_t>(rng.next_below(list.size())));
+      }
+    } else {
+      if (shape == 3 && !lists.empty()) list = lists[rng.next_below(lists.size())];
+      for (std::uint64_t n = 1 + rng.next_below(8); n > 0; --n) {
+        // Spread over the hash range, as real features are.
+        list.push_back(make_feature(Domain::kFrameCell, rng.next_below(universe), 1));
+      }
+    }
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    lists.push_back(std::move(list));
+  }
+  return lists;
+}
+
+TEST(FeedbackCorpus, LazyMinimizeMatchesEagerGreedy) {
+  util::Rng rng(0xC0FFEE);
+  for (int round = 0; round < 400; ++round) {
+    const std::vector<std::vector<Feature>> lists = random_feature_lists(rng);
+    Corpus corpus;
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      Seed seed = make_seed(lists[i], rng.next_bool());
+      seed.found_at_exec = i;  // the seed's original index
+      ASSERT_TRUE(corpus.add(std::move(seed)));
+    }
+    const std::size_t union_before = corpus.distinct_features();
+    const std::vector<std::size_t> want = eager_minimize(lists);
+    const std::size_t dropped = corpus.minimize();
+
+    SCOPED_TRACE(testing::Message() << "round " << round << ", " << lists.size() << " seeds");
+    EXPECT_EQ(dropped, lists.size() - want.size());
+    ASSERT_EQ(corpus.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(corpus.at(k).found_at_exec, want[k]) << "kept seed " << k;
+      EXPECT_EQ(corpus.at(k).features, lists[want[k]]);
+    }
+    EXPECT_EQ(corpus.distinct_features(), union_before);
+  }
+}
+
+/// The linear scan pick() ran before the cumulative array: one roll, then
+/// subtract energies in corpus order until the roll falls inside one.
+std::size_t linear_pick(const Corpus& corpus, util::Rng& rng) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) total += corpus.energy(i);
+  std::uint64_t roll = rng.next_below(total);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::uint64_t e = corpus.energy(i);
+    if (roll < e) return i;
+    roll -= e;
+  }
+  return corpus.size() - 1;
+}
+
+TEST(FeedbackCorpus, PickMatchesLinearScan) {
+  const auto expect_same_picks = [](const Corpus& corpus, std::uint64_t stream) {
+    util::Rng a(stream), b(stream);
+    for (int draw = 0; draw < 400; ++draw) {
+      ASSERT_EQ(corpus.pick(a), linear_pick(corpus, b)) << "draw " << draw;
+    }
+  };
+  util::Rng rng(0x91C4);
+  Corpus corpus;
+  Feature next_feature = 1;
+  // Growth by add(): every seed covers features of its own, except each
+  // fourth, which repeats its predecessor's and so is dropped by minimize().
+  for (std::uint64_t batch = 0; batch < 6; ++batch) {
+    for (int i = 0; i < 10; ++i) {
+      if (i % 4 != 3) next_feature += 2;
+      ASSERT_TRUE(corpus.add(make_seed({next_feature, next_feature + 1}, rng.next_below(3) == 0)));
+    }
+    SCOPED_TRACE(testing::Message() << "after add batch " << batch);
+    expect_same_picks(corpus, 100 + batch);
+  }
+  ASSERT_GT(corpus.minimize(), 0u);
+  {
+    SCOPED_TRACE("after minimize");
+    expect_same_picks(corpus, 200);
+  }
+  ASSERT_TRUE(corpus.add(make_seed({next_feature}, true)));
+  ASSERT_TRUE(corpus.add(make_seed({next_feature + 1}, false)));
+  {
+    SCOPED_TRACE("after add following minimize");
+    expect_same_picks(corpus, 300);
+  }
+  const auto decoded = Corpus::decode(corpus.encode());
+  ASSERT_TRUE(decoded.has_value());
+  SCOPED_TRACE("after decode");
+  expect_same_picks(*decoded, 400);
 }
 
 TEST(FeedbackCorpus, EncodeDecodeIsIdentity) {
@@ -321,6 +462,7 @@ struct RecordedTrajectory {
   std::int64_t elapsed_ns;
   fuzzer::StopReason reason;
   std::vector<RecordedFinding> findings;
+  sim::Duration budget = std::chrono::milliseconds(500);
 };
 
 TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
@@ -330,7 +472,10 @@ TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
   // re-records them and says why.  The arms are perfbench's `feedback`
   // workload: the weak and the length-checked predicate at a 0.5 s budget.
   // Seeds 8 and 35 unlock only the weak BCM, 229 unlocks both, and 43
-  // unlocks neither but diverges between them.
+  // unlocks neither but diverges between them.  The last case is the
+  // longest hardened trial of `fleet_run --feedback --runs 12 --budget-hours
+  // 1` (trial 9): its corpus fills to the 4096-seed cap, so minimisation and
+  // the energy draw run at full size before the unlock at 210.9 s.
   using fuzzer::StopReason;
   const std::vector<RecordedTrajectory> recorded = {
       {8, false, {94, 28, 48, 0, 170}, 46, 28, 0x93c8264c725d0cf3ULL, 452000000,
@@ -357,13 +502,19 @@ TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
        StopReason::kFailureDetected,
        {{354350000, "unlock security function activated without authorisation via "
                     "215#2436139FF5F667 215#2036139FF8F667"}}},
+      {16242630735861178957ULL, true, {41825, 8283, 17198, 11, 85384}, 10258, 4096,
+       0x02714033a764d7f1ULL, 210859000000, StopReason::kFailureDetected,
+       {{210856350000, "unlock security function activated without authorisation via "
+                       "216#10B37F4507A880 215#10B37FD507A880 215#20B37FD507A888 "
+                       "215#20B37FD507A888"}},
+       std::chrono::hours(1)},
   };
   for (const RecordedTrajectory& want : recorded) {
     SCOPED_TRACE(testing::Message() << "seed " << want.seed
                                     << (want.hardened ? " hardened" : " weak"));
     FeedbackConfig config;
     config.seed = want.seed;
-    config.max_total_sim = std::chrono::milliseconds(500);
+    config.max_total_sim = want.budget;
     if (want.hardened) config.predicate = vehicle::UnlockPredicate::id_byte_and_length();
     FeedbackCampaign campaign(config);
     const fuzzer::CampaignResult& result = campaign.run();

@@ -616,7 +616,7 @@ TEST(FleetRemoteReconnect, FirstAttemptIsImmediateAndGiveUpBounds) {
   gate.note_failure();
   const auto backoff = gate.next_delay();
   ASSERT_TRUE(backoff.has_value());
-  EXPECT_GE(*backoff, std::chrono::milliseconds(1));
+  EXPECT_GE(*backoff, std::chrono::microseconds(200));
   gate.note_failure();
   EXPECT_FALSE(gate.next_delay().has_value());  // exhausted
   EXPECT_EQ(gate.stats().failures, 2u);
@@ -638,21 +638,20 @@ TEST(FleetRemoteReconnect, BreakerTripsEscalatesAndRecovers) {
   EXPECT_EQ(gate.state(), State::kClosed);
   gate.note_failure();  // the 8th consecutive failure trips it
   EXPECT_EQ(gate.state(), State::kOpen);
-  // Open window: wait it out, half-open for the probe.
-  const auto open_wait = gate.next_delay();
-  ASSERT_TRUE(open_wait.has_value());
-  EXPECT_GE(*open_wait, std::chrono::milliseconds(100));
+  // Open window: wait out the nominal 100 ms, half-open for the probe.
+  EXPECT_EQ(gate.next_delay(), std::chrono::milliseconds(100));
   EXPECT_EQ(gate.state(), State::kHalfOpen);
   gate.note_failure();  // probe failed: re-open, escalated window
   EXPECT_EQ(gate.state(), State::kOpen);
-  const auto escalated = gate.next_delay();
-  ASSERT_TRUE(escalated.has_value());
-  EXPECT_GT(*escalated, *open_wait);
-  EXPECT_LE(*escalated, std::chrono::seconds(5));
+  EXPECT_EQ(gate.next_delay(), std::chrono::milliseconds(200));
   gate.note_success();
   EXPECT_EQ(gate.state(), State::kClosed);
   EXPECT_EQ(gate.stats().breaker_trips, 2u);
   EXPECT_EQ(gate.stats().breaker_recoveries, 1u);
+  // A success restores the nominal window for the next outage.
+  for (int failure = 1; failure <= 8; ++failure) gate.note_failure();
+  EXPECT_EQ(gate.state(), State::kOpen);
+  EXPECT_EQ(gate.next_delay(), std::chrono::milliseconds(100));
 }
 
 /// Workers that lose one coordinator must not retry in lockstep: the
@@ -660,7 +659,7 @@ TEST(FleetRemoteReconnect, BreakerTripsEscalatesAndRecovers) {
 TEST(FleetRemoteReconnect, JitterFollowsTheSeed) {
   const auto delays = [](std::uint64_t seed) {
     ReconnectGate gate(seed);
-    std::vector<std::chrono::milliseconds> waits;
+    std::vector<std::chrono::microseconds> waits;
     for (int outage = 0; outage < 8; ++outage) {
       // Seven failures stay below the breaker, so every wait is a backoff.
       for (int failure = 0; failure <= 7; ++failure) {
@@ -671,8 +670,22 @@ TEST(FleetRemoteReconnect, JitterFollowsTheSeed) {
     }
     return waits;
   };
-  EXPECT_EQ(delays(0x1DB01DB0CAFEF00Dull), delays(0x1DB01DB0CAFEF00Dull));
-  EXPECT_NE(delays(0x1DB01DB0CAFEF00Dull), delays(0x5EED5EED5EED5EEDull));
+  const auto first = delays(0x1DB01DB0CAFEF00Dull);
+  const auto second = delays(0x5EED5EED5EED5EEDull);
+  EXPECT_EQ(first, delays(0x1DB01DB0CAFEF00Dull));
+  EXPECT_NE(first, second);
+  // The jitter acts from the first backoff on: the n-th wait is 200 us *
+  // 2^(n-1) stretched by up to a quarter, and two seeds already differ
+  // within the first four waits.
+  for (const auto& waits : {first, second}) {
+    for (std::size_t n = 1; n <= 4; ++n) {
+      const std::chrono::microseconds base{200 << (n - 1)};
+      EXPECT_GE(waits[n], base) << "wait " << n;
+      EXPECT_LE(waits[n], base * 5 / 4) << "wait " << n;
+    }
+  }
+  EXPECT_NE(std::vector(first.begin() + 1, first.begin() + 5),
+            std::vector(second.begin() + 1, second.begin() + 5));
 }
 
 // ------------------------------------------------------------ progress ----
