@@ -159,11 +159,11 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
       seed.hot = outcome.hot;
       seed.found_at_exec = stats_.executions;
       seed.exec_cost_ns = static_cast<std::uint64_t>(outcome.elapsed.count());
-      if (corpus_.add(std::move(seed))) {
-        if (++additions_since_minimize_ >= config_.minimize_interval) {
-          stats_.seeds_dropped += corpus_.minimize();
-          additions_since_minimize_ = 0;
-        }
+      if (!corpus_.add(std::move(seed))) {
+        ++stats_.seeds_refused;
+      } else if (++additions_since_minimize_ >= config_.minimize_interval) {
+        stats_.seeds_dropped += corpus_.minimize();
+        additions_since_minimize_ = 0;
       }
     }
   }

@@ -69,6 +69,7 @@ struct FeedbackStats {
   std::uint64_t trim_executions = 0;
   std::uint64_t seeds_dropped = 0;  // by corpus minimisation
   std::uint64_t frames_sent = 0;
+  std::uint64_t seeds_refused = 0;  // novel inputs Corpus::add turned away (full)
 };
 
 class FeedbackCampaign {

@@ -51,6 +51,7 @@ class FeedbackWorld final : public fleet::World {
     reg.counter("feedback.novel_inputs").add(stats.novel_inputs);
     reg.counter("feedback.trim_executions").add(stats.trim_executions);
     reg.counter("feedback.seeds_dropped").add(stats.seeds_dropped);
+    reg.counter("feedback.seeds_refused").add(stats.seeds_refused);
     reg.counter("feedback.frames_sent").add(stats.frames_sent);
     // Watermarks: per-trial corpora/maps do not sum meaningfully, so these
     // merge by max across trials and workers (`*_max` semantics).

@@ -67,7 +67,6 @@ void FuzzCampaign::tx_tick() {
   }
   if (transport_.send(*frame)) {
     ++result_.frames_sent;
-    if (coverage_ != nullptr) coverage_->add(*frame);
     if (on_frame_sent_) on_frame_sent_(*frame, scheduler_.now());
   } else {
     ++result_.send_failures;
@@ -85,7 +84,6 @@ void FuzzCampaign::oracle_tick() {
   const bool is_failure = observation->verdict == oracle::Verdict::kFailure;
   if (!is_failure && !config_.record_suspicious) return;
 
-  if (coverage_ != nullptr) coverage_->add_oracle_event();
   Finding finding;
   finding.observation = *observation;
   finding.frames_sent = result_.frames_sent;

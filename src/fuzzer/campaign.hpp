@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "fuzzer/coverage.hpp"
 #include "fuzzer/finding.hpp"
 #include "fuzzer/generator.hpp"
 #include "oracle/oracle.hpp"
@@ -95,9 +94,6 @@ class FuzzCampaign {
     on_frame_sent_ = std::move(callback);
   }
 
-  /// Optional coverage metrics (not owned; must outlive the campaign).
-  void set_coverage(CoverageTracker* tracker) noexcept { coverage_ = tracker; }
-
  private:
   void tx_tick();
   void oracle_tick();
@@ -120,7 +116,6 @@ class FuzzCampaign {
   bool finished_ = false;
   std::function<void(const Finding&)> on_finding_;
   std::function<void(const can::CanFrame&, sim::SimTime)> on_frame_sent_;
-  CoverageTracker* coverage_ = nullptr;
 };
 
 }  // namespace acf::fuzzer

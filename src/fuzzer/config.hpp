@@ -1,8 +1,6 @@
 // FuzzConfig: the programmatic equivalent of the paper's fuzzer UI (Fig. 3),
 // exposing exactly the Table III knobs — CAN id space, payload length,
-// per-position payload byte ranges, and the transmission interval — plus a
-// bit-granularity mask ("a variation on a single bit in a single message, to
-// every bit in every message").
+// per-position payload byte ranges, and the transmission interval.
 #pragma once
 
 #include <array>

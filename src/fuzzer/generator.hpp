@@ -1,15 +1,12 @@
-// Frame generators: the "random bytes generator for the fuzzed CAN
-// messages" at the heart of the paper's fuzzer, plus the two systematic
-// strategies its UI supports — exhaustive sweep ("iterative testing") and
-// bit-granular variation of a base message ("a single bit in a single
-// message, to every bit in every message").
+// Frame generators: the interface every fuzzing strategy implements, and
+// the "random bytes generator for the fuzzed CAN messages" at the heart of
+// the paper's fuzzer.  The boundary and feedback strategies live in
+// smart_generator.hpp, the mutation strategy in mutator.hpp.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "can/frame.hpp"
 #include "fuzzer/config.hpp"
@@ -58,60 +55,6 @@ class RandomGenerator final : public FrameGenerator {
 
   FuzzConfig config_;
   util::Rng rng_;
-};
-
-/// Exhaustive enumeration of the configured space in lexicographic
-/// (id, dlc, payload) order.  Practical only for small spaces — the
-/// combinatorial-explosion lesson of the paper's §V.
-class SweepGenerator final : public FrameGenerator {
- public:
-  explicit SweepGenerator(FuzzConfig config);
-
-  std::string_view name() const override { return "sweep"; }
-  std::optional<can::CanFrame> next() override;
-  void rewind() override;
-
-  std::uint64_t space() const noexcept { return config_.frame_space(); }
-
- private:
-  bool advance();
-
-  FuzzConfig config_;
-  std::size_t id_index_ = 0;       // index into id list / range
-  std::uint8_t dlc_ = 0;
-  std::array<std::uint8_t, can::kMaxClassicPayload> bytes_{};
-  bool done_ = false;
-  bool primed_ = false;
-};
-
-/// All single-bit variations of a base frame under a mutable-bit mask, in
-/// position order; optionally continues with 2-bit combinations.
-class BitFlipGenerator final : public FrameGenerator {
- public:
-  /// `payload_mask[i]` selects which bits of payload byte i may be flipped
-  /// (0xFF = all).  `include_id_bits` also walks the 11 id bits.
-  BitFlipGenerator(can::CanFrame base, std::array<std::uint8_t, 8> payload_mask,
-                   bool include_id_bits = false);
-
-  std::string_view name() const override { return "bitflip"; }
-  std::optional<can::CanFrame> next() override;
-  void rewind() override;
-
-  /// Number of mutable bit positions.
-  std::size_t positions() const noexcept { return positions_.size(); }
-
- private:
-  struct BitRef {
-    bool in_id = false;
-    std::uint8_t byte = 0;
-    std::uint8_t bit = 0;
-  };
-
-  can::CanFrame apply(const BitRef& ref) const;
-
-  can::CanFrame base_;
-  std::vector<BitRef> positions_;
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace acf::fuzzer

@@ -63,7 +63,6 @@ class Detector {
 
   /// Scores at or above the threshold raise alerts in a pipeline.
   double threshold() const noexcept { return threshold_; }
-  void set_threshold(double threshold) noexcept { threshold_ = threshold; }
 
  protected:
   Detector() = default;

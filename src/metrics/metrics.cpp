@@ -117,17 +117,13 @@ void Timer::absorb(std::span<const CkmsQuantiles::Sample> samples,
 
 namespace {
 
-template <typename Map, typename... Args>
-auto& get_or_create(Map& map, std::mutex& mutex, std::string_view name,
-                    Args&&... args) {
+template <typename Map>
+auto& get_or_create(Map& map, std::mutex& mutex, std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex);
   auto it = map.find(name);
   if (it == map.end()) {
     using Instrument = typename Map::mapped_type::element_type;
-    it = map
-             .emplace(std::string(name),
-                      std::make_unique<Instrument>(std::forward<Args>(args)...))
-             .first;
+    it = map.emplace(std::string(name), std::make_unique<Instrument>()).first;
   }
   return *it->second;
 }
@@ -148,10 +144,6 @@ Meter& Registry::meter(std::string_view name) {
 
 Timer& Registry::timer(std::string_view name) {
   return get_or_create(timers_, mutex_, name);
-}
-
-Timer& Registry::timer(std::string_view name, std::vector<CkmsTarget> targets) {
-  return get_or_create(timers_, mutex_, name, std::move(targets));
 }
 
 RegistrySnapshot Registry::snapshot() {

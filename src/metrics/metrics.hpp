@@ -107,9 +107,6 @@ class Meter {
 
 class Timer {
  public:
-  explicit Timer(std::vector<CkmsTarget> targets = default_ckms_targets())
-      : ckms_(std::move(targets)) {}
-
   /// Records one observation (seconds, latency, whatever the name says).
   void record(double value);
 
@@ -196,7 +193,6 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Meter& meter(std::string_view name);
   Timer& timer(std::string_view name);
-  Timer& timer(std::string_view name, std::vector<CkmsTarget> targets);
 
   /// Point-in-time snapshot (sorted by name).  Timers flush their buffers.
   RegistrySnapshot snapshot();

@@ -9,19 +9,16 @@ std::uint16_t encode_rpm(double rpm) noexcept {
   const double raw = std::clamp(rpm * 4.0, 0.0, 65535.0);
   return static_cast<std::uint16_t>(std::lround(raw));
 }
-double decode_rpm(std::uint16_t raw) noexcept { return raw / 4.0; }
 
 std::uint8_t encode_temp(double celsius) noexcept {
   const double raw = std::clamp(celsius + 40.0, 0.0, 255.0);
   return static_cast<std::uint8_t>(std::lround(raw));
 }
-double decode_temp(std::uint8_t raw) noexcept { return raw - 40.0; }
 
 std::uint8_t encode_percent(double pct) noexcept {
   const double raw = std::clamp(pct * 255.0 / 100.0, 0.0, 255.0);
   return static_cast<std::uint8_t>(std::lround(raw));
 }
-double decode_percent(std::uint8_t raw) noexcept { return raw * 100.0 / 255.0; }
 
 namespace {
 
@@ -170,77 +167,6 @@ std::vector<std::uint8_t> ObdServer::mode09(std::span<const std::uint8_t> info_t
     out.insert(out.end(), source_.vin.begin(), source_.vin.end());
   }
   return out.size() > 1 ? out : std::vector<std::uint8_t>{};
-}
-
-// ---------------------------------------------------------------- client --
-
-ObdClient::ObdClient(sim::Scheduler& scheduler, isotp::IsoTpChannel::SendFn send,
-                     std::uint32_t response_id)
-    : send_(send),
-      channel_(scheduler, std::move(send), config_for(response_id, response_id - 8)) {
-  channel_.set_on_message([this](const std::vector<std::uint8_t>& payload, sim::SimTime) {
-    response_ = payload;
-  });
-}
-
-void ObdClient::handle_frame(const can::CanFrame& frame, sim::SimTime time) {
-  channel_.handle_frame(frame, time);
-}
-
-bool ObdClient::send_request(std::vector<std::uint8_t> request) {
-  response_.reset();
-  if (!functional_) return channel_.send(std::move(request));
-  // Functional addressing: OBD requests always fit a single frame; build
-  // the padded SF by hand so it carries the broadcast id.
-  if (request.empty() || request.size() > 7) return false;
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(8);
-  bytes.push_back(static_cast<std::uint8_t>(request.size()));  // SF PCI
-  bytes.insert(bytes.end(), request.begin(), request.end());
-  bytes.resize(8, 0xCC);
-  const auto frame = can::CanFrame::data(kObdFunctionalRequest, bytes);
-  return frame && send_(*frame);
-}
-
-bool ObdClient::request_pid(std::uint8_t mode, std::uint8_t pid) {
-  return send_request({mode, pid});
-}
-
-bool ObdClient::request_mode(std::uint8_t mode) { return send_request({mode}); }
-
-std::optional<double> ObdClient::last_rpm() const {
-  if (!response_ || response_->size() < 4 || (*response_)[0] != kModeCurrentData + 0x40 ||
-      (*response_)[1] != kPidEngineRpm) {
-    return std::nullopt;
-  }
-  return decode_rpm(static_cast<std::uint16_t>(((*response_)[2] << 8) | (*response_)[3]));
-}
-
-std::optional<double> ObdClient::last_speed() const {
-  if (!response_ || response_->size() < 3 || (*response_)[0] != kModeCurrentData + 0x40 ||
-      (*response_)[1] != kPidVehicleSpeed) {
-    return std::nullopt;
-  }
-  return static_cast<double>((*response_)[2]);
-}
-
-std::optional<std::string> ObdClient::last_vin() const {
-  if (!response_ || response_->size() < 4 || (*response_)[0] != kModeVehicleInfo + 0x40 ||
-      (*response_)[1] != kInfoVin) {
-    return std::nullopt;
-  }
-  return std::string(response_->begin() + 3, response_->end());
-}
-
-std::vector<std::uint16_t> ObdClient::last_dtcs() const {
-  std::vector<std::uint16_t> out;
-  if (!response_ || response_->size() < 2 || (*response_)[0] != kModeStoredDtcs + 0x40) {
-    return out;
-  }
-  for (std::size_t i = 2; i + 1 < response_->size(); i += 2) {
-    out.push_back(static_cast<std::uint16_t>(((*response_)[i] << 8) | (*response_)[i + 1]));
-  }
-  return out;
 }
 
 }  // namespace acf::obd

@@ -11,8 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,13 +52,10 @@ struct ObdDataSource {
   std::string vin = "WVWZZZ1KZAW000017";
 };
 
-/// Encodes/decodes the standard PID scalings (also used by the client).
+/// Encodes the standard PID scalings.
 std::uint16_t encode_rpm(double rpm) noexcept;           // rpm * 4
-double decode_rpm(std::uint16_t raw) noexcept;
 std::uint8_t encode_temp(double celsius) noexcept;       // +40 offset
-double decode_temp(std::uint8_t raw) noexcept;
 std::uint8_t encode_percent(double pct) noexcept;        // *255/100
-double decode_percent(std::uint8_t raw) noexcept;
 
 /// OBD server: owns an ISO-TP endpoint answering both the functional id and
 /// its physical request id (response id = request id + 8 per J1979).
@@ -86,42 +81,6 @@ class ObdServer {
   ObdDataSource source_;
   std::uint64_t served_ = 0;
   std::uint64_t malformed_ = 0;
-};
-
-/// Minimal scan-tool client.
-///
-/// Requests go out as single frames on the functional id (0x7DF), like a
-/// real generic scan tool; the reassembly channel (and therefore ISO-TP
-/// flow control for long responses such as the VIN) uses the physical id
-/// pair, which is the J1979 flow-control convention.
-class ObdClient {
- public:
-  ObdClient(sim::Scheduler& scheduler, isotp::IsoTpChannel::SendFn send,
-            std::uint32_t response_id = kObdFirstResponse);
-
-  void handle_frame(const can::CanFrame& frame, sim::SimTime time);
-
-  bool request_pid(std::uint8_t mode, std::uint8_t pid);
-  bool request_mode(std::uint8_t mode);  // e.g. Mode 03 has no PID
-  /// Address requests to the physical id instead of 0x7DF.
-  void set_functional_addressing(bool on) noexcept { functional_ = on; }
-
-  /// Raw last response (mode+0x40, pid, data...); cleared by each request.
-  const std::optional<std::vector<std::uint8_t>>& last_response() const noexcept {
-    return response_;
-  }
-  std::optional<double> last_rpm() const;
-  std::optional<double> last_speed() const;
-  std::optional<std::string> last_vin() const;
-  std::vector<std::uint16_t> last_dtcs() const;
-
- private:
-  bool send_request(std::vector<std::uint8_t> request);
-
-  isotp::IsoTpChannel::SendFn send_;
-  isotp::IsoTpChannel channel_;  // physical pair: reassembly + flow control
-  bool functional_ = true;
-  std::optional<std::vector<std::uint8_t>> response_;
 };
 
 }  // namespace acf::obd

@@ -4,65 +4,6 @@
 
 namespace acf::oracle {
 
-BusSilenceOracle::BusSilenceOracle(can::VirtualBus& bus, sim::Duration window)
-    : bus_(bus), window_(window) {
-  node_ = bus_.attach(*this, "oracle.silence", {}, /*listen_only=*/true);
-}
-
-BusSilenceOracle::~BusSilenceOracle() { bus_.detach(node_); }
-
-void BusSilenceOracle::on_frame(const can::CanFrame&, sim::SimTime time) {
-  last_frame_ = time;
-}
-
-std::optional<Observation> BusSilenceOracle::poll(sim::SimTime now) {
-  if (reported_ || now - last_frame_ < window_) return std::nullopt;
-  reported_ = true;
-  char detail[96];
-  std::snprintf(detail, sizeof detail, "no bus traffic for %.0f ms",
-                sim::to_millis(now - last_frame_));
-  return Observation{Verdict::kFailure, detail, now};
-}
-
-void BusSilenceOracle::reset() {
-  reported_ = false;
-  last_frame_ = sim::SimTime{0};
-}
-
-ErrorFrameRateOracle::ErrorFrameRateOracle(can::VirtualBus& bus, double suspicious_per_second,
-                                           double failure_per_second)
-    : bus_(bus), suspicious_rate_(suspicious_per_second), failure_rate_(failure_per_second) {
-  node_ = bus_.attach(*this, "oracle.errors", {}, /*listen_only=*/true);
-}
-
-ErrorFrameRateOracle::~ErrorFrameRateOracle() { bus_.detach(node_); }
-
-void ErrorFrameRateOracle::on_error_frame(sim::SimTime) {
-  ++total_;
-  ++bucket_count_;
-}
-
-std::optional<Observation> ErrorFrameRateOracle::poll(sim::SimTime now) {
-  if (now - bucket_start_ < std::chrono::seconds(1)) return std::nullopt;
-  const double seconds = sim::to_seconds(now - bucket_start_);
-  last_rate_ = static_cast<double>(bucket_count_) / seconds;
-  bucket_start_ = now;
-  bucket_count_ = 0;
-  if (last_rate_ < suspicious_rate_) return std::nullopt;
-  char detail[96];
-  std::snprintf(detail, sizeof detail, "%.0f error frames/s on the bus", last_rate_);
-  const Verdict verdict =
-      last_rate_ >= failure_rate_ ? Verdict::kFailure : Verdict::kSuspicious;
-  return Observation{verdict, detail, now};
-}
-
-void ErrorFrameRateOracle::reset() {
-  total_ = 0;
-  bucket_count_ = 0;
-  bucket_start_ = sim::SimTime{0};
-  last_rate_ = 0.0;
-}
-
 HeartbeatOracle::HeartbeatOracle(can::VirtualBus& bus, std::uint32_t id,
                                  sim::Duration expected_period,
                                  std::uint32_t missed_beats_failure)
@@ -96,22 +37,6 @@ void HeartbeatOracle::reset() {
   ever_seen_ = false;
   reported_ = false;
   last_beat_ = sim::SimTime{0};
-}
-
-NodeErrorStateOracle::NodeErrorStateOracle(const can::VirtualBus& bus, can::NodeId node)
-    : bus_(bus), node_(node) {}
-
-std::optional<Observation> NodeErrorStateOracle::poll(sim::SimTime now) {
-  if (reported_) return std::nullopt;
-  const auto& errors = bus_.error_state(node_);
-  if (errors.mode() == can::ErrorMode::kErrorActive) return std::nullopt;
-  reported_ = true;
-  char detail[96];
-  std::snprintf(detail, sizeof detail, "node '%s' entered %s (TEC=%u REC=%u)",
-                bus_.node_name(node_).c_str(), can::to_string(errors.mode()), errors.tec(),
-                errors.rec());
-  const Verdict verdict = errors.bus_off() ? Verdict::kFailure : Verdict::kSuspicious;
-  return Observation{verdict, detail, now};
 }
 
 }  // namespace acf::oracle

@@ -10,56 +10,6 @@
 
 namespace acf::oracle {
 
-/// Fails when no frame has been delivered on the bus for `window` — a dead
-/// bus usually means the babbling fuzzer silenced every ECU or drove the
-/// transmitters bus-off.
-class BusSilenceOracle final : public Oracle, private can::BusListener {
- public:
-  BusSilenceOracle(can::VirtualBus& bus, sim::Duration window);
-  ~BusSilenceOracle() override;
-
-  std::string_view name() const override { return "bus-silence"; }
-  std::optional<Observation> poll(sim::SimTime now) override;
-  void reset() override;
-
- private:
-  void on_frame(const can::CanFrame& frame, sim::SimTime time) override;
-
-  can::VirtualBus& bus_;
-  can::NodeId node_;
-  sim::Duration window_;
-  sim::SimTime last_frame_{0};
-  bool reported_ = false;
-};
-
-/// Suspicious when error frames exceed `suspicious_per_second`; fails above
-/// `failure_per_second` (sliding 1-second buckets).
-class ErrorFrameRateOracle final : public Oracle, private can::BusListener {
- public:
-  ErrorFrameRateOracle(can::VirtualBus& bus, double suspicious_per_second = 10.0,
-                       double failure_per_second = 100.0);
-  ~ErrorFrameRateOracle() override;
-
-  std::string_view name() const override { return "error-frame-rate"; }
-  std::optional<Observation> poll(sim::SimTime now) override;
-  void reset() override;
-
-  std::uint64_t total_error_frames() const noexcept { return total_; }
-
- private:
-  void on_frame(const can::CanFrame&, sim::SimTime) override {}
-  void on_error_frame(sim::SimTime time) override;
-
-  can::VirtualBus& bus_;
-  can::NodeId node_;
-  double suspicious_rate_;
-  double failure_rate_;
-  std::uint64_t total_ = 0;
-  std::uint64_t bucket_count_ = 0;
-  sim::SimTime bucket_start_{0};
-  double last_rate_ = 0.0;
-};
-
 /// Watches one periodic message id (a heartbeat): suspicious when beats jitter
 /// beyond tolerance, fails when `missed_beats_failure` consecutive expected
 /// beats never arrive — the least invasive way to spot a silently dead ECU.
@@ -86,22 +36,6 @@ class HeartbeatOracle final : public Oracle, private can::BusListener {
   sim::SimTime last_beat_{0};
   std::uint64_t beats_ = 0;
   bool ever_seen_ = false;
-  bool reported_ = false;
-};
-
-/// Fails when a watched node's fault-confinement state leaves error-active
-/// (the fuzzer knocked a controller into error-passive or bus-off).
-class NodeErrorStateOracle final : public Oracle {
- public:
-  NodeErrorStateOracle(const can::VirtualBus& bus, can::NodeId node);
-
-  std::string_view name() const override { return "node-error-state"; }
-  std::optional<Observation> poll(sim::SimTime now) override;
-  void reset() override { reported_ = false; }
-
- private:
-  const can::VirtualBus& bus_;
-  can::NodeId node_;
   bool reported_ = false;
 };
 

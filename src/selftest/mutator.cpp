@@ -7,10 +7,12 @@ namespace acf::selftest {
 namespace {
 
 // Format keywords from every in-repo text input surface: DBC grammar,
-// candump/ASC syntax, the ids-eval/1 digest line and the acf-metrics-v1
+// candump syntax, the ids-eval/1 digest line and the acf-metrics-v1
 // snapshot, plus boundary numbers parsers tend to choke on.  Splicing these
 // lets a structure-blind mutator cross token-level validation instead of
-// dying in the first keyword comparison.
+// dying in the first keyword comparison.  "Rx", "Tx", "d 8" and "r 1" are
+// Vector ASC tokens from a log reader since removed; dropping them would
+// shift every target's generated inputs.
 constexpr std::string_view kDictionary[] = {
     "BO_", "SG_", "BU_:", "BA_", "\"GenMsgCycleTime\"", "Vector__XXX", ":",
     "@1+", "@0-", "(1,0)", "[0|255]", "8|16",

@@ -29,14 +29,16 @@
 #include "ids/eval_codec.hpp"
 #include "isotp/isotp.hpp"
 #include "metrics/snapshot.hpp"
+#include "obd/obd.hpp"
 #include "selftest/world_reset.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/asc_log.hpp"
 #include "trace/candump_log.hpp"
 #include "trace/replay.hpp"
 #include "transport/transport.hpp"
+#include "transport/virtual_bus_transport.hpp"
 #include "uds/uds_server.hpp"
 #include "util/rng.hpp"
+#include "xcp/xcp.hpp"
 
 namespace acf::selftest {
 
@@ -156,7 +158,7 @@ Verdict run_dbc(Bytes input) {
 }
 
 // ---------------------------------------------------------------------------
-// candump / asc: per-line log readers.  Accepted lines must reprint and
+// candump: the per-line log reader.  Accepted lines must reprint and
 // reparse to the same frame, and printing must be a fixed point (timestamps
 // normalise to microsecond resolution on the first print).  [F][M]
 
@@ -174,25 +176,6 @@ Verdict run_candump(Bytes input) {
     }
     if (trace::to_candump_line(*reparsed, "can0") != printed) {
       return "candump print is not a fixed point: " + printed;
-    }
-  }
-  return std::nullopt;
-}
-
-Verdict run_asc(Bytes input) {
-  std::istringstream in{std::string(as_text(input))};
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto entry = trace::parse_asc_line(line);
-    if (!entry) continue;
-    const std::string printed = trace::to_asc_line(*entry, 1);
-    const auto reparsed = trace::parse_asc_line(printed);
-    if (!reparsed) return "accepted ASC line fails to reparse: " + printed;
-    if (!(reparsed->frame == entry->frame)) {
-      return "ASC frame changed across print/parse: " + printed;
-    }
-    if (trace::to_asc_line(*reparsed, 1) != printed) {
-      return "ASC print is not a fixed point: " + printed;
     }
   }
   return std::nullopt;
@@ -1041,11 +1024,315 @@ Verdict run_world_reset(Bytes input) {
   return check_world_reset(decode_world_reset_case(input));
 }
 
+// ---------------------------------------------------------------------------
+// obd: ObdServer::handle_frame fed a byte script — raw frames on the
+// functional (0x7DF) and the physical request id (the mutator controls the
+// PCI byte), whole requests from a scan tool, and time advance.  Every frame
+// the server sends carries the response id, and every response the tool
+// reassembles is positive: an implemented mode + 0x40 with that mode's
+// layout and the data source's values.  [M][S]
+
+constexpr std::uint32_t kObdPhysicalRequest = 0x7E0;
+constexpr std::uint32_t kObdResponse = kObdPhysicalRequest + 8;
+
+isotp::IsoTpConfig obd_tool_config(std::uint32_t tx_id) {
+  isotp::IsoTpConfig config;
+  config.tx_id = tx_id;
+  config.rx_id = kObdResponse;
+  return config;
+}
+
+/// The data bytes the target's source answers mode 01 `pid` with; empty
+/// for a PID the server does not implement.
+std::vector<std::uint8_t> obd_pid_data(std::uint8_t pid) {
+  switch (pid) {
+    case obd::kPidSupported01To20: return {0x08, 0x18, 0x80, 0x00};  // 05 0C 0D 11
+    case obd::kPidCoolantTemp: return {obd::encode_temp(91.0)};
+    case obd::kPidEngineRpm: {
+      const std::uint16_t raw = obd::encode_rpm(812.5);
+      return {static_cast<std::uint8_t>(raw >> 8), static_cast<std::uint8_t>(raw & 0xFF)};
+    }
+    case obd::kPidVehicleSpeed: return {57};
+    case obd::kPidThrottle: return {obd::encode_percent(18.0)};
+    default: return {};
+  }
+}
+
+Verdict check_obd_response(const std::vector<std::uint8_t>& response, const std::string& vin) {
+  const auto fail = [&response](const char* what) -> Verdict {
+    return what + (": " + hex_preview(response));
+  };
+  if (response.empty()) return fail("empty OBD response");
+  switch (response[0]) {
+    case obd::kModeCurrentData + 0x40: {
+      if (response.size() == 1) return fail("mode 01 response without a PID");
+      for (std::size_t i = 1; i < response.size();) {
+        const std::vector<std::uint8_t> data = obd_pid_data(response[i++]);
+        if (data.empty() || response.size() - i < data.size() ||
+            !std::equal(data.begin(), data.end(), response.begin() + static_cast<long>(i))) {
+          return fail("mode 01 response does not match the source");
+        }
+        i += data.size();
+      }
+      return std::nullopt;
+    }
+    case obd::kModeStoredDtcs + 0x40:
+      if (response != std::vector<std::uint8_t>{0x43, 0x02, 0x01, 0x04, 0x03, 0x00}) {
+        return fail("mode 03 response does not list the source's DTCs");
+      }
+      return std::nullopt;
+    case obd::kModeClearDtcs + 0x40:
+      if (response.size() != 1) return fail("mode 04 response carries data");
+      return std::nullopt;
+    case obd::kModeVehicleInfo + 0x40: {
+      const std::size_t record = 2 + vin.size();
+      if (response.size() == 1 || (response.size() - 1) % record != 0) {
+        return fail("mode 09 response is not whole VIN records");
+      }
+      for (std::size_t i = 1; i < response.size(); i += record) {
+        if (response[i] != obd::kInfoVin || response[i + 1] != 1 ||
+            !std::equal(vin.begin(), vin.end(), response.begin() + static_cast<long>(i + 2))) {
+          return fail("mode 09 record does not carry the VIN");
+        }
+      }
+      return std::nullopt;
+    }
+    default:
+      return fail("response does not echo an implemented mode + 0x40");
+  }
+}
+
+Verdict run_obd(Bytes input) {
+  sim::Scheduler scheduler;
+  can::VirtualBus bus(scheduler);
+  transport::VirtualBusTransport ecu_port(bus, "ecm");
+  transport::VirtualBusTransport tool_port(bus, "scantool");
+  Verdict verdict;
+
+  obd::ObdDataSource source;
+  source.rpm = [] { return 812.5; };
+  source.speed_kph = [] { return 57.0; };
+  source.coolant_c = [] { return 91.0; };
+  source.throttle_pct = [] { return 18.0; };
+  source.dtcs = [] { return std::vector<std::uint16_t>{0x0104, 0x0300}; };
+  const std::string vin = source.vin;
+  obd::ObdServer server(
+      scheduler,
+      [&](const can::CanFrame& frame) {
+        if (frame.id() != kObdResponse && !verdict) {
+          verdict = "server sent on id " + std::to_string(frame.id());
+        }
+        return ecu_port.send(frame);
+      },
+      kObdPhysicalRequest, std::move(source));
+  ecu_port.set_rx_callback([&server](const can::CanFrame& frame, sim::SimTime time) {
+    server.handle_frame(frame, time);
+  });
+
+  // The scan tool: single-frame requests on the functional id (its channel
+  // only sends), and the physical pair, which also reassembles responses.
+  const auto tool_send = [&tool_port](const can::CanFrame& frame) { return tool_port.send(frame); };
+  isotp::IsoTpChannel functional(scheduler, tool_send, obd_tool_config(obd::kObdFunctionalRequest));
+  isotp::IsoTpChannel physical(scheduler, tool_send, obd_tool_config(kObdPhysicalRequest));
+  physical.set_on_message([&](const std::vector<std::uint8_t>& response, sim::SimTime) {
+    if (!verdict) verdict = check_obd_response(response, vin);
+  });
+  tool_port.set_rx_callback([&physical](const can::CanFrame& frame, sim::SimTime time) {
+    physical.handle_frame(frame, time);
+  });
+
+  std::size_t pos = 0;
+  while (pos < input.size() && !verdict) {
+    const std::uint8_t op = input[pos++];
+    if (op < 0x40) {
+      scheduler.run_for(std::chrono::milliseconds(op));
+    } else if (op < 0x80) {
+      // Whole request: functional (a single frame) or physical (multi-frame).
+      const bool on_physical = (op & 0x20) != 0;
+      const auto len = static_cast<std::size_t>(on_physical ? (op & 0x1F) : (op & 0x07));
+      const std::size_t take = std::min(len, input.size() - pos);
+      std::vector<std::uint8_t> request(input.begin() + static_cast<long>(pos),
+                                        input.begin() + static_cast<long>(pos + take));
+      pos += take;
+      isotp::IsoTpChannel& channel = on_physical ? physical : functional;
+      if (!request.empty() && !channel.tx_busy()) channel.send(std::move(request));
+    } else {
+      const std::uint32_t id = (op & 0x40) != 0 ? kObdPhysicalRequest : obd::kObdFunctionalRequest;
+      const std::size_t take =
+          std::min(static_cast<std::size_t>(std::min(op & 0x0F, 8)), input.size() - pos);
+      if (const auto frame = can::CanFrame::data(id, input.subspan(pos, take))) {
+        tool_port.send(*frame);
+      }
+      pos += take;
+    }
+  }
+  // Let the last responses and ISO-TP timeouts play out.
+  if (!verdict) scheduler.run_for(std::chrono::seconds(5));
+  return verdict;
+}
+
+// ---------------------------------------------------------------------------
+// xcp: XcpSlave::handle_frame on hostile command frames against a memory
+// map with one mapped 16-byte window (input[0] places it, once at the top
+// of the address space).  A reference model tracks the session and the MTA.
+// A data frame on the command id draws exactly one reply on the response
+// id: FF (positive) or FE with a known error code.  An UPLOAD or
+// SHORT_UPLOAD reply carries exactly the n bytes asked for, read from the
+// window.  DOWNLOAD writes only inside the window, at the MTA, and
+// bytes_written() equals the writes the map accepted.  [M][S]
+
+constexpr std::uint32_t kXcpCommandId = 0x6C0;
+constexpr std::uint32_t kXcpResponseId = 0x6C1;
+
+std::uint32_t le32(std::span<const std::uint8_t> bytes) {
+  return static_cast<std::uint32_t>(bytes[0]) | (static_cast<std::uint32_t>(bytes[1]) << 8) |
+         (static_cast<std::uint32_t>(bytes[2]) << 16) |
+         (static_cast<std::uint32_t>(bytes[3]) << 24);
+}
+
+bool known_xcp_error(std::uint8_t code) {
+  return code == xcp::kErrCmdUnknown || code == xcp::kErrCmdSyntax ||
+         code == xcp::kErrOutOfRange || code == xcp::kErrNotConnected;
+}
+
+Verdict run_xcp(Bytes input) {
+  if (input.empty()) return std::nullopt;
+  static constexpr std::uint32_t kBases[] = {0x0, 0x1000, 0xFFFFFFF0};
+  const std::uint32_t base = kBases[input[0] % std::size(kBases)];
+  std::array<std::uint8_t, 16> window{};
+  for (std::size_t i = 0; i < window.size(); ++i) window[i] = static_cast<std::uint8_t>(i ^ 0xA5);
+  const auto in_window = [base, &window](std::uint32_t address) {
+    return address - base < window.size();  // unsigned: wraps below base
+  };
+
+  std::vector<std::pair<std::uint32_t, std::uint8_t>> writes;  // this command's
+  std::uint64_t accepted_writes = 0;
+  xcp::XcpMemoryMap map;
+  map.read_byte = [&](std::uint32_t address) -> std::optional<std::uint8_t> {
+    if (!in_window(address)) return std::nullopt;
+    return window[address - base];
+  };
+  map.write_byte = [&](std::uint32_t address, std::uint8_t value) {
+    if (!in_window(address)) return false;
+    window[address - base] = value;
+    writes.emplace_back(address, value);
+    ++accepted_writes;
+    return true;
+  };
+  std::vector<can::CanFrame> replies;
+  xcp::XcpSlave slave(kXcpCommandId, kXcpResponseId, std::move(map),
+                      [&replies](const can::CanFrame& frame) {
+                        replies.push_back(frame);
+                        return true;
+                      });
+
+  bool connected = false;
+  std::uint32_t mta = 0;
+  std::uint64_t total_replies = 0;
+  std::size_t pos = 1;
+  while (pos < input.size()) {
+    const std::uint8_t control = input[pos++];
+    const std::size_t take = std::min(static_cast<std::size_t>(control % 9), input.size() - pos);
+    const Bytes payload = input.subspan(pos, take);
+    pos += take;
+    std::optional<can::CanFrame> frame;
+    if ((control >> 4) == 0xE) {
+      frame = can::CanFrame::remote(kXcpCommandId, static_cast<std::uint8_t>(take));
+    } else {
+      frame = can::CanFrame::data((control >> 4) == 0xF ? kXcpResponseId : kXcpCommandId, payload);
+    }
+    if (!frame) continue;
+
+    replies.clear();
+    writes.clear();
+    slave.handle_frame(*frame, sim::SimTime{0});
+    total_replies += replies.size();
+    const auto fail = [&payload](const std::string& what) -> Verdict {
+      return what + ": " + hex_preview(payload);
+    };
+    if (frame->id() != kXcpCommandId || frame->is_remote() || payload.empty()) {
+      if (!replies.empty()) return fail("slave answered a frame that is not a command");
+      continue;
+    }
+    if (replies.size() != 1) {
+      return fail("command drew " + std::to_string(replies.size()) + " replies");
+    }
+    const can::CanFrame& reply = replies.front();
+    const auto r = reply.payload();
+    if (reply.id() != kXcpResponseId || r.empty()) return fail("malformed reply");
+    const std::uint8_t command = payload[0];
+    const std::uint8_t n = payload.size() > 1 ? payload[1] : 0;
+    if (r[0] == xcp::kPidError) {
+      if (r.size() != 2 || !known_xcp_error(r[1])) return fail("malformed error reply");
+      if (!connected && command != xcp::kCmdConnect && command != xcp::kCmdDisconnect &&
+          r[1] != xcp::kErrNotConnected) {
+        return fail("command outside a session not refused as such");
+      }
+      if (command == xcp::kCmdDownload &&
+          (r[1] == xcp::kErrOutOfRange ? writes.size() >= n : !writes.empty())) {
+        return fail("refused DOWNLOAD wrote " + std::to_string(writes.size()) + " bytes");
+      }
+      if (command != xcp::kCmdDownload && !writes.empty()) return fail("non-DOWNLOAD wrote");
+      continue;
+    }
+    if (r[0] != xcp::kPidPositive) return fail("reply is neither FF nor FE");
+    if (!connected && command != xcp::kCmdConnect && command != xcp::kCmdDisconnect) {
+      return fail("command served outside a session");
+    }
+    if (command != xcp::kCmdDownload && !writes.empty()) return fail("non-DOWNLOAD wrote");
+    switch (command) {
+      case xcp::kCmdConnect: connected = true; break;
+      case xcp::kCmdDisconnect: connected = false; break;
+      case xcp::kCmdGetStatus: break;
+      case xcp::kCmdSetMta:
+        if (payload.size() < 8) return fail("short SET_MTA accepted");
+        mta = le32(payload.subspan(4));
+        break;
+      case xcp::kCmdUpload:
+      case xcp::kCmdShortUpload: {
+        if (command == xcp::kCmdShortUpload) {
+          if (payload.size() < 8) return fail("short SHORT_UPLOAD accepted");
+          mta = le32(payload.subspan(4));
+        }
+        if (r.size() != 1u + n) {
+          return fail("upload of " + std::to_string(n) + " bytes answered with " +
+                      std::to_string(r.size() - 1));
+        }
+        for (std::uint8_t i = 0; i < n; ++i) {
+          if (!in_window(mta + i) || r[1u + i] != window[mta + i - base]) {
+            return fail("upload reply does not carry the window's bytes");
+          }
+        }
+        mta += n;
+        break;
+      }
+      case xcp::kCmdDownload:
+        if (writes.size() != n) return fail("DOWNLOAD acknowledged after a partial write");
+        for (std::uint8_t i = 0; i < n; ++i) {
+          if (writes[i].first != mta + i || writes[i].second != payload[2u + i]) {
+            return fail("DOWNLOAD wrote off the MTA");
+          }
+        }
+        mta += n;
+        break;
+      default:
+        return fail("unknown command acknowledged");
+    }
+  }
+  if (slave.bytes_written() != accepted_writes) {
+    return "bytes_written " + std::to_string(slave.bytes_written()) + " but the map took " +
+           std::to_string(accepted_writes);
+  }
+  if (slave.commands_served() + slave.errors_sent() != total_replies) {
+    return "served + errors diverges from the replies sent";
+  }
+  return std::nullopt;
+}
+
 std::vector<FuzzTarget> make_targets() {
   return {
       {"dbc", "dbc::parse_dbc + to_dbc_text print/parse identity", run_dbc},
       {"candump", "candump line reader print/parse fixed point", run_candump},
-      {"asc", "ASC line reader print/parse fixed point", run_asc},
       {"replay", "trace::Replayer liveness on hostile traces", run_replay},
       {"isotp", "IsoTpChannel::handle_frame protocol state machine", run_isotp},
       {"uds", "UdsServer request decode response well-formedness", run_uds},
@@ -1064,6 +1351,8 @@ std::vector<FuzzTarget> make_targets() {
        run_ids_eval_line},
       {"world_reset", "feedback world reset in place runs as a newly built one",
        run_world_reset},
+      {"obd", "ObdServer hostile requests: response id and per-mode layout", run_obd},
+      {"xcp", "XcpSlave hostile commands against a one-window memory map", run_xcp},
   };
 }
 

@@ -1,4 +1,4 @@
-// Shared timestamp parsing for the log readers.
+// Timestamp parsing for the candump log reader.
 //
 // Integer arithmetic end-to-end: parse∘print round-trips exactly, and
 // hostile stamps ("inf", "1e308", 20-digit seconds) are rejected instead of

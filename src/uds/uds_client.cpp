@@ -46,18 +46,6 @@ bool UdsClient::read_did(std::uint16_t did) {
                   static_cast<std::uint8_t>(did & 0xFF)});
 }
 
-bool UdsClient::write_did(std::uint16_t did, std::span<const std::uint8_t> value) {
-  std::vector<std::uint8_t> payload = {kSidWriteDataByIdentifier,
-                                       static_cast<std::uint8_t>(did >> 8),
-                                       static_cast<std::uint8_t>(did & 0xFF)};
-  payload.insert(payload.end(), value.begin(), value.end());
-  return request(std::move(payload));
-}
-
-bool UdsClient::tester_present() { return request({kSidTesterPresent, 0x00}); }
-
-bool UdsClient::ecu_reset(std::uint8_t type) { return request({kSidEcuReset, type}); }
-
 std::optional<Seed> UdsClient::seed_from_response(const UdsResponse& response) {
   if (!response.positive() || response.payload.size() < 6 ||
       response.payload[0] != kSidSecurityAccess + 0x40) {

@@ -45,9 +45,6 @@ class UdsClient {
   bool request_seed(std::uint8_t level = 0x01);
   bool send_key(std::uint8_t level, const Key& key);
   bool read_did(std::uint16_t did);
-  bool write_did(std::uint16_t did, std::span<const std::uint8_t> value);
-  bool tester_present();
-  bool ecu_reset(std::uint8_t type = 0x01);
 
   /// Extracts the 4-byte seed from a positive 0x67 response.
   static std::optional<Seed> seed_from_response(const UdsResponse& response);

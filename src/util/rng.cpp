@@ -77,9 +77,4 @@ void Rng::fill(std::span<std::uint8_t> out) noexcept {
   }
 }
 
-Rng Rng::split() noexcept {
-  Rng child(next_u64());
-  return child;
-}
-
 }  // namespace acf::util

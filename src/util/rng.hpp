@@ -82,10 +82,6 @@ class Rng {
     }
   }
 
-  /// Splits off an independent child generator (for sub-components that must
-  /// not perturb the parent stream).
-  Rng split() noexcept;
-
   /// UniformRandomBitGenerator interface for <algorithm> interop.
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace acf::util {
 
@@ -140,27 +141,6 @@ bool chi_square_accepts_uniform(double statistic, std::size_t dof, double alpha)
   const double term = 1.0 - 2.0 / (9.0 * k) + z * std::sqrt(2.0 / (9.0 * k));
   const double critical = k * term * term * term;
   return statistic <= critical;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
-      counts_(bins == 0 ? 1 : bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  double idx = (x - lo_) / width_;
-  std::size_t bin = 0;
-  if (idx >= static_cast<double>(counts_.size())) {
-    bin = counts_.size() - 1;
-  } else if (idx > 0.0) {
-    bin = static_cast<std::size_t>(idx);
-    if (bin >= counts_.size()) bin = counts_.size() - 1;
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const noexcept {
-  return lo_ + width_ * static_cast<double>(bin);
 }
 
 }  // namespace acf::util

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace acf::util {
 
@@ -87,24 +86,5 @@ double chi_square_uniform(std::span<const std::uint64_t> counts);
 /// given significance for the dof.  Supports alpha = 0.01 and 0.001 via the
 /// Wilson-Hilferty approximation (adequate for dof >= 10 as used here).
 bool chi_square_accepts_uniform(double statistic, std::size_t dof, double alpha = 0.001);
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge bins so no sample is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::span<const std::uint64_t> counts() const noexcept { return counts_; }
-  std::uint64_t total() const noexcept { return total_; }
-  double bin_low(std::size_t bin) const noexcept;
-  double bin_width() const noexcept { return width_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace acf::util

@@ -77,7 +77,6 @@ void BodyControlModule::actuate(bool unlocked, std::uint8_t command) {
   } else {
     ++lock_events_;
   }
-  if (actuator_listener_) actuator_listener_(unlocked);
   send_ack(command, true);
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "dbc/target_vehicle_db.hpp"
@@ -49,7 +48,6 @@ class BodyControlModule final : public ecu::Ecu {
   std::uint64_t lock_events() const noexcept { return lock_events_; }
   std::uint64_t rejected_commands() const noexcept { return rejected_commands_; }
 
-  void set_predicate(UnlockPredicate predicate) noexcept { predicate_ = predicate; }
   const UnlockPredicate& predicate() const noexcept { return predicate_; }
 
   /// Re-locks without emitting an ack (used between Table V trials).
@@ -57,7 +55,7 @@ class BodyControlModule final : public ecu::Ecu {
 
   /// Back to the just-built state (Ecu::factory_reset): locked, zeroed
   /// command counters and the verifier's counters restarted.  Keeps the
-  /// predicate, an installed key and the actuator listener.
+  /// predicate and an installed key.
   void reset();
 
   /// Installs the shared authentication key (enables require_auth
@@ -66,13 +64,6 @@ class BodyControlModule final : public ecu::Ecu {
     verifier_ = std::make_unique<security::FrameAuthenticator>(key);
   }
   const security::FrameAuthenticator* verifier() const noexcept { return verifier_.get(); }
-
-  /// Called with the new state whenever a command actuates the lock — the
-  /// hook a downstream LIN door segment (or a test "door-lock sensor")
-  /// subscribes to.
-  void set_actuator_listener(std::function<void(bool unlocked)> listener) {
-    actuator_listener_ = std::move(listener);
-  }
 
  private:
   void actuate(bool unlocked, std::uint8_t command);
@@ -89,7 +80,6 @@ class BodyControlModule final : public ecu::Ecu {
   std::uint64_t lock_events_ = 0;
   std::uint64_t rejected_commands_ = 0;
   std::unique_ptr<security::FrameAuthenticator> verifier_;
-  std::function<void(bool)> actuator_listener_;
 };
 
 }  // namespace acf::vehicle

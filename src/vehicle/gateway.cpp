@@ -37,11 +37,6 @@ ForwardRule GatewayEcu::default_body_to_powertrain() {
   return rule;
 }
 
-void GatewayEcu::set_rules(ForwardRule powertrain_to_body, ForwardRule body_to_powertrain) {
-  p_to_b_ = std::move(powertrain_to_body);
-  b_to_p_ = std::move(body_to_powertrain);
-}
-
 void GatewayEcu::forward(const can::CanFrame& frame, sim::SimTime, bool from_powertrain) {
   if (from_powertrain) {
     if (p_to_b_.allows(frame)) {

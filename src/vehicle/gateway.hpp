@@ -47,7 +47,6 @@ class GatewayEcu {
   static ForwardRule default_powertrain_to_body();
   static ForwardRule default_body_to_powertrain();
 
-  void set_rules(ForwardRule powertrain_to_body, ForwardRule body_to_powertrain);
   const GatewayStats& stats() const noexcept { return stats_; }
 
  private:

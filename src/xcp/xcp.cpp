@@ -145,7 +145,6 @@ bool XcpMaster::send_command(std::vector<std::uint8_t> payload) {
 }
 
 bool XcpMaster::connect() { return send_command({kCmdConnect, 0x00}); }
-bool XcpMaster::disconnect() { return send_command({kCmdDisconnect}); }
 
 bool XcpMaster::short_upload(std::uint32_t address, std::uint8_t length) {
   return send_command({kCmdShortUpload, length, 0, 0,
@@ -161,8 +160,6 @@ bool XcpMaster::set_mta(std::uint32_t address) {
                        static_cast<std::uint8_t>((address >> 16) & 0xFF),
                        static_cast<std::uint8_t>((address >> 24) & 0xFF)});
 }
-
-bool XcpMaster::upload(std::uint8_t length) { return send_command({kCmdUpload, length}); }
 
 bool XcpMaster::download(std::uint32_t, std::span<const std::uint8_t> data) {
   // Caller must SET_MTA first (kept explicit to mirror the wire protocol).

@@ -91,10 +91,8 @@ class XcpMaster {
   void handle_frame(const can::CanFrame& frame, sim::SimTime time);
 
   bool connect();
-  bool disconnect();
   bool short_upload(std::uint32_t address, std::uint8_t length);  // length <= 7
   bool set_mta(std::uint32_t address);
-  bool upload(std::uint8_t length);
   bool download(std::uint32_t address, std::span<const std::uint8_t> data);  // <= 5 bytes
 
   /// Last response payload (PID byte stripped); nullopt if error/none.
@@ -113,7 +111,6 @@ class XcpMaster {
   SendFn send_;
   std::optional<std::vector<std::uint8_t>> data_;
   std::optional<std::uint8_t> error_;
-  std::uint32_t pending_mta_ = 0;
 };
 
 }  // namespace acf::xcp

@@ -475,7 +475,9 @@ TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
   // unlocks neither but diverges between them.  The last case is the
   // longest hardened trial of `fleet_run --feedback --runs 12 --budget-hours
   // 1` (trial 9): its corpus fills to the 4096-seed cap, so minimisation and
-  // the energy draw run at full size before the unlock at 210.9 s.
+  // the energy draw run at full size before the unlock at 210.9 s.  At the
+  // cap it refuses 4,176 novel inputs: 8,283 less the 4,107 seeds the corpus
+  // took (4,096 kept, 11 dropped).  The 0.5 s cases never reach the cap.
   using fuzzer::StopReason;
   const std::vector<RecordedTrajectory> recorded = {
       {8, false, {94, 28, 48, 0, 170}, 46, 28, 0x93c8264c725d0cf3ULL, 452000000,
@@ -502,7 +504,7 @@ TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
        StopReason::kFailureDetected,
        {{354350000, "unlock security function activated without authorisation via "
                     "215#2436139FF5F667 215#2036139FF8F667"}}},
-      {16242630735861178957ULL, true, {41825, 8283, 17198, 11, 85384}, 10258, 4096,
+      {16242630735861178957ULL, true, {41825, 8283, 17198, 11, 85384, 4176}, 10258, 4096,
        0x02714033a764d7f1ULL, 210859000000, StopReason::kFailureDetected,
        {{210856350000, "unlock security function activated without authorisation via "
                        "216#10B37F4507A880 215#10B37FD507A880 215#20B37FD507A888 "
@@ -525,6 +527,7 @@ TEST(FeedbackCampaign, TrajectoryMatchesTheRecordedParent) {
     EXPECT_EQ(stats.trim_executions, want.stats.trim_executions);
     EXPECT_EQ(stats.seeds_dropped, want.stats.seeds_dropped);
     EXPECT_EQ(stats.frames_sent, want.stats.frames_sent);
+    EXPECT_EQ(stats.seeds_refused, want.stats.seeds_refused);
     EXPECT_EQ(campaign.map().occupied(), want.map_occupied);
     EXPECT_EQ(campaign.corpus().size(), want.corpus_size);
     EXPECT_EQ(fnv1a64(campaign.corpus().encode()), want.corpus_fnv1a);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <set>
 
 #include "analysis/byte_stats.hpp"
@@ -158,89 +157,6 @@ TEST(RandomGenerator, FdModeProducesValidFdFrames) {
   EXPECT_TRUE(saw_long_payload);
 }
 
-// ------------------------------------------------------------- sweep ------
-
-TEST(SweepGenerator, EnumeratesExactlyTheSpace) {
-  FuzzConfig config;
-  config.id_min = 0x10;
-  config.id_max = 0x12;           // 3 ids
-  config.dlc_min = 0;
-  config.dlc_max = 1;             // dlc 0 (1 combo) + dlc 1 (4 combos)
-  config.byte_ranges[0] = {0, 3};
-  SweepGenerator gen(config);
-  EXPECT_EQ(gen.space(), 3u * (1 + 4));
-  std::set<std::string> seen;
-  while (const auto frame = gen.next()) seen.insert(frame->to_string());
-  EXPECT_EQ(seen.size(), 15u);          // all distinct
-  EXPECT_EQ(gen.generated(), 15u);
-  EXPECT_FALSE(gen.next().has_value());  // stays exhausted
-  gen.rewind();
-  EXPECT_TRUE(gen.next().has_value());
-}
-
-TEST(SweepGenerator, CoversPaperExampleSpaceSize) {
-  FuzzConfig config;
-  config.id_min = 0;
-  config.id_max = 7;  // 8 ids as a scaled-down 2^19 check
-  config.dlc_min = 1;
-  config.dlc_max = 1;
-  SweepGenerator gen(config);
-  std::uint64_t count = 0;
-  while (gen.next()) ++count;
-  EXPECT_EQ(count, 8u * 256u);
-}
-
-TEST(SweepGenerator, HonoursByteRangesPerPosition) {
-  FuzzConfig config;
-  config.id_min = config.id_max = 0x100;
-  config.dlc_min = config.dlc_max = 2;
-  config.byte_ranges[0] = {0xA0, 0xA1};
-  config.byte_ranges[1] = {0x00, 0x02};
-  SweepGenerator gen(config);
-  std::uint64_t count = 0;
-  while (const auto frame = gen.next()) {
-    EXPECT_TRUE(config.contains(*frame));
-    ++count;
-  }
-  EXPECT_EQ(count, 2u * 3u);
-}
-
-// ----------------------------------------------------------- bit flip -----
-
-TEST(BitFlipGenerator, SingleBitVariations) {
-  const auto base = can::CanFrame::data_std(0x215, {0x20, 0x5F});
-  BitFlipGenerator gen(base, {0xFF, 0xFF});
-  EXPECT_EQ(gen.positions(), 16u);
-  int count = 0;
-  while (const auto frame = gen.next()) {
-    ++count;
-    EXPECT_EQ(frame->id(), base.id());
-    // Exactly one bit differs from the base payload.
-    int diff_bits = 0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      diff_bits += std::popcount(
-          static_cast<unsigned>(frame->payload()[i] ^ base.payload()[i]));
-    }
-    EXPECT_EQ(diff_bits, 1);
-  }
-  EXPECT_EQ(count, 16);
-}
-
-TEST(BitFlipGenerator, MaskRestrictsPositions) {
-  const auto base = can::CanFrame::data_std(0x100, {0x00, 0x00});
-  BitFlipGenerator gen(base, {0x01, 0x80});  // one bit per byte
-  EXPECT_EQ(gen.positions(), 2u);
-}
-
-TEST(BitFlipGenerator, IdBitsIncluded) {
-  const auto base = can::CanFrame::data_std(0x100, {0xAA});
-  BitFlipGenerator gen(base, {0xFF}, /*include_id_bits=*/true);
-  EXPECT_EQ(gen.positions(), 11u + 8u);
-  std::set<std::uint32_t> ids;
-  while (const auto frame = gen.next()) ids.insert(frame->id());
-  EXPECT_EQ(ids.size(), 12u);  // 11 one-bit id variants + the base id
-}
-
 // ----------------------------------------------------------- mutation -----
 
 TEST(MutationGenerator, StaysNearCorpus) {
@@ -327,11 +243,20 @@ TEST_F(CampaignTest, StopsAtFrameLimit) {
   EXPECT_EQ(result.frames_sent, 100u);
 }
 
+/// Yields one empty frame on id 0x10, then reports exhaustion.
+class OneFrameGenerator final : public FrameGenerator {
+ public:
+  std::string_view name() const override { return "one-frame"; }
+  std::optional<can::CanFrame> next() override {
+    if (generated_ > 0) return std::nullopt;
+    ++generated_;
+    return can::CanFrame::data_std(0x10, {});
+  }
+  void rewind() override { generated_ = 0; }
+};
+
 TEST_F(CampaignTest, StopsWhenGeneratorExhausted) {
-  FuzzConfig config;
-  config.id_min = config.id_max = 0x10;
-  config.dlc_min = config.dlc_max = 0;
-  SweepGenerator gen(config);  // a single frame
+  OneFrameGenerator gen;
   FuzzCampaign campaign(scheduler, port, gen, nullptr, CampaignConfig{});
   const auto& result = campaign.run();
   EXPECT_EQ(result.reason, StopReason::kGeneratorExhausted);

@@ -9,10 +9,11 @@
 namespace acf::obd {
 namespace {
 
+using Bytes = std::vector<std::uint8_t>;
+
 TEST(ObdScaling, RpmQuarterResolution) {
   EXPECT_EQ(encode_rpm(800.0), 3200u);
-  EXPECT_DOUBLE_EQ(decode_rpm(3200), 800.0);
-  EXPECT_DOUBLE_EQ(decode_rpm(encode_rpm(6543.25)), 6543.25);
+  EXPECT_EQ(encode_rpm(6543.25), 26173u);
   EXPECT_EQ(encode_rpm(-5.0), 0u);           // clamps
   EXPECT_EQ(encode_rpm(1e9), 65535u);
 }
@@ -20,17 +21,57 @@ TEST(ObdScaling, RpmQuarterResolution) {
 TEST(ObdScaling, TemperatureOffset) {
   EXPECT_EQ(encode_temp(-40.0), 0u);
   EXPECT_EQ(encode_temp(90.0), 130u);
-  EXPECT_DOUBLE_EQ(decode_temp(130), 90.0);
   EXPECT_EQ(encode_temp(500.0), 255u);
 }
 
 TEST(ObdScaling, Percent) {
   EXPECT_EQ(encode_percent(100.0), 255u);
   EXPECT_EQ(encode_percent(0.0), 0u);
-  EXPECT_NEAR(decode_percent(encode_percent(40.0)), 40.0, 0.3);
+  EXPECT_EQ(encode_percent(40.0), 102u);
 }
 
-/// Server + client wired across a bus, with a scripted data source.
+/// A generic scan tool built from plain ISO-TP channels.  Requests go out
+/// as single frames on the functional id (0x7DF); the physical pair
+/// (0x7E0/0x7E8) reassembles the response and sends the flow control that a
+/// long one (the VIN) needs.
+class ScanTool {
+ public:
+  ScanTool(sim::Scheduler& scheduler, can::VirtualBus& bus)
+      : port_(bus, "scantool"),
+        functional_(scheduler, send_fn(),
+                    config(kObdFunctionalRequest, kObdFunctionalRequest)),
+        physical_(scheduler, send_fn(), config(kObdFirstResponse - 8, kObdFirstResponse)) {
+    physical_.set_on_message(
+        [this](const Bytes& payload, sim::SimTime) { response_ = payload; });
+    port_.set_rx_callback(
+        [this](const can::CanFrame& f, sim::SimTime t) { physical_.handle_frame(f, t); });
+  }
+
+  /// Clears the last response and broadcasts `request`.
+  void request(Bytes request) {
+    response_.reset();
+    ASSERT_TRUE(functional_.send(std::move(request)));
+  }
+  const std::optional<Bytes>& response() const noexcept { return response_; }
+
+ private:
+  static isotp::IsoTpConfig config(std::uint32_t tx, std::uint32_t rx) {
+    isotp::IsoTpConfig config;
+    config.tx_id = tx;
+    config.rx_id = rx;
+    return config;
+  }
+  isotp::IsoTpChannel::SendFn send_fn() {
+    return [this](const can::CanFrame& f) { return port_.send(f); };
+  }
+
+  transport::VirtualBusTransport port_;
+  isotp::IsoTpChannel functional_;  // sends only
+  isotp::IsoTpChannel physical_;
+  std::optional<Bytes> response_;
+};
+
+/// Server and scan tool wired across a bus, with a scripted data source.
 class ObdPair : public ::testing::Test {
  protected:
   ObdPair() {
@@ -47,11 +88,6 @@ class ObdPair : public ::testing::Test {
     ecu_port.set_rx_callback([this](const can::CanFrame& f, sim::SimTime t) {
       server->handle_frame(f, t);
     });
-    client = std::make_unique<ObdClient>(
-        scheduler, [this](const can::CanFrame& f) { return tool_port.send(f); });
-    tool_port.set_rx_callback([this](const can::CanFrame& f, sim::SimTime t) {
-      client->handle_frame(f, t);
-    });
   }
 
   void settle() { scheduler.run_for(std::chrono::milliseconds(50)); }
@@ -59,9 +95,8 @@ class ObdPair : public ::testing::Test {
   sim::Scheduler scheduler;
   can::VirtualBus bus{scheduler};
   transport::VirtualBusTransport ecu_port{bus, "ecm"};
-  transport::VirtualBusTransport tool_port{bus, "scantool"};
   std::unique_ptr<ObdServer> server;
-  std::unique_ptr<ObdClient> client;
+  ScanTool tool{scheduler, bus};
 
   double rpm = 812.5;
   double speed = 57.0;
@@ -71,24 +106,23 @@ class ObdPair : public ::testing::Test {
 };
 
 TEST_F(ObdPair, Mode01Rpm) {
-  client->request_pid(kModeCurrentData, kPidEngineRpm);
+  tool.request({kModeCurrentData, kPidEngineRpm});
   settle();
-  ASSERT_TRUE(client->last_rpm().has_value());
-  EXPECT_NEAR(*client->last_rpm(), 812.5, 0.25);
+  EXPECT_EQ(tool.response(), (Bytes{0x41, 0x0C, 0x0C, 0xB2}));  // 3250 / 4 = 812.5 rpm
 }
 
 TEST_F(ObdPair, Mode01Speed) {
-  client->request_pid(kModeCurrentData, kPidVehicleSpeed);
+  tool.request({kModeCurrentData, kPidVehicleSpeed});
   settle();
-  ASSERT_TRUE(client->last_speed().has_value());
-  EXPECT_DOUBLE_EQ(*client->last_speed(), 57.0);
+  EXPECT_EQ(tool.response(), (Bytes{0x41, 0x0D, 57}));
 }
 
 TEST_F(ObdPair, Mode01SupportBitmapAdvertisesImplementedPids) {
-  client->request_pid(kModeCurrentData, kPidSupported01To20);
+  tool.request({kModeCurrentData, kPidSupported01To20});
   settle();
-  const auto& response = client->last_response();
+  const auto& response = tool.response();
   ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, (Bytes{0x41, 0x00, 0x08, 0x18, 0x80, 0x00}));
   ASSERT_EQ(response->size(), 6u);
   const std::uint32_t bits = (static_cast<std::uint32_t>((*response)[2]) << 24) |
                              (static_cast<std::uint32_t>((*response)[3]) << 16) |
@@ -101,39 +135,42 @@ TEST_F(ObdPair, Mode01SupportBitmapAdvertisesImplementedPids) {
 }
 
 TEST_F(ObdPair, UnsupportedPidYieldsSilence) {
-  client->request_pid(kModeCurrentData, 0x42);
+  tool.request({kModeCurrentData, 0x42});
   settle();
-  EXPECT_FALSE(client->last_response().has_value());
+  EXPECT_FALSE(tool.response().has_value());
 }
 
 TEST_F(ObdPair, Mode03DtcsAndMode04Clear) {
   dtcs = {0x0104, 0x0300};  // P0104, P0300
-  client->request_mode(kModeStoredDtcs);
+  tool.request({kModeStoredDtcs});
   settle();
-  EXPECT_EQ(client->last_dtcs(), (std::vector<std::uint16_t>{0x0104, 0x0300}));
-  client->request_mode(kModeClearDtcs);
+  EXPECT_EQ(tool.response(), (Bytes{0x43, 0x02, 0x01, 0x04, 0x03, 0x00}));
+  tool.request({kModeClearDtcs});
   settle();
+  EXPECT_EQ(tool.response(), (Bytes{0x44}));
   EXPECT_TRUE(dtcs.empty());
-  client->request_mode(kModeStoredDtcs);
+  tool.request({kModeStoredDtcs});
   settle();
-  EXPECT_TRUE(client->last_dtcs().empty());
+  EXPECT_EQ(tool.response(), (Bytes{0x43, 0x00}));
 }
 
 TEST_F(ObdPair, Mode09Vin) {
-  client->request_pid(kModeVehicleInfo, kInfoVin);
+  tool.request({kModeVehicleInfo, kInfoVin});
   settle();
-  ASSERT_TRUE(client->last_vin().has_value());
-  EXPECT_EQ(*client->last_vin(), "WVWZZZ1KZAW000017");
+  const std::string vin = "WVWZZZ1KZAW000017";
+  Bytes expected = {0x49, kInfoVin, 0x01};  // mode + 0x40, info type, record count
+  expected.insert(expected.end(), vin.begin(), vin.end());
+  EXPECT_EQ(tool.response(), expected);
 }
 
 TEST_F(ObdPair, UdsSidsIgnoredSilently) {
   // A UDS session-control request on the shared id must not draw an OBD
   // response (the UDS stack owns it).
   const auto before = server->malformed_requests();
-  client->request_pid(0x10, 0x03);
+  tool.request({0x10, 0x03});
   settle();
   EXPECT_EQ(server->malformed_requests(), before);
-  EXPECT_FALSE(client->last_response().has_value());
+  EXPECT_FALSE(tool.response().has_value());
 }
 
 TEST(ObdOnVehicle, ScanToolReadsLiveEngineData) {
@@ -143,19 +180,23 @@ TEST(ObdOnVehicle, ScanToolReadsLiveEngineData) {
   vehicle::Vehicle car(scheduler);
   scheduler.run_for(std::chrono::seconds(45));  // cruise phase
 
-  transport::VirtualBusTransport tool(car.body_bus(), "scantool");
-  ObdClient client(scheduler, [&tool](const can::CanFrame& f) { return tool.send(f); });
-  tool.set_rx_callback(
-      [&client](const can::CanFrame& f, sim::SimTime t) { client.handle_frame(f, t); });
-
-  client.request_pid(kModeCurrentData, kPidEngineRpm);
+  ScanTool tool(scheduler, car.body_bus());
+  tool.request({kModeCurrentData, kPidEngineRpm});
   scheduler.run_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(client.last_rpm().has_value());
-  EXPECT_NEAR(*client.last_rpm(), car.engine().rpm(), 100.0);
+  const auto& rpm = tool.response();
+  ASSERT_TRUE(rpm.has_value());
+  ASSERT_EQ(rpm->size(), 4u);
+  EXPECT_EQ((*rpm)[0], 0x41);
+  EXPECT_EQ((*rpm)[1], kPidEngineRpm);
+  EXPECT_NEAR((((*rpm)[2] << 8) | (*rpm)[3]) / 4.0, car.engine().rpm(), 100.0);
 
-  client.request_pid(kModeVehicleInfo, kInfoVin);
+  tool.request({kModeVehicleInfo, kInfoVin});
   scheduler.run_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(client.last_vin().has_value());
+  const auto& vin = tool.response();
+  ASSERT_TRUE(vin.has_value());
+  ASSERT_GE(vin->size(), 4u);
+  EXPECT_EQ((*vin)[0], 0x49);
+  EXPECT_EQ((*vin)[1], kInfoVin);
 }
 
 TEST(ObdOnVehicle, UdsAndObdCoexistOnTheSharedIds) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "oracle/bus_oracles.hpp"
 #include "oracle/vehicle_oracles.hpp"
 #include "transport/virtual_bus_transport.hpp"
 #include "vehicle/vehicle.hpp"
@@ -66,76 +65,6 @@ TEST(CompositeOracle, BorrowedOraclesPolledAndReset) {
   EXPECT_EQ(borrowed.polls, 1);
   EXPECT_EQ(borrowed.resets, 1);
   EXPECT_EQ(composite.size(), 1u);
-}
-
-// ------------------------------------------------------- bus oracles ------
-
-class BusOracleTest : public ::testing::Test {
- protected:
-  sim::Scheduler scheduler;
-  can::VirtualBus bus{scheduler};
-};
-
-TEST_F(BusOracleTest, SilenceOracleFiresAfterWindow) {
-  BusSilenceOracle oracle(bus, std::chrono::milliseconds(100));
-  transport::VirtualBusTransport tx(bus, "tx");
-  tx.send(can::CanFrame::data_std(0x1, {}));
-  scheduler.run_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(oracle.poll(scheduler.now()).has_value());
-  scheduler.run_for(std::chrono::milliseconds(100));
-  const auto obs = oracle.poll(scheduler.now());
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_EQ(obs->verdict, Verdict::kFailure);
-  // Reported once, not repeatedly.
-  EXPECT_FALSE(oracle.poll(scheduler.now()).has_value());
-  oracle.reset();
-  scheduler.run_for(std::chrono::milliseconds(200));
-  EXPECT_TRUE(oracle.poll(scheduler.now()).has_value());
-}
-
-TEST_F(BusOracleTest, SilenceOracleStaysQuietWithTraffic) {
-  BusSilenceOracle oracle(bus, std::chrono::milliseconds(100));
-  transport::VirtualBusTransport tx(bus, "tx");
-  for (int i = 0; i < 20; ++i) {
-    tx.send(can::CanFrame::data_std(0x1, {}));
-    scheduler.run_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(oracle.poll(scheduler.now()).has_value()) << i;
-  }
-}
-
-TEST_F(BusOracleTest, ErrorRateOracleThresholds) {
-  can::BusConfig config;
-  config.corruption_probability = 0.9;
-  config.seed = 3;
-  can::VirtualBus lossy(scheduler, config);
-  ErrorFrameRateOracle oracle(lossy, 5.0, 1e9);
-  transport::VirtualBusTransport tx(lossy, "tx");
-  // Keep the transmitter busy for > 1 s of bucket time.
-  for (int burst = 0; burst < 50; ++burst) {
-    for (int i = 0; i < 20; ++i) tx.send(can::CanFrame::data_std(0x1, {1}));
-    scheduler.run_for(std::chrono::milliseconds(25));
-  }
-  scheduler.run_for(std::chrono::milliseconds(1100));
-  const auto obs = oracle.poll(scheduler.now());
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_EQ(obs->verdict, Verdict::kSuspicious);
-  EXPECT_GT(oracle.total_error_frames(), 0u);
-}
-
-TEST_F(BusOracleTest, NodeErrorStateOracleDetectsBusOff) {
-  can::BusConfig config;
-  config.corruption_probability = 1.0;
-  config.auto_bus_off_recovery = false;
-  can::VirtualBus broken(scheduler, config);
-  transport::VirtualBusTransport victim(broken, "victim");
-  NodeErrorStateOracle oracle(broken, victim.node_id());
-  EXPECT_FALSE(oracle.poll(scheduler.now()).has_value());
-  for (int i = 0; i < 40; ++i) victim.send(can::CanFrame::data_std(0x1, {}));
-  scheduler.run_for(std::chrono::seconds(1));
-  const auto obs = oracle.poll(scheduler.now());
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_EQ(obs->verdict, Verdict::kFailure);
-  EXPECT_NE(obs->detail.find("bus-off"), std::string::npos);
 }
 
 // ---------------------------------------------------- vehicle oracles -----

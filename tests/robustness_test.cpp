@@ -9,7 +9,6 @@
 #include "can/wire_codec.hpp"
 #include "dbc/parser.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/asc_log.hpp"
 #include "trace/candump_log.hpp"
 #include "transport/virtual_bus_transport.hpp"
 #include "uds/uds_server.hpp"
@@ -89,7 +88,6 @@ TEST(Robustness, LogParsersSurviveRandomLines) {
   for (int trial = 0; trial < 500; ++trial) {
     const std::string line = random_text(rng, 80);
     (void)trace::parse_candump_line(line);  // must not crash / UB
-    (void)trace::parse_asc_line(line);
   }
   // And random bytes through the stream readers.
   std::stringstream stream(random_text(rng, 5000));

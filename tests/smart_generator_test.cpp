@@ -6,7 +6,6 @@
 #include "fuzzer/smart_generator.hpp"
 #include "oracle/vehicle_oracles.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/asc_log.hpp"
 #include "transport/virtual_bus_transport.hpp"
 #include "util/rng.hpp"
 #include "vehicle/vehicle.hpp"
@@ -188,88 +187,6 @@ TEST(FeedbackGenerator, ConvergesOntoReactiveIdInClosedLoop) {
     if (std::find(db_ids.begin(), db_ids.end(), id) != db_ids.end()) ++db_hits;
   }
   EXPECT_GT(db_hits, 0);
-}
-
-// --------------------------------------------------------------- ASC ------
-
-TEST(AscLog, LineRoundTrip) {
-  const trace::TimestampedFrame entry{can::CanFrame::data_std(0x43A, {0x1C, 0x21}),
-                                      sim::SimTime{5'328'009'000}};
-  const std::string line = trace::to_asc_line(entry);
-  EXPECT_NE(line.find("43A"), std::string::npos);
-  EXPECT_NE(line.find("d 2 1C 21"), std::string::npos);
-  const auto parsed = trace::parse_asc_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->frame, entry.frame);
-  EXPECT_NEAR(sim::to_seconds(parsed->time), 5.328009, 1e-6);
-}
-
-TEST(AscLog, ExtendedAndRemoteFrames) {
-  const trace::TimestampedFrame ext{
-      *can::CanFrame::data(0x1ABCDEF3, {0xDE}, can::IdFormat::kExtended), sim::SimTime{0}};
-  auto parsed = trace::parse_asc_line(trace::to_asc_line(ext));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->frame, ext.frame);
-
-  const trace::TimestampedFrame remote{*can::CanFrame::remote(0x321, 4), sim::SimTime{0}};
-  parsed = trace::parse_asc_line(trace::to_asc_line(remote));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->frame, remote.frame);
-}
-
-TEST(AscLog, FileRoundTripSkipsHeaders) {
-  util::Rng rng(0xA5C);
-  std::vector<trace::TimestampedFrame> frames;
-  for (int i = 0; i < 100; ++i) {
-    std::vector<std::uint8_t> payload(rng.next_below(9));
-    rng.fill(payload);
-    frames.push_back({*can::CanFrame::data(
-                          static_cast<std::uint32_t>(rng.next_below(2048)), payload),
-                      sim::SimTime{i * 1'000'000}});
-  }
-  std::stringstream stream;
-  trace::write_asc(stream, frames);
-  std::vector<std::string> errors;
-  const auto loaded = trace::read_asc(stream, &errors);
-  EXPECT_TRUE(errors.empty());
-  ASSERT_EQ(loaded.size(), frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) EXPECT_EQ(loaded[i].frame, frames[i].frame);
-}
-
-TEST(AscLog, MalformedLinesRejected) {
-  EXPECT_FALSE(trace::parse_asc_line("").has_value());
-  EXPECT_FALSE(trace::parse_asc_line("date Sat Jan 1").has_value());
-  EXPECT_FALSE(trace::parse_asc_line("0.1 1 43A Rx d 9 00").has_value());   // dlc > 8
-  EXPECT_FALSE(trace::parse_asc_line("0.1 1 43A Rx d 2 00").has_value());   // short data
-  EXPECT_FALSE(trace::parse_asc_line("0.1 1 ZZZ Rx d 1 00").has_value());   // bad id
-  EXPECT_FALSE(trace::parse_asc_line("0.1 1 43A Qx d 1 00").has_value());   // bad dir
-}
-
-TEST(AscLog, HostileTimestampsRejectedNotMisread) {
-  // Regression: the stamp was read as a double and cast to int64 nanoseconds,
-  // so "inf" / 1e308 / 20-digit seconds invoked UB instead of failing.
-  EXPECT_FALSE(trace::parse_asc_line("inf 1 43A Rx d 1 00").has_value());
-  EXPECT_FALSE(trace::parse_asc_line("1e308 1 43A Rx d 1 00").has_value());
-  EXPECT_FALSE(trace::parse_asc_line("nan 1 43A Rx d 1 00").has_value());
-  EXPECT_FALSE(trace::parse_asc_line("-0.5 1 43A Rx d 1 00").has_value());
-  EXPECT_FALSE(
-      trace::parse_asc_line("99999999999999999999.0 1 43A Rx d 1 00").has_value());
-  const auto last = trace::parse_asc_line("9223372034.999999 1 43A Rx d 1 00");
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->time.count(), 9'223'372'034'999'999'000LL);
-}
-
-TEST(AscLog, InteroperatesWithCandumpCapture) {
-  // Capture -> ASC -> read: the Vector-tooling interchange path.
-  sim::Scheduler scheduler;
-  vehicle::Vehicle car(scheduler);
-  trace::CaptureTap tap(car.powertrain_bus(), "tap");
-  scheduler.run_for(std::chrono::milliseconds(500));
-  ASSERT_GT(tap.size(), 50u);
-  std::stringstream stream;
-  trace::write_asc(stream, tap.frames());
-  const auto loaded = trace::read_asc(stream);
-  EXPECT_EQ(loaded.size(), tap.size());
 }
 
 }  // namespace

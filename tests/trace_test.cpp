@@ -104,6 +104,10 @@ TEST(Candump, HostileTimestampsRejectedNotMisread) {
   EXPECT_FALSE(parse_candump_line("(1e308.000000) can0 123#AA").has_value());
   EXPECT_FALSE(parse_candump_line("(nan.nan) can0 123#AA").has_value());
   EXPECT_FALSE(parse_candump_line("(-5.000000) can0 123#AA").has_value());
+  EXPECT_FALSE(parse_candump_line("(inf) can0 123#AA").has_value());
+  EXPECT_FALSE(parse_candump_line("(1e308) can0 123#AA").has_value());
+  EXPECT_FALSE(parse_candump_line("(nan) can0 123#AA").has_value());
+  EXPECT_FALSE(parse_candump_line("(-0.5) can0 123#AA").has_value());
   EXPECT_FALSE(
       parse_candump_line("(99999999999999999999.000000) can0 123#AA").has_value());
   EXPECT_FALSE(

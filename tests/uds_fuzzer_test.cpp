@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "fuzzer/campaign.hpp"
+#include "fuzzer/generator.hpp"
 #include "fuzzer/coverage.hpp"
 #include "fuzzer/uds_fuzzer.hpp"
 #include "sim/scheduler.hpp"
@@ -91,31 +91,6 @@ TEST(CoverageTracker, TracksIdsCellsAndBytes) {
   EXPECT_EQ(tracker.frames(), 3u);
   EXPECT_EQ(tracker.ids_covered(), 2u);
   EXPECT_EQ(tracker.id_dlc_cells_covered(), 3u);  // (100,2) (100,1) (200,0)
-  EXPECT_EQ(tracker.byte_values_covered(0), 2u);  // 0x01, 0x03
-  EXPECT_EQ(tracker.byte_values_covered(1), 1u);
-}
-
-TEST(CoverageTracker, IdCoverageAgainstConfig) {
-  CoverageTracker tracker;
-  FuzzConfig config;
-  config.id_min = 0x100;
-  config.id_max = 0x103;  // 4 ids
-  tracker.add(can::CanFrame::data_std(0x100, {}));
-  tracker.add(can::CanFrame::data_std(0x101, {}));
-  tracker.add(can::CanFrame::data_std(0x500, {}));  // outside the space
-  EXPECT_DOUBLE_EQ(tracker.id_coverage(config), 0.5);
-  const FuzzConfig targeted = FuzzConfig::targeted({0x100, 0x500});
-  EXPECT_DOUBLE_EQ(tracker.id_coverage(targeted), 1.0);
-}
-
-TEST(CoverageTracker, EventsPerKiloframe) {
-  CoverageTracker tracker;
-  EXPECT_DOUBLE_EQ(tracker.events_per_kiloframe(), 0.0);
-  for (int i = 0; i < 2000; ++i) tracker.add(can::CanFrame::data_std(0x1, {}));
-  tracker.add_oracle_event();
-  tracker.add_oracle_event();
-  tracker.add_oracle_event();
-  EXPECT_DOUBLE_EQ(tracker.events_per_kiloframe(), 1.5);
 }
 
 TEST(CoverageTracker, RandomCampaignCoversTheSpace) {
@@ -124,25 +99,7 @@ TEST(CoverageTracker, RandomCampaignCoversTheSpace) {
   RandomGenerator generator(config);
   for (int i = 0; i < 50'000; ++i) tracker.add(*generator.next());
   // 50k uniform draws over 2048 ids: every id expected ~24 times.
-  EXPECT_GT(tracker.id_coverage(config), 0.99);
-  EXPECT_GT(tracker.byte_values_covered(0), 250u);
-  const std::string report = tracker.report(config);
-  EXPECT_NE(report.find("id coverage"), std::string::npos);
-}
-
-TEST(CoverageTracker, CampaignIntegration) {
-  sim::Scheduler scheduler;
-  can::VirtualBus bus(scheduler);
-  transport::VirtualBusTransport port(bus, "fuzzer");
-  RandomGenerator generator(FuzzConfig::full_random(3));
-  CoverageTracker tracker;
-  CampaignConfig config;
-  config.max_frames = 500;
-  FuzzCampaign campaign(scheduler, port, generator, nullptr, config);
-  campaign.set_coverage(&tracker);
-  campaign.run();
-  EXPECT_EQ(tracker.frames(), 500u);
-  EXPECT_GT(tracker.ids_covered(), 150u);
+  EXPECT_GT(tracker.ids_covered(), 2027u);  // more than 99%
 }
 
 }  // namespace

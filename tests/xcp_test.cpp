@@ -57,8 +57,9 @@ TEST_F(XcpPair, ConnectDisconnect) {
   settle();
   EXPECT_TRUE(slave->connected());
   ASSERT_TRUE(master->last_data().has_value());
-  master->disconnect();
+  master_port.send(*can::CanFrame::data(0x6C0, {kCmdDisconnect}));
   settle();
+  EXPECT_EQ(master->last_data(), std::vector<std::uint8_t>{});  // positive, no data
   EXPECT_FALSE(slave->connected());
 }
 
@@ -84,11 +85,11 @@ TEST_F(XcpPair, SetMtaUploadWalksMemory) {
   settle();
   master->set_mta(0x104);
   settle();
-  master->upload(3);
+  master_port.send(*can::CanFrame::data(0x6C0, {kCmdUpload, 3}));
   settle();
   ASSERT_TRUE(master->last_data().has_value());
   EXPECT_EQ(*master->last_data(), (std::vector<std::uint8_t>{4, 5, 6}));
-  master->upload(2);  // MTA auto-advanced
+  master_port.send(*can::CanFrame::data(0x6C0, {kCmdUpload, 2}));  // MTA auto-advanced
   settle();
   EXPECT_EQ(*master->last_data(), (std::vector<std::uint8_t>{7, 8}));
 }
