@@ -17,6 +17,7 @@
 
 #include "analysis/report.hpp"
 #include "fleet/aggregator.hpp"
+#include "fleet/executor.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/worlds.hpp"
 #include "fuzzer/campaign.hpp"
@@ -35,30 +36,24 @@ inline void header(const std::string& artefact, const std::string& caption) {
   std::printf("================================================================\n");
 }
 
-/// One unlock-testbench trial: blind random fuzz until the unlock oracle
-/// fires; returns simulated seconds to unlock, or a negative value on
-/// timeout.  Callers must branch on the sign — a timeout is a separate
-/// count, never a sample (feeding -1 into a mean corrupts it).
+/// One Table V unlock trial (fleet::unlock_world_factory's world): blind
+/// random fuzz until the unlock oracle fires; returns simulated seconds to
+/// unlock, or a negative value on timeout.  Callers must branch on the sign
+/// — a timeout is a separate count, never a sample (feeding -1 into a mean
+/// corrupts it).  A trial that does not complete ends the bench.
 inline double time_to_unlock(vehicle::UnlockPredicate predicate, std::uint64_t seed,
                              sim::Duration timeout = std::chrono::hours(24),
                              fuzzer::FuzzConfig fuzz = fuzzer::FuzzConfig::full_random()) {
-  sim::Scheduler scheduler;
-  vehicle::UnlockTestbench bench(scheduler, predicate);
-  transport::VirtualBusTransport attacker(bench.bus(), "attacker");
-  oracle::CompositeOracle oracles;
-  oracles.add(std::make_unique<oracle::UnlockOracle>(bench.bus(), &bench.bcm()));
-  fuzz.seed = seed;
-  fuzzer::RandomGenerator generator(fuzz);
-  fuzzer::CampaignConfig config;
-  config.tx_period = fuzz.tx_period;  // the Table III "Rate" knob
-  config.max_duration = timeout;
-  config.oracle_period = std::chrono::milliseconds(10);
-  config.record_suspicious = false;
-  fuzzer::FuzzCampaign campaign(scheduler, attacker, generator, &oracles, config);
-  const auto& result = campaign.run();
-  if (!result.any_failure()) return -1.0;
-  // The oracle records the exact bus time of the acknowledgement frame.
-  return sim::to_seconds(result.first_failure()->observation.time);
+  fleet::TrialSpec spec;
+  spec.seed = seed;
+  const fleet::TrialOutcome outcome = fleet::run_one_trial(
+      spec, fleet::unlock_world_factory({{predicate, std::move(fuzz), timeout}}));
+  if (!outcome.completed()) {
+    std::fprintf(stderr, "time_to_unlock: trial with seed %llu failed: %s\n",
+                 static_cast<unsigned long long>(seed), outcome.error.c_str());
+    std::exit(1);
+  }
+  return outcome.time_to_failure;
 }
 
 /// Command-line knobs shared by the fleet benches.

@@ -90,7 +90,7 @@ AttackTrialResult run_attack_trial(const AttackArm& arm, const fleet::TrialSpec&
   sim::Scheduler scheduler{256};
   vehicle::Vehicle car(scheduler);
 
-  ids::Pipeline pipeline(arm.pipeline);
+  ids::Pipeline pipeline;
   auto detectors = arm.detectors
                        ? arm.detectors()
                        : ids::standard_detectors(dbc::target_vehicle_database());

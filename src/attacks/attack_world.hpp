@@ -33,7 +33,6 @@ struct AttackArm {
   sim::Duration train_window{std::chrono::seconds(2)};
   /// Attack window when the TrialPlan imposes no sim budget.
   sim::Duration attack_window{std::chrono::seconds(3)};
-  ids::PipelineConfig pipeline;
   /// Empty => standard_detectors(target_vehicle_database()).
   ids::DetectorSetFactory detectors;
 };

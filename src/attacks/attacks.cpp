@@ -6,16 +6,20 @@ namespace acf::attacks {
 
 // --------------------------------------------------------------- DoS ------
 
+namespace {
+constexpr std::uint32_t kFloodId = 0x000;
+constexpr std::uint8_t kFloodDlc = 8;  // longest frames occupy the most bus time
+}  // namespace
+
 DosFlood::DosFlood(sim::Scheduler& scheduler, transport::CanTransport& transport,
                    DosFloodConfig config)
     : scheduler_(scheduler), transport_(transport), config_(config) {}
 
 void DosFlood::start() {
   if (event_.valid()) return;
-  std::vector<std::uint8_t> payload(config_.dlc, 0x00);
-  const auto frame = can::CanFrame::data(config_.id, payload);
-  if (!frame) return;
-  event_ = scheduler_.schedule_every(config_.period, [this, flood_frame = *frame] {
+  const std::vector<std::uint8_t> payload(kFloodDlc, 0x00);
+  const can::CanFrame flood_frame = *can::CanFrame::data(kFloodId, payload);
+  event_ = scheduler_.schedule_every(config_.period, [this, flood_frame] {
     // Fault confinement applies to attackers too: a bus-off controller
     // cannot transmit, so the flood pauses instead of hammering a dead
     // queue, and resumes only once recovery restores error-active state.

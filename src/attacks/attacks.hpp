@@ -26,8 +26,6 @@ namespace acf::attacks {
 /// contest is lost by legitimate traffic; throughput collapses to whatever
 /// fits between flood frames.
 struct DosFloodConfig {
-  std::uint32_t id = 0x000;
-  std::uint8_t dlc = 8;  // longest frames occupy the most bus time
   /// Inter-frame period; ~230 us saturates a 500 kb/s bus.
   sim::Duration period{std::chrono::microseconds(230)};
 };

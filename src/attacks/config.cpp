@@ -22,67 +22,4 @@ const char* to_string(AttackBus bus) noexcept {
   return bus == AttackBus::kPowertrain ? "powertrain" : "body";
 }
 
-namespace {
-
-constexpr std::uint8_t kVersion = 1;
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-}
-
-std::uint32_t get_le32(std::span<const std::uint8_t> bytes, std::size_t at) {
-  return static_cast<std::uint32_t>(bytes[at]) |
-         static_cast<std::uint32_t>(bytes[at + 1]) << 8 |
-         static_cast<std::uint32_t>(bytes[at + 2]) << 16 |
-         static_cast<std::uint32_t>(bytes[at + 3]) << 24;
-}
-
-}  // namespace
-
-bool attack_spec_valid(const AttackSpec& spec) noexcept {
-  if (static_cast<std::uint8_t>(spec.family) >= kAttackFamilyCount) return false;
-  if (static_cast<std::uint8_t>(spec.bus) > 1) return false;
-  if (spec.target_id > kMaxTargetId) return false;
-  if (spec.period_us < kMinPeriodUs || spec.period_us > kMaxPeriodUs) return false;
-  if (spec.burst < 1 || spec.burst > kMaxBurst) return false;
-  if (spec.payload_len > 8) return false;
-  for (std::size_t i = spec.payload_len; i < spec.payload.size(); ++i) {
-    if (spec.payload[i] != 0) return false;  // canonical zero padding
-  }
-  return true;
-}
-
-std::vector<std::uint8_t> encode_attack_spec(const AttackSpec& spec) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kAttackSpecBytes);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(spec.family));
-  out.push_back(static_cast<std::uint8_t>(spec.bus));
-  out.push_back(spec.payload_len);
-  put_le32(out, spec.target_id);
-  put_le32(out, spec.period_us);
-  out.push_back(static_cast<std::uint8_t>(spec.burst));
-  out.push_back(static_cast<std::uint8_t>(spec.burst >> 8));
-  out.insert(out.end(), spec.payload.begin(), spec.payload.end());
-  return out;
-}
-
-std::optional<AttackSpec> decode_attack_spec(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() != kAttackSpecBytes) return std::nullopt;
-  if (bytes[0] != kVersion) return std::nullopt;
-  AttackSpec spec;
-  spec.family = static_cast<AttackFamily>(bytes[1]);
-  spec.bus = static_cast<AttackBus>(bytes[2]);
-  spec.payload_len = bytes[3];
-  spec.target_id = get_le32(bytes, 4);
-  spec.period_us = get_le32(bytes, 8);
-  spec.burst = static_cast<std::uint16_t>(bytes[12] | bytes[13] << 8);
-  for (std::size_t i = 0; i < spec.payload.size(); ++i) spec.payload[i] = bytes[14 + i];
-  if (!attack_spec_valid(spec)) return std::nullopt;
-  return spec;
-}
-
 }  // namespace acf::attacks

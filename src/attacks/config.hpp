@@ -1,29 +1,20 @@
 // Attack scenario configuration: the taxonomy of structured CAN attacks and
-// a strict, bounded wire encoding for their parameters.
+// their parameters.
 //
 // The paper's campaigns fuzz blindly; the catalog here adds the classic
 // adversaries from the related literature (masquerade, suspension, bus-off
 // forcing, replay, gateway probing, diagnostic-session abuse) so every
 // detector earns a per-attack row instead of one aggregate number.  A spec
-// is deliberately tiny and fully value-typed: the same 22 bytes select the
-// scenario family and parameterise it on any worker of a distributed fleet.
-//
-// The binary codec is a self-fuzz surface (`attack_config` target): decode
-// accepts exactly the canonical encodings — fixed length, version-checked,
-// every field bounds-checked, padding forced to zero — so decode∘encode and
-// encode∘decode are both identities.
+// is deliberately tiny and fully value-typed.  It never crosses the wire: a
+// distributed fleet's workers rebuild their arms from
+// standard_attack_arms(), and only the campaign fingerprint is exchanged.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <string_view>
-#include <vector>
 
 namespace acf::attacks {
 
-/// The scenario families.  Values are wire format; append only.
+/// The scenario families.
 enum class AttackFamily : std::uint8_t {
   kFlood = 0,         // highest-priority-id flood at arbitration boundaries
   kSpoof = 1,         // out-cadence forged periodic signal
@@ -50,8 +41,7 @@ enum class AttackBus : std::uint8_t {
 const char* to_string(AttackBus bus) noexcept;
 
 /// One attack scenario's parameters.  Field meaning varies slightly per
-/// family (documented on each scenario); bounds are uniform and enforced by
-/// the codec.
+/// family (documented on each scenario).
 struct AttackSpec {
   AttackFamily family = AttackFamily::kFlood;
   AttackBus bus = AttackBus::kBody;
@@ -61,32 +51,6 @@ struct AttackSpec {
   std::uint32_t period_us = 1000;
   /// Repetitions per tick (flood frames, forced errors, replay loops...).
   std::uint16_t burst = 1;
-  /// Forged payload; payload_len == 0 means "family default".
-  std::uint8_t payload_len = 0;
-  std::array<std::uint8_t, 8> payload{};
-
-  bool operator==(const AttackSpec&) const = default;
 };
-
-// Codec bounds (documented contract; decode enforces, tests pin).
-inline constexpr std::uint32_t kMaxTargetId = 0x7FF;
-inline constexpr std::uint32_t kMinPeriodUs = 50;
-inline constexpr std::uint32_t kMaxPeriodUs = 10'000'000;
-inline constexpr std::uint16_t kMaxBurst = 1024;
-inline constexpr std::size_t kAttackSpecBytes = 22;
-
-/// Canonical 22-byte encoding: version, family, bus, payload_len,
-/// target_id (LE32), period_us (LE32), burst (LE16), payload (8 bytes,
-/// zero-padded past payload_len).
-std::vector<std::uint8_t> encode_attack_spec(const AttackSpec& spec);
-
-/// Strict parse: exact length, known version/family/bus, all bounds
-/// honoured, padding bytes zero.  Accepts a byte string iff it is the
-/// canonical encoding of the returned spec.
-std::optional<AttackSpec> decode_attack_spec(std::span<const std::uint8_t> bytes);
-
-/// True iff every field of `spec` lies inside the codec bounds (what decode
-/// guarantees and encode expects; encode clamps nothing).
-bool attack_spec_valid(const AttackSpec& spec) noexcept;
 
 }  // namespace acf::attacks

@@ -27,16 +27,11 @@ AttackBus observed_bus(const AttackSpec& spec) noexcept {
 
 namespace {
 
-/// The forged frame a spec describes: its payload bytes when given, else
-/// zeros at the id's DBC-declared DLC (8 for undeclared ids).
+/// The forged frame a spec describes: zeros at the id's DBC-declared DLC
+/// (8 for undeclared ids).
 std::optional<can::CanFrame> forged_frame(const AttackSpec& spec) {
-  std::vector<std::uint8_t> payload;
-  if (spec.payload_len > 0) {
-    payload.assign(spec.payload.begin(), spec.payload.begin() + spec.payload_len);
-  } else {
-    const dbc::MessageDef* def = dbc::target_vehicle_database().by_id(spec.target_id);
-    payload.assign(def ? def->dlc : 8, 0x00);
-  }
+  const dbc::MessageDef* def = dbc::target_vehicle_database().by_id(spec.target_id);
+  const std::vector<std::uint8_t> payload(def ? def->dlc : 8, 0x00);
   return can::CanFrame::data(spec.target_id, payload);
 }
 
@@ -121,8 +116,8 @@ class SpoofScenario final : public AttackScenario {
 
 /// Period- and payload-matched clone of a live id: the tap remembers the
 /// victim's last transmitted payload and re-emits it at the victim's own
-/// cadence (optionally overriding the first payload_len bytes), so content
-/// detectors see nothing and only timing is left to notice the doubled rate.
+/// cadence, so content detectors see nothing and only timing is left to
+/// notice the doubled rate.
 class MasqueradeScenario final : public AttackScenario {
  public:
   using AttackScenario::AttackScenario;
@@ -138,11 +133,7 @@ class MasqueradeScenario final : public AttackScenario {
   void arm(AttackContext& ctx) override {
     schedule(ctx, period(), [this, ctx]() mutable {
       if (last_payload_.empty()) return;
-      std::vector<std::uint8_t> payload = last_payload_;
-      for (std::size_t i = 0; i < spec_.payload_len && i < payload.size(); ++i) {
-        payload[i] = spec_.payload[i];
-      }
-      if (const auto clone = can::CanFrame::data(spec_.target_id, payload)) {
+      if (const auto clone = can::CanFrame::data(spec_.target_id, last_payload_)) {
         if (injection_transport(ctx).send(*clone)) ++cloned_;
       }
     });

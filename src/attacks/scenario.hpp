@@ -84,7 +84,7 @@ class AttackScenario {
 };
 
 /// Builds the scenario for `spec.family`.  Throws std::invalid_argument on
-/// an out-of-range family (decode_attack_spec never produces one).
+/// an out-of-range family.
 std::unique_ptr<AttackScenario> make_scenario(const AttackSpec& spec);
 
 /// The bus the IDS observes for this spec: the injection bus, except for

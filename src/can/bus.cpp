@@ -57,12 +57,12 @@ bool VirtualBus::submit(NodeId sender, const CanFrame& frame) {
     if (node.errors.bus_off() || node.in_bus_off_recovery) ++stats_.drops_bus_off;
     return false;
   }
-  if (node.tx_queue.size() >= config_.tx_queue_limit) {
+  if (node.tx_queue.size() >= kTxQueueLimit) {
     ++stats_.drops_queue_full;
     return false;
   }
   if (node.tx_queue.empty()) ++tx_pending_nodes_;
-  node.tx_queue.push_back(frame, config_.tx_queue_limit);
+  node.tx_queue.push_back(frame);
   request_contest();
   return true;
 }
@@ -138,7 +138,7 @@ std::size_t VirtualBus::node_count() const noexcept {
 }
 
 sim::Duration VirtualBus::frame_duration(const CanFrame& frame) const {
-  return frame_time(frame, config_.bitrate, config_.fd_data_bitrate);
+  return frame_time(frame);
 }
 
 void VirtualBus::set_batched(NodeId id, bool batched) {
@@ -246,7 +246,7 @@ void VirtualBus::run_contest() {
   // Corrupted transmission: the frame is aborted mid-way and an error frame
   // follows.  The transmitter takes TEC += 8 and will retry the same frame.
   const sim::Duration duration =
-      frame_duration(frame) / 2 + bit_time(config_.bitrate) * kErrorSequenceBits;
+      frame_duration(frame) / 2 + bit_time(kDefaultBitrate) * kErrorSequenceBits;
   stats_.busy_time += duration;
   scheduler_.schedule_after(duration, [this, winner] {
     busy_ = false;
@@ -314,7 +314,7 @@ void VirtualBus::complete_transmission(NodeId winner) {
 void VirtualBus::begin_bus_off_recovery(NodeId id) {
   Node& node = nodes_[id];
   node.in_bus_off_recovery = true;
-  const sim::Duration wait = bit_time(config_.bitrate) * kBusOffRecoveryBits;
+  const sim::Duration wait = bit_time(kDefaultBitrate) * kBusOffRecoveryBits;
   scheduler_.schedule_after(wait, [this, id] {
     Node& n = nodes_[id];
     if (!n.in_bus_off_recovery) return;  // power-cycled meanwhile

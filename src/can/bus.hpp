@@ -67,9 +67,9 @@ class BusListener {
   }
 };
 
+/// The bus runs at kDefaultBitrate, and CAN FD data phases at
+/// kDefaultFdDataBitrate.
 struct BusConfig {
-  std::uint32_t bitrate = kDefaultBitrate;
-  std::uint32_t fd_data_bitrate = kDefaultFdDataBitrate;
   /// Probability that any given transmission is hit by a (simulated) bit
   /// error and aborted with an error frame.  0 = clean bus.
   double corruption_probability = 0.0;
@@ -78,9 +78,6 @@ struct BusConfig {
   bool auto_bus_off_recovery = true;
   /// Seed for the bus's own randomness (corruption decisions only).
   std::uint64_t seed = 0xb05b05;
-  /// Per-node transmit queue bound; a submit beyond this is dropped and
-  /// counted (real controllers have small mailbox sets).
-  std::size_t tx_queue_limit = 64;
 };
 
 struct BusStats {
@@ -102,6 +99,10 @@ struct BusStats {
 
 class VirtualBus {
  public:
+  /// Per-node transmit queue bound; a submit beyond this is dropped and
+  /// counted (real controllers have small mailbox sets).
+  static constexpr std::size_t kTxQueueLimit = 64;
+
   explicit VirtualBus(sim::Scheduler& scheduler, BusConfig config = {});
   ~VirtualBus() { flush_deliveries(); }
   VirtualBus(const VirtualBus&) = delete;
@@ -175,13 +176,12 @@ class VirtualBus {
   /// is a deterministic sum of per-trial totals.
   void publish_metrics(metrics::Registry& registry) const;
 
-  const BusConfig& config() const noexcept { return config_; }
   sim::Scheduler& scheduler() noexcept { return scheduler_; }
   bool busy() const noexcept { return busy_; }
 
  private:
   /// Fixed-capacity transmit ring: one contiguous arena per node, allocated
-  /// once at first use (capacity = tx_queue_limit), so the steady-state
+  /// once at first use (capacity = kTxQueueLimit), so the steady-state
   /// submit/pop cycle never touches the allocator the way a deque's segment
   /// churn does.
   class TxRing {
@@ -189,16 +189,13 @@ class VirtualBus {
     bool empty() const noexcept { return count_ == 0; }
     std::size_t size() const noexcept { return count_; }
     const CanFrame& front() const noexcept { return slots_[head_]; }
-    void push_back(const CanFrame& frame, std::size_t capacity) {
-      if (slots_ == nullptr) {
-        capacity_ = capacity;
-        slots_ = std::make_unique<CanFrame[]>(capacity_);
-      }
-      slots_[(head_ + count_) % capacity_] = frame;
+    void push_back(const CanFrame& frame) {
+      if (slots_ == nullptr) slots_ = std::make_unique<CanFrame[]>(kTxQueueLimit);
+      slots_[(head_ + count_) % kTxQueueLimit] = frame;
       ++count_;
     }
     void pop_front() noexcept {
-      head_ = (head_ + 1) % capacity_;
+      head_ = (head_ + 1) % kTxQueueLimit;
       --count_;
     }
     void clear() noexcept {
@@ -208,7 +205,6 @@ class VirtualBus {
 
    private:
     std::unique_ptr<CanFrame[]> slots_;
-    std::size_t capacity_ = 0;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
   };

@@ -18,13 +18,6 @@ const MessageDef* Database::by_id(std::uint32_t id) const noexcept {
   return it == by_id_.end() ? nullptr : &messages_[it->second];
 }
 
-const MessageDef* Database::by_name(std::string_view name) const noexcept {
-  for (const auto& message : messages_) {
-    if (message.name == name) return &message;
-  }
-  return nullptr;
-}
-
 std::vector<std::uint32_t> Database::ids() const {
   std::vector<std::uint32_t> out;
   out.reserve(messages_.size());

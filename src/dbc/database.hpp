@@ -22,7 +22,6 @@ class Database {
   void add(MessageDef message);
 
   const MessageDef* by_id(std::uint32_t id) const noexcept;
-  const MessageDef* by_name(std::string_view name) const noexcept;
 
   const std::vector<MessageDef>& messages() const noexcept { return messages_; }
   std::size_t size() const noexcept { return messages_.size(); }

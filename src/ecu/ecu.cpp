@@ -89,9 +89,8 @@ void Ecu::crash(std::string reason) {
   ACF_LOG(kInfo, "ecu") << name_ << " crashed: " << crash_reason_;
 }
 
-void Ecu::enable_uds(std::uint32_t request_id, std::uint32_t response_id,
-                     uds::UdsServerConfig config) {
-  uds_server_ = std::make_unique<uds::UdsServer>(scheduler_, config);
+void Ecu::enable_uds(std::uint32_t request_id, std::uint32_t response_id) {
+  uds_server_ = std::make_unique<uds::UdsServer>(scheduler_);
   uds_server_->set_dtc_provider([this] { return dtcs_.to_uds_bytes(); });
 
   isotp::IsoTpConfig isotp_config;

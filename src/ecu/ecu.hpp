@@ -74,8 +74,7 @@ class Ecu : protected can::BusListener {
   void crash(std::string reason);
 
   /// Enables a UDS server on this ECU at the given request/response ids.
-  void enable_uds(std::uint32_t request_id, std::uint32_t response_id,
-                  uds::UdsServerConfig config = {});
+  void enable_uds(std::uint32_t request_id, std::uint32_t response_id);
 
   /// The Ecu part of a subclass's full reset to its just-built state:
   /// powered, no crash latch (crash count included), no DTCs, the UDS

@@ -7,6 +7,15 @@ namespace acf::feedback {
 namespace {
 
 constexpr char kGeneratorName[] = "feedback";
+/// AFL-tmin style seed trimming: when a novel seed is kept, up to this many
+/// candidates with a chunk removed are re-executed (cost counted), so the
+/// corpus stays short.
+constexpr std::uint32_t kTrimBudget = 12;
+/// Corpus minimisation (greedy set cover) runs after this many additions.
+constexpr std::uint32_t kMinimizeInterval = 32;
+/// Chance (1 in N) of a fresh random sequence instead of mutating a corpus
+/// seed, keeping exploration alive.
+constexpr std::uint64_t kFreshOneIn = 16;
 
 /// True when `haystack` (sorted unique) contains every element of `needles`
 /// (sorted unique) — the trim acceptance test.
@@ -17,8 +26,7 @@ bool covers(const std::vector<Feature>& haystack, const std::vector<Feature>& ne
 }  // namespace
 
 FeedbackCampaign::FeedbackCampaign(FeedbackConfig config)
-    : config_(config), rng_(util::SplitMix64(config.seed).next()),
-      mutator_(config.mutator), map_(config.map_cells) {}
+    : config_(config), rng_(util::SplitMix64(config.seed).next()) {}
 
 void FeedbackCampaign::seed_corpus(const Corpus& corpus) {
   for (const Seed& seed : corpus.seeds()) {
@@ -31,7 +39,7 @@ void FeedbackCampaign::seed_corpus(const Corpus& corpus) {
 
 ExecOutcome FeedbackCampaign::execute(const std::vector<can::CanFrame>& sequence) {
   if (world_ == nullptr) {
-    world_ = std::make_unique<ExecWorld>(config_.predicate, config_.tx_period, config_.settle);
+    world_ = std::make_unique<ExecWorld>(config_.predicate);
   } else {
     world_->reset();
   }
@@ -56,15 +64,13 @@ void FeedbackCampaign::record_failure(const std::vector<can::CanFrame>& sequence
   finding.recent_frames.reserve(sequence.size());
   for (std::size_t i = 0; i < sequence.size(); ++i) {
     finding.recent_frames.push_back(
-        {sequence[i], sim::SimTime{total_sim_ + config_.tx_period * (i + 1)}});
+        {sequence[i], sim::SimTime{total_sim_ + ExecWorld::kTxPeriod * (i + 1)}});
   }
   finding.generator = kGeneratorName;
   finding.seed = config_.seed;
   result_.findings.push_back(std::move(finding));
-  if (config_.stop_on_failure) {
-    result_.reason = fuzzer::StopReason::kFailureDetected;
-    finished_ = true;
-  }
+  result_.reason = fuzzer::StopReason::kFailureDetected;
+  finished_ = true;
 }
 
 void FeedbackCampaign::trim_seed(std::vector<can::CanFrame>& sequence,
@@ -78,7 +84,7 @@ void FeedbackCampaign::trim_seed(std::vector<can::CanFrame>& sequence,
   for (const Feature f : outcome.features) {
     if (!map_.seen(f)) trim_keep_.push_back(f);
   }
-  std::uint32_t budget = config_.trim_budget;
+  std::uint32_t budget = kTrimBudget;
   for (std::size_t chunk = sequence.size() / 2; chunk >= 1 && budget > 0; chunk /= 2) {
     std::size_t pos = 0;
     while (pos + chunk <= sequence.size() && sequence.size() > chunk && budget > 0 &&
@@ -108,23 +114,15 @@ void FeedbackCampaign::trim_seed(std::vector<can::CanFrame>& sequence,
   }
 }
 
-bool FeedbackCampaign::budget_exhausted() const noexcept {
-  if (total_sim_ >= config_.max_total_sim) return true;
-  return config_.max_executions != 0 && stats_.executions >= config_.max_executions;
-}
-
 const fuzzer::CampaignResult& FeedbackCampaign::run() {
   std::vector<can::CanFrame> sequence;  // a corpus pick copies into its capacity
   while (!finished_) {
-    if (budget_exhausted()) {
-      result_.reason = total_sim_ >= config_.max_total_sim
-                           ? fuzzer::StopReason::kDurationElapsed
-                           : fuzzer::StopReason::kFrameLimit;
+    if (total_sim_ >= config_.max_total_sim) {
+      result_.reason = fuzzer::StopReason::kDurationElapsed;
       break;
     }
     // --- pick ------------------------------------------------------------
-    if (corpus_.empty() ||
-        (config_.fresh_one_in != 0 && rng_.next_below(config_.fresh_one_in) == 0)) {
+    if (corpus_.empty() || rng_.next_below(kFreshOneIn) == 0) {
       sequence = mutator_.fresh(rng_);
     } else {
       const std::size_t index = corpus_.pick(rng_);
@@ -149,9 +147,7 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
     // --- keep if novel ---------------------------------------------------
     if (novel) {
       ++stats_.novel_inputs;
-      if (config_.trim && sequence.size() > 1 && !finished_) {
-        trim_seed(sequence, outcome);
-      }
+      if (sequence.size() > 1 && !finished_) trim_seed(sequence, outcome);
       map_.observe_all(outcome.features);
       Seed seed;
       seed.frames = sequence;
@@ -161,7 +157,7 @@ const fuzzer::CampaignResult& FeedbackCampaign::run() {
       seed.exec_cost_ns = static_cast<std::uint64_t>(outcome.elapsed.count());
       if (!corpus_.add(std::move(seed))) {
         ++stats_.seeds_refused;
-      } else if (++additions_since_minimize_ >= config_.minimize_interval) {
+      } else if (++additions_since_minimize_ >= kMinimizeInterval) {
         stats_.seeds_dropped += corpus_.minimize();
         additions_since_minimize_ = 0;
       }

@@ -3,7 +3,7 @@
 // novel behaviour.  The AFL recipe, with the NoveltyMap standing in for
 // branch coverage (DESIGN.md §16).
 //
-// Every execution replays one frame sequence at the configured tx period in
+// Every execution replays one frame sequence at ExecWorld::kTxPeriod in
 // a discrete-event ExecWorld (scheduler, unlock testbench, attacker
 // transport, capture tap, unlock oracle).  The campaign builds that world on
 // its first execution and resets it in place before each later one; a reset
@@ -38,27 +38,6 @@ struct FeedbackConfig {
   /// Total simulated-time budget across all executions (the comparable
   /// quantity against a blind campaign's max_duration).
   sim::Duration max_total_sim{std::chrono::seconds(600)};
-  /// Stop after this many executions (0 = unlimited; budget still applies).
-  std::uint64_t max_executions = 0;
-  /// Frame transmission period within an execution.
-  sim::Duration tx_period{std::chrono::milliseconds(1)};
-  /// Extra simulated time after the last frame, for acks to land.
-  sim::Duration settle{std::chrono::milliseconds(2)};
-  /// Stop at the first failure-verdict observation.
-  bool stop_on_failure = true;
-  /// Novelty map size (cells; rounded up to a power of two).
-  std::size_t map_cells = NoveltyMap::kDefaultCells;
-  /// AFL-tmin style seed trimming: when a novel seed is kept, try removing
-  /// chunks of it (re-executing each candidate, cost counted) so the corpus
-  /// stays short.  Bounded by trim_budget executions per seed.
-  bool trim = true;
-  std::uint32_t trim_budget = 12;
-  /// Corpus minimisation (greedy set cover) runs after this many additions.
-  std::uint32_t minimize_interval = 32;
-  /// Chance (1 in N) of a fresh random sequence instead of mutating a
-  /// corpus seed, keeping exploration alive.
-  std::uint32_t fresh_one_in = 16;
-  SequenceMutatorConfig mutator;
   /// The unlock predicate guarding the testbench's BCM.
   vehicle::UnlockPredicate predicate = vehicle::UnlockPredicate::single_id_and_byte();
 };
@@ -80,8 +59,7 @@ class FeedbackCampaign {
   /// run(); every seed's features are folded into the novelty map.
   void seed_corpus(const Corpus& corpus);
 
-  /// Drives the loop until budget, execution limit or (stop_on_failure)
-  /// the first failure.
+  /// Drives the loop until the budget is spent or the first failure.
   const fuzzer::CampaignResult& run();
 
   const fuzzer::CampaignResult& result() const noexcept { return result_; }
@@ -89,14 +67,12 @@ class FeedbackCampaign {
   const NoveltyMap& map() const noexcept { return map_; }
   const FeedbackStats& stats() const noexcept { return stats_; }
   const fuzzer::CoverageTracker& coverage() const noexcept { return coverage_; }
-  const FeedbackConfig& config() const noexcept { return config_; }
 
  private:
   ExecOutcome execute(const std::vector<can::CanFrame>& sequence);
   void record_failure(const std::vector<can::CanFrame>& sequence,
                       const ExecOutcome& outcome);
   void trim_seed(std::vector<can::CanFrame>& sequence, ExecOutcome& outcome);
-  bool budget_exhausted() const noexcept;
 
   FeedbackConfig config_;
   util::Rng rng_;

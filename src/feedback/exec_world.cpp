@@ -8,19 +8,18 @@ namespace {
 // Features outside the (id, dlc) cells: four ECU-state, two oracle and four
 // bus-error ones at most.
 constexpr std::size_t kScalarFeatures = 10;
+// Extra simulated time after the last tx slot, for acks to land.
+constexpr sim::Duration kSettle = std::chrono::milliseconds(2);
 }  // namespace
 
-ExecWorld::ExecWorld(vehicle::UnlockPredicate predicate, sim::Duration tx_period,
-                     sim::Duration settle)
+ExecWorld::ExecWorld(vehicle::UnlockPredicate predicate)
     // One 64-event slab chunk holds the sends (at most
-    // SequenceMutatorConfig::max_frames) plus the bench's own events.
+    // SequenceMutator::kMaxFrames) plus the bench's own events.
     : scheduler_(64),
       bench_(scheduler_, predicate),
       attacker_(bench_.bus(), "attacker"),
       tap_(bench_.bus(), "feedback.tap"),
-      oracle_(bench_.bus(), &bench_.bcm()),
-      tx_period_(tx_period),
-      settle_(settle) {}
+      oracle_(bench_.bus(), &bench_.bcm()) {}
 
 void ExecWorld::reset() {
   scheduler_.reset();
@@ -45,12 +44,12 @@ ExecOutcome ExecWorld::execute(std::span<const can::CanFrame> sequence,
       }
     };
     static_assert(sim::PooledAction::inlined<decltype(send)>());
-    scheduler_.schedule_at(sim::SimTime{tx_period_ * (i + 1)}, send);
+    scheduler_.schedule_at(sim::SimTime{kTxPeriod * (i + 1)}, send);
   }
   // Short, bounded window: the sends plus a settle margin for acks.  The
   // bench's 100 ms periodics never fire inside it, so the tap sees only the
   // injected traffic and its direct consequences.
-  scheduler_.run_for(tx_period_ * (sequence.size() + 1) + settle_);
+  scheduler_.run_for(kTxPeriod * (sequence.size() + 1) + kSettle);
   out.elapsed = sim::Duration{scheduler_.now()};
 
   const auto observation = oracle_.poll(scheduler_.now());

@@ -39,10 +39,11 @@ struct ExecOutcome {
 
 class ExecWorld {
  public:
-  /// Builds the world.  Each execution sends its frames `tx_period` apart
-  /// and runs `settle` past the last slot, for acks to land.
-  ExecWorld(vehicle::UnlockPredicate predicate, sim::Duration tx_period,
-            sim::Duration settle);
+  /// The gap between tx slots: slot i (from 1) sends frame i - 1.
+  static constexpr sim::Duration kTxPeriod{std::chrono::milliseconds(1)};
+
+  /// Builds the world around a BCM guarded by `predicate`.
+  explicit ExecWorld(vehicle::UnlockPredicate predicate);
 
   ExecWorld(const ExecWorld&) = delete;
   ExecWorld& operator=(const ExecWorld&) = delete;
@@ -59,9 +60,6 @@ class ExecWorld {
   ExecOutcome execute(std::span<const can::CanFrame> sequence,
                       fuzzer::CoverageTracker& coverage);
 
-  /// The gap between tx slots: slot i (from 1) sends frame i - 1.
-  sim::Duration tx_period() const noexcept { return tx_period_; }
-
   sim::Scheduler& scheduler() noexcept { return scheduler_; }
   vehicle::UnlockTestbench& bench() noexcept { return bench_; }
   transport::VirtualBusTransport& attacker() noexcept { return attacker_; }
@@ -74,8 +72,6 @@ class ExecWorld {
   transport::VirtualBusTransport attacker_;
   trace::CaptureTap tap_;
   oracle::UnlockOracle oracle_;
-  sim::Duration tx_period_;
-  sim::Duration settle_;
   std::vector<std::uint64_t> cell_keys_;  // the tap's (id, dlc) keys, reused
 };
 

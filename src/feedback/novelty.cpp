@@ -73,11 +73,6 @@ bool NoveltyMap::seen(Feature feature) const noexcept {
   return (words_[cell / 64] >> (cell % 64)) & 1;
 }
 
-double NoveltyMap::density() const noexcept {
-  const std::size_t total = cells();
-  return total == 0 ? 0.0 : static_cast<double>(occupied_) / static_cast<double>(total);
-}
-
 void NoveltyMap::reset() noexcept {
   for (std::uint64_t& word : words_) word = 0;
   occupied_ = 0;

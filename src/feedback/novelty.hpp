@@ -67,8 +67,6 @@ class NoveltyMap {
 
   std::size_t cells() const noexcept { return words_.size() * 64; }
   std::size_t occupied() const noexcept { return occupied_; }
-  /// Fraction of cells hit — the AFL "map density" health metric.
-  double density() const noexcept;
 
   void reset() noexcept;
 

@@ -1,6 +1,7 @@
 #include "feedback/sequence_mutator.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "dbc/target_vehicle_db.hpp"
 #include "fuzzer/mutation_core.hpp"
@@ -16,6 +17,17 @@ namespace {
 constexpr std::uint8_t kInterestingBytes[] = {0x00, 0x01, 0x10, 0x20, 0x40,
                                               0x5F, 0x7F, 0x80, 0xFF};
 
+/// The id-snap operator's dictionary: the target vehicle's message ids
+/// (dbc/target_vehicle_db.hpp).
+constexpr std::uint32_t kTargetVehicleIds[] = {
+    dbc::kMsgEngineData,     dbc::kMsgVehicleSpeed,   dbc::kMsgWheelSpeeds,
+    dbc::kMsgPowertrainStatus, dbc::kMsgClusterDisplay, dbc::kMsgTelltales,
+    dbc::kMsgBodyCommand,    dbc::kMsgBodyAck,        dbc::kMsgDoorStatus,
+    dbc::kUdsEngineRequest,  dbc::kUdsClusterRequest, dbc::kUdsBcmRequest};
+
+/// Radius for the id-jitter operator.
+constexpr std::uint32_t kIdJitterRadius = 16;
+
 std::vector<std::uint8_t> payload_of(const can::CanFrame& frame) {
   return {frame.payload().begin(), frame.payload().end()};
 }
@@ -27,20 +39,6 @@ can::CanFrame rebuild(const can::CanFrame& frame, std::uint32_t id,
 
 }  // namespace
 
-SequenceMutator::SequenceMutator(SequenceMutatorConfig config,
-                                 std::vector<std::uint32_t> id_dictionary)
-    : config_(config), ids_(std::move(id_dictionary)) {
-  if (config_.max_frames == 0) config_.max_frames = 1;
-  if (ids_.empty()) ids_ = target_vehicle_ids();
-}
-
-std::vector<std::uint32_t> SequenceMutator::target_vehicle_ids() {
-  return {dbc::kMsgEngineData,   dbc::kMsgVehicleSpeed,  dbc::kMsgWheelSpeeds,
-          dbc::kMsgPowertrainStatus, dbc::kMsgClusterDisplay, dbc::kMsgTelltales,
-          dbc::kMsgBodyCommand,  dbc::kMsgBodyAck,       dbc::kMsgDoorStatus,
-          dbc::kUdsEngineRequest, dbc::kUdsClusterRequest, dbc::kUdsBcmRequest};
-}
-
 can::CanFrame SequenceMutator::random_frame(util::Rng& rng) const {
   const auto id = static_cast<std::uint32_t>(rng.next_below(can::kMaxStandardId + 1));
   const auto len = static_cast<std::size_t>(rng.next_below(can::kMaxClassicPayload + 1));
@@ -50,8 +48,7 @@ can::CanFrame SequenceMutator::random_frame(util::Rng& rng) const {
 }
 
 std::vector<can::CanFrame> SequenceMutator::fresh(util::Rng& rng) const {
-  const std::size_t count =
-      std::min<std::size_t>(1 + rng.next_below(4), config_.max_frames);
+  const auto count = static_cast<std::size_t>(1 + rng.next_below(4));
   std::vector<can::CanFrame> sequence;
   sequence.reserve(count);
   for (std::size_t i = 0; i < count; ++i) sequence.push_back(random_frame(rng));
@@ -91,12 +88,12 @@ void SequenceMutator::mutate_once(util::Rng& rng, std::vector<can::CanFrame>& se
       break;
     }
     case 3: {
-      const std::uint32_t id = ids_[static_cast<std::size_t>(rng.next_below(ids_.size()))];
+      const std::uint32_t id = kTargetVehicleIds[rng.next_below(std::size(kTargetVehicleIds))];
       frame = rebuild(frame, id, frame.payload());
       break;
     }
     case 4:
-      frame = fuzzer::mutations::jitter_id(frame, rng, config_.id_jitter_radius);
+      frame = fuzzer::mutations::jitter_id(frame, rng, kIdJitterRadius);
       break;
     case 5: {
       auto bytes = payload_of(frame);
@@ -108,7 +105,7 @@ void SequenceMutator::mutate_once(util::Rng& rng, std::vector<can::CanFrame>& se
       break;
     }
     case 6:
-      if (sequence.size() < config_.max_frames) {
+      if (sequence.size() < kMaxFrames) {
         sequence.insert(sequence.begin() + static_cast<std::ptrdiff_t>(at), sequence[at]);
       }
       break;
@@ -125,9 +122,9 @@ void SequenceMutator::mutate_once(util::Rng& rng, std::vector<can::CanFrame>& se
         sequence.resize(keep);
         sequence.insert(sequence.end(), donor->begin() + static_cast<std::ptrdiff_t>(from),
                         donor->end());
-        if (sequence.size() > config_.max_frames) sequence.resize(config_.max_frames);
+        if (sequence.size() > kMaxFrames) sequence.resize(kMaxFrames);
       } else {
-        if (sequence.size() < config_.max_frames) {
+        if (sequence.size() < kMaxFrames) {
           sequence.push_back(random_frame(rng));
         }
       }
@@ -139,7 +136,7 @@ void SequenceMutator::mutate_once(util::Rng& rng, std::vector<can::CanFrame>& se
 void SequenceMutator::mutate(util::Rng& rng, std::vector<can::CanFrame>& sequence,
                              const std::vector<can::CanFrame>* donor) const {
   if (sequence.empty()) sequence.push_back(random_frame(rng));
-  if (sequence.size() > config_.max_frames) sequence.resize(config_.max_frames);
+  if (sequence.size() > kMaxFrames) sequence.resize(kMaxFrames);
   const std::uint64_t rounds = 1 + rng.next_below(4);
   for (std::uint64_t i = 0; i < rounds; ++i) mutate_once(rng, sequence, donor);
 }

@@ -25,27 +25,14 @@
 
 namespace acf::feedback {
 
-struct SequenceMutatorConfig {
-  /// Hard cap on frames per sequence; keeps per-execution simulated cost
-  /// (and therefore the time-to-finding denominator) small.
-  std::size_t max_frames = 16;
-  /// Radius for the id-jitter operator.
-  std::uint32_t id_jitter_radius = 16;
-};
-
 class SequenceMutator {
  public:
-  /// `id_dictionary` seeds the id-snap operator; empty falls back to the
-  /// target vehicle's message ids.
-  explicit SequenceMutator(SequenceMutatorConfig config = {},
-                           std::vector<std::uint32_t> id_dictionary = {});
-
-  /// The target vehicle's message ids (dbc/target_vehicle_db.hpp) — the
-  /// default dictionary.
-  static std::vector<std::uint32_t> target_vehicle_ids();
+  /// Hard cap on frames per sequence; keeps per-execution simulated cost
+  /// (and therefore the time-to-finding denominator) small.
+  static constexpr std::size_t kMaxFrames = 16;
 
   /// Applies 1..4 havoc rounds in place.  `donor` (may be null) supplies
-  /// splice material; the result never exceeds max_frames and never
+  /// splice material; the result never exceeds kMaxFrames and never
   /// becomes empty.
   void mutate(util::Rng& rng, std::vector<can::CanFrame>& sequence,
               const std::vector<can::CanFrame>* donor) const;
@@ -53,15 +40,10 @@ class SequenceMutator {
   /// Fresh random sequence of 1..4 frames.
   std::vector<can::CanFrame> fresh(util::Rng& rng) const;
 
-  const SequenceMutatorConfig& config() const noexcept { return config_; }
-
  private:
   can::CanFrame random_frame(util::Rng& rng) const;
   void mutate_once(util::Rng& rng, std::vector<can::CanFrame>& sequence,
                    const std::vector<can::CanFrame>* donor) const;
-
-  SequenceMutatorConfig config_;
-  std::vector<std::uint32_t> ids_;
 };
 
 }  // namespace acf::feedback

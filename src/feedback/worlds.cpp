@@ -11,6 +11,9 @@ namespace acf::feedback {
 
 namespace {
 
+/// A trial's total simulated-time budget when the TrialPlan sets none.
+constexpr sim::Duration kDefaultBudget = std::chrono::seconds(600);
+
 class FeedbackWorld final : public fleet::World {
  public:
   FeedbackWorld(const FeedbackArm& arm, const fleet::TrialSpec& spec,
@@ -19,7 +22,7 @@ class FeedbackWorld final : public fleet::World {
     FeedbackConfig config = arm.config;
     config.seed = spec.seed;
     config.max_total_sim =
-        spec.sim_budget.count() > 0 ? spec.sim_budget : arm.default_budget;
+        spec.sim_budget.count() > 0 ? spec.sim_budget : kDefaultBudget;
     campaign_ = std::make_unique<FeedbackCampaign>(config);
     if (!corpus_dir_.empty()) {
       if (auto seeds = Corpus::load(corpus_dir_ + "/seed.corpus")) {

@@ -17,12 +17,11 @@ class Registry;
 
 namespace acf::feedback {
 
-/// One arm of a feedback fleet: the loop configuration (seed and total
-/// budget are overridden per trial from the TrialSpec) plus the fallback
-/// budget when the TrialPlan does not impose one.
+/// One arm of a feedback fleet: the loop configuration.  The seed comes
+/// from the TrialSpec, and so does the total budget when the TrialPlan
+/// imposes one (600 simulated seconds otherwise).
 struct FeedbackArm {
   FeedbackConfig config;
-  sim::Duration default_budget{std::chrono::seconds(600)};
 };
 
 /// Factory building one isolated feedback campaign per trial; the trial's

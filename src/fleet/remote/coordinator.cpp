@@ -13,6 +13,14 @@ namespace acf::fleet::remote {
 
 namespace {
 
+/// A connection that never completes its handshake is dropped after this.
+constexpr std::chrono::milliseconds kHandshakeTimeout{5'000};
+/// Poll-loop tick; bounds failure-detection and checkpoint latency.
+constexpr int kPollPeriodMs = 50;
+/// Minimum interval between checkpoint writes (dirty state is also flushed
+/// on exit and on worker failure events).
+constexpr std::chrono::milliseconds kCheckpointPeriod{1'000};
+
 std::size_t clamp_capacity(std::uint32_t capacity) {
   if (capacity == 0) return 1;
   return std::min<std::size_t>(capacity, kMaxLeaseTrials);
@@ -106,7 +114,7 @@ void Coordinator::load_checkpoint() {
 void Coordinator::save_checkpoint(bool force) {
   if (config_.checkpoint_path.empty()) return;
   const auto now = WallClock::now();
-  if (!force && (!dirty_ || now - last_checkpoint_ < config_.checkpoint_period)) return;
+  if (!force && (!dirty_ || now - last_checkpoint_ < kCheckpointPeriod)) return;
   FleetCheckpoint checkpoint;
   checkpoint.fingerprint = fingerprint_;
   checkpoint.trial_count = plan_.trial_count();
@@ -306,7 +314,6 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
   if (progress_) progress_->begin(plan_.trial_count(), table_.done_count());
 
   util::PollSet poll;
-  const int poll_ms = static_cast<int>(std::max<std::int64_t>(config_.poll_period.count(), 1));
   ShutdownReason shutdown_reason = ShutdownReason::kCampaignComplete;
 
   while (!table_.all_done()) {
@@ -329,7 +336,7 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
       polled.emplace_back(poll.add(conn->fd.get(), conn->out_sent < conn->out.size()),
                           conn.get());
     }
-    poll.wait(poll_ms);
+    poll.wait(kPollPeriodMs);
 
     if (poll.entry(listener_slot).readable) {
       while (std::optional<util::Fd> accepted = listener_.accept()) {
@@ -370,7 +377,7 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
     }
     for (auto& conn : connections_) {
       if (!conn->dead && !conn->handshaken &&
-          now - conn->connected_at > config_.handshake_timeout) {
+          now - conn->connected_at > kHandshakeTimeout) {
         drop(*conn, /*count_disconnect=*/false);
       }
     }

@@ -44,15 +44,8 @@ struct CoordinatorConfig {
   std::size_t max_batch = 8;
   /// Silence (no result, no heartbeat) after which a lease is stolen.
   std::chrono::milliseconds lease_ttl{10'000};
-  /// A connection that never completes its handshake is dropped after this.
-  std::chrono::milliseconds handshake_timeout{5'000};
-  /// Poll-loop tick; bounds failure-detection and checkpoint latency.
-  std::chrono::milliseconds poll_period{50};
   /// Campaign checkpoint path; empty disables persistence.
   std::string checkpoint_path;
-  /// Minimum interval between checkpoint writes (dirty state is also
-  /// flushed on exit and on worker failure events).
-  std::chrono::milliseconds checkpoint_period{1'000};
   /// Must match the workers' world tag: part of the campaign fingerprint.
   std::string world_tag = "unlock";
   /// Test/ops hook: save a checkpoint and return once this many trials have

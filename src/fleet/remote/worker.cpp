@@ -19,6 +19,10 @@ namespace acf::fleet::remote {
 
 namespace {
 
+/// Handshake wait bound; a coordinator silent this long counts as a
+/// connection failure.
+constexpr std::chrono::milliseconds kIoTimeout{10'000};
+
 /// Writes a whole frame on the (blocking) coordinator socket.
 bool send_all(int fd, std::span<const std::uint8_t> bytes) {
   std::size_t sent = 0;
@@ -164,7 +168,7 @@ WorkerResult Worker::run() {
     hello.instance_id = instance_id_;
     if (!send_all(fd, frame_message(Message{std::move(hello)}))) return SessionEnd::kLost;
 
-    WaitResult greeting = wait_frame(fd, reader, config_.io_timeout);
+    WaitResult greeting = wait_frame(fd, reader, kIoTimeout);
     if (greeting.status != WaitStatus::kFrame) return SessionEnd::kLost;
     std::optional<Message> reply = decode(greeting.payload);
     if (!reply) return SessionEnd::kLost;

@@ -40,9 +40,6 @@ struct WorkerConfig {
   /// Lease-liveness heartbeat cadence while a batch is running (and the
   /// idle keepalive cadence while waiting for a grant).
   std::chrono::milliseconds heartbeat_period{1'000};
-  /// Handshake / single-frame wait bound; a coordinator silent this long
-  /// counts as a connection failure.
-  std::chrono::milliseconds io_timeout{10'000};
   /// When set, trials record into this registry and every batch heartbeat
   /// ships the FULL running totals to the coordinator (replace-on-update,
   /// so reconnects never double count).  Must outlive run().

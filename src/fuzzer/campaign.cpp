@@ -4,6 +4,11 @@
 
 namespace acf::fuzzer {
 
+namespace {
+/// Injected frames retained per finding for reproduction.
+constexpr std::size_t kFindingWindow = 32;
+}  // namespace
+
 const char* to_string(StopReason reason) noexcept {
   switch (reason) {
     case StopReason::kStillRunning: return "still-running";
@@ -29,7 +34,7 @@ FuzzCampaign::FuzzCampaign(sim::Scheduler& scheduler, transport::CanTransport& t
                            FrameGenerator& generator, oracle::Oracle* oracle,
                            CampaignConfig config)
     : scheduler_(scheduler), transport_(transport), generator_(generator), oracle_(oracle),
-      config_(config), recent_(config.finding_window) {}
+      config_(config), recent_(kFindingWindow) {}
 
 sim::Duration FuzzCampaign::elapsed_now() const {
   if (finished_) return result_.elapsed;  // frozen at finish time

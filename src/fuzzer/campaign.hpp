@@ -33,8 +33,6 @@ struct CampaignConfig {
   bool stop_on_failure = true;
   /// Record suspicious (non-failure) observations as findings too.
   bool record_suspicious = true;
-  /// Injected frames retained per finding for reproduction.
-  std::size_t finding_window = 32;
 };
 
 enum class StopReason : std::uint8_t {
@@ -80,7 +78,6 @@ class FuzzCampaign {
   const CampaignResult& run();
 
   const CampaignResult& result() const noexcept { return result_; }
-  const CampaignConfig& config() const noexcept { return config_; }
 
   /// Invoked on every finding as it is recorded.
   void set_on_finding(std::function<void(const Finding&)> callback) {

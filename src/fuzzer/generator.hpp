@@ -44,8 +44,6 @@ class RandomGenerator final : public FrameGenerator {
   std::optional<can::CanFrame> next() override;
   void rewind() override;
 
-  const FuzzConfig& config() const noexcept { return config_; }
-
   /// Regenerates frame `index` of the stream without disturbing this
   /// generator (used by finding replay).
   static can::CanFrame frame_at(const FuzzConfig& config, std::uint64_t index);

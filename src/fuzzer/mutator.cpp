@@ -6,6 +6,16 @@
 
 namespace acf::fuzzer {
 
+namespace {
+/// Relative operator weights: bit flip, byte randomize, id jitter, resize.
+constexpr double kWeightBitFlip = 4.0;
+constexpr double kWeightByteRandomize = 3.0;
+constexpr double kWeightIdJitter = 1.0;
+constexpr double kWeightResize = 1.0;
+/// Seed of the generator's draw stream (rewind() restarts it).
+constexpr std::uint64_t kSeed = 0xACF1;
+}  // namespace
+
 namespace mutations {
 
 can::CanFrame flip_random_bit(const can::CanFrame& frame, util::Rng& rng) {
@@ -44,7 +54,7 @@ can::CanFrame resize_payload(const can::CanFrame& frame, util::Rng& rng) {
 }  // namespace mutations
 
 MutationGenerator::MutationGenerator(std::vector<can::CanFrame> corpus, MutationPlan plan)
-    : corpus_(std::move(corpus)), plan_(plan), rng_(plan.seed) {
+    : corpus_(std::move(corpus)), plan_(plan), rng_(kSeed) {
   if (corpus_.empty()) corpus_.push_back(can::CanFrame{});
 }
 
@@ -57,7 +67,7 @@ MutationGenerator MutationGenerator::from_capture(
 }
 
 void MutationGenerator::rewind() {
-  rng_ = util::Rng(plan_.seed);
+  rng_ = util::Rng(kSeed);
   generated_ = 0;
 }
 
@@ -71,12 +81,11 @@ std::optional<can::CanFrame> MutationGenerator::next() {
 }
 
 can::CanFrame MutationGenerator::mutate_once(const can::CanFrame& frame) {
-  const double total = plan_.weight_bit_flip + plan_.weight_byte_randomize +
-                       plan_.weight_id_jitter + plan_.weight_resize;
-  double pick = rng_.next_double() * total;
-  if ((pick -= plan_.weight_bit_flip) < 0) return mutations::flip_random_bit(frame, rng_);
-  if ((pick -= plan_.weight_byte_randomize) < 0) return mutations::randomize_byte(frame, rng_);
-  if ((pick -= plan_.weight_id_jitter) < 0) {
+  constexpr double kTotal = kWeightBitFlip + kWeightByteRandomize + kWeightIdJitter + kWeightResize;
+  double pick = rng_.next_double() * kTotal;
+  if ((pick -= kWeightBitFlip) < 0) return mutations::flip_random_bit(frame, rng_);
+  if ((pick -= kWeightByteRandomize) < 0) return mutations::randomize_byte(frame, rng_);
+  if ((pick -= kWeightIdJitter) < 0) {
     return mutations::jitter_id(frame, rng_, plan_.id_radius);
   }
   return mutations::resize_payload(frame, rng_);

@@ -26,14 +26,8 @@ struct MutationPlan {
   /// Mutations applied per emitted frame: uniform in [min, max].
   std::uint8_t min_mutations = 1;
   std::uint8_t max_mutations = 3;
-  /// Relative operator weights.
-  double weight_bit_flip = 4.0;
-  double weight_byte_randomize = 3.0;
-  double weight_id_jitter = 1.0;
-  double weight_resize = 1.0;
   /// Id jitter radius.
   std::uint32_t id_radius = 8;
-  std::uint64_t seed = 0xACF1;
 };
 
 /// Draws a corpus frame uniformly and applies 1..N weighted mutations.

@@ -7,7 +7,9 @@ namespace acf::fuzzer {
 
 namespace {
 constexpr std::uint8_t kBoundaryBytes[] = {0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF};
-}
+/// Weight multiplier applied to an id on reward (clamped to max_weight).
+constexpr double kRewardFactor = 8.0;
+}  // namespace
 
 // -------------------------------------------------------------- boundary --
 
@@ -86,7 +88,7 @@ std::size_t FeedbackGenerator::id_to_index(std::uint32_t id) const {
 void FeedbackGenerator::reward(std::uint32_t id) {
   const std::size_t index = id_to_index(id);
   if (index >= weights_.size()) return;
-  const double boosted = std::min(weights_[index] * plan_.reward_factor, plan_.max_weight);
+  const double boosted = std::min(weights_[index] * kRewardFactor, plan_.max_weight);
   total_weight_ += boosted - weights_[index];
   weights_[index] = boosted;
 }

@@ -45,8 +45,7 @@ class BoundaryGenerator final : public FrameGenerator {
 };
 
 struct FeedbackPlan {
-  /// Weight multiplier applied to an id on reward (clamped to max_weight).
-  double reward_factor = 8.0;
+  /// Cap on an id's weight; each reward multiplies it by 8 up to this.
   double max_weight = 512.0;
   /// Exploration floor: fraction of frames that ignore the weights.
   double explore_fraction = 0.25;

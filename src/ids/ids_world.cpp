@@ -21,6 +21,9 @@ EvalSink make_eval_sink(const fleet::TrialPlan& plan) {
 
 namespace {
 
+/// The fuzz budget when the TrialPlan does not impose one.
+constexpr sim::Duration kDefaultBudget = std::chrono::hours(24);
+
 /// One detector-evaluation trial: the Table V bench plus a tapped pipeline.
 /// Train on clean traffic, freeze, fuzz with labeling, deposit the eval.
 class IdsUnlockWorld final : public fleet::World {
@@ -28,7 +31,7 @@ class IdsUnlockWorld final : public fleet::World {
   IdsUnlockWorld(const IdsArm& arm, const fleet::TrialSpec& spec, EvalSink sink,
                  metrics::Registry* registry)
       : registry_(registry), bench_(scheduler_, arm.predicate),
-        attacker_(bench_.bus(), "attacker"), pipeline_(arm.pipeline),
+        attacker_(bench_.bus(), "attacker"),
         sink_(std::move(sink)), spec_(spec), train_window_(arm.train_window) {
     auto detectors = arm.detectors ? arm.detectors()
                                    : standard_detectors(dbc::target_vehicle_database());
@@ -43,7 +46,7 @@ class IdsUnlockWorld final : public fleet::World {
     fuzzer::CampaignConfig config;
     config.tx_period = fuzz.tx_period;
     config.max_duration =
-        spec.sim_budget.count() > 0 ? spec.sim_budget : arm.default_budget;
+        spec.sim_budget.count() > 0 ? spec.sim_budget : kDefaultBudget;
     config.oracle_period = std::chrono::milliseconds(10);
     config.record_suspicious = false;
     campaign_ = std::make_unique<fuzzer::FuzzCampaign>(scheduler_, attacker_, *generator_,

@@ -35,9 +35,6 @@ struct IdsArm {
   fuzzer::FuzzConfig fuzz = fuzzer::FuzzConfig::full_random();
   /// Clean-traffic training window before the attack starts.
   sim::Duration train_window{std::chrono::seconds(30)};
-  /// Fallback fuzz budget when the TrialPlan does not impose one.
-  sim::Duration default_budget{std::chrono::hours(24)};
-  PipelineConfig pipeline;
   /// Empty => standard_detectors(target_vehicle_database()).
   DetectorSetFactory detectors;
 };

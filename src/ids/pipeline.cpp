@@ -5,7 +5,13 @@
 
 namespace acf::ids {
 
-Pipeline::Pipeline(PipelineConfig config) : config_(config) {
+namespace {
+/// Minimum gap between two alerts from the same (detector, id) pair;
+/// suppressed alerts are counted, not delivered.
+constexpr sim::Duration kAlertCooldown = std::chrono::seconds(1);
+}  // namespace
+
+Pipeline::Pipeline() {
   frames_trained_ = &registry_.counter("ids.pipeline.frames_trained");
   frames_scored_ = &registry_.counter("ids.pipeline.frames_scored");
   alerts_raised_ = &registry_.counter("ids.pipeline.alerts_raised");
@@ -77,7 +83,7 @@ void Pipeline::observe(const can::CanFrame& frame, sim::SimTime time) {
     if (scores_[i] < detectors_[i]->threshold()) continue;
     const auto [last, first] = last_alert_[i].try_emplace(frame.id(), time);
     if (!first) {
-      if (time - *last < config_.alert_cooldown) {
+      if (time - *last < kAlertCooldown) {
         alerts_suppressed_->add(1);
         continue;
       }
@@ -91,7 +97,7 @@ void Pipeline::observe(const can::CanFrame& frame, sim::SimTime time) {
     alert.time = time;
     alerts_raised_->add(1);
     per_detector_alerts_[i]->add(1);
-    if (pending_.size() < config_.max_pending_alerts) {
+    if (pending_.size() < kMaxPendingAlerts) {
       pending_.push_back(alert);
     } else {
       alerts_dropped_->add(1);

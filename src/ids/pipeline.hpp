@@ -33,14 +33,6 @@
 
 namespace acf::ids {
 
-struct PipelineConfig {
-  /// Minimum gap between two alerts from the same (detector, id) pair;
-  /// suppressed alerts are counted, not delivered.
-  sim::Duration alert_cooldown{std::chrono::seconds(1)};
-  /// Bound on the undrained alert queue (oldest kept; overflow counted).
-  std::size_t max_pending_alerts = 4096;
-};
-
 /// Snapshot of the pipeline counters (plain values, copyable).
 struct PipelineCounters {
   std::uint64_t frames_trained = 0;
@@ -54,7 +46,10 @@ class Pipeline final : private can::BusListener {
  public:
   enum class Mode : std::uint8_t { kIdle, kTraining, kDetecting };
 
-  explicit Pipeline(PipelineConfig config = {});
+  /// Bound on the undrained alert queue (oldest kept; overflow counted).
+  static constexpr std::size_t kMaxPendingAlerts = 4096;
+
+  Pipeline();
   ~Pipeline() override;
 
   Pipeline(const Pipeline&) = delete;
@@ -111,7 +106,6 @@ class Pipeline final : private can::BusListener {
  private:
   void on_frame(const can::CanFrame& frame, sim::SimTime time) override;
 
-  PipelineConfig config_;
   std::vector<std::unique_ptr<Detector>> detectors_;
   Mode mode_ = Mode::kIdle;
 

@@ -25,9 +25,7 @@ IsoTpChannel::IsoTpChannel(sim::Scheduler& scheduler, SendFn send, IsoTpConfig c
 
 bool IsoTpChannel::send_raw(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> padded(bytes.begin(), bytes.end());
-  if (config_.pad_frames && padded.size() < can::kMaxClassicPayload) {
-    padded.resize(can::kMaxClassicPayload, config_.pad_byte);
-  }
+  padded.resize(can::kMaxClassicPayload, config_.pad_byte);
   const auto frame = can::CanFrame::data(config_.tx_id, padded);
   if (!frame) return false;
   if (!send_(*frame)) return false;

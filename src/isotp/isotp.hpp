@@ -33,9 +33,8 @@ struct IsoTpConfig {
   /// sender aborts.  Without a bound a hostile peer answering every FF with
   /// Wait pins the transmitter in kAwaitingFlowControl forever.
   std::uint8_t max_fc_waits = 8;
-  /// Classic CAN frames are padded to 8 bytes with this value (ISO 15765-2
+  /// Every frame is padded to 8 bytes with this value (ISO 15765-2
   /// requires consistent DLC for most OEMs).
-  bool pad_frames = true;
   std::uint8_t pad_byte = 0xCC;
 };
 

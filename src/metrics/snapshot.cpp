@@ -438,7 +438,7 @@ std::string render_table(const RegistrySnapshot& snap) {
 void SnapshotWriter::write(const RegistrySnapshot& snap, double sim_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   SnapshotLine line;
-  // 1-based: the stamp on a line equals lines_written() as of that line, so
+  // 1-based: the stamp on a line is the number of lines written so far, so
   // a reader can detect gaps and the final line's seq is the line count.
   line.seq = ++seq_;
   line.source = source_;
@@ -456,11 +456,6 @@ void SnapshotWriter::write(const RegistrySnapshot& snap, double sim_seconds) {
   }
   out_ << encode_snapshot_line(line) << '\n';
   out_.flush();
-}
-
-std::uint64_t SnapshotWriter::lines_written() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return seq_;
 }
 
 }  // namespace acf::metrics

@@ -67,10 +67,8 @@ class SnapshotWriter {
   /// Writes one line and flushes (live observers tail the file).
   void write(const RegistrySnapshot& snap, double sim_seconds);
 
-  std::uint64_t lines_written() const;
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::ostream& out_;
   std::string source_;
   std::uint64_t seq_ = 0;

@@ -22,6 +22,9 @@ std::uint8_t encode_percent(double pct) noexcept {
 
 namespace {
 
+/// Most PIDs one mode 01 request may carry (J1979).
+constexpr std::size_t kMaxPidsPerRequest = 6;
+
 isotp::IsoTpConfig config_for(std::uint32_t rx, std::uint32_t tx) {
   isotp::IsoTpConfig config;
   config.rx_id = rx;
@@ -68,7 +71,7 @@ void ObdServer::handle_request(const std::vector<std::uint8_t>& request) {
   std::vector<std::uint8_t> response;
   switch (mode) {
     case kModeCurrentData:
-      if (request.size() < 2) {
+      if (request.size() < 2 || request.size() - 1 > kMaxPidsPerRequest) {
         ++malformed_;
         return;
       }
@@ -95,11 +98,10 @@ void ObdServer::handle_request(const std::vector<std::uint8_t>& request) {
       if (mode < 0x10) ++malformed_;
       return;
   }
-  if (response.empty()) {
+  if (response.empty() || response.size() > isotp::kMaxPayload) {
     ++malformed_;
     return;
   }
-  ++served_;
   // Responses go out on the physical response id regardless of which
   // request id carried the query.
   physical_.send(std::move(response));

@@ -59,6 +59,15 @@ std::uint8_t encode_percent(double pct) noexcept;        // *255/100
 
 /// OBD server: owns an ISO-TP endpoint answering both the functional id and
 /// its physical request id (response id = request id + 8 per J1979).
+///
+/// A request the server cannot answer draws silence and counts in
+/// malformed_requests(): an empty request, an unsupported OBD mode, a mode
+/// 01 or 09 request naming nothing the server supports, a mode 01 request
+/// of more than six PIDs (J1979's limit), and a request whose answer would
+/// exceed isotp::kMaxPayload.  SIDs from 0x10 up belong to the UDS stack
+/// sharing the ids and are ignored uncounted.  ISO-TP has one transmit
+/// slot, so a request that arrives while the previous answer is still being
+/// sent goes unanswered.
 class ObdServer {
  public:
   ObdServer(sim::Scheduler& scheduler, isotp::IsoTpChannel::SendFn send,
@@ -67,7 +76,6 @@ class ObdServer {
   /// Feed all received frames (functional and physical requests).
   void handle_frame(const can::CanFrame& frame, sim::SimTime time);
 
-  std::uint64_t requests_served() const noexcept { return served_; }
   std::uint64_t malformed_requests() const noexcept { return malformed_; }
 
  private:
@@ -79,7 +87,6 @@ class ObdServer {
   isotp::IsoTpChannel functional_rx_;
   isotp::IsoTpChannel physical_;
   ObdDataSource source_;
-  std::uint64_t served_ = 0;
   std::uint64_t malformed_ = 0;
 };
 

@@ -11,6 +11,10 @@ namespace acf::selftest {
 
 namespace {
 
+/// A run stops after this many failures (each one is a bug; no point
+/// drowning).
+constexpr std::size_t kMaxFailures = 8;
+
 void record_failure(HarnessResult& result, const HarnessOptions& options,
                     const FuzzTarget& target, std::span<const std::uint8_t> input,
                     std::string message, std::uint64_t ordinal, bool from_corpus) {
@@ -42,7 +46,7 @@ HarnessResult run_harness(const FuzzTarget& target,
     ++result.corpus_inputs;
     if (auto error = target.run(corpus[i])) {
       record_failure(result, options, target, corpus[i], std::move(*error), i, true);
-      if (result.failures.size() >= options.max_failures) return result;
+      if (result.failures.size() >= kMaxFailures) return result;
     }
   }
 
@@ -63,7 +67,7 @@ HarnessResult run_harness(const FuzzTarget& target,
     ++result.generated_inputs;
     if (auto error = target.run(input)) {
       record_failure(result, options, target, input, std::move(*error), i, false);
-      if (result.failures.size() >= options.max_failures) return result;
+      if (result.failures.size() >= kMaxFailures) return result;
     }
   }
   return result;

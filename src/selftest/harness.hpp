@@ -39,8 +39,6 @@ struct HarnessOptions {
   std::uint64_t iterations = 2000;
   std::uint64_t seed = 0xACF5EEDULL;
   std::size_t max_input_bytes = 1024;
-  /// Stop after this many failures (each one is a bug; no point drowning).
-  std::size_t max_failures = 8;
   /// When non-empty, each failing input is written here as
   /// <target>-<ordinal>.bin for artifact upload / local triage.
   std::string failure_dir;

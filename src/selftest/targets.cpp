@@ -20,7 +20,6 @@
 #include <functional>
 #include <sstream>
 
-#include "attacks/config.hpp"
 #include "can/wire_codec.hpp"
 #include "dbc/parser.hpp"
 #include "feedback/corpus.hpp"
@@ -310,8 +309,7 @@ Verdict run_isotp(Bytes input) {
 
 Verdict run_uds(Bytes input) {
   sim::Scheduler scheduler;
-  uds::UdsServerConfig config;
-  uds::UdsServer server(scheduler, config);
+  uds::UdsServer server(scheduler);
   server.set_did(0xF190, {0x41, 0x43, 0x46}, false);
   server.set_did(0xF1A0, {0x00, 0x01}, true, true);
   server.set_dtc_provider([] { return std::vector<std::uint8_t>{0x01, 0x23, 0x45, 0x20}; });
@@ -832,29 +830,6 @@ Verdict run_corpus_file(Bytes input) {
   return std::nullopt;
 }
 
-// attack_config: the attack-scenario spec codec (attacks/config.hpp), the
-// bytes that select and parameterise a campaign arm on any fleet worker.
-// [M] arbitrary bytes are rejected cleanly; only canonical 22-byte
-//     encodings decode.
-// [S] whatever decodes satisfies the documented bounds (family/bus range,
-//     11-bit id, period and burst windows, zero padding).
-// [R] encode∘decode = id on accepted inputs and decode∘encode = id on the
-//     resulting specs — the encoding is canonical, so a spec has exactly
-//     one byte representation.
-Verdict run_attack_config(Bytes input) {
-  const auto spec = attacks::decode_attack_spec(input);
-  if (!spec) return std::nullopt;
-  if (!attacks::attack_spec_valid(*spec)) return "decoded spec violates its bounds";
-  const std::vector<std::uint8_t> encoded = attacks::encode_attack_spec(*spec);
-  if (encoded.size() != input.size() ||
-      !std::equal(encoded.begin(), encoded.end(), input.begin())) {
-    return "encode(decode(x)) != x";
-  }
-  const auto again = attacks::decode_attack_spec(encoded);
-  if (!again || !(*again == *spec)) return "decode(encode(spec)) != spec";
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // fleet_checkpoint: the coordinator's campaign checkpoint, read back from
 // disk on every resume.  Raw mode: FleetCheckpoint::decode on arbitrary
@@ -1343,8 +1318,6 @@ std::vector<FuzzTarget> make_targets() {
        run_metrics_snapshot},
       {"corpus_file", "feedback corpus disk format strict decode + round-trip",
        run_corpus_file},
-      {"attack_config", "attack-scenario spec codec strict decode + round-trip",
-       run_attack_config},
       {"fleet_checkpoint", "FleetCheckpoint strict decode + re-encode identity",
        run_fleet_checkpoint},
       {"ids_eval_line", "ids-eval/1 digest line decode + encode round-trip",

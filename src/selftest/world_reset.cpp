@@ -5,7 +5,6 @@
 #include <type_traits>
 
 #include "dbc/target_vehicle_db.hpp"
-#include "feedback/campaign.hpp"
 #include "feedback/exec_world.hpp"
 
 namespace acf::selftest {
@@ -131,7 +130,7 @@ feedback::ExecOutcome run_script(feedback::ExecWorld& world, const WorldScript& 
   can::VirtualBus& bus = world.bench().bus();
   for (const auto& [node, count] : script.forced_errors) bus.force_tx_errors(node, count);
   for (const std::uint32_t slot : script.error_frame_slots) {
-    world.scheduler().schedule_at(sim::SimTime{world.tx_period() * slot},
+    world.scheduler().schedule_at(sim::SimTime{feedback::ExecWorld::kTxPeriod * slot},
                                   [&bus] { bus.inject_error_frame(); });
   }
   fuzzer::CoverageTracker coverage;
@@ -149,13 +148,12 @@ vehicle::UnlockPredicate world_predicate(std::uint8_t selector) {
 }
 
 std::optional<std::string> check_world_reset(const WorldResetCase& check) {
-  const feedback::FeedbackConfig defaults;
-  feedback::ExecWorld reused(check.predicate, defaults.tx_period, defaults.settle);
+  feedback::ExecWorld reused(check.predicate);
   run_script(reused, check.first);
   reused.reset();
   const Quantities after_reset = observe(reused, run_script(reused, check.second));
 
-  feedback::ExecWorld fresh(check.predicate, defaults.tx_period, defaults.settle);
+  feedback::ExecWorld fresh(check.predicate);
   const Quantities on_new_world = observe(fresh, run_script(fresh, check.second));
 
   const auto [got, want] = std::mismatch(after_reset.begin(), after_reset.end(),

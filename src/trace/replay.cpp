@@ -5,6 +5,11 @@
 
 namespace acf::trace {
 
+namespace {
+/// Gap inserted between repetitions.
+constexpr sim::Duration kRepeatGap = std::chrono::milliseconds(10);
+}  // namespace
+
 Replayer::Replayer(sim::Scheduler& scheduler, transport::CanTransport& transport,
                    std::vector<TimestampedFrame> frames, ReplayOptions options)
     : scheduler_(scheduler), transport_(transport), frames_(std::move(frames)),
@@ -60,7 +65,7 @@ void Replayer::send_current() {
     return;
   }
   index_ = 0;
-  rep_start_ = scheduler_.now() + options_.repeat_gap;
+  rep_start_ = scheduler_.now() + kRepeatGap;
   schedule_next();
 }
 

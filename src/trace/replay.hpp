@@ -18,10 +18,9 @@ namespace acf::trace {
 struct ReplayOptions {
   /// Multiplies inter-frame gaps (2.0 = half speed, 0.5 = double speed).
   double time_scale = 1.0;
-  /// Replays the trace this many times end-to-end (0 = forever).
+  /// Replays the trace this many times end-to-end (0 = forever), 10 ms
+  /// apart.
   std::uint32_t repeat = 1;
-  /// Gap inserted between repetitions.
-  sim::Duration repeat_gap{std::chrono::milliseconds(10)};
 };
 
 class Replayer {

@@ -2,11 +2,21 @@
 
 namespace acf::uds {
 
-UdsServer::UdsServer(sim::Scheduler& scheduler, UdsServerConfig config,
-                     std::unique_ptr<SeedKeyAlgorithm> algorithm)
-    : scheduler_(scheduler), config_(config),
+namespace {
+/// Security level (odd sub-function value for requestSeed).
+constexpr std::uint8_t kSecurityLevel = 0x01;
+constexpr std::uint8_t kMaxKeyAttempts = 3;
+/// Penalty delay after exhausting attempts before a new seed is issued.
+constexpr sim::Duration kLockoutDelay = std::chrono::seconds(10);
+/// S3: inactivity timeout that drops a non-default session (and relocks).
+constexpr sim::Duration kS3Timeout = std::chrono::seconds(5);
+constexpr std::uint64_t kSeedRng = 0x5eedULL;
+}  // namespace
+
+UdsServer::UdsServer(sim::Scheduler& scheduler, std::unique_ptr<SeedKeyAlgorithm> algorithm)
+    : scheduler_(scheduler),
       algorithm_(algorithm ? std::move(algorithm) : std::make_unique<XorRotateAlgorithm>()),
-      rng_(config.seed_rng) {}
+      rng_(kSeedRng) {}
 
 void UdsServer::handle_request(std::span<const std::uint8_t> request,
                                const SendResponseFn& respond) {
@@ -110,8 +120,8 @@ std::vector<std::uint8_t> UdsServer::handle_security_access(
   if (request.size() < 2) return negative(request[0], kNrcIncorrectLength);
   if (session_ == Session::kDefault) return negative(request[0], kNrcConditionsNotCorrect);
   const std::uint8_t sub = request[1] & 0x7F;
-  const std::uint8_t seed_sub = config_.security_level;
-  const std::uint8_t key_sub = static_cast<std::uint8_t>(config_.security_level + 1);
+  constexpr std::uint8_t seed_sub = kSecurityLevel;
+  constexpr auto key_sub = static_cast<std::uint8_t>(kSecurityLevel + 1);
 
   if (sub == seed_sub) {
     if (request.size() != 2) return negative(request[0], kNrcIncorrectLength);
@@ -144,9 +154,9 @@ std::vector<std::uint8_t> UdsServer::handle_security_access(
     }
     ++stats_.failed_key_attempts;
     security_ = SecurityState::kLocked;
-    if (++failed_attempts_ >= config_.max_key_attempts) {
+    if (++failed_attempts_ >= kMaxKeyAttempts) {
       failed_attempts_ = 0;
-      lockout_until_ = scheduler_.now() + config_.lockout_delay;
+      lockout_until_ = scheduler_.now() + kLockoutDelay;
       return negative(request[0], kNrcExceededAttempts);
     }
     return negative(request[0], kNrcInvalidKey);
@@ -196,7 +206,7 @@ void UdsServer::reset_state() {
 void UdsServer::reset() {
   reset_state();
   lockout_until_ = sim::SimTime{0};
-  rng_ = util::Rng(config_.seed_rng);
+  rng_ = util::Rng(kSeedRng);
   stats_ = UdsServerStats{};
   for (auto& [did, entry] : dids_) entry.overwritten = false;
 }
@@ -204,7 +214,7 @@ void UdsServer::reset() {
 void UdsServer::touch_s3_timer() {
   scheduler_.cancel(s3_timer_);
   if (session_ == Session::kDefault) return;
-  s3_timer_ = scheduler_.schedule_after(config_.s3_timeout, [this] {
+  s3_timer_ = scheduler_.schedule_after(kS3Timeout, [this] {
     session_ = Session::kDefault;
     security_ = SecurityState::kLocked;
   });

@@ -49,17 +49,6 @@ enum class Session : std::uint8_t {
 /// service/update.
 enum class SecurityState : std::uint8_t { kLocked, kSeedIssued, kUnlocked };
 
-struct UdsServerConfig {
-  /// Security level (odd sub-function value for requestSeed).
-  std::uint8_t security_level = 0x01;
-  std::uint8_t max_key_attempts = 3;
-  /// Penalty delay after exhausting attempts before a new seed is issued.
-  sim::Duration lockout_delay{std::chrono::seconds(10)};
-  /// S3: inactivity timeout that drops a non-default session (and relocks).
-  sim::Duration s3_timeout{std::chrono::seconds(5)};
-  std::uint64_t seed_rng = 0x5eedULL;
-};
-
 struct UdsServerStats {
   std::uint64_t requests = 0;
   std::uint64_t positive_responses = 0;
@@ -73,8 +62,8 @@ class UdsServer {
  public:
   using SendResponseFn = std::function<void(std::vector<std::uint8_t>)>;
 
-  UdsServer(sim::Scheduler& scheduler, UdsServerConfig config,
-            std::unique_ptr<SeedKeyAlgorithm> algorithm = nullptr);
+  explicit UdsServer(sim::Scheduler& scheduler,
+                     std::unique_ptr<SeedKeyAlgorithm> algorithm = nullptr);
 
   /// Handles one complete (ISO-TP reassembled) request; the response is
   /// delivered through `respond`.
@@ -132,7 +121,6 @@ class UdsServer {
   void touch_s3_timer();
 
   sim::Scheduler& scheduler_;
-  UdsServerConfig config_;
   std::unique_ptr<SeedKeyAlgorithm> algorithm_;
   util::Rng rng_;
 

@@ -37,18 +37,6 @@ std::string hex_u32(std::uint32_t value, int width) {
   return out;
 }
 
-std::optional<std::uint8_t> parse_hex_byte(std::string_view text) {
-  if (text.starts_with("0x") || text.starts_with("0X")) text.remove_prefix(2);
-  if (text.empty() || text.size() > 2) return std::nullopt;
-  std::uint32_t value = 0;
-  for (char c : text) {
-    const int nib = nibble_value(c);
-    if (nib < 0) return std::nullopt;
-    value = value * 16 + static_cast<std::uint32_t>(nib);
-  }
-  return static_cast<std::uint8_t>(value);
-}
-
 std::optional<std::vector<std::uint8_t>> parse_hex_bytes(std::string_view text) {
   std::vector<std::uint8_t> out;
   int pending = -1;  // high nibble awaiting its partner

@@ -18,9 +18,6 @@ std::string hex_bytes(std::span<const std::uint8_t> bytes, char sep = ' ');
 /// Fixed-width upper-case hex of an integer, e.g. hex_u32(0x43a, 4) == "043A".
 std::string hex_u32(std::uint32_t value, int width);
 
-/// Parses "1C", "0x1c" etc.  Returns nullopt on any malformed input.
-std::optional<std::uint8_t> parse_hex_byte(std::string_view text);
-
 /// Parses a whitespace- or separator-delimited hex byte string
 /// ("1C 21 17" or "1C2117").  Returns nullopt on malformed input.
 std::optional<std::vector<std::uint8_t>> parse_hex_bytes(std::string_view text);

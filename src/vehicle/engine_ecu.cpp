@@ -9,7 +9,6 @@ namespace acf::vehicle {
 namespace {
 constexpr auto kControlPeriod = std::chrono::milliseconds(10);
 constexpr std::uint32_t kDtcImplausibleWheelSpeed = 0x0C0100;
-}  // namespace
 
 std::vector<DrivePhase> default_drive_cycle() {
   using std::chrono::seconds;
@@ -23,10 +22,10 @@ std::vector<DrivePhase> default_drive_cycle() {
   };
 }
 
-EngineEcu::EngineEcu(sim::Scheduler& scheduler, can::VirtualBus& bus,
-                     std::vector<DrivePhase> cycle)
-    : Ecu(scheduler, bus, "ECM"), cycle_(std::move(cycle)) {
-  if (cycle_.empty()) cycle_ = default_drive_cycle();
+}  // namespace
+
+EngineEcu::EngineEcu(sim::Scheduler& scheduler, can::VirtualBus& bus)
+    : Ecu(scheduler, bus, "ECM"), cycle_(default_drive_cycle()) {
   for (const auto& phase : cycle_) cycle_length_ += phase.duration;
 
   scheduler.schedule_every(kControlPeriod, [this] {

@@ -23,14 +23,11 @@ struct DrivePhase {
   double throttle_pct = 5.0;
 };
 
-/// Standard profile used by the signal benches: idle, accelerate, cruise,
-/// decelerate, idle (two minutes per lap).
-std::vector<DrivePhase> default_drive_cycle();
-
 class EngineEcu final : public ecu::Ecu {
  public:
-  EngineEcu(sim::Scheduler& scheduler, can::VirtualBus& bus,
-            std::vector<DrivePhase> cycle = default_drive_cycle());
+  /// Runs the standard profile the signal benches use: idle, accelerate,
+  /// cruise, decelerate, idle (two minutes per lap).
+  EngineEcu(sim::Scheduler& scheduler, can::VirtualBus& bus);
 
   double rpm() const noexcept { return rpm_; }
   double speed_kph() const noexcept { return speed_kph_; }

@@ -25,10 +25,10 @@ Vehicle::Vehicle(sim::Scheduler& scheduler, VehicleConfig config) {
   powertrain_ = std::make_unique<can::VirtualBus>(scheduler, config.powertrain_bus);
   body_ = std::make_unique<can::VirtualBus>(scheduler, config.body_bus);
 
-  engine_ = std::make_unique<EngineEcu>(scheduler, *powertrain_, config.drive_cycle);
+  engine_ = std::make_unique<EngineEcu>(scheduler, *powertrain_);
   abs_ = std::make_unique<AbsEcu>(scheduler, *powertrain_, *engine_);
   cluster_ = std::make_unique<InstrumentCluster>(scheduler, *body_);
-  bcm_ = std::make_unique<BodyControlModule>(scheduler, *body_, config.unlock_predicate);
+  bcm_ = std::make_unique<BodyControlModule>(scheduler, *body_);
   head_unit_ = std::make_unique<HeadUnit>(scheduler, *body_);
 
   ForwardRule p_to_b = config.gateway_filtering ? GatewayEcu::default_powertrain_to_body()

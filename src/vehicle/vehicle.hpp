@@ -38,8 +38,6 @@ struct VehicleConfig {
   /// Whitelist forwarding (default) vs forward-everything (a legacy
   /// unfiltered gateway, the ablation baseline).
   bool gateway_filtering = true;
-  UnlockPredicate unlock_predicate = UnlockPredicate::single_id_and_byte();
-  std::vector<DrivePhase> drive_cycle = default_drive_cycle();
 };
 
 class Vehicle {

@@ -130,7 +130,7 @@ constexpr std::uint64_t kFeedbackWorldAllocations = 22;
 
 TEST(WorldAllocations, FeedbackExecutionWorldKeepsItsBudget) {
   auto build_and_destroy = [] {
-    feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte(), 1ms, 2ms);
+    feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte());
   };
   build_and_destroy();  // first use builds the shared target-vehicle database
   const std::uint64_t before = allocations();
@@ -158,7 +158,7 @@ std::vector<can::CanFrame> dirtying_sequence() {
 }
 
 TEST(WorldAllocations, FeedbackWorldResetAllocatesNothing) {
-  feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte(), 1ms, 2ms);
+  feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte());
   fuzzer::CoverageTracker coverage;
   const std::vector<can::CanFrame> sequence = dirtying_sequence();
   for (int warm_up = 0; warm_up < 2; ++warm_up) {
@@ -178,7 +178,7 @@ TEST(WorldAllocations, FeedbackWorldResetAllocatesNothing) {
 constexpr std::uint64_t kWarmExecutionAllocations = 1;
 
 TEST(FeedbackAllocations, WarmExecutionKeepsItsBudget) {
-  feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte(), 1ms, 2ms);
+  feedback::ExecWorld world(vehicle::UnlockPredicate::single_id_and_byte());
   fuzzer::CoverageTracker coverage;
   const std::uint8_t rejected[3] = {0x33, 0x5F, 0x01};
   const std::uint8_t noise[8] = {1, 2, 3, 4, 5, 6, 7, 8};

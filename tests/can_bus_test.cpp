@@ -139,20 +139,17 @@ TEST_F(BusTest, DetachedNodeStopsReceiving) {
 }
 
 TEST_F(BusTest, TxQueueLimitDropsExcess) {
-  BusConfig config;
-  config.tx_queue_limit = 4;
-  can::VirtualBus small(scheduler, config);
   Recorder a;
-  const NodeId na = small.attach(a, "a");
-  int accepted = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (small.submit(na, CanFrame::data_std(0x100, {static_cast<std::uint8_t>(i)}))) {
+  const NodeId na = bus.attach(a, "a");
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < VirtualBus::kTxQueueLimit + 6; ++i) {
+    if (bus.submit(na, CanFrame::data_std(0x100, {static_cast<std::uint8_t>(i)}))) {
       ++accepted;
     }
   }
-  // One frame may have started transmitting; the queue holds 4 more.
-  EXPECT_LE(accepted, 6);
-  EXPECT_GT(small.stats().drops_queue_full, 0u);
+  // One frame may have started transmitting; the queue holds the limit more.
+  EXPECT_LE(accepted, VirtualBus::kTxQueueLimit + 2);
+  EXPECT_GT(bus.stats().drops_queue_full, 0u);
 }
 
 TEST_F(BusTest, StatsTrackLoadAndCounts) {

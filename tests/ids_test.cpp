@@ -351,18 +351,19 @@ TEST(IdsPipeline, CooldownMergesRepeatAlerts) {
 }
 
 TEST(IdsPipeline, BoundedAlertQueueCountsDrops) {
-  PipelineConfig config;
-  config.max_pending_alerts = 2;
-  Pipeline pipeline(config);
+  Pipeline pipeline;
   pipeline.add(std::make_unique<AllowlistDetector>(tiny_db()));
   pipeline.begin_detection();
-  // Four distinct unknown ids: no cooldown merging, queue bounded at 2.
-  for (std::uint32_t id = 0x400; id < 0x404; ++id) {
-    pipeline.observe(CanFrame::data_std(id, {0}), 0ns);
+  // Distinct unknown 29-bit ids, more of them than the queue holds: no
+  // cooldown merging, and the queue stops at its bound.
+  constexpr std::uint64_t kOverfill = 5;
+  constexpr std::uint64_t kAlerts = Pipeline::kMaxPendingAlerts + kOverfill;
+  for (std::uint32_t id = 0x800; id < 0x800 + kAlerts; ++id) {
+    pipeline.observe(*CanFrame::data(id, {0}, can::IdFormat::kExtended), 0ns);
   }
-  EXPECT_EQ(pipeline.counters().alerts_raised, 4u);
-  EXPECT_EQ(pipeline.counters().alerts_dropped, 2u);
-  EXPECT_EQ(pipeline.drain_alerts().size(), 2u);
+  EXPECT_EQ(pipeline.counters().alerts_raised, kAlerts);
+  EXPECT_EQ(pipeline.counters().alerts_dropped, kOverfill);
+  EXPECT_EQ(pipeline.drain_alerts().size(), Pipeline::kMaxPendingAlerts);
 }
 
 TEST(IdsPipeline, ScoreHookSeesEveryDetectorInOrder) {

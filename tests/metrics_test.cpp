@@ -313,7 +313,6 @@ TEST(MetricsSnapshot, WriterStampsMonotonicSequenceNumbers) {
   writer.write(registry.snapshot(), 1.0);
   registry.counter("n").add(1);
   writer.write(registry.snapshot(), 2.0);
-  EXPECT_EQ(writer.lines_written(), 2u);
 
   std::istringstream lines(out.str());
   std::string line;

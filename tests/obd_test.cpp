@@ -31,9 +31,9 @@ TEST(ObdScaling, Percent) {
 }
 
 /// A generic scan tool built from plain ISO-TP channels.  Requests go out
-/// as single frames on the functional id (0x7DF); the physical pair
-/// (0x7E0/0x7E8) reassembles the response and sends the flow control that a
-/// long one (the VIN) needs.
+/// as single frames on the functional id (0x7DF), or through the physical
+/// pair (0x7E0/0x7E8), which also reassembles the response and sends the
+/// flow control that a long one (the VIN) needs.
 class ScanTool {
  public:
   ScanTool(sim::Scheduler& scheduler, can::VirtualBus& bus)
@@ -51,6 +51,12 @@ class ScanTool {
   void request(Bytes request) {
     response_.reset();
     ASSERT_TRUE(functional_.send(std::move(request)));
+  }
+  /// Clears the last response and sends `request` on the physical id, as
+  /// many frames as it takes.
+  void request_physical(Bytes request) {
+    response_.reset();
+    ASSERT_TRUE(physical_.send(std::move(request)));
   }
   const std::optional<Bytes>& response() const noexcept { return response_; }
 
@@ -161,6 +167,43 @@ TEST_F(ObdPair, Mode09Vin) {
   Bytes expected = {0x49, kInfoVin, 0x01};  // mode + 0x40, info type, record count
   expected.insert(expected.end(), vin.begin(), vin.end());
   EXPECT_EQ(tool.response(), expected);
+}
+
+TEST_F(ObdPair, SixPidRequestIsAnsweredInFull) {
+  tool.request({kModeCurrentData, kPidEngineRpm, kPidVehicleSpeed, kPidCoolantTemp,
+                kPidThrottle, kPidSupported01To20, kPidVehicleSpeed});
+  settle();
+  EXPECT_EQ(tool.response(), (Bytes{0x41, kPidEngineRpm, 0x0C, 0xB2, kPidVehicleSpeed, 57,
+                                    kPidCoolantTemp, encode_temp(91.0), kPidThrottle,
+                                    encode_percent(18.0), kPidSupported01To20, 0x08, 0x18,
+                                    0x80, 0x00, kPidVehicleSpeed, 57}));
+  EXPECT_EQ(server->malformed_requests(), 0u);
+}
+
+TEST_F(ObdPair, RequestsItCannotAnswerInFullDrawSilence) {
+  // J1979 allows six PIDs per mode 01 request: 900 of them, whose answer
+  // (4,501 bytes) would not fit one ISO-TP message either, go unanswered.
+  Bytes too_many_pids(1 + 900, kPidSupported01To20);
+  too_many_pids[0] = kModeCurrentData;
+  tool.request_physical(too_many_pids);
+  scheduler.run_for(std::chrono::seconds(2));
+  EXPECT_FALSE(tool.response().has_value());
+  EXPECT_EQ(server->malformed_requests(), 1u);
+
+  // 216 VIN records are 4,105 bytes, over ISO-TP's 4,095-byte payload cap.
+  Bytes too_many_vins(1 + 216, kInfoVin);
+  too_many_vins[0] = kModeVehicleInfo;
+  tool.request_physical(too_many_vins);
+  scheduler.run_for(std::chrono::seconds(2));
+  EXPECT_FALSE(tool.response().has_value());
+  EXPECT_EQ(server->malformed_requests(), 2u);
+
+  // Seven PIDs are one over the limit, though their answer is short.
+  tool.request_physical({kModeCurrentData, kPidEngineRpm, kPidEngineRpm, kPidEngineRpm,
+                         kPidEngineRpm, kPidEngineRpm, kPidEngineRpm, kPidEngineRpm});
+  settle();
+  EXPECT_FALSE(tool.response().has_value());
+  EXPECT_EQ(server->malformed_requests(), 3u);
 }
 
 TEST_F(ObdPair, UdsSidsIgnoredSilently) {

@@ -100,7 +100,7 @@ TEST(Robustness, UdsServerAnswersAreAlwaysWellFormed) {
   // (request SID + 0x40) or negative (7F, SID, NRC) — nothing else — and
   // its state machine must stay sound.
   sim::Scheduler scheduler;
-  uds::UdsServer server(scheduler, uds::UdsServerConfig{});
+  uds::UdsServer server(scheduler);
   server.set_did(0xF190, {'X'});
   util::Rng rng(0x0D5);
   for (int trial = 0; trial < 5000; ++trial) {

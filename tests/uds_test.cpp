@@ -31,7 +31,7 @@ class UdsServerTest : public ::testing::Test {
   }
 
   sim::Scheduler scheduler;
-  UdsServer server{scheduler, UdsServerConfig{}};
+  UdsServer server{scheduler};
   XorRotateAlgorithm algorithm;
 };
 
@@ -235,7 +235,7 @@ TEST_F(UdsServerTest, ResetRestoresTheBuiltServer) {
   EXPECT_EQ(*server.did_value(0x0200), (std::vector<std::uint8_t>{0x00}));
   // No lockout, and the seed stream starts over: the first seed is a new
   // server's first seed.
-  UdsServer fresh{scheduler, UdsServerConfig{}};
+  UdsServer fresh{scheduler};
   std::vector<std::uint8_t> fresh_seed;
   const auto keep = [&fresh_seed](std::vector<std::uint8_t> r) { fresh_seed = std::move(r); };
   fresh.handle_request(std::vector<std::uint8_t>{kSidDiagnosticSessionControl, 0x03}, keep);
@@ -279,7 +279,7 @@ TEST(UdsClientServer, FullHandshakeOverBus) {
 
   // Server side: ISO-TP channel + UDS server wired manually.
   transport::VirtualBusTransport server_port(bus, "ecu");
-  UdsServer server(scheduler, UdsServerConfig{});
+  UdsServer server(scheduler);
   server.set_did(0xF190, {'A', 'B', 'C'});
   isotp::IsoTpConfig server_isotp;
   server_isotp.rx_id = 0x7E0;

@@ -164,15 +164,6 @@ TEST(Hex, FixedWidthInteger) {
   EXPECT_EQ(hex_u32(0, 2), "00");
 }
 
-TEST(Hex, ParseByte) {
-  EXPECT_EQ(parse_hex_byte("1C").value(), 0x1C);
-  EXPECT_EQ(parse_hex_byte("0x1c").value(), 0x1C);
-  EXPECT_EQ(parse_hex_byte("F").value(), 0x0F);
-  EXPECT_FALSE(parse_hex_byte("1C2").has_value());
-  EXPECT_FALSE(parse_hex_byte("").has_value());
-  EXPECT_FALSE(parse_hex_byte("zz").has_value());
-}
-
 TEST(Hex, ParseBytesSpaced) {
   const auto bytes = parse_hex_bytes("1C 21 17 71");
   ASSERT_TRUE(bytes.has_value());
