@@ -11,12 +11,6 @@ const char* to_string(ErrorMode mode) noexcept {
   return "?";
 }
 
-ErrorMode ErrorState::mode() const noexcept {
-  if (tec_ > 255) return ErrorMode::kBusOff;
-  if (tec_ > 127 || rec_ > 127) return ErrorMode::kErrorPassive;
-  return ErrorMode::kErrorActive;
-}
-
 void ErrorState::on_tx_error() noexcept {
   ++tx_errors_;
   if (tec_ <= 255) {
@@ -33,18 +27,6 @@ void ErrorState::on_rx_error() noexcept {
 void ErrorState::on_rx_error_primary() noexcept {
   ++rx_errors_;
   rec_ = static_cast<std::uint16_t>(rec_ + 8 > 255 ? 255 : rec_ + 8);
-}
-
-void ErrorState::on_tx_success() noexcept {
-  if (tec_ > 0) --tec_;
-}
-
-void ErrorState::on_rx_success() noexcept {
-  if (rec_ > 127) {
-    rec_ = 127;
-  } else if (rec_ > 0) {
-    --rec_;
-  }
 }
 
 void ErrorState::reset() noexcept {

@@ -20,7 +20,11 @@ const char* to_string(ErrorMode mode) noexcept;
 /// Transmit/receive error counters with the Bosch increment/decrement rules.
 class ErrorState {
  public:
-  ErrorMode mode() const noexcept;
+  ErrorMode mode() const noexcept {
+    if (tec_ > 255) return ErrorMode::kBusOff;
+    if (tec_ > 127 || rec_ > 127) return ErrorMode::kErrorPassive;
+    return ErrorMode::kErrorActive;
+  }
   std::uint16_t tec() const noexcept { return tec_; }
   std::uint16_t rec() const noexcept { return rec_; }
   bool bus_off() const noexcept { return mode() == ErrorMode::kBusOff; }
@@ -32,10 +36,18 @@ class ErrorState {
   void on_rx_error() noexcept;
   void on_rx_error_primary() noexcept;
   /// Successful transmission: TEC -= 1 (floor 0).
-  void on_tx_success() noexcept;
+  void on_tx_success() noexcept {
+    if (tec_ > 0) --tec_;
+  }
   /// Successful reception: REC -= 1 (floor 0; >127 resets into 119..127 band,
   /// we use 127).
-  void on_rx_success() noexcept;
+  void on_rx_success() noexcept {
+    if (rec_ > 127) {
+      rec_ = 127;
+    } else if (rec_ > 0) {
+      --rec_;
+    }
+  }
 
   /// Bus-off recovery (128 × 11 recessive bits on a real bus; here the bus
   /// model invokes it after the equivalent idle time).

@@ -31,18 +31,6 @@ bool is_valid_fd_length(std::size_t length) noexcept {
   return std::find(kFdLengths.begin(), kFdLengths.end(), length) != kFdLengths.end();
 }
 
-std::optional<CanFrame> CanFrame::data(std::uint32_t id, std::span<const std::uint8_t> payload,
-                                       IdFormat format) {
-  const std::uint32_t max_id = (format == IdFormat::kStandard) ? kMaxStandardId : kMaxExtendedId;
-  if (id > max_id || payload.size() > kMaxClassicPayload) return std::nullopt;
-  CanFrame f;
-  f.id_ = id;
-  f.format_ = format;
-  f.length_ = payload.size();
-  std::copy(payload.begin(), payload.end(), f.data_.begin());
-  return f;
-}
-
 std::optional<CanFrame> CanFrame::remote(std::uint32_t id, std::uint8_t dlc, IdFormat format) {
   const std::uint32_t max_id = (format == IdFormat::kStandard) ? kMaxStandardId : kMaxExtendedId;
   if (id > max_id || dlc > kMaxClassicPayload) return std::nullopt;
@@ -72,11 +60,6 @@ CanFrame CanFrame::data_std(std::uint32_t id, std::initializer_list<std::uint8_t
   auto frame = data(id, {payload.begin(), payload.size()});
   if (!frame) std::abort();  // programming error in a test/example literal
   return *frame;
-}
-
-std::uint8_t CanFrame::dlc() const noexcept {
-  if (!fd_) return static_cast<std::uint8_t>(length_);
-  return fd_length_to_dlc(length_).value_or(0);
 }
 
 std::uint64_t CanFrame::arbitration_rank() const noexcept {

@@ -2,6 +2,7 @@
 // (the paper's §VII lists CAN FD fuzzing as follow-on work; we implement it).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -74,7 +75,9 @@ class CanFrame {
   bool brs() const noexcept { return brs_; }
 
   /// Payload bytes (empty for remote frames — their DLC only *requests* a
-  /// length; no data travels on the wire).
+  /// length; no data travels on the wire).  The span's data always points
+  /// at kMaxFdPayload bytes of storage, zero past the payload, so a reader
+  /// may load it in whole 8-byte words.
   std::span<const std::uint8_t> payload() const noexcept {
     return {data_.data(), remote_ ? 0 : length_};
   }
@@ -82,7 +85,10 @@ class CanFrame {
 
   /// The DLC field value on the wire: equals length for classic data frames,
   /// the requested length for remote frames, the FD code for FD frames.
-  std::uint8_t dlc() const noexcept;
+  std::uint8_t dlc() const noexcept {
+    if (!fd_) return static_cast<std::uint8_t>(length_);
+    return fd_length_to_dlc(length_).value_or(0);
+  }
 
   /// Arbitration priority: lower wins.  Captures the CAN rule that a base
   /// frame beats the extended frame sharing its 11-bit prefix (the base
@@ -103,5 +109,18 @@ class CanFrame {
   std::size_t length_ = 0;       // payload length (remote: requested length)
   std::array<std::uint8_t, kMaxFdPayload> data_{};
 };
+
+inline std::optional<CanFrame> CanFrame::data(std::uint32_t id,
+                                              std::span<const std::uint8_t> payload,
+                                              IdFormat format) {
+  const std::uint32_t max_id = (format == IdFormat::kStandard) ? kMaxStandardId : kMaxExtendedId;
+  if (id > max_id || payload.size() > kMaxClassicPayload) return std::nullopt;
+  CanFrame f;
+  f.id_ = id;
+  f.format_ = format;
+  f.length_ = payload.size();
+  std::copy(payload.begin(), payload.end(), f.data_.begin());
+  return f;
+}
 
 }  // namespace acf::can

@@ -17,7 +17,7 @@ std::optional<can::CanFrame> RandomGenerator::next() {
   return generate();
 }
 
-can::CanFrame RandomGenerator::generate() {
+std::optional<can::CanFrame> RandomGenerator::generate() {
   // id
   std::uint32_t id;
   if (!config_.id_set.empty()) {
@@ -33,7 +33,8 @@ can::CanFrame RandomGenerator::generate() {
   const std::size_t length = config_.fd_mode ? can::fd_dlc_to_length(dlc) : dlc;
 
   // payload bytes: positions beyond the 8 configured ranges (FD) are 0-255.
-  std::array<std::uint8_t, can::kMaxFdPayload> bytes{};
+  // Only the first `length` are read.
+  std::array<std::uint8_t, can::kMaxFdPayload> bytes;
   for (std::size_t i = 0; i < length; ++i) {
     const ByteRange range = i < config_.byte_ranges.size() ? config_.byte_ranges[i]
                                                            : ByteRange{};
@@ -41,11 +42,13 @@ can::CanFrame RandomGenerator::generate() {
   }
 
   const std::span<const std::uint8_t> payload{bytes.data(), length};
-  const auto frame = config_.fd_mode ? can::CanFrame::fd_data(id, payload, true, format)
-                                     : can::CanFrame::data(id, payload, format);
+  std::optional<can::CanFrame> frame = config_.fd_mode
+                                           ? can::CanFrame::fd_data(id, payload, true, format)
+                                           : can::CanFrame::data(id, payload, format);
   // The config invariants (id <= max for format, length valid) make this
   // always succeed; fall back to an empty frame defensively.
-  return frame.value_or(can::CanFrame{});
+  if (!frame) frame.emplace();
+  return frame;
 }
 
 can::CanFrame RandomGenerator::frame_at(const FuzzConfig& config, std::uint64_t index) {

@@ -49,7 +49,7 @@ class RandomGenerator final : public FrameGenerator {
   static can::CanFrame frame_at(const FuzzConfig& config, std::uint64_t index);
 
  private:
-  can::CanFrame generate();
+  std::optional<can::CanFrame> generate();
 
   FuzzConfig config_;
   util::Rng rng_;

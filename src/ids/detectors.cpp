@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 
 namespace acf::ids {
@@ -18,9 +19,6 @@ constexpr double kTimingAlpha = 0.125;
 constexpr double kTimingDevGain = 4.0;
 constexpr double kTimingFloorFraction = 0.5;
 constexpr std::uint64_t kTimingMinTrainFrames = 4;
-
-// Entropy: frames a window must hold before the detector scores.
-constexpr std::size_t kEntropyMinFrames = 8;
 
 double clamp01(double x) noexcept { return std::clamp(x, 0.0, 1.0); }
 
@@ -177,15 +175,22 @@ const EntropyTables& entropy_tables() {
 
 EntropyDetector::EntropyDetector() : Detector(0.6) {}
 
-void EntropyDetector::push(Window& window, const can::CanFrame& frame) {
+void EntropyDetector::push(Window& window, std::uint64_t head, std::uint8_t length) {
   static_assert(EntropyTables::kMaxBytes == kWindowFrames * can::kMaxClassicPayload);
   static_assert(std::is_trivially_copyable_v<Window> && sizeof(Window) <= 416);
   const EntropyTables& tables = entropy_tables();
-  auto count_delta = [&window, &tables](std::uint8_t value, int delta) {
+  // The sum stays in a local: a store to a uint8_t count may alias it, so
+  // updated in place it would go through memory around every count.  A
+  // count of 0 reads c_log_c[0] == +0.0, and adding or subtracting +0.0
+  // leaves any sum but -0.0 unchanged; the sum starts at +0.0 and x - x is
+  // +0.0, so it is never -0.0.  Zero counts therefore need no test, which
+  // saves a branch that random payloads make unpredictable.
+  double sum = window.sum_c_log_c;
+  auto count_delta = [&window, &tables, &sum](std::uint8_t value, int delta) {
     std::uint8_t& c = window.counts[value];
-    if (c > 0) window.sum_c_log_c -= tables.c_log_c[c];
+    sum -= tables.c_log_c[c];
     c = static_cast<std::uint8_t>(c + delta);
-    if (c > 0) window.sum_c_log_c += tables.c_log_c[c];
+    sum += tables.c_log_c[c];
   };
   if (window.frames == kWindowFrames) {
     const Window::Slot& old = window.ring[window.head];
@@ -194,15 +199,51 @@ void EntropyDetector::push(Window& window, const can::CanFrame& frame) {
     --window.frames;
   }
   Window::Slot& slot = window.ring[window.head];
-  const auto payload = frame.payload();
-  slot.length = static_cast<std::uint8_t>(std::min(payload.size(), slot.bytes.size()));
-  for (std::size_t i = 0; i < slot.length; ++i) {
-    slot.bytes[i] = payload[i];
-    count_delta(payload[i], +1);
-  }
-  window.bytes_total = static_cast<std::uint8_t>(window.bytes_total + slot.length);
+  static_assert(sizeof head == sizeof slot.bytes);
+  std::memcpy(slot.bytes.data(), &head, sizeof head);
+  slot.length = length;
+  for (std::size_t i = 0; i < length; ++i) count_delta(slot.bytes[i], +1);
+  window.sum_c_log_c = sum;
+  window.bytes_total = static_cast<std::uint8_t>(window.bytes_total + length);
   ++window.frames;
   window.head = static_cast<std::uint8_t>((window.head + 1) % kWindowFrames);
+}
+
+void EntropyDetector::replay(const History& history, Window& window) {
+  for (std::size_t i = 0; i < history.frames; ++i) {
+    push(window, history.heads[i], static_cast<std::uint8_t>((history.lengths >> (4 * i)) & 0xF));
+  }
+}
+
+const EntropyDetector::Window* EntropyDetector::observe(const can::CanFrame& frame) {
+  static_assert(sizeof(History) <= 64 && (kMinFrames - 1) * 4 <= 32);
+  // A frame's payload storage spans kMaxFdPayload bytes, so the first 8 are
+  // always readable; the length says how many of them count.
+  const auto payload = frame.payload();
+  std::uint64_t head = 0;
+  std::memcpy(&head, payload.data(), sizeof head);
+  const auto length =
+      static_cast<std::uint8_t>(std::min(payload.size(), can::kMaxClassicPayload));
+
+  if (Window* window = windows_.find(frame.id())) {
+    push(*window, head, length);
+    return window;
+  }
+  History& history = histories_[frame.id()];
+  if (history.frames + 1u < kMinFrames) {
+    history.heads[history.frames] = head;
+    history.lengths |= std::uint32_t{length} << (4 * history.frames);
+    ++history.frames;
+    return nullptr;
+  }
+  // The window's first eviction comes at frame kWindowFrames + 1 and nothing
+  // reads its sum before frame kMinFrames, so building it now from the kept
+  // frames performs the same additions in the same order as building it at
+  // the id's first frame would have.
+  Window& window = *windows_.try_emplace(frame.id()).first;
+  replay(history, window);
+  push(window, head, length);
+  return &window;
 }
 
 double EntropyDetector::normalized_entropy(const Window& window) {
@@ -215,33 +256,37 @@ double EntropyDetector::normalized_entropy(const Window& window) {
   return clamp01(entropy / max_entropy);
 }
 
-void EntropyDetector::train(const can::CanFrame& frame, sim::SimTime) {
-  push(windows_[frame.id()], frame);
-}
+void EntropyDetector::train(const can::CanFrame& frame, sim::SimTime) { observe(frame); }
 
 void EntropyDetector::finalize_training() {
   baseline_.clear();
   windows_.for_each([this](std::uint32_t id, const Window& window) {
-    if (window.frames >= kEntropyMinFrames) baseline_.try_emplace(id, normalized_entropy(window));
+    baseline_.try_emplace(id, normalized_entropy(window));
   });
 }
 
 double EntropyDetector::score(const can::CanFrame& frame, sim::SimTime) {
-  Window& window = windows_[frame.id()];
-  push(window, frame);
-  if (window.frames < kEntropyMinFrames) return 0.0;
-  const double h = normalized_entropy(window);
+  const Window* window = observe(frame);
+  if (window == nullptr) return 0.0;
+  const double h = normalized_entropy(*window);
   const double* base = baseline_.find(frame.id());
   if (base == nullptr || *base >= 1.0) return h;
   return clamp01((h - *base) / (1.0 - *base));
 }
 
 // Drops window contents but keeps learned baselines.
-void EntropyDetector::reset() { windows_.clear(); }
+void EntropyDetector::reset() {
+  windows_.clear();
+  histories_.clear();
+}
 
 double EntropyDetector::window_entropy(std::uint32_t id) const {
-  const Window* window = windows_.find(id);
-  return window == nullptr ? 0.0 : normalized_entropy(*window);
+  if (const Window* window = windows_.find(id)) return normalized_entropy(*window);
+  const History* history = histories_.find(id);
+  if (history == nullptr) return 0.0;
+  Window window;
+  replay(*history, window);
+  return normalized_entropy(window);
 }
 
 // ----------------------------------------------------------------- set -----

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <string_view>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -11,29 +10,54 @@ namespace acf::ids {
 
 // -------------------------------------------------------------- labeler -----
 
+namespace {
+
+/// One multiply-xorshift round (SplitMix64's multiplier).
+constexpr std::uint64_t mix(std::uint64_t h) noexcept {
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 32);
+}
+
+constexpr std::size_t words_for(std::uint64_t head) noexcept {
+  return ((head >> 48) + 7) / 8;
+}
+
+}  // namespace
+
 FrameLabeler::Key FrameLabeler::key_of(const can::CanFrame& frame) noexcept {
   static_assert(std::is_trivial_v<Key> && std::is_standard_layout_v<Key>);
-  Key key{};
-  key.id = frame.id();
-  key.flags = static_cast<std::uint8_t>((frame.is_extended() ? 1 : 0) |
-                                        (frame.is_remote() ? 2 : 0) | (frame.is_fd() ? 4 : 0));
-  key.dlc = frame.dlc();
   const auto payload = frame.payload();
-  key.length = static_cast<std::uint8_t>(payload.size());
-  std::copy(payload.begin(), payload.end(), key.payload.begin());
-  // No padding lies between id and the payload, so the hashed bytes are
-  // exactly id, flags, dlc, length and the live payload bytes.
-  static_assert(offsetof(Key, payload) - offsetof(Key, id) == 7);
-  key.hash = std::hash<std::string_view>{}(
-      std::string_view(reinterpret_cast<const char*>(&key) + offsetof(Key, id),
-                       offsetof(Key, payload) - offsetof(Key, id) + key.length));
+  const std::uint64_t flags =
+      (frame.is_extended() ? 1u : 0u) | (frame.is_remote() ? 2u : 0u) | (frame.is_fd() ? 4u : 0u);
+  Key key{};
+  key.head = frame.id() | flags << 32 | std::uint64_t{frame.dlc()} << 40 |
+             std::uint64_t{payload.size()} << 48;
+  // Whole words straight from the frame: its payload storage spans
+  // kMaxFdPayload bytes and is zero past the length.  The hash mixes the
+  // values as loaded instead of reading them back from the key.
+  std::uint64_t hash = mix(key.head);
+  for (std::size_t i = 0; i < words_for(key.head); ++i) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, payload.data() + i * sizeof word, sizeof word);
+    key.words[i] = word;
+    hash = mix(hash ^ word);
+  }
+  key.hash = mix(hash);
   return key;
+}
+
+bool FrameLabeler::same_content(const Key& a, const Key& b) noexcept {
+  if (a.hash != b.hash || a.head != b.head) return false;
+  for (std::size_t i = 0; i < words_for(a.head); ++i) {
+    if (a.words[i] != b.words[i]) return false;
+  }
+  return true;
 }
 
 std::size_t FrameLabeler::probe(const Key& key) const noexcept {
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = key.hash & mask;
-  while (slots_[i].count != 0 && !(slots_[i].key == key)) i = (i + 1) & mask;
+  while (slots_[i].count != 0 && !same_content(slots_[i].key, key)) i = (i + 1) & mask;
   return i;
 }
 

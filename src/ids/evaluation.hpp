@@ -44,18 +44,14 @@ class FrameLabeler {
   std::uint64_t outstanding() const noexcept { return injected_ - matched_; }
 
  private:
-  /// A frame's matched content as a fixed-size POD, payload bytes past
-  /// `length` zero, carrying its own hash: probing and moving slots read
-  /// it, and comparing two keys checks it first.
+  /// A frame's matched content as a fixed-size POD carrying its own hash:
+  /// probing and moving slots read the hash, and comparing two keys checks
+  /// it first, then the head and the payload words the length covers.
   struct Key {
-    std::size_t hash;
-    std::uint32_t id;
-    std::uint8_t flags;  // extended | remote << 1 | fd << 2
-    std::uint8_t dlc;
-    std::uint8_t length;
-    std::array<std::uint8_t, can::kMaxFdPayload> payload;
-
-    friend bool operator==(const Key&, const Key&) = default;
+    std::uint64_t hash;
+    std::uint64_t head;  // id | flags << 32 | dlc << 40 | length << 48
+    /// The payload, 8 bytes a word; zero past the length.
+    std::array<std::uint64_t, can::kMaxFdPayload / 8> words;
   };
   /// One table slot; count 0 marks it empty.
   struct Slot {
@@ -64,6 +60,7 @@ class FrameLabeler {
   };
 
   static Key key_of(const can::CanFrame& frame) noexcept;
+  static bool same_content(const Key& a, const Key& b) noexcept;
   /// The slot holding `key`, or the empty slot that ends its probe.
   std::size_t probe(const Key& key) const noexcept;
   void erase(std::size_t slot) noexcept;

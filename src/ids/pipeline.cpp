@@ -35,6 +35,7 @@ std::size_t Pipeline::add(std::unique_ptr<Detector> detector) {
   }
   detectors_.push_back(std::move(detector));
   last_alert_.emplace_back();
+  alerts_.push_back(0);
   per_detector_alerts_.push_back(counter);
   scores_.resize(detectors_.size());
   return index;
@@ -70,11 +71,11 @@ void Pipeline::on_frame(const can::CanFrame& frame, sim::SimTime time) {
 void Pipeline::observe(const can::CanFrame& frame, sim::SimTime time) {
   if (mode_ == Mode::kTraining) {
     for (auto& detector : detectors_) detector->train(frame, time);
-    frames_trained_->add(1);
+    ++tallies_.frames_trained;
     return;
   }
   if (mode_ != Mode::kDetecting) return;
-  frames_scored_->add(1);
+  ++tallies_.frames_scored;
   for (std::size_t i = 0; i < detectors_.size(); ++i) {
     scores_[i] = detectors_[i]->score(frame, time);
   }
@@ -84,7 +85,7 @@ void Pipeline::observe(const can::CanFrame& frame, sim::SimTime time) {
     const auto [last, first] = last_alert_[i].try_emplace(frame.id(), time);
     if (!first) {
       if (time - *last < kAlertCooldown) {
-        alerts_suppressed_->add(1);
+        ++tallies_.alerts_suppressed;
         continue;
       }
       *last = time;
@@ -95,12 +96,12 @@ void Pipeline::observe(const can::CanFrame& frame, sim::SimTime time) {
     alert.can_id = frame.id();
     alert.score = scores_[i];
     alert.time = time;
-    alerts_raised_->add(1);
-    per_detector_alerts_[i]->add(1);
+    ++tallies_.alerts_raised;
+    ++alerts_[i];
     if (pending_.size() < kMaxPendingAlerts) {
       pending_.push_back(alert);
     } else {
-      alerts_dropped_->add(1);
+      ++tallies_.alerts_dropped;
     }
     if (on_alert_) on_alert_(alert);
   }
@@ -112,18 +113,17 @@ std::vector<Alert> Pipeline::drain_alerts() {
   return drained;
 }
 
-PipelineCounters Pipeline::counters() const noexcept {
-  PipelineCounters counters;
-  counters.frames_trained = frames_trained_->value();
-  counters.frames_scored = frames_scored_->value();
-  counters.alerts_raised = alerts_raised_->value();
-  counters.alerts_suppressed = alerts_suppressed_->value();
-  counters.alerts_dropped = alerts_dropped_->value();
-  return counters;
-}
-
-std::uint64_t Pipeline::alerts_for(std::size_t detector_index) const {
-  return per_detector_alerts_.at(detector_index)->value();
+metrics::Registry& Pipeline::registry() noexcept {
+  auto publish = [](metrics::Counter* counter, std::uint64_t total) {
+    counter->add(total - counter->value());
+  };
+  publish(frames_trained_, tallies_.frames_trained);
+  publish(frames_scored_, tallies_.frames_scored);
+  publish(alerts_raised_, tallies_.alerts_raised);
+  publish(alerts_suppressed_, tallies_.alerts_suppressed);
+  publish(alerts_dropped_, tallies_.alerts_dropped);
+  for (std::size_t i = 0; i < alerts_.size(); ++i) publish(per_detector_alerts_[i], alerts_[i]);
+  return registry_;
 }
 
 void Pipeline::reset_detection() {

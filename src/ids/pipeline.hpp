@@ -11,12 +11,11 @@
 // detection run is a pure function of the frame stream — two pipelines with
 // the same detectors fed the same stream raise byte-identical alerts.
 //
-// Counters live in a per-pipeline metrics::Registry (relaxed atomics under
-// the hood): each fleet world owns its own pipeline (the world-isolation
-// rule), but progress reporters and supervisors may read the counters from
-// other threads while a campaign runs.  The hot path caches instrument
-// pointers at construction/add() time, so scoring pays one relaxed add per
-// counter — the same cost as the hand-rolled atomics it replaced.
+// Each fleet world owns its own pipeline (the world-isolation rule), and
+// everything that reads its tallies runs on that world's thread.  So the
+// per-frame tallies are plain integers; registry() publishes what they
+// gained since its last call into the pipeline's metrics::Registry, which
+// is where a world's trial-end absorb reads them.
 #pragma once
 
 #include <cstdint>
@@ -90,14 +89,17 @@ class Pipeline final : private can::BusListener {
   /// Removes and returns the queued alerts (oracle bridge drain point).
   std::vector<Alert> drain_alerts();
 
-  PipelineCounters counters() const noexcept;
-  std::uint64_t alerts_for(std::size_t detector_index) const;
+  PipelineCounters counters() const noexcept { return tallies_; }
+  std::uint64_t alerts_for(std::size_t detector_index) const {
+    return alerts_.at(detector_index);
+  }
 
   /// The pipeline's own metrics registry: `ids.pipeline.*` totals plus one
   /// `ids.alerts.<detector>` counter per detector.  Snapshot/absorb this
-  /// into a campaign-wide registry to merge across worlds.  (Non-const:
-  /// snapshotting flushes timer buffers.)
-  metrics::Registry& registry() noexcept { return registry_; }
+  /// into a campaign-wide registry to merge across worlds.  Each call first
+  /// publishes the tallies gained since the previous call, so call it on
+  /// the pipeline's own thread.
+  metrics::Registry& registry() noexcept;
 
   /// Clears detection-side state (cooldowns, queue, detector clocks) for a
   /// fresh run against the same trained models.
@@ -117,9 +119,13 @@ class Pipeline final : private can::BusListener {
   std::vector<Alert> pending_;
   std::vector<double> scores_;  // scratch, sized to detector_count
 
-  // Registry-backed counters; the raw pointers cache registry lookups (the
-  // registry hands out stable addresses) so observe() never takes the
-  // registry lock.  Declared after registry_ so they cannot outlive it.
+  PipelineCounters tallies_;
+  std::vector<std::uint64_t> alerts_;  // per detector
+
+  // Where registry() publishes the tallies: each counter holds the total
+  // published so far.  The raw pointers cache registry lookups (the
+  // registry hands out stable addresses).  Declared after registry_ so they
+  // cannot outlive it.
   metrics::Registry registry_;
   metrics::Counter* frames_trained_ = nullptr;
   metrics::Counter* frames_scored_ = nullptr;

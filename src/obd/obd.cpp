@@ -103,8 +103,9 @@ void ObdServer::handle_request(const std::vector<std::uint8_t>& request) {
     return;
   }
   // Responses go out on the physical response id regardless of which
-  // request id carried the query.
-  physical_.send(std::move(response));
+  // request id carried the query.  The size is checked above, so a refusal
+  // means the previous answer is still being sent.
+  if (!physical_.send(std::move(response))) ++answers_dropped_;
 }
 
 std::vector<std::uint8_t> ObdServer::mode01(std::span<const std::uint8_t> pids) {

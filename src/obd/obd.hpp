@@ -67,7 +67,7 @@ std::uint8_t encode_percent(double pct) noexcept;        // *255/100
 /// exceed isotp::kMaxPayload.  SIDs from 0x10 up belong to the UDS stack
 /// sharing the ids and are ignored uncounted.  ISO-TP has one transmit
 /// slot, so a request that arrives while the previous answer is still being
-/// sent goes unanswered.
+/// sent goes unanswered and counts in answers_dropped().
 class ObdServer {
  public:
   ObdServer(sim::Scheduler& scheduler, isotp::IsoTpChannel::SendFn send,
@@ -77,6 +77,8 @@ class ObdServer {
   void handle_frame(const can::CanFrame& frame, sim::SimTime time);
 
   std::uint64_t malformed_requests() const noexcept { return malformed_; }
+  /// Answers lost because the previous answer was still being sent.
+  std::uint64_t answers_dropped() const noexcept { return answers_dropped_; }
 
  private:
   void handle_request(const std::vector<std::uint8_t>& request);
@@ -88,6 +90,7 @@ class ObdServer {
   isotp::IsoTpChannel physical_;
   ObdDataSource source_;
   std::uint64_t malformed_ = 0;
+  std::uint64_t answers_dropped_ = 0;
 };
 
 }  // namespace acf::obd

@@ -19,7 +19,7 @@ Key XorRotateAlgorithm::compute_key(const Seed& seed) const {
   return key;
 }
 
-bool verify_key(const SeedKeyAlgorithm& algorithm, const Seed& seed,
+bool verify_key(const XorRotateAlgorithm& algorithm, const Seed& seed,
                 std::span<const std::uint8_t> candidate) {
   const Key expected = algorithm.compute_key(seed);
   return candidate.size() == expected.size() &&

@@ -13,10 +13,7 @@ constexpr sim::Duration kS3Timeout = std::chrono::seconds(5);
 constexpr std::uint64_t kSeedRng = 0x5eedULL;
 }  // namespace
 
-UdsServer::UdsServer(sim::Scheduler& scheduler, std::unique_ptr<SeedKeyAlgorithm> algorithm)
-    : scheduler_(scheduler),
-      algorithm_(algorithm ? std::move(algorithm) : std::make_unique<XorRotateAlgorithm>()),
-      rng_(kSeedRng) {}
+UdsServer::UdsServer(sim::Scheduler& scheduler) : scheduler_(scheduler), rng_(kSeedRng) {}
 
 void UdsServer::handle_request(std::span<const std::uint8_t> request,
                                const SendResponseFn& respond) {
@@ -146,7 +143,7 @@ std::vector<std::uint8_t> UdsServer::handle_security_access(
     if (request.size() != 2 + pending_seed_.size()) {
       return negative(request[0], kNrcIncorrectLength);
     }
-    if (verify_key(*algorithm_, pending_seed_, request.subspan(2))) {
+    if (verify_key(algorithm_, pending_seed_, request.subspan(2))) {
       security_ = SecurityState::kUnlocked;
       failed_attempts_ = 0;
       ++stats_.unlocks;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "isotp/isotp.hpp"
@@ -62,8 +61,7 @@ class UdsServer {
  public:
   using SendResponseFn = std::function<void(std::vector<std::uint8_t>)>;
 
-  explicit UdsServer(sim::Scheduler& scheduler,
-                     std::unique_ptr<SeedKeyAlgorithm> algorithm = nullptr);
+  explicit UdsServer(sim::Scheduler& scheduler);
 
   /// Handles one complete (ISO-TP reassembled) request; the response is
   /// delivered through `respond`.
@@ -121,7 +119,7 @@ class UdsServer {
   void touch_s3_timer();
 
   sim::Scheduler& scheduler_;
-  std::unique_ptr<SeedKeyAlgorithm> algorithm_;
+  XorRotateAlgorithm algorithm_;
   util::Rng rng_;
 
   Session session_ = Session::kDefault;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,14 +42,44 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedULL) noexcept;
 
   /// Raw 64 random bits.
-  std::uint64_t next_u64() noexcept;
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   /// bound == 0 is a contract violation; returns 0.
-  std::uint64_t next_below(std::uint64_t bound) noexcept;
+  std::uint64_t next_below(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;
+    // Lemire's nearly-divisionless unbiased bounded generation.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform in the inclusive range [lo, hi].  Requires lo <= hi.
-  std::uint64_t next_in(std::uint64_t lo, std::uint64_t hi) noexcept;
+  std::uint64_t next_in(std::uint64_t lo, std::uint64_t hi) noexcept {
+    if (lo >= hi) return lo;
+    const std::uint64_t span = hi - lo + 1;
+    if (span == 0) return next_u64();  // full 64-bit range
+    return lo + next_below(span);
+  }
 
   /// Uniform byte.
   std::uint8_t next_byte() noexcept { return static_cast<std::uint8_t>(next_u64() >> 56); }

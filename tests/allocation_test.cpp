@@ -7,7 +7,8 @@
 // stops growing once it holds the pending peak, and the scheduler's
 // same-instant lane is threaded through its event slots.  Building a
 // feedback execution's world has a fixed budget, resetting it in place
-// allocates nothing, and a warm execution allocates only its outcome.
+// allocates nothing, and a warm execution allocates only its outcome.  An
+// IDS-tapped Table V trial keeps a budget of heap bytes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,22 +22,30 @@
 #include "can/frame.hpp"
 #include "dbc/target_vehicle_db.hpp"
 #include "feedback/exec_world.hpp"
+#include "fleet/trial_plan.hpp"
 #include "ids/evaluation.hpp"
+#include "ids/ids_world.hpp"
 #include "sim/scheduler.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   const auto alignment = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   if (void* p = std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded)) return p;
@@ -44,6 +53,7 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
 }
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+std::uint64_t bytes_allocated() { return g_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace
 
@@ -123,10 +133,9 @@ TEST(LabelerAllocations, WarmTableAllocatesNothing) {
 }
 
 // Heap allocations made by building and destroying a feedback campaign's
-// world (scheduler, testbench, attacker, tap and oracle), counted before the
-// scheduler had a same-instant lane.  A campaign builds it once and resets
-// it for every later execution.
-constexpr std::uint64_t kFeedbackWorldAllocations = 22;
+// world (scheduler, testbench, attacker, tap and oracle).  A campaign builds
+// it once and resets it for every later execution.
+constexpr std::uint64_t kFeedbackWorldAllocations = 21;
 
 TEST(WorldAllocations, FeedbackExecutionWorldKeepsItsBudget) {
   auto build_and_destroy = [] {
@@ -194,6 +203,25 @@ TEST(FeedbackAllocations, WarmExecutionKeepsItsBudget) {
   EXPECT_EQ(outcome.frames_sent, 2u);
   EXPECT_TRUE(outcome.hot);  // the rejected command moved a BCM counter
   EXPECT_EQ(during, kWarmExecutionAllocations);
+}
+
+// Heap bytes allocated by one IDS-tapped Table V trial (world build, 30 s of
+// clean training, 5 s of full-range fuzz, teardown), about 10% above what it
+// allocates.  Most of them are the pipeline's alert queue and the detectors'
+// per-id state for the ~1,900 ids the fuzz touches.
+constexpr std::uint64_t kIdsUnlockTrialBytes = 880'000;
+
+TEST(WorldAllocations, IdsUnlockTrialKeepsItsHeapBudget) {
+  const fleet::TrialPlan plan({"weak"}, 1, /*base_seed=*/0, std::chrono::seconds(5));
+  const ids::EvalSink sink = ids::make_eval_sink(plan);
+  const fleet::WorldFactory factory = ids::ids_unlock_world_factory({ids::IdsArm{}}, sink);
+  auto run_trial = [&] { factory(plan.spec(0))->run(); };
+  run_trial();  // first use builds the shared target-vehicle database
+  const std::uint64_t before = bytes_allocated();
+  run_trial();
+  const std::uint64_t bytes = bytes_allocated() - before;
+  EXPECT_GT((*sink)[0].attack_frames, 4000u);  // the whole 5 s of fuzz was scored
+  EXPECT_LE(bytes, kIdsUnlockTrialBytes);
 }
 
 TEST(SchedulerAllocations, WarmSameInstantTrafficAllocatesNothing) {

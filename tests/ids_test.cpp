@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -29,6 +30,7 @@
 #include "ids/id_table.hpp"
 #include "ids/ids_world.hpp"
 #include "ids/pipeline.hpp"
+#include "metrics/metrics.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/candump_log.hpp"
 #include "trace/capture.hpp"
@@ -169,40 +171,18 @@ TEST(IdsEntropy, SeparatesConstantTrafficFromRandomPayloads) {
   EXPECT_GT(last, 0.6);
 }
 
-TEST(IdsEntropy, IncrementalMatchesRecompute) {
-  // Random classic, FD and remote frames on three ids, enough to wrap each
-  // 16-frame window many times.  window_entropy (incremental counts, table
-  // logs) must match a from-scratch Shannon entropy of what the window
-  // holds: the first 8 payload bytes of the id's last 16 frames,
-  // normalized by min(8, log2(bytes)).
+/// Random classic, FD and remote frames on three ids (one of them 29-bit),
+/// enough to wrap each 16-frame window many times; small alphabets pile
+/// counts up to the 128-byte window's maximum.
+std::vector<CanFrame> mixed_entropy_stream() {
   util::Rng rng(0xE7A0);
-  EntropyDetector detector;
   const std::uint32_t ids[] = {0x100, can::kMaxStandardId, 0x18DAF110};
-  std::map<std::uint32_t, std::deque<std::vector<std::uint8_t>>> model;
-  auto recompute = [&model](std::uint32_t id) {
-    std::array<std::size_t, 256> counts{};
-    std::size_t n = 0;
-    for (const std::vector<std::uint8_t>& bytes : model[id]) {
-      for (const std::uint8_t byte : bytes) ++counts[byte];
-      n += bytes.size();
-    }
-    if (n <= 1) return 0.0;
-    double entropy = 0.0;
-    for (const std::size_t c : counts) {
-      if (c == 0) continue;
-      const double p = static_cast<double>(c) / static_cast<double>(n);
-      entropy -= p * std::log2(p);
-    }
-    const double max_entropy = std::min(8.0, std::log2(static_cast<double>(n)));
-    return std::clamp(entropy / max_entropy, 0.0, 1.0);
-  };
-
+  std::vector<CanFrame> frames;
   for (int i = 0; i < 4000; ++i) {
     const std::uint32_t id = ids[rng.next_below(3)];
     const auto format = id > can::kMaxStandardId || rng.next_below(2) == 0
                             ? can::IdFormat::kExtended
                             : can::IdFormat::kStandard;
-    // Small alphabets pile counts up to the 128-byte window's maximum.
     constexpr std::array<std::uint64_t, 5> kAlphabets{1, 2, 4, 16, 256};
     const std::uint64_t alphabet = kAlphabets[rng.next_below(kAlphabets.size())];
     std::array<std::uint8_t, can::kMaxFdPayload> bytes{};
@@ -222,23 +202,184 @@ TEST(IdsEntropy, IncrementalMatchesRecompute) {
         frame = CanFrame::remote(id, static_cast<std::uint8_t>(rng.next_below(9)), format);
         break;
     }
-    ASSERT_TRUE(frame.has_value());
+    EXPECT_TRUE(frame.has_value());
+    frames.push_back(frame.value_or(CanFrame{}));
+  }
+  return frames;
+}
+
+TEST(IdsEntropy, IncrementalMatchesRecompute) {
+  // window_entropy (incremental counts, table logs) must match a
+  // from-scratch Shannon entropy of what the window holds: the first 8
+  // payload bytes of the id's last 16 frames, normalized by
+  // min(8, log2(bytes)).
+  EntropyDetector detector;
+  std::map<std::uint32_t, std::deque<std::vector<std::uint8_t>>> model;
+  auto recompute = [&model](std::uint32_t id) {
+    std::array<std::size_t, 256> counts{};
+    std::size_t n = 0;
+    for (const std::vector<std::uint8_t>& bytes : model[id]) {
+      for (const std::uint8_t byte : bytes) ++counts[byte];
+      n += bytes.size();
+    }
+    if (n <= 1) return 0.0;
+    double entropy = 0.0;
+    for (const std::size_t c : counts) {
+      if (c == 0) continue;
+      const double p = static_cast<double>(c) / static_cast<double>(n);
+      entropy -= p * std::log2(p);
+    }
+    const double max_entropy = std::min(8.0, std::log2(static_cast<double>(n)));
+    return std::clamp(entropy / max_entropy, 0.0, 1.0);
+  };
+
+  const std::vector<CanFrame> frames = mixed_entropy_stream();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const CanFrame& frame = frames[i];
     // Training and scoring push into the same windows.
-    const SimTime time(i * 1ms);
+    const SimTime time(static_cast<std::int64_t>(i) * 1ms);
     if (i < 2000) {
-      detector.train(*frame, time);
+      detector.train(frame, time);
     } else {
       if (i == 2000) detector.finalize_training();
-      detector.score(*frame, time);
+      detector.score(frame, time);
     }
 
-    const auto payload = frame->payload();
-    std::deque<std::vector<std::uint8_t>>& window = model[id];
+    const auto payload = frame.payload();
+    std::deque<std::vector<std::uint8_t>>& window = model[frame.id()];
     window.emplace_back(payload.begin(),
                         payload.begin() + static_cast<std::ptrdiff_t>(
                                               std::min(payload.size(), can::kMaxClassicPayload)));
     if (window.size() > 16) window.pop_front();
-    ASSERT_NEAR(detector.window_entropy(id), recompute(id), 1e-12) << "frame " << i;
+    ASSERT_NEAR(detector.window_entropy(frame.id()), recompute(frame.id()), 1e-12)
+        << "frame " << i;
+  }
+}
+
+/// The entropy detector as it was before windows were built lazily: every
+/// id gets its full 16-frame window at its first frame, and each update
+/// evaluates c*log2(c) and log2(n) by the expressions the detector's tables
+/// hold.  The reference for the detector's bit-identity.
+class EagerEntropy {
+ public:
+  void train(const CanFrame& frame) { push(windows_[frame.id()], frame); }
+
+  void finalize_training() {
+    baselines_.clear();
+    for (const auto& [id, window] : windows_) {
+      if (window.frames >= 8) baselines_[id] = normalized_entropy(window);
+    }
+  }
+
+  double score(const CanFrame& frame) {
+    Window& window = windows_[frame.id()];
+    push(window, frame);
+    if (window.frames < 8) return 0.0;
+    const double h = normalized_entropy(window);
+    const auto base = baselines_.find(frame.id());
+    if (base == baselines_.end() || base->second >= 1.0) return h;
+    return std::clamp((h - base->second) / (1.0 - base->second), 0.0, 1.0);
+  }
+
+  void reset() { windows_.clear(); }
+
+  double window_entropy(std::uint32_t id) const {
+    const auto window = windows_.find(id);
+    return window == windows_.end() ? 0.0 : normalized_entropy(window->second);
+  }
+
+ private:
+  struct Window {
+    struct Slot {
+      std::array<std::uint8_t, can::kMaxClassicPayload> bytes{};
+      std::uint8_t length = 0;
+    };
+    std::array<Slot, 16> ring{};
+    std::array<std::uint8_t, 256> counts{};
+    std::uint8_t head = 0;
+    std::uint8_t frames = 0;
+    std::uint8_t bytes_total = 0;
+    double sum_c_log_c = 0.0;
+  };
+  static_assert(sizeof(Window) == 416);
+
+  static double c_log_c(std::uint32_t c) { return static_cast<double>(c) * std::log2(c); }
+
+  static void push(Window& window, const CanFrame& frame) {
+    auto count_delta = [&window](std::uint8_t value, int delta) {
+      std::uint8_t& c = window.counts[value];
+      if (c > 0) window.sum_c_log_c -= c_log_c(c);
+      c = static_cast<std::uint8_t>(c + delta);
+      if (c > 0) window.sum_c_log_c += c_log_c(c);
+    };
+    if (window.frames == 16) {
+      const Window::Slot& old = window.ring[window.head];
+      for (std::size_t i = 0; i < old.length; ++i) count_delta(old.bytes[i], -1);
+      window.bytes_total = static_cast<std::uint8_t>(window.bytes_total - old.length);
+      --window.frames;
+    }
+    Window::Slot& slot = window.ring[window.head];
+    const auto payload = frame.payload();
+    slot.length = static_cast<std::uint8_t>(std::min(payload.size(), slot.bytes.size()));
+    for (std::size_t i = 0; i < slot.length; ++i) {
+      slot.bytes[i] = payload[i];
+      count_delta(payload[i], +1);
+    }
+    window.bytes_total = static_cast<std::uint8_t>(window.bytes_total + slot.length);
+    ++window.frames;
+    window.head = static_cast<std::uint8_t>((window.head + 1) % 16);
+  }
+
+  static double normalized_entropy(const Window& window) {
+    const double n = static_cast<double>(window.bytes_total);
+    if (n <= 1.0) return 0.0;
+    const double log2_n = std::log2(n);
+    const double entropy = log2_n - window.sum_c_log_c / n;
+    const double max_entropy = std::min(8.0, log2_n);
+    if (max_entropy <= 0.0) return 0.0;
+    return std::clamp(entropy / max_entropy, 0.0, 1.0);
+  }
+
+  std::map<std::uint32_t, Window> windows_;
+  std::map<std::uint32_t, double> baselines_;
+};
+
+TEST(IdsEntropy, ScoresMatchTheEagerWindowBitForBit) {
+  // Two streams: the mixed one above, and full-range fuzz (2,048 ids, ~2.4
+  // frames each), where most ids never reach the 8 frames a window needs.
+  std::vector<CanFrame> fuzz;
+  fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random(0xB17));
+  for (int i = 0; i < 4915; ++i) fuzz.push_back(*generator.next());
+
+  auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  for (const std::vector<CanFrame>& frames : {mixed_entropy_stream(), fuzz}) {
+    EntropyDetector detector;
+    EagerEntropy eager;
+    std::size_t nonzero = 0;
+    auto check_entropy = [&](const CanFrame& frame, const char* phase, std::size_t i) {
+      ASSERT_EQ(bits(detector.window_entropy(frame.id())), bits(eager.window_entropy(frame.id())))
+          << phase << " frame " << i;
+    };
+    auto score_all = [&](const char* phase) {
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const double score = detector.score(frames[i], SimTime(0ms));
+        ASSERT_EQ(bits(score), bits(eager.score(frames[i]))) << phase << " frame " << i;
+        if (score > 0.0) ++nonzero;
+        check_entropy(frames[i], phase, i);
+      }
+    };
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      detector.train(frames[i], SimTime(0ms));
+      eager.train(frames[i]);
+      check_entropy(frames[i], "train", i);
+    }
+    detector.finalize_training();
+    eager.finalize_training();
+    score_all("score");
+    detector.reset();
+    eager.reset();
+    score_all("score after reset");
+    EXPECT_GT(nonzero, 50u);  // windows were built and scored
   }
 }
 
@@ -348,6 +489,51 @@ TEST(IdsPipeline, CooldownMergesRepeatAlerts) {
   EXPECT_EQ(alerts[0].time, SimTime(1000ms));
   EXPECT_NE(alerts[0].to_string().find("dlc-consistency id=0x100"), std::string::npos);
   EXPECT_TRUE(pipeline.drain_alerts().empty());
+}
+
+TEST(IdsPipeline, RegistryPublishesEachTallyOnce) {
+  Pipeline pipeline;
+  const std::size_t allowlist = pipeline.add(std::make_unique<AllowlistDetector>(tiny_db()));
+  const std::size_t dlc = pipeline.add(std::make_unique<DlcConsistencyDetector>(tiny_db()));
+  auto check = [&pipeline, allowlist, dlc](const char* when) {
+    const PipelineCounters counters = pipeline.counters();
+    const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+        {"ids.alerts.allowlist", pipeline.alerts_for(allowlist)},
+        {"ids.alerts.dlc-consistency", pipeline.alerts_for(dlc)},
+        {"ids.pipeline.alerts_dropped", counters.alerts_dropped},
+        {"ids.pipeline.alerts_raised", counters.alerts_raised},
+        {"ids.pipeline.alerts_suppressed", counters.alerts_suppressed},
+        {"ids.pipeline.frames_scored", counters.frames_scored},
+        {"ids.pipeline.frames_trained", counters.frames_trained}};
+    // Reading the registry twice publishes nothing twice.
+    for (int read = 0; read < 2; ++read) {
+      std::vector<std::pair<std::string, std::uint64_t>> published;
+      for (const metrics::CounterSnap& counter : pipeline.registry().snapshot().counters) {
+        published.emplace_back(counter.name, counter.value);
+      }
+      EXPECT_EQ(published, expected) << when << ", read " << read;
+    }
+  };
+  check("before any frame");
+  pipeline.begin_training();
+  pipeline.observe(CanFrame::data_std(0x100, {1, 2, 3, 4}), 0ns);
+  check("after training");
+  pipeline.begin_detection();
+  const CanFrame unknown = CanFrame::data_std(0x321, {1});
+  const CanFrame wrong_dlc = CanFrame::data_std(0x100, {1});
+  for (int i = 0; i < 3; ++i) {
+    pipeline.observe(unknown, SimTime(i * 400ms));
+    pipeline.observe(wrong_dlc, SimTime(i * 400ms + 1ms));
+    pipeline.observe(CanFrame::data_std(0x100, {1, 2, 3, 4}), SimTime(i * 400ms + 2ms));
+    check("while scoring");
+  }
+  // The unknown id and the unseen DLC each alert once for the allowlist,
+  // the wrong DLC once for dlc-consistency; their repeats at 0.4 s and
+  // 0.8 s fall inside the 1 s cooldown.
+  EXPECT_EQ(pipeline.counters().frames_scored, 9u);
+  EXPECT_EQ(pipeline.alerts_for(allowlist), 2u);
+  EXPECT_EQ(pipeline.alerts_for(dlc), 1u);
+  EXPECT_EQ(pipeline.counters().alerts_suppressed, 6u);
 }
 
 TEST(IdsPipeline, BoundedAlertQueueCountsDrops) {

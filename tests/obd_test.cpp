@@ -41,8 +41,10 @@ class ScanTool {
         functional_(scheduler, send_fn(),
                     config(kObdFunctionalRequest, kObdFunctionalRequest)),
         physical_(scheduler, send_fn(), config(kObdFirstResponse - 8, kObdFirstResponse)) {
-    physical_.set_on_message(
-        [this](const Bytes& payload, sim::SimTime) { response_ = payload; });
+    physical_.set_on_message([this](const Bytes& payload, sim::SimTime) {
+      response_ = payload;
+      ++responses_;
+    });
     port_.set_rx_callback(
         [this](const can::CanFrame& f, sim::SimTime t) { physical_.handle_frame(f, t); });
   }
@@ -59,6 +61,8 @@ class ScanTool {
     ASSERT_TRUE(physical_.send(std::move(request)));
   }
   const std::optional<Bytes>& response() const noexcept { return response_; }
+  /// Responses received since construction.
+  std::size_t responses() const noexcept { return responses_; }
 
  private:
   static isotp::IsoTpConfig config(std::uint32_t tx, std::uint32_t rx) {
@@ -75,6 +79,7 @@ class ScanTool {
   isotp::IsoTpChannel functional_;  // sends only
   isotp::IsoTpChannel physical_;
   std::optional<Bytes> response_;
+  std::size_t responses_ = 0;
 };
 
 /// Server and scan tool wired across a bus, with a scripted data source.
@@ -204,6 +209,28 @@ TEST_F(ObdPair, RequestsItCannotAnswerInFullDrawSilence) {
   settle();
   EXPECT_FALSE(tool.response().has_value());
   EXPECT_EQ(server->malformed_requests(), 3u);
+}
+
+TEST_F(ObdPair, RequestDuringAnAnswerIsDroppedAndCounted) {
+  // The VIN answer takes a first frame, the tool's flow control and two
+  // consecutive frames; an RPM request 0.6 ms after the VIN request lands
+  // while ISO-TP is still sending it.
+  tool.request({kModeVehicleInfo, kInfoVin});
+  scheduler.run_for(std::chrono::microseconds(600));
+  tool.request({kModeCurrentData, kPidEngineRpm});
+  settle();
+  EXPECT_EQ(tool.responses(), 1u);
+  ASSERT_TRUE(tool.response().has_value());
+  EXPECT_EQ(tool.response()->at(0), kModeVehicleInfo + 0x40);
+  EXPECT_EQ(server->answers_dropped(), 1u);
+  EXPECT_EQ(server->malformed_requests(), 0u);
+
+  // Once the VIN is out, the same request is answered.
+  tool.request({kModeCurrentData, kPidEngineRpm});
+  settle();
+  EXPECT_EQ(tool.responses(), 2u);
+  EXPECT_EQ(tool.response(), (Bytes{0x41, 0x0C, 0x0C, 0xB2}));
+  EXPECT_EQ(server->answers_dropped(), 1u);
 }
 
 TEST_F(ObdPair, UdsSidsIgnoredSilently) {
