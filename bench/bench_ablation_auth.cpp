@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace acf;
-  const int runs = argc > 1 ? std::atoi(argv[1]) : 6;
+  const int runs = bench::run_count_arg(argc, argv, 6);
   bench::header("Ablation A7", "Message authentication vs the Table V attack (" +
                                    std::to_string(runs) + " runs per unauthenticated arm)");
 

@@ -31,7 +31,7 @@ double run_once(fuzzer::FrameGenerator& generator) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int runs = argc > 1 ? std::atoi(argv[1]) : 8;
+  const int runs = bench::run_count_arg(argc, argv, 8);
   bench::header("Ablation A9", "Generation strategies vs time-to-unlock (" +
                                    std::to_string(runs) + " runs each)");
 

@@ -26,7 +26,7 @@ double mean_time_to_unlock(const acf::fuzzer::FuzzConfig& base, int runs,
 
 int main(int argc, char** argv) {
   using namespace acf;
-  const int runs = argc > 1 ? std::atoi(argv[1]) : 8;
+  const int runs = bench::run_count_arg(argc, argv, 8);
   bench::header("Ablation A1", "Targeted vs blind fuzzing: mean time-to-unlock (" +
                                    std::to_string(runs) + " runs each)");
 

@@ -8,10 +8,13 @@
 #pragma once
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "oracle/vehicle_oracles.hpp"
 #include "sim/scheduler.hpp"
 #include "transport/virtual_bus_transport.hpp"
+#include "util/cli.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace acf::bench {
@@ -76,13 +80,24 @@ struct LocalFlag {
 /// bench also takes `--distributed [K]` (the coordinator plus K forked
 /// workers, default 2), the `--connect HOST:PORT` a forked worker is given,
 /// and a bare leading integer as the run count (its historical interface).
+/// Numbers are read whole (util::parse_number); a malformed or out-of-range
+/// one, like an unknown flag, prints the usage and exits 2.
 inline FleetArgs parse_fleet_args(int argc, char** argv, int default_runs,
                                   std::initializer_list<LocalFlag> local = {},
                                   bool distributable = true) {
   FleetArgs args;
   args.runs = default_runs;
   fleet::CampaignOptions& campaign = args.campaign;
-  for (int i = 1; i < argc; ++i) {
+  bool malformed = false;
+  const auto number = [&malformed](const char* text, std::uint64_t min, std::uint64_t max) {
+    const std::optional<std::uint64_t> value = util::parse_number(text, min, max);
+    malformed = malformed || !value;
+    return value.value_or(min);
+  };
+  const auto is_count = [](const char* text) {
+    return util::parse_number(text, 1, INT_MAX).has_value();
+  };
+  for (int i = 1; i < argc && !malformed; ++i) {
     const auto flag = std::find_if(local.begin(), local.end(), [&](const LocalFlag& f) {
       return std::strcmp(argv[i], f.name) == 0;
     });
@@ -91,36 +106,51 @@ inline FleetArgs parse_fleet_args(int argc, char** argv, int default_runs,
     } else if (flag != local.end() && i + 1 < argc) {
       *flag->value = argv[++i];
     } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      args.runs = std::atoi(argv[++i]);
+      args.runs = static_cast<int>(number(argv[++i], 1, INT_MAX));
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      campaign.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      campaign.threads = static_cast<unsigned>(number(argv[++i], 0, UINT_MAX));
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = std::strtoull(argv[++i], nullptr, 0);
+      args.seed = number(argv[++i], 0, UINT64_MAX);
     } else if (distributable && std::strcmp(argv[i], "--distributed") == 0) {
       campaign.serve = true;
       campaign.workers = 2;
-      if (i + 1 < argc && std::atoi(argv[i + 1]) > 0) {
-        campaign.workers = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (i + 1 < argc && is_count(argv[i + 1])) {
+        campaign.workers = static_cast<std::size_t>(number(argv[++i], 1, INT_MAX));
       }
     } else if (distributable && std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
       campaign.connect = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       campaign.metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-interval") == 0 && i + 1 < argc) {
-      campaign.metrics_interval = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (distributable && i == 1 && std::atoi(argv[i]) > 0) {
-      args.runs = std::atoi(argv[i]);
+      campaign.metrics_interval = static_cast<std::size_t>(number(argv[++i], 0, SIZE_MAX));
+    } else if (distributable && i == 1 && is_count(argv[i])) {
+      args.runs = static_cast<int>(number(argv[i], 1, INT_MAX));
     } else {
-      std::fprintf(stderr, "usage: %s [--runs N] [--threads T] [--seed S]%s\n", argv[0],
-                   distributable ? " [--distributed [K]]" : "");
-      std::fprintf(stderr, "          [--metrics-out PATH] [--metrics-interval N]");
-      for (const LocalFlag& f : local) std::fprintf(stderr, " [%s%s]", f.name, f.on ? "" : " ARG");
-      std::fprintf(stderr, "\n");
-      std::exit(2);
+      malformed = true;
     }
   }
-  if (args.runs <= 0) args.runs = default_runs;
+  if (malformed) {
+    std::fprintf(stderr, "usage: %s [--runs N] [--threads T] [--seed S]%s\n", argv[0],
+                 distributable ? " [--distributed [K]]" : "");
+    std::fprintf(stderr, "          [--metrics-out PATH] [--metrics-interval N]");
+    for (const LocalFlag& f : local) std::fprintf(stderr, " [%s%s]", f.name, f.on ? "" : " ARG");
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
   return args;
+}
+
+/// The run count a bench takes as its one optional argument, `fallback`
+/// when absent.  Anything but a whole number in [1, INT_MAX] exits 2.
+inline int run_count_arg(int argc, char** argv, int fallback) {
+  if (argc == 1) return fallback;
+  const std::optional<std::uint64_t> runs =
+      argc == 2 ? util::parse_number(argv[1], 1, INT_MAX) : std::nullopt;
+  if (!runs) {
+    std::fprintf(stderr, "usage: %s [RUNS]\n", argv[0]);
+    std::exit(2);
+  }
+  return static_cast<int>(*runs);
 }
 
 }  // namespace acf::bench

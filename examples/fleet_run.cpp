@@ -14,8 +14,6 @@
 //   --budget-hours/--fast-world); the handshake fingerprint rejects drift.
 //   Forked workers get exactly that: the coordinator's own command line plus
 //   --connect (fleet::run_campaign, src/fleet/runner.hpp).
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "fleet/jsonl.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/worlds.hpp"
+#include "util/cli.hpp"
 
 using namespace acf;
 
@@ -77,18 +77,15 @@ void usage(const char* argv0) {
                argv0);
 }
 
-/// Parses all of `text` as a number in [min, max] (decimal, or 0x hex and
-/// leading-0 octal as strtoull reads them); anything else exits 2.
+/// Parses all of `text` as a number in [min, max] (util::parse_number);
+/// anything else exits 2.
 std::uint64_t number(const char* argv0, const char* text, std::uint64_t min, std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
-      value < min || value > max) {
+  const std::optional<std::uint64_t> value = util::parse_number(text, min, max);
+  if (!value) {
     usage(argv0);
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
 struct Options {

@@ -17,37 +17,6 @@
 
 namespace acf::attacks {
 
-namespace {
-
-/// Stamps every successfully queued frame into the ground-truth labeler —
-/// the source-side half of the labeling contract.  Scenarios send through
-/// this; they never see the labeler.
-class LabelingTransport final : public transport::CanTransport {
- public:
-  LabelingTransport(transport::CanTransport& inner, ids::FrameLabeler& labeler)
-      : inner_(inner), labeler_(labeler) {}
-
-  bool send(const can::CanFrame& frame) override {
-    if (!inner_.send(frame)) return false;
-    labeler_.note_injected(frame);
-    return true;
-  }
-  void set_rx_callback(transport::RxCallback callback) override {
-    inner_.set_rx_callback(std::move(callback));
-  }
-  std::string name() const override { return inner_.name(); }
-  const transport::TransportStats& stats() const override { return inner_.stats(); }
-  const can::ErrorState* bus_error_state() const override {
-    return inner_.bus_error_state();
-  }
-
- private:
-  transport::CanTransport& inner_;
-  ids::FrameLabeler& labeler_;
-};
-
-}  // namespace
-
 std::vector<AttackArm> standard_attack_arms() {
   std::vector<AttackArm> arms;
   const auto add = [&arms](std::string label, AttackFamily family, AttackBus bus,
@@ -106,8 +75,8 @@ AttackTrialResult run_attack_trial(const AttackArm& arm, const fleet::TrialSpec&
 
   transport::VirtualBusTransport powertrain_node(car.powertrain_bus(), "attacker-pt");
   transport::VirtualBusTransport body_node(car.body_bus(), "attacker-body");
-  LabelingTransport powertrain(powertrain_node, evaluator.labeler());
-  LabelingTransport body(body_node, evaluator.labeler());
+  ids::LabelingTransport powertrain(powertrain_node, evaluator.labeler());
+  ids::LabelingTransport body(body_node, evaluator.labeler());
 
   util::Rng rng(spec.seed);
   AttackContext ctx{scheduler, car, powertrain, body, rng};
@@ -132,8 +101,6 @@ AttackTrialResult run_attack_trial(const AttackArm& arm, const fleet::TrialSpec&
       spec.sim_budget.count() > 0 ? spec.sim_budget : arm.attack_window;
   scheduler.run_for(attack_window);
   scenario->disarm(ctx);
-  car.powertrain_bus().flush_deliveries();
-  car.body_bus().flush_deliveries();
 
   AttackTrialResult out;
   out.attack_start = attack_start;

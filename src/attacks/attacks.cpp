@@ -59,11 +59,15 @@ void SpoofAttack::stop() {
 
 ReplayAttack::ReplayAttack(sim::Scheduler& scheduler, can::VirtualBus& bus,
                            transport::CanTransport& transport, can::FilterBank record_filter)
-    : scheduler_(scheduler), transport_(transport), tap_(bus, "attacker-tap"),
+    : scheduler_(scheduler), bus_(bus), transport_(transport),
       filter_(std::move(record_filter)) {
-  tap_.set_on_frame([this](const trace::TimestampedFrame& entry) {
-    if (recording_ && filter_.accepts(entry.frame)) recording_buffer_.push_back(entry);
-  });
+  node_ = bus_.attach(*this, "attacker-tap", {}, /*listen_only=*/true);
+}
+
+ReplayAttack::~ReplayAttack() { bus_.detach(node_); }
+
+void ReplayAttack::on_frame(const can::CanFrame& frame, sim::SimTime time) {
+  if (recording_ && filter_.accepts(frame)) recording_buffer_.push_back({frame, time});
 }
 
 void ReplayAttack::record_for(sim::Duration window) {

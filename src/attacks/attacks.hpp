@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "can/bus.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/capture.hpp"
 #include "trace/replay.hpp"
@@ -75,11 +76,16 @@ class SpoofAttack {
 };
 
 /// Records frames matching a filter for a window, then replays the recording
-/// (the window-lift attack of Hoppe & Dittman, the paper's ref [10]).
-class ReplayAttack {
+/// (the window-lift attack of Hoppe & Dittman, the paper's ref [10]).  It
+/// listens through its own listen-only node, "attacker-tap".
+class ReplayAttack final : private can::BusListener {
  public:
   ReplayAttack(sim::Scheduler& scheduler, can::VirtualBus& bus,
                transport::CanTransport& transport, can::FilterBank record_filter = {});
+  ~ReplayAttack() override;
+
+  ReplayAttack(const ReplayAttack&) = delete;
+  ReplayAttack& operator=(const ReplayAttack&) = delete;
 
   /// Captures matching traffic for `window`, then stops recording.
   void record_for(sim::Duration window);
@@ -92,9 +98,12 @@ class ReplayAttack {
   std::uint64_t frames_replayed() const;
 
  private:
+  void on_frame(const can::CanFrame& frame, sim::SimTime time) override;
+
   sim::Scheduler& scheduler_;
+  can::VirtualBus& bus_;
   transport::CanTransport& transport_;
-  trace::CaptureTap tap_;
+  can::NodeId node_;
   can::FilterBank filter_;
   bool recording_ = false;
   std::vector<trace::TimestampedFrame> recording_buffer_;

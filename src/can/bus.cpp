@@ -20,16 +20,12 @@ VirtualBus::VirtualBus(sim::Scheduler& scheduler, BusConfig config)
     : scheduler_(scheduler), config_(config), rng_(config.seed) {}
 
 NodeId VirtualBus::attach(BusListener& listener, std::string name, FilterBank filters,
-                          bool listen_only, bool batched) {
-  flush_deliveries();  // keep the slab's tap membership stable per epoch
+                          bool listen_only) {
   Node node;
   node.listener = &listener;
   node.name = std::move(name);
   node.filters = std::move(filters);
   node.listen_only = listen_only;
-  // Slab delivery is only sound for taps that accept every frame and never
-  // transmit; anything else keeps the immediate per-frame path.
-  node.batched = batched && listen_only && node.filters.empty();
   nodes_.push_back(std::move(node));
   fanout_dirty_ = true;
   return static_cast<NodeId>(nodes_.size() - 1);
@@ -37,7 +33,6 @@ NodeId VirtualBus::attach(BusListener& listener, std::string name, FilterBank fi
 
 void VirtualBus::detach(NodeId id) {
   if (id >= nodes_.size()) return;
-  flush_deliveries();  // a departing batched tap still gets what it saw
   nodes_[id].listener = nullptr;
   if (!nodes_[id].tx_queue.empty()) note_tx_queue_emptied();
   nodes_[id].tx_queue.clear();
@@ -77,7 +72,6 @@ void VirtualBus::set_power(NodeId id, bool on) {
   if (id >= nodes_.size()) return;
   Node& node = nodes_[id];
   if (node.powered == on) return;
-  flush_deliveries();  // keep the slab's tap membership stable per epoch
   node.powered = on;
   fanout_dirty_ = true;
   if (!on) {
@@ -113,11 +107,8 @@ std::uint32_t VirtualBus::forced_tx_errors_remaining(NodeId id) const {
 
 void VirtualBus::inject_error_frame() {
   ++stats_.error_frames;
-  const sim::SimTime now = scheduler_.now();
   for (auto& node : nodes_) {
-    if (node.listener == nullptr || !node.powered) continue;
-    node.errors.on_rx_error();
-    node.listener->on_error_frame(now);
+    if (node.listener != nullptr && node.powered) node.errors.on_rx_error();
   }
 }
 
@@ -141,45 +132,16 @@ sim::Duration VirtualBus::frame_duration(const CanFrame& frame) const {
   return frame_time(frame);
 }
 
-void VirtualBus::set_batched(NodeId id, bool batched) {
-  if (id >= nodes_.size()) return;
-  Node& node = nodes_[id];
-  const bool want = batched && node.listen_only && node.filters.empty();
-  if (node.batched == want) return;
-  flush_deliveries();
-  node.batched = want;
-  fanout_dirty_ = true;
-}
-
 void VirtualBus::refresh_fanout() {
   fanout_.clear();
-  batch_taps_.clear();
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
-    if (node.listener == nullptr || !node.powered) continue;
-    (node.batched ? batch_taps_ : fanout_).push_back(id);
+    if (node.listener != nullptr && node.powered) fanout_.push_back(id);
   }
   fanout_dirty_ = false;
 }
 
-void VirtualBus::flush_deliveries() {
-  if (delivery_slab_.empty()) return;
-  if (fanout_dirty_) refresh_fanout();
-  // Swap the slab out so a tap reading its own state from inside
-  // on_frame_batch (which re-enters flush_deliveries) sees it empty.
-  std::vector<BusDelivery> batch;
-  batch.swap(delivery_slab_);
-  for (NodeId id : batch_taps_) {
-    Node& node = nodes_[id];
-    if (node.listener == nullptr) continue;
-    node.listener->on_frame_batch(batch);
-  }
-  batch.clear();
-  delivery_slab_.swap(batch);  // hand the arena back for reuse
-}
-
 void VirtualBus::reset() {
-  flush_deliveries();
   for (Node& node : nodes_) {
     node.powered = true;
     node.in_bus_off_recovery = false;
@@ -251,20 +213,17 @@ void VirtualBus::run_contest() {
   scheduler_.schedule_after(duration, [this, winner] {
     busy_ = false;
     ++stats_.error_frames;
-    const sim::SimTime now = scheduler_.now();
     Node& tx = nodes_[winner];
     tx.errors.on_tx_error();
     for (NodeId id = 0; id < nodes_.size(); ++id) {
       Node& node = nodes_[id];
-      if (node.listener == nullptr || !node.powered) continue;
-      if (id != winner) node.errors.on_rx_error();
-      node.listener->on_error_frame(now);
+      if (id != winner && node.listener != nullptr && node.powered) node.errors.on_rx_error();
     }
     if (tx.errors.bus_off()) {
       if (!tx.tx_queue.empty()) note_tx_queue_emptied();
       tx.tx_queue.clear();
       ++stats_.drops_bus_off;
-      if (config_.auto_bus_off_recovery) begin_bus_off_recovery(winner);
+      begin_bus_off_recovery(winner);
     }
     request_contest();
   });
@@ -297,17 +256,6 @@ void VirtualBus::complete_transmission(NodeId winner) {
     ++stats_.deliveries;
     node.listener->on_frame(frame, now);
   }
-  if (!batch_taps_.empty()) {
-    // Batched taps accept everything, so the slab carries the frame once and
-    // the per-tap delivery happens contiguously at flush time.
-    for (NodeId id : batch_taps_) {
-      nodes_[id].errors.on_rx_success();
-      ++stats_.deliveries;
-    }
-    delivery_slab_.push_back(BusDelivery{frame, now});
-    if (delivery_slab_.size() >= kDeliverySlabCapacity) flush_deliveries();
-  }
-  if (tx.listener != nullptr) tx.listener->on_tx_complete(frame, now);
   request_contest();
 }
 

@@ -8,14 +8,14 @@
 //    arbitration rank (priority) wins and losers retransmit;
 //  - broadcast: every accepted frame is delivered exactly once to every
 //    other powered node whose acceptance filters match;
-//  - fault confinement: per-node TEC/REC with error-active/passive/bus-off,
-//    plus optional random frame corruption for failure-injection tests.
+//  - fault confinement: per-node TEC/REC with error-active/passive/bus-off
+//    (a bus-off node rejoins after 128 x 11 recessive bit times), plus
+//    optional random frame corruption for failure-injection tests.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -32,39 +32,16 @@ namespace acf::can {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = ~NodeId{0};
 
-/// One completed transmission as seen by a batch-delivered tap.
-struct BusDelivery {
-  CanFrame frame;
-  sim::SimTime time{0};
-};
-
 /// Interface implemented by everything attached to a bus (ECUs, the fuzzer,
 /// capture taps, oracles).
 class BusListener {
  public:
   virtual ~BusListener() = default;
 
-  /// A frame transmitted by another node has completed successfully.
+  /// A frame transmitted by another node has completed successfully.  The
+  /// bus calls every powered listener whose filters accept the frame once,
+  /// in attach order.
   virtual void on_frame(const CanFrame& frame, sim::SimTime time) = 0;
-
-  /// Batched delivery for accepts-all listen-only taps (see
-  /// VirtualBus::attach with `batched`): a contiguous run of completed
-  /// transmissions, in bus order, handed over when the bus's delivery slab
-  /// fills or is flushed.  Default unpacks into per-frame on_frame calls, so
-  /// a tap opting in observes exactly the frames it would have seen live —
-  /// only the callback instant moves.
-  virtual void on_frame_batch(std::span<const BusDelivery> batch) {
-    for (const BusDelivery& delivery : batch) on_frame(delivery.frame, delivery.time);
-  }
-
-  /// An error frame was observed on the bus (any node's).
-  virtual void on_error_frame(sim::SimTime time) { (void)time; }
-
-  /// This node's own pending frame was transmitted successfully.
-  virtual void on_tx_complete(const CanFrame& frame, sim::SimTime time) {
-    (void)frame;
-    (void)time;
-  }
 };
 
 /// The bus runs at kDefaultBitrate, and CAN FD data phases at
@@ -73,9 +50,6 @@ struct BusConfig {
   /// Probability that any given transmission is hit by a (simulated) bit
   /// error and aborted with an error frame.  0 = clean bus.
   double corruption_probability = 0.0;
-  /// Nodes that reach bus-off re-join after the standard 128 x 11 recessive
-  /// bit times when true; stay off forever when false.
-  bool auto_bus_off_recovery = true;
   /// Seed for the bus's own randomness (corruption decisions only).
   std::uint64_t seed = 0xb05b05;
 };
@@ -104,37 +78,23 @@ class VirtualBus {
   static constexpr std::size_t kTxQueueLimit = 64;
 
   explicit VirtualBus(sim::Scheduler& scheduler, BusConfig config = {});
-  ~VirtualBus() { flush_deliveries(); }
   VirtualBus(const VirtualBus&) = delete;
   VirtualBus& operator=(const VirtualBus&) = delete;
 
   /// Attaches a node.  `listen_only` taps never transmit and do not ACK.
   /// The listener must outlive the bus or be detached first.
-  /// `batched` opts an accepts-all listen-only tap into slab delivery: its
-  /// frames accumulate in a contiguous per-bus arena and arrive through
-  /// on_frame_batch when the slab fills or flush_deliveries() runs (ignored
-  /// unless the node is listen-only with an empty filter bank).
   NodeId attach(BusListener& listener, std::string name, FilterBank filters = {},
-                bool listen_only = false, bool batched = false);
+                bool listen_only = false);
   void detach(NodeId id);
 
-  /// Hands any frames sitting in the delivery slab to batched taps now.
-  /// Batched taps call this before reading their own capture state.
-  void flush_deliveries();
-
-  /// Returns the bus to its just-built state after pending deliveries are
-  /// flushed: every node is powered, error-active with zeroed counters and
-  /// lifetime error tallies, out of bus-off recovery, without forced errors
-  /// and with an empty transmit queue; the stats, the busy and contest flags
-  /// and the corruption RNG restart.  Keeps every attachment (listener,
-  /// name, filters, listen-only and batched modes) and every allocation.
-  /// Call it with the scheduler reset too: an event the bus left pending
-  /// would act on the reset state.
+  /// Returns the bus to its just-built state: every node is powered,
+  /// error-active with zeroed counters and lifetime error tallies, out of
+  /// bus-off recovery, without forced errors and with an empty transmit
+  /// queue; the stats, the busy and contest flags and the corruption RNG
+  /// restart.  Keeps every attachment (listener, name, filters, listen-only
+  /// mode) and every allocation.  Call it with the scheduler reset too: an
+  /// event the bus left pending would act on the reset state.
   void reset();
-
-  /// Moves a tap between slab and immediate delivery (same eligibility rules
-  /// as attach; pending slab frames are flushed first).
-  void set_batched(NodeId id, bool batched);
 
   /// Queues a frame for transmission.  Returns false if the node is
   /// detached, powered off, listen-only, bus-off, or its queue is full.
@@ -214,7 +174,6 @@ class VirtualBus {
     std::string name;
     FilterBank filters;
     bool listen_only = false;
-    bool batched = false;
     bool powered = true;
     bool in_bus_off_recovery = false;
     std::uint32_t forced_tx_errors = 0;
@@ -239,20 +198,15 @@ class VirtualBus {
   bool busy_ = false;
   bool contest_pending_ = false;
 
-  /// Receiver fan-out cache: ids of powered, attached, non-batched nodes, in
-  /// attach order.  Rebuilt lazily after attach/detach/set_power; entries are
+  /// Receiver fan-out cache: ids of powered, attached nodes, in attach
+  /// order.  Rebuilt lazily after attach/detach/set_power/reset; entries are
   /// re-validated during delivery so callbacks may power nodes down mid-run.
   std::vector<NodeId> fanout_;
-  std::vector<NodeId> batch_taps_;  // powered, attached, batched nodes
   bool fanout_dirty_ = true;
 
   /// Number of nodes with a non-empty tx queue: lets the bus skip scheduling
   /// arbitration-contest events that could only no-op.
   std::size_t tx_pending_nodes_ = 0;
-
-  /// Delivery slab for batched taps (arena reused between flushes).
-  std::vector<BusDelivery> delivery_slab_;
-  static constexpr std::size_t kDeliverySlabCapacity = 512;
 };
 
 }  // namespace acf::can

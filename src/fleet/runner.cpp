@@ -246,6 +246,13 @@ std::vector<TrialOutcome> run_campaign(const TrialPlan& plan, const FactoryBuild
   if (options.metrics_path.empty() && options.metrics_interval) {
     refuse(program, "--metrics-interval needs --metrics-out");
   }
+  if (options.workers > plan.trial_count()) {
+    // Checked before the port is bound: a worker per trial is the most any
+    // campaign can use, and a typo must not fork thousands of processes.
+    refuse(program, ("cannot fork " + std::to_string(options.workers) + " workers for " +
+                     std::to_string(plan.trial_count()) + " trials")
+                        .c_str());
+  }
   return options.serve ? coordinate(plan, world_tag, options, argv, program)
                        : run_in_process(plan, make_factory, options, program);
 }

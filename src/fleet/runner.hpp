@@ -66,7 +66,8 @@ struct CampaignOptions {
 /// `stop_after` (status 0 once the checkpoint holds every finished trial,
 /// 1 when writing it failed), exit the process instead.  Options that cannot
 /// take effect in the chosen mode, `stop_after` without a checkpoint among
-/// them, exit 2.
+/// them, exit 2, and so do more `workers` than the plan has trials: nothing
+/// is bound or forked first.
 std::vector<TrialOutcome> run_campaign(const TrialPlan& plan, const FactoryBuilder& make_factory,
                                        std::string_view world_tag,
                                        const CampaignOptions& options, char* const* argv);

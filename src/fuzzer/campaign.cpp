@@ -72,7 +72,6 @@ void FuzzCampaign::tx_tick() {
   }
   if (transport_.send(*frame)) {
     ++result_.frames_sent;
-    if (on_frame_sent_) on_frame_sent_(*frame, scheduler_.now());
   } else {
     ++result_.send_failures;
   }

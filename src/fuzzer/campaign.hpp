@@ -84,13 +84,6 @@ class FuzzCampaign {
     on_finding_ = std::move(callback);
   }
 
-  /// Invoked after every successfully queued frame with its submit time —
-  /// the ground-truth labeling hook: downstream consumers (IDS evaluation)
-  /// learn exactly which bus frames the fuzzer injected.
-  void set_on_frame_sent(std::function<void(const can::CanFrame&, sim::SimTime)> callback) {
-    on_frame_sent_ = std::move(callback);
-  }
-
  private:
   void tx_tick();
   void oracle_tick();
@@ -112,7 +105,6 @@ class FuzzCampaign {
   bool started_flag_ = false;
   bool finished_ = false;
   std::function<void(const Finding&)> on_finding_;
-  std::function<void(const can::CanFrame&, sim::SimTime)> on_frame_sent_;
 };
 
 }  // namespace acf::fuzzer

@@ -1,23 +1,27 @@
 // Detector evaluation: ground-truth frame labeling, confusion counts,
 // threshold-sweep ROC curves and detection latency.
 //
-// Ground truth is established at the source: the fuzz campaign's
-// on_frame_sent hook notes every injected frame, and the labeler matches
-// bus-observed frames against that note queue — a frame is an attack frame
-// iff the fuzzer put it on the wire.  Everything downstream is pure
-// counting: per-detector score histograms (attack / legitimate) from which
-// precision, recall, F1, ROC points and AUC all derive, so a trial's
-// evaluation is O(1) memory and merges across fleet trials by summation.
+// Ground truth is established at the source: both IDS worlds (the Table V
+// fuzz of ids_world.hpp and the scenario catalog of attack_world.hpp) send
+// their attack traffic through a LabelingTransport, which notes each frame
+// the bus accepted, and the labeler matches bus-observed frames against
+// that note queue — a frame is an attack frame iff the attacker put it on
+// the wire.  Everything downstream is pure counting: per-detector score
+// histograms (attack / legitimate) from which precision, recall, F1, ROC
+// points and AUC all derive, so a trial's evaluation is O(1) memory and
+// merges across fleet trials by summation.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "can/frame.hpp"
 #include "ids/pipeline.hpp"
 #include "sim/time.hpp"
+#include "transport/transport.hpp"
 
 namespace acf::ids {
 
@@ -70,6 +74,32 @@ class FrameLabeler {
   std::size_t occupied_ = 0;
   std::uint64_t injected_ = 0;
   std::uint64_t matched_ = 0;
+};
+
+/// The one labeling hook: a transport decorator that notes each frame as
+/// injected once its inner transport has accepted it, so a frame the bus
+/// refuses (bus-off, full queue) leaves no note.  The name, stats, rx
+/// callback and error state are the inner transport's.
+class LabelingTransport final : public transport::CanTransport {
+ public:
+  LabelingTransport(transport::CanTransport& inner, FrameLabeler& labeler)
+      : inner_(inner), labeler_(labeler) {}
+
+  bool send(const can::CanFrame& frame) override {
+    if (!inner_.send(frame)) return false;
+    labeler_.note_injected(frame);
+    return true;
+  }
+  void set_rx_callback(transport::RxCallback callback) override {
+    inner_.set_rx_callback(std::move(callback));
+  }
+  std::string name() const override { return inner_.name(); }
+  const transport::TransportStats& stats() const override { return inner_.stats(); }
+  const can::ErrorState* bus_error_state() const override { return inner_.bus_error_state(); }
+
+ private:
+  transport::CanTransport& inner_;
+  FrameLabeler& labeler_;
 };
 
 /// One point of a ROC sweep.
@@ -129,8 +159,8 @@ struct TrialEval {
 };
 
 /// Wires a pipeline's score hook to a labeler and accumulates a TrialEval.
-/// Construct after the pipeline's detectors are added; connect the fuzz
-/// campaign via `labeler().note_injected` (campaign on_frame_sent hook).
+/// Construct after the pipeline's detectors are added; send the attack
+/// traffic through a LabelingTransport over `labeler()`.
 class PipelineEvaluator {
  public:
   explicit PipelineEvaluator(Pipeline& pipeline);

@@ -1,5 +1,6 @@
 #include "ids/ids_world.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -38,6 +39,7 @@ class IdsUnlockWorld final : public fleet::World {
     for (auto& detector : detectors) pipeline_.add(std::move(detector));
     pipeline_.attach(bench_.bus(), "ids-tap");
     evaluator_ = std::make_unique<PipelineEvaluator>(pipeline_);
+    labeled_attacker_.emplace(attacker_, evaluator_->labeler());
 
     oracles_.add(std::make_unique<oracle::UnlockOracle>(bench_.bus(), &bench_.bcm()));
     fuzzer::FuzzConfig fuzz = arm.fuzz;
@@ -49,11 +51,8 @@ class IdsUnlockWorld final : public fleet::World {
         spec.sim_budget.count() > 0 ? spec.sim_budget : kDefaultBudget;
     config.oracle_period = std::chrono::milliseconds(10);
     config.record_suspicious = false;
-    campaign_ = std::make_unique<fuzzer::FuzzCampaign>(scheduler_, attacker_, *generator_,
-                                                       &oracles_, config);
-    campaign_->set_on_frame_sent([this](const can::CanFrame& frame, sim::SimTime) {
-      evaluator_->labeler().note_injected(frame);
-    });
+    campaign_ = std::make_unique<fuzzer::FuzzCampaign>(scheduler_, *labeled_attacker_,
+                                                       *generator_, &oracles_, config);
   }
 
   fuzzer::CampaignResult run() override {
@@ -94,6 +93,7 @@ class IdsUnlockWorld final : public fleet::World {
   fleet::TrialSpec spec_;
   sim::Duration train_window_;
   std::unique_ptr<PipelineEvaluator> evaluator_;
+  std::optional<LabelingTransport> labeled_attacker_;
   oracle::CompositeOracle oracles_;
   std::unique_ptr<fuzzer::RandomGenerator> generator_;
   std::unique_ptr<fuzzer::FuzzCampaign> campaign_;

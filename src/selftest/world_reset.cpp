@@ -52,7 +52,6 @@ Quantities observe(feedback::ExecWorld& world, const feedback::ExecOutcome& outc
          seen.frame.to_string() + " @" + std::to_string(seen.time.count()));
   }
   note("tap.total_seen", tap.total_seen());
-  note("tap.error_frames_seen", tap.error_frames_seen());
 
   vehicle::BodyControlModule& bcm = world.bench().bcm();
   note("bcm.unlocked", bcm.unlocked());

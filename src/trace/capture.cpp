@@ -4,31 +4,14 @@ namespace acf::trace {
 
 CaptureTap::CaptureTap(can::VirtualBus& bus, std::string name, std::size_t limit)
     : bus_(bus), limit_(limit) {
-  // Capture-only taps ride the bus's batched delivery slab; installing a
-  // live callback (set_on_frame) drops back to immediate delivery.
-  node_ = bus_.attach(*this, std::move(name), {}, /*listen_only=*/true, /*batched=*/true);
+  node_ = bus_.attach(*this, std::move(name), {}, /*listen_only=*/true);
 }
 
 CaptureTap::~CaptureTap() { bus_.detach(node_); }
 
-void CaptureTap::record(const can::CanFrame& frame, sim::SimTime time) {
-  ++total_seen_;
-  if (frames_.size() >= limit_) return;
-  frames_.push_back({frame, time});
-  if (on_frame_cb_) on_frame_cb_(frames_.back());
-}
-
 void CaptureTap::on_frame(const can::CanFrame& frame, sim::SimTime time) {
-  record(frame, time);
+  ++total_seen_;
+  if (frames_.size() < limit_) frames_.push_back({frame, time});
 }
-
-void CaptureTap::on_frame_batch(std::span<const can::BusDelivery> batch) {
-  if (frames_.capacity() - frames_.size() < batch.size() && frames_.size() < limit_) {
-    frames_.reserve(frames_.size() + batch.size());
-  }
-  for (const can::BusDelivery& delivery : batch) record(delivery.frame, delivery.time);
-}
-
-void CaptureTap::on_error_frame(sim::SimTime) { ++error_frames_; }
 
 }  // namespace acf::trace

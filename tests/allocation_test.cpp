@@ -8,7 +8,8 @@
 // same-instant lane is threaded through its event slots.  Building a
 // feedback execution's world has a fixed budget, resetting it in place
 // allocates nothing, and a warm execution allocates only its outcome.  An
-// IDS-tapped Table V trial keeps a budget of heap bytes.
+// IDS-tapped Table V trial keeps a budget of heap bytes.  A capture tap's
+// buffer grows geometrically however often it is read.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,6 +27,7 @@
 #include "ids/evaluation.hpp"
 #include "ids/ids_world.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/capture.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace {
@@ -102,6 +104,22 @@ TEST(VehicleAllocations, SteadyStateDriveCycleAllocatesNothing) {
 
   EXPECT_GT(frames, 800u);  // 2 s of both buses' periodic traffic (920 frames)
   EXPECT_EQ(during, 0u) << "over " << frames << " frames";
+}
+
+TEST(CaptureAllocations, TapReadAfterEveryEventGrowsGeometrically) {
+  // run_until_condition reads the tap after every event, as
+  // bench_fig4_capture_means does for its 100,000 frames.  A tap that
+  // reallocated its buffer one frame at a time there copied it whole per
+  // frame (quadratic in the capture).
+  sim::Scheduler scheduler{256};
+  vehicle::Vehicle vehicle(scheduler);
+  scheduler.run_until(sim::SimTime{200ms});  // warm-up: every periodic has fired
+  trace::CaptureTap tap(vehicle.powertrain_bus(), "tap");
+  const std::uint64_t before = allocations();
+  ASSERT_TRUE(scheduler.run_until_condition([&tap] { return tap.size() >= 4000; },
+                                            sim::SimTime{120s}));
+  // 13 doublings reach 4,096 frames; the bus rebuilds its receiver list once.
+  EXPECT_LE(allocations() - before, 20u);
 }
 
 TEST(LabelerAllocations, WarmTableAllocatesNothing) {

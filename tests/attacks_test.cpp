@@ -120,62 +120,36 @@ TEST(ReplayAttack, NothingRecordedNothingReplayed) {
   EXPECT_FALSE(replay.replay());
 }
 
-TEST(DosFlood, BusOffSilencesTheFloodForGood) {
-  // Regression: the flood used to ignore its controller's error state and
-  // kept hammering send() while bus-off, inflating frames_sent with frames
-  // fault confinement could never put on the wire.  A babbling attacker
-  // whose TEC passes 255 must fall silent.
-  sim::Scheduler scheduler;
-  can::BusConfig config;
-  config.auto_bus_off_recovery = false;  // stay off: the flood must never resume
-  can::VirtualBus bus(scheduler, config);
-  transport::VirtualBusTransport attacker(bus, "attacker");
-  DosFlood flood(scheduler, attacker);
-  flood.start();
-  scheduler.run_for(std::chrono::milliseconds(100));
-  EXPECT_GT(flood.frames_sent(), 0u);
-  EXPECT_EQ(flood.ticks_silenced(), 0u);
-
-  // Fault confinement catches up with the babbler: the next 32 transmission
-  // attempts fail at +8 TEC each, pushing it past the 255 bus-off
-  // threshold within ~8 ms of flooding.
-  bus.force_tx_errors(attacker.node_id(), 32);
-  scheduler.run_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(attacker.error_state().bus_off());
-  const std::uint64_t sent_at_bus_off = flood.frames_sent();
-
-  scheduler.run_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(flood.frames_sent(), sent_at_bus_off);  // not one more frame
-  // ~434 ticks elapsed at the 230 us default period, all skipped.
-  EXPECT_GT(flood.ticks_silenced(), 300u);
-  flood.stop();
-}
-
 TEST(DosFlood, FloodResumesAfterBusOffRecovery) {
-  // With standard auto-recovery (128 x 11 recessive bit times) the attacker
-  // re-joins and the flood picks back up — silenced ticks bound the gap.
+  // Fault confinement applies to the attacker too.  A babbling flood whose
+  // TEC passes 255 falls silent: not one frame while bus-off (it used to keep
+  // calling send(), inflating frames_sent with frames fault confinement
+  // could never put on the wire).  After the standard recovery window
+  // (128 x 11 recessive bit times, 2.816 ms at 500 kb/s) it re-joins and
+  // picks back up.
   sim::Scheduler scheduler;
-  can::VirtualBus bus(scheduler);  // auto_bus_off_recovery = true
+  can::VirtualBus bus(scheduler);
   transport::VirtualBusTransport attacker(bus, "attacker");
   DosFlood flood(scheduler, attacker);
   flood.start();
   scheduler.run_for(std::chrono::milliseconds(50));
+  EXPECT_GT(flood.frames_sent(), 0u);
+  EXPECT_EQ(flood.ticks_silenced(), 0u);
+
+  // The next 32 transmission attempts fail at +8 TEC each.
   bus.force_tx_errors(attacker.node_id(), 32);
-  // The recovery window (128 x 11 recessive bit times, ~2.8 ms at 500 kb/s)
-  // is shorter than the error burn-down, so sample in 1 ms steps to catch
-  // the off state before the node re-joins.
-  bool went_bus_off = false;
-  for (int step = 0; step < 20 && !went_bus_off; ++step) {
-    scheduler.run_for(std::chrono::milliseconds(1));
-    went_bus_off = attacker.error_state().bus_off();
-  }
-  ASSERT_TRUE(went_bus_off);
+  ASSERT_TRUE(scheduler.run_until_condition([&] { return attacker.error_state().bus_off(); },
+                                            scheduler.now() + std::chrono::milliseconds(20)));
   const std::uint64_t sent_at_bus_off = flood.frames_sent();
+  ASSERT_TRUE(scheduler.run_until_condition([&] { return !attacker.error_state().bus_off(); },
+                                            scheduler.now() + std::chrono::milliseconds(5)));
+  EXPECT_EQ(flood.frames_sent(), sent_at_bus_off);  // not one frame while off
+  // About 12 ticks of the 230 us default period fall inside the window.
+  EXPECT_GE(flood.ticks_silenced(), 10u);
 
   scheduler.run_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(attacker.error_state().bus_off());
   EXPECT_GT(flood.frames_sent(), sent_at_bus_off);
-  EXPECT_GT(flood.ticks_silenced(), 0u);
   flood.stop();
 }
 

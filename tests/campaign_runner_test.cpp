@@ -2,9 +2,11 @@
 // it: a bench run with `--distributed` must give exactly what the same run
 // gives in-process, every side effect its flags ask for included.  Forked
 // workers are exec'd with the parent's own command line, so no flag can be
-// lost on the way to them.
+// lost on the way to them.  A bench refuses, before forking anything, a
+// malformed number or more workers than trials.
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -92,6 +94,24 @@ TEST(CampaignRunner, RateAblationStreamsMetricsAndPrintsTheSameTableDistributed)
   const std::string metrics = slurp(root / "metrics.jsonl");
   EXPECT_NE(metrics.find("\"fleet.trial.completed\":6"), std::string::npos) << metrics;
   fs::remove_all(root);
+}
+
+/// A worker per trial is the most a campaign can use, so asking for more
+/// exits 2 before anything is forked.  A malformed number exits 2 too, never
+/// read as its leading digits ("2x" as 2) or as 0.
+TEST(CampaignRunner, TooManyWorkersAndMalformedNumbersExitTwoAtOnce) {
+  const std::string rate = ACF_BENCH_RATE_BIN;
+  // `--runs 1` is six trials, one per period: seven workers are one too many.
+  for (const std::string& command :
+       {rate + " --runs 1 --threads 1 --distributed 7", rate + " --runs 2x", rate + " 2x",
+        rate + " --runs 0", rate + " --threads 1x", rate + " --seed -1",
+        rate + " --metrics-out /dev/null --metrics-interval x",
+        std::string(ACF_BENCH_AUTH_BIN) + " 2x", std::string(ACF_BENCH_SMARTFUZZ_BIN) + " 0",
+        std::string(ACF_BENCH_TARGETED_BIN) + " 2 3"}) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(run(command + " > /dev/null"), 2) << command;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1)) << command;
+  }
 }
 
 }  // namespace

@@ -18,15 +18,9 @@ class Recorder : public BusListener {
     frames.push_back(frame);
     times.push_back(time);
   }
-  void on_error_frame(sim::SimTime) override { ++error_frames; }
-  void on_tx_complete(const CanFrame& frame, sim::SimTime) override {
-    tx_completed.push_back(frame);
-  }
 
   std::vector<CanFrame> frames;
   std::vector<sim::SimTime> times;
-  std::vector<CanFrame> tx_completed;
-  int error_frames = 0;
 };
 
 class BusTest : public ::testing::Test {
@@ -47,8 +41,7 @@ TEST_F(BusTest, DeliversToAllOtherNodes) {
   ASSERT_EQ(b.frames.size(), 1u);
   ASSERT_EQ(c.frames.size(), 1u);
   EXPECT_EQ(b.frames[0], frame);
-  ASSERT_EQ(a.tx_completed.size(), 1u);
-  EXPECT_EQ(a.tx_completed[0], frame);
+  EXPECT_EQ(bus.pending(na), 0u);  // left the sender's queue
 }
 
 TEST_F(BusTest, DeliveryTakesWireTime) {
@@ -175,34 +168,38 @@ TEST_F(BusTest, CorruptionRaisesErrorFramesAndRetransmits) {
   can::VirtualBus lossy(scheduler, config);
   Recorder a, b;
   const NodeId na = lossy.attach(a, "a");
-  lossy.attach(b, "b");
+  const NodeId nb = lossy.attach(b, "b");
   for (int i = 0; i < 40; ++i) {
     lossy.submit(na, CanFrame::data_std(0x123, {static_cast<std::uint8_t>(i)}));
   }
   scheduler.run_for(std::chrono::seconds(1));
   // Every frame eventually delivers (automatic retransmission)...
   EXPECT_EQ(b.frames.size(), 40u);
-  // ...but error frames were observed and the TEC moved.
+  // ...but error frames were observed, each one by the receiver too.
   EXPECT_GT(lossy.stats().error_frames, 0u);
-  EXPECT_GT(b.error_frames, 0);
+  EXPECT_EQ(lossy.error_state(nb).rx_error_events(), lossy.stats().error_frames);
 }
 
 TEST_F(BusTest, PersistentCorruptionDrivesTransmitterBusOff) {
   BusConfig config;
   config.corruption_probability = 1.0;  // every transmission fails
-  config.auto_bus_off_recovery = false;
   can::VirtualBus broken(scheduler, config);
   Recorder a, b;
   const NodeId na = broken.attach(a, "a");
   broken.attach(b, "b");
   // TEC +8 per attempt; bus-off above 255 -> 32 attempts needed.
   for (int i = 0; i < 40; ++i) broken.submit(na, CanFrame::data_std(0x111, {1}));
-  scheduler.run_for(std::chrono::seconds(2));
-  EXPECT_TRUE(broken.error_state(na).bus_off());
+  // Stop at the error frame that takes it off: its 2.816 ms recovery window
+  // has just begun.
+  ASSERT_TRUE(scheduler.run_until_condition([&] { return broken.error_state(na).bus_off(); },
+                                            sim::SimTime{std::chrono::seconds(2)}));
+  EXPECT_EQ(broken.error_state(na).tx_error_events(), 32u);
+  EXPECT_TRUE(broken.bus_off_recovering(na));
   EXPECT_TRUE(b.frames.empty());
-  // Further submits rejected while bus-off.
+  // The queued frames are dropped, and further submits rejected while off.
+  EXPECT_EQ(broken.pending(na), 0u);
   EXPECT_FALSE(broken.submit(na, CanFrame::data_std(0x111, {1})));
-  EXPECT_GT(broken.stats().drops_bus_off, 0u);
+  EXPECT_EQ(broken.stats().drops_bus_off, 2u);
 }
 
 TEST_F(BusTest, BusOffAutoRecoveryRestoresTransmission) {
@@ -297,7 +294,6 @@ TEST(BusReset, TrafficRunsAsOnANewBus) {
   EXPECT_EQ(reused.b.frames, fresh.b.frames);
   EXPECT_EQ(reused.c.frames, fresh.c.frames);
   EXPECT_EQ(reused.a.times, fresh.a.times);
-  EXPECT_EQ(reused.a.error_frames, fresh.a.error_frames);
   const BusStats& got = reused.bus.stats();
   const BusStats& want = fresh.bus.stats();
   EXPECT_EQ(got.frames_submitted, want.frames_submitted);
@@ -314,6 +310,7 @@ TEST(BusReset, TrafficRunsAsOnANewBus) {
     EXPECT_EQ(errors.tec(), fresh_errors.tec());
     EXPECT_EQ(errors.rec(), fresh_errors.rec());
     EXPECT_EQ(errors.tx_error_events(), fresh_errors.tx_error_events());
+    EXPECT_EQ(errors.rx_error_events(), fresh_errors.rx_error_events());
     EXPECT_EQ(errors.bus_off_events(), fresh_errors.bus_off_events());
     EXPECT_EQ(reused.bus.bus_off_recovering(id), fresh.bus.bus_off_recovering(id));
     EXPECT_EQ(reused.bus.pending(id), fresh.bus.pending(id));
@@ -377,7 +374,7 @@ TEST_F(FaultInjectionTest, InjectedErrorFrameHitsEveryPoweredNode) {
 
 TEST(BusOffRecoveryTest, NodeRejoinsAfterStandardRecoveryTime) {
   sim::Scheduler scheduler;
-  can::VirtualBus bus{scheduler};  // auto_bus_off_recovery = true (default)
+  can::VirtualBus bus{scheduler};
   transport::VirtualBusTransport tx(bus, "victim");
   transport::VirtualBusTransport rx(bus, "peer");
 
@@ -401,25 +398,6 @@ TEST(BusOffRecoveryTest, NodeRejoinsAfterStandardRecoveryTime) {
   EXPECT_TRUE(tx.send(can::CanFrame::data_std(0x124, {0xBB})));
   scheduler.run_for(5ms);
   EXPECT_EQ(received, 1);
-}
-
-TEST(BusOffRecoveryTest, NodeStaysOffWithoutAutoRecovery) {
-  sim::Scheduler scheduler;
-  can::BusConfig config;
-  config.auto_bus_off_recovery = false;
-  can::VirtualBus bus{scheduler, config};
-  transport::VirtualBusTransport tx(bus, "victim");
-  transport::VirtualBusTransport rx(bus, "peer");
-
-  bus.force_tx_errors(tx.node_id(), 32);
-  ASSERT_TRUE(tx.send(can::CanFrame::data_std(0x123, {0xAA})));
-  ASSERT_TRUE(scheduler.run_until_condition(
-      [&] { return bus.error_state(tx.node_id()).bus_off(); }, sim::SimTime{1s}));
-
-  scheduler.run_for(100ms);  // far beyond the 2.816 ms recovery window
-  EXPECT_TRUE(bus.error_state(tx.node_id()).bus_off());
-  EXPECT_FALSE(bus.bus_off_recovering(tx.node_id()));
-  EXPECT_FALSE(tx.send(can::CanFrame::data_std(0x124, {})));
 }
 
 }  // namespace

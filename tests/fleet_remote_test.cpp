@@ -1074,14 +1074,16 @@ TEST(FleetRemoteProcess, PauseIntoAMissingDirectoryExitsOne) {
 /// A malformed port or count must exit 2 at once, never run with a wrong
 /// value (a port mod 65536, a run count's leading digits) or retry port 0.
 /// So must a pause with nowhere to keep its trials (--stop-after without
-/// --checkpoint).
+/// --checkpoint), and more workers than trials (`--runs 1` is two trials),
+/// before a single worker is forked.
 TEST(FleetRemoteProcess, MalformedNumbersExitTwoAtOnce) {
   for (const char* args :
        {"--runs 1 --connect 127.0.0.1:", "--runs 1 --connect 127.0.0.1:70000",
         "--runs 1 --connect 127.0.0.1:0", "--runs 1 --connect 127.0.0.1:+4464",
         "--runs 1 --connect 127.0.0.1:0x1170", "--runs 1 --serve 70000", "--runs 2x",
         "--runs 1 --threads -1", "--runs 1 --metrics-out /dev/null --metrics-interval 1e3",
-        "--runs 4 --threads 2 --serve 0 --workers 2 --stop-after 3"}) {
+        "--runs 4 --threads 2 --serve 0 --workers 2 --stop-after 3",
+        "--runs 1 --threads 2 --serve 0 --workers 3"}) {
     const auto start = std::chrono::steady_clock::now();
     EXPECT_EQ(run_fleet_bin(std::string("--fast-world ") + args, /*timeout_s=*/10), 2) << args;
     EXPECT_LT(std::chrono::steady_clock::now() - start, 1s) << args;

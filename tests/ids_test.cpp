@@ -821,6 +821,65 @@ TEST(IdsEvaluation, EvaluatorLabelsAndTimesDetections) {
   EXPECT_DOUBLE_EQ(det.detection_latency, 0.0);
 }
 
+// The labeling hook both IDS worlds send through: a send the inner
+// transport refuses leaves no note, an accepted frame is noted once and
+// labelled attack when the tap scores it, and everything else is the inner
+// transport's.
+TEST(IdsEvaluation, LabelingTransportNotesOnlyAcceptedFrames) {
+  sim::Scheduler scheduler;
+  can::VirtualBus bus(scheduler);
+  Pipeline pipeline;
+  pipeline.add(std::make_unique<DlcConsistencyDetector>(tiny_db()));
+  pipeline.attach(bus, "ids-tap");
+  PipelineEvaluator evaluator(pipeline);
+  pipeline.begin_detection();
+  transport::VirtualBusTransport inner(bus, "attacker");
+  transport::VirtualBusTransport peer(bus, "peer");
+  LabelingTransport labeled(inner, evaluator.labeler());
+  const FrameLabeler& labeler = evaluator.labeler();
+
+  EXPECT_EQ(labeled.name(), inner.name());
+  EXPECT_EQ(&labeled.stats(), &inner.stats());
+  EXPECT_EQ(labeled.bus_error_state(), inner.bus_error_state());
+  int received = 0;
+  labeled.set_rx_callback([&](const CanFrame&, SimTime) { ++received; });
+  ASSERT_TRUE(peer.send(CanFrame::data_std(0x100, {1, 2, 3, 4})));
+  scheduler.run_for(1ms);
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(evaluator.eval().legit_frames, 1u);
+
+  // Accepted: one note, consumed when the tap scores the frame.
+  const CanFrame attack = CanFrame::data_std(0x100, {1});
+  ASSERT_TRUE(labeled.send(attack));
+  EXPECT_EQ(labeler.injected(), 1u);
+  scheduler.run_for(1ms);
+  EXPECT_EQ(evaluator.eval().attack_frames, 1u);
+  EXPECT_EQ(labeler.outstanding(), 0u);
+
+  // A full transmit queue refuses the last send, which leaves no note.
+  constexpr std::size_t kQueue = can::VirtualBus::kTxQueueLimit;
+  for (std::size_t i = 0; i < kQueue; ++i) ASSERT_TRUE(labeled.send(attack));
+  EXPECT_FALSE(labeled.send(attack));
+  EXPECT_EQ(labeler.injected(), 1 + kQueue);
+  EXPECT_EQ(inner.stats().send_failures, 1u);
+  scheduler.run_for(50ms);
+  EXPECT_EQ(evaluator.eval().attack_frames, 1 + kQueue);
+  EXPECT_EQ(labeler.outstanding(), 0u);
+
+  // Bus-off refuses every send: no note either.
+  bus.force_tx_errors(inner.node_id(), 32);
+  ASSERT_TRUE(labeled.send(attack));  // its attempts take the node off
+  ASSERT_TRUE(scheduler.run_until_condition([&] { return inner.error_state().bus_off(); },
+                                            scheduler.now() + 50ms));
+  EXPECT_EQ(labeler.injected(), 2 + kQueue);
+  EXPECT_FALSE(labeled.send(attack));
+  EXPECT_EQ(labeler.injected(), 2 + kQueue);
+  EXPECT_EQ(inner.stats().send_failures, 2u);
+  // The frame the bus dropped at bus-off keeps its note: never observed.
+  EXPECT_EQ(labeler.outstanding(), 1u);
+  EXPECT_EQ(evaluator.eval().attack_frames, 1 + kQueue);
+}
+
 // Acceptance criterion: the entropy detector separates captured vehicle
 // traffic (Fig. 4) from fuzz traffic (Fig. 5) with AUC > 0.9.
 TEST(IdsEvaluation, EntropySeparatesCapturedFromFuzzTraffic) {

@@ -46,18 +46,6 @@ TEST(CaptureTap, LimitStopsGrowthButKeepsCounting) {
   EXPECT_EQ(tap.frames()[0].frame.payload()[0], 0u);  // first 3, not last 3
 }
 
-TEST(CaptureTap, LiveCallbackFires) {
-  sim::Scheduler scheduler;
-  can::VirtualBus bus(scheduler);
-  CaptureTap tap(bus, "tap");
-  int live = 0;
-  tap.set_on_frame([&](const TimestampedFrame&) { ++live; });
-  transport::VirtualBusTransport tx(bus, "tx");
-  tx.send(can::CanFrame::data_std(0x1, {}));
-  scheduler.run_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(live, 1);
-}
-
 // ------------------------------------------------------------ candump -----
 
 TEST(Candump, LineRendering) {
