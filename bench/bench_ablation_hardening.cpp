@@ -19,8 +19,6 @@
 int main(int argc, char** argv) {
   using namespace acf;
   const bench::FleetArgs args = bench::parse_fleet_args(argc, argv, 6);
-  bench::header("Ablation A6", "Unlock-predicate hardening ladder (" +
-                                   std::to_string(args.runs) + " runs per rung)");
 
   struct Rung {
     const char* label;
@@ -55,6 +53,8 @@ int main(int argc, char** argv) {
       plan,
       [&arms](metrics::Registry* registry) { return fleet::unlock_world_factory(arms, registry); },
       "ablation-hardening", args.campaign, argv);
+  bench::header("Ablation A6", "Unlock-predicate hardening ladder (" +
+                                   std::to_string(args.runs) + " runs per rung)");
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   analysis::TextTable table({"Predicate", "P(hit)/frame", "Analytic mean @1ms",

@@ -10,7 +10,6 @@
 int main(int argc, char** argv) {
   using namespace acf;
   const bench::FleetArgs args = bench::parse_fleet_args(argc, argv, 4);
-  bench::header("Ablation A5", "Fuzzer transmit-rate sweep");
 
   const sim::Duration periods[] = {
       std::chrono::milliseconds(10), std::chrono::milliseconds(5),
@@ -37,6 +36,7 @@ int main(int argc, char** argv) {
       plan,
       [&arms](metrics::Registry* registry) { return fleet::unlock_world_factory(arms, registry); },
       "ablation-rate", args.campaign, argv);
+  bench::header("Ablation A5", "Fuzzer transmit-rate sweep");
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   // Disruption measurement on the full vehicle, one sequential pass per

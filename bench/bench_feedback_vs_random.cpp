@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
   std::string corpus_dir;
   const bench::FleetArgs args = bench::parse_fleet_args(
       argc, argv, 12, {{"--json", &json_path}, {"--corpus-dir", &corpus_dir}});
-  bench::header("Feedback loop", "Coverage-guided vs blind random on the unlock testbench (" +
-                                     std::to_string(args.runs) + " runs per arm)");
 
   // Both arms under the identical simulated-time budget; blind random's
   // asymptotic mean is ~590 s, so 1200 s leaves it a fair (~87%) chance per
@@ -97,6 +95,8 @@ int main(int argc, char** argv) {
 
   const std::vector<fleet::TrialOutcome> outcomes =
       fleet::run_campaign(plan, make_factory, "feedback-vs-random", args.campaign, argv);
+  bench::header("Feedback loop", "Coverage-guided vs blind random on the unlock testbench (" +
+                                     std::to_string(args.runs) + " runs per arm)");
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   std::printf("%s\n", fleet::arm_table(report).c_str());

@@ -156,9 +156,6 @@ struct Evaluation {
 /// findings, merged here from the outcomes.
 Evaluation evaluate_attacks(const acf::bench::FleetArgs& args, char** argv) {
   using namespace acf;
-  bench::header("IDS evaluation: attack catalog",
-                "Per-(attack, detector) matrix over the scenario families (" +
-                    std::to_string(args.runs) + " trials per arm)");
   const std::vector<attacks::AttackArm> arms = attacks::standard_attack_arms();
   std::vector<std::string> labels;
   Evaluation result;
@@ -173,6 +170,9 @@ Evaluation evaluate_attacks(const acf::bench::FleetArgs& args, char** argv) {
         return attacks::attack_world_factory(arms, registry);
       },
       "ids-roc-attacks", args.campaign, argv);
+  bench::header("IDS evaluation: attack catalog",
+                "Per-(attack, detector) matrix over the scenario families (" +
+                    std::to_string(args.runs) + " trials per arm)");
   result.fleet = fleet::aggregate(plan, outcomes);
   result.reports = attacks::merge_outcome_evals(plan, outcomes);
   return result;
@@ -183,9 +183,6 @@ Evaluation evaluate_attacks(const acf::bench::FleetArgs& args, char** argv) {
 /// per-detector detection-latency quantiles next to the fleet totals.
 Evaluation evaluate_unlock(const acf::bench::FleetArgs& args, char** argv) {
   using namespace acf;
-  bench::header("IDS evaluation",
-                "Detector precision/recall/ROC on the Table V unlock world (" +
-                    std::to_string(args.runs) + " runs per arm, 1 ms tx period)");
   std::vector<ids::IdsArm> arms(2);
   arms[1].predicate = vehicle::UnlockPredicate::id_byte_and_length();
   fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
@@ -197,6 +194,9 @@ Evaluation evaluate_unlock(const acf::bench::FleetArgs& args, char** argv) {
         return ids::ids_unlock_world_factory(arms, sink, registry);
       },
       "ids-roc", args.campaign, argv);
+  bench::header("IDS evaluation",
+                "Detector precision/recall/ROC on the Table V unlock world (" +
+                    std::to_string(args.runs) + " runs per arm, 1 ms tx period)");
   return {fleet::aggregate(plan, outcomes), ids::merge_evals(plan, *sink), {}};
 }
 

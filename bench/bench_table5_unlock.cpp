@@ -19,9 +19,6 @@
 int main(int argc, char** argv) {
   using namespace acf;
   const bench::FleetArgs args = bench::parse_fleet_args(argc, argv, 12);
-  bench::header("Table V", "Fuzzer run times to activate unlock (" +
-                               std::to_string(args.runs) +
-                               " runs per predicate, 1 ms tx period)");
 
   fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
                         static_cast<std::size_t>(args.runs), args.seed);
@@ -37,6 +34,9 @@ int main(int argc, char** argv) {
                                            registry);
       },
       "unlock-table5", args.campaign, argv);
+  bench::header("Table V", "Fuzzer run times to activate unlock (" +
+                               std::to_string(args.runs) +
+                               " runs per predicate, 1 ms tx period)");
   const fleet::FleetReport report = fleet::aggregate(plan, outcomes);
 
   std::printf("%s\n", fleet::arm_table(report).c_str());

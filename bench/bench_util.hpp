@@ -33,6 +33,10 @@
 
 namespace acf::bench {
 
+/// The report's banner.  A fleet bench prints it once fleet::run_campaign
+/// has returned: a refused campaign then leaves nothing on stdout, and a
+/// forked worker, which exits inside run_campaign, prints no banner into the
+/// coordinator's stderr.
 inline void header(const std::string& artefact, const std::string& caption) {
   std::printf("================================================================\n");
   std::printf("%s — %s\n", artefact.c_str(), caption.c_str());

@@ -292,10 +292,13 @@ int main(int argc, char** argv) {
   }
 
   const Campaign built = build_campaign(options);
+  const std::vector<fleet::TrialOutcome> outcomes =
+      fleet::run_campaign(built.plan, built.make_factory, built.world_tag, campaign, argv);
+  // The header waits for the campaign: a refused run prints nothing on
+  // stdout, and a forked worker, which exits inside run_campaign, none on
+  // the coordinator's stderr.
   std::printf("fleet_run: %zu trials (%zu arms x %zu replicas), seed 0x%llx\n",
               built.plan.trial_count(), built.plan.arm_count(), built.plan.replicas(),
               static_cast<unsigned long long>(options.seed));
-  const std::vector<fleet::TrialOutcome> outcomes =
-      fleet::run_campaign(built.plan, built.make_factory, built.world_tag, campaign, argv);
   return report_and_export(built, outcomes, options);
 }

@@ -1,7 +1,5 @@
 #include "fleet/remote/checkpoint.hpp"
 
-#include <algorithm>
-
 #include "fleet/remote/wire.hpp"
 #include "util/file.hpp"
 
@@ -32,8 +30,6 @@ std::vector<std::uint8_t> FleetCheckpoint::encode() const {
   out.u64(trial_count);
   out.u32(static_cast<std::uint32_t>(completed.size()));
   for (const TrialOutcome& outcome : completed) write_outcome(out, outcome);
-  out.u32(static_cast<std::uint32_t>(leased.size()));
-  for (const std::size_t index : leased) out.u64(index);
   return out.take();
 }
 
@@ -56,27 +52,16 @@ std::optional<FleetCheckpoint> FleetCheckpoint::decode(std::span<const std::uint
       return std::nullopt;
     }
   }
-
-  checkpoint.leased.resize(in.count(8, trials));
-  for (std::size_t i = 0; i < checkpoint.leased.size(); ++i) {
-    const std::uint64_t index = in.u64();
-    if (!in.ok() || index >= trials || (i > 0 && index <= checkpoint.leased[i - 1])) {
-      return std::nullopt;
-    }
-    checkpoint.leased[i] = static_cast<std::size_t>(index);
-    // A trial cannot be both finished and in flight.  `completed` is
-    // strictly ascending, so this stays log-time even on hostile counts.
-    const auto done = std::lower_bound(
-        checkpoint.completed.begin(), checkpoint.completed.end(), index,
-        [](const TrialOutcome& outcome, std::uint64_t value) {
-          return outcome.spec.trial_index < value;
-        });
-    if (done != checkpoint.completed.end() && done->spec.trial_index == index) {
-      return std::nullopt;
-    }
-  }
   if (!in.done()) return std::nullopt;  // truncated, or trailing bytes
   return checkpoint;
+}
+
+std::optional<std::uint32_t> FleetCheckpoint::version_of(std::span<const std::uint8_t> bytes) {
+  ByteReader in(bytes);
+  if (in.u32() != kMagic) return std::nullopt;
+  const std::uint32_t version = in.u32();
+  if (!in.ok()) return std::nullopt;
+  return version;
 }
 
 bool FleetCheckpoint::save(const std::string& path) const {

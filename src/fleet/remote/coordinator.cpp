@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "fleet/remote/checkpoint.hpp"
+#include "util/file.hpp"
 
 namespace acf::fleet::remote {
 
@@ -18,7 +19,7 @@ constexpr std::chrono::milliseconds kHandshakeTimeout{5'000};
 /// Poll-loop tick; bounds failure-detection and checkpoint latency.
 constexpr int kPollPeriodMs = 50;
 /// Minimum interval between checkpoint writes (dirty state is also flushed
-/// on exit and on worker failure events).
+/// on exit).
 constexpr std::chrono::milliseconds kCheckpointPeriod{1'000};
 
 std::size_t clamp_capacity(std::uint32_t capacity) {
@@ -44,8 +45,7 @@ struct Coordinator::Connection {
   std::vector<std::uint8_t> out;  // frames not yet accepted by the kernel
   std::size_t out_sent = 0;
   std::uint64_t session = 0;  // 0 until the handshake completed
-  std::size_t capacity = 1;
-  std::string worker_name;   // advertised in Hello; diagnostics only
+  std::size_t capacity = 1;   // from the latest LeaseRequest
   std::uint64_t instance_id = 0;  // from Hello; keys the metrics block
   bool handshaken = false;
   bool pending_request = false;  // asked for work while none was available
@@ -90,7 +90,19 @@ void Coordinator::load_checkpoint() {
     return std::runtime_error("coordinator: corrupt campaign checkpoint: " +
                               config_.checkpoint_path);
   };
-  if (!checkpoint) throw corrupt();
+  if (!checkpoint) {
+    // Name the format of a checkpoint an earlier build wrote.
+    const auto bytes = util::read_file(config_.checkpoint_path);
+    const std::optional<std::uint32_t> version =
+        bytes ? FleetCheckpoint::version_of(*bytes) : std::nullopt;
+    if (version && *version != FleetCheckpoint::kVersion) {
+      throw std::runtime_error("coordinator: the campaign checkpoint " + config_.checkpoint_path +
+                               " is format v" + std::to_string(*version) +
+                               " and this build reads v" +
+                               std::to_string(FleetCheckpoint::kVersion));
+    }
+    throw corrupt();
+  }
   if (checkpoint->fingerprint != fingerprint_ ||
       checkpoint->trial_count != plan_.trial_count()) {
     throw std::runtime_error("coordinator: checkpoint belongs to a different campaign: " +
@@ -102,13 +114,7 @@ void Coordinator::load_checkpoint() {
     table_.mark_done(index);
     outcomes_[index] = std::move(outcome);
   }
-  // prioritise() pushes to the queue front, so feed ascending indices in
-  // reverse to leave the front ascending — resume re-issues them in order.
-  for (auto it = checkpoint->leased.rbegin(); it != checkpoint->leased.rend(); ++it) {
-    table_.prioritise(*it);
-  }
   stats_.resumed_done = checkpoint->completed.size();
-  stats_.resumed_leased = checkpoint->leased.size();
 }
 
 void Coordinator::save_checkpoint(bool force) {
@@ -122,7 +128,6 @@ void Coordinator::save_checkpoint(bool force) {
   for (std::size_t i = 0; i < outcomes_.size(); ++i) {
     if (table_.state(i) == TrialState::kDone) checkpoint.completed.push_back(outcomes_[i]);
   }
-  checkpoint.leased = table_.leased_indices();
   // A failed write leaves the state dirty, so checkpoint_saved() says so and
   // the next poll tick tries again.
   dirty_ = !checkpoint.save(config_.checkpoint_path);
@@ -156,13 +161,7 @@ void Coordinator::drop(Connection& conn, bool count_disconnect) {
   if (conn.dead) return;
   conn.dead = true;
   if (count_disconnect) ++stats_.workers_disconnected;
-  if (conn.session != 0) {
-    const std::size_t released = table_.release_worker(conn.session);
-    if (released > 0) {
-      dirty_ = true;
-      pump_pending_grants();
-    }
-  }
+  if (conn.session != 0 && table_.release_worker(conn.session) > 0) pump_pending_grants();
 }
 
 void Coordinator::grant_to(Connection& conn) {
@@ -177,14 +176,11 @@ void Coordinator::grant_to(Connection& conn) {
   conn.pending_request = false;
   LeaseGrantMsg grant;
   grant.lease_id = lease->lease_id;
-  grant.deadline_ms = static_cast<std::uint32_t>(
-      std::min<std::int64_t>(config_.lease_ttl.count(), UINT32_MAX));
   grant.trials.reserve(lease->trials.size());
   for (const std::size_t index : lease->trials) {
     grant.trials.push_back(static_cast<std::uint64_t>(index));
   }
   send_message(conn, Message{std::move(grant)});
-  dirty_ = true;  // the leased set the checkpoint records just changed
 }
 
 void Coordinator::pump_pending_grants() {
@@ -224,8 +220,6 @@ void Coordinator::handle_payload(Connection& conn, std::span<const std::uint8_t>
       return;
     }
     conn.session = next_session_++;
-    conn.capacity = clamp_capacity(hello->capacity);
-    conn.worker_name = hello->worker_name;
     // A raw client that sends no instance id gets its session as the key:
     // unique, so it never clobbers anyone, at the cost of double-counted
     // totals if that client reconnects and replays its history.
@@ -235,13 +229,7 @@ void Coordinator::handle_payload(Connection& conn, std::span<const std::uint8_t>
     WelcomeMsg welcome;
     welcome.fingerprint = fingerprint_;
     welcome.trial_count = plan_.trial_count();
-    welcome.session = conn.session;
     send_message(conn, Message{welcome});
-    return;
-  }
-
-  if (std::holds_alternative<UnknownMsg>(*message)) {
-    ++stats_.unknown_messages;  // forward compatibility: skip, keep going
     return;
   }
 
@@ -296,17 +284,23 @@ void Coordinator::note_worker_metrics(const Connection& conn, const HeartbeatMsg
   // Full totals, replace-on-update keyed by the worker's instance id.  A
   // reconnecting worker (same id, fresh session) overwrites its previous
   // block — its registry survived the reconnect, so the new totals already
-  // include the old.  Two workers that advertise the same *name* carry
-  // distinct ids and keep separate blocks.
+  // include the old.  Two workers carry distinct ids and keep separate
+  // blocks.
   worker_metrics_[conn.instance_id] = *heartbeat.metrics;
 }
 
 metrics::RegistrySnapshot Coordinator::merged_metrics() {
-  std::vector<metrics::RegistrySnapshot> parts;
-  parts.reserve(1 + worker_metrics_.size());
-  if (config_.registry) parts.push_back(config_.registry->snapshot());
-  for (const auto& [instance, snap] : worker_metrics_) parts.push_back(snap);
-  return metrics::merge_snapshots(parts);
+  metrics::Registry merged;
+  std::vector<metrics::MeterSnap> meters;
+  if (config_.registry) {
+    metrics::RegistrySnapshot own = config_.registry->snapshot();
+    merged.absorb(own);
+    meters = std::move(own.meters);
+  }
+  for (const auto& [instance, snap] : worker_metrics_) merged.absorb(snap);
+  metrics::RegistrySnapshot view = merged.snapshot();
+  view.meters = std::move(meters);
+  return view;
 }
 
 std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
@@ -317,10 +311,6 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
   ShutdownReason shutdown_reason = ShutdownReason::kCampaignComplete;
 
   while (!table_.all_done()) {
-    if (cancelled_.load(std::memory_order_relaxed)) {
-      shutdown_reason = ShutdownReason::kCoordinatorPausing;
-      break;
-    }
     if (config_.stop_after_completed > 0 &&
         table_.done_count() >= config_.stop_after_completed) {
       shutdown_reason = ShutdownReason::kCoordinatorPausing;
@@ -370,11 +360,7 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
     }
 
     const auto now = WallClock::now();
-    const std::size_t expired = table_.expire(now);
-    if (expired > 0) {
-      dirty_ = true;
-      pump_pending_grants();
-    }
+    if (table_.expire(now) > 0) pump_pending_grants();
     for (auto& conn : connections_) {
       if (!conn->dead && !conn->handshaken &&
           now - conn->connected_at > kHandshakeTimeout) {

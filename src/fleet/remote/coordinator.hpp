@@ -2,25 +2,27 @@
 // poll loop owns the listen socket, every worker connection, the lease
 // table and the campaign checkpoint:
 //
-//   worker connects -> Hello (version + campaign fingerprint + capacity)
-//     -> Welcome | Rejected
-//   worker sends LeaseRequest -> LeaseGrant (batch of trial indices under
-//     a lease id + deadline) when work is available, else queued until a
-//     lease expires or another worker dies
+//   worker connects -> Hello (protocol version + campaign fingerprint +
+//     instance id) -> Welcome (fingerprint + trial count) | Rejected
+//   worker sends LeaseRequest (its capacity) -> LeaseGrant (a lease id and
+//     a batch of trial indices) when work is available, else queued until a
+//     lease is reclaimed
 //   worker streams LeaseResult per finished trial; results are validated
 //     against the plan's spec for that index, deduplicated by trial index,
 //     and merged in trial-index order at the end — identical bytes to the
 //     in-process executor path
-//   heartbeats (and results) renew the lease deadline; a silent worker's
-//     leases expire and their unfinished trials are re-issued to whoever
-//     asks next (work-stealing); a closed socket releases them immediately
+//   heartbeats (and results) renew the lease deadline, which stays on this
+//     side; a closed socket releases a worker's leases at once, and a worker
+//     that stays connected but silent past the deadline loses them to expiry;
+//     either way the unfinished trials go to whoever asks next
+//     (work-stealing)
 //
 // Progress persists through FleetCheckpoint (write-then-rename), so a
 // coordinator killed mid-campaign resumes without recomputing finished
-// trials and re-issues exactly the trials that were in flight.
+// trials.  The checkpoint holds the finished trials alone; the resumed lease
+// table re-issues the rest in index order, the ones in flight first.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -63,11 +65,9 @@ struct CoordinatorStats {
   std::uint64_t workers_connected = 0;
   std::uint64_t workers_disconnected = 0;
   std::uint64_t workers_rejected = 0;
-  std::uint64_t protocol_errors = 0;   // poisoned framing / malformed payload
-  std::uint64_t unknown_messages = 0;  // tolerated, skipped
-  std::uint64_t forged_results = 0;    // spec mismatch vs the plan
-  std::size_t resumed_done = 0;        // trials restored from the checkpoint
-  std::size_t resumed_leased = 0;      // in-flight trials re-queued first
+  std::uint64_t protocol_errors = 0;  // poisoned framing / malformed payload
+  std::uint64_t forged_results = 0;   // spec mismatch vs the plan
+  std::size_t resumed_done = 0;       // trials restored from the checkpoint
 };
 
 class Coordinator {
@@ -75,9 +75,9 @@ class Coordinator {
   /// Binds and listens immediately (so port() is valid before serve()),
   /// loads the checkpoint when one exists at config.checkpoint_path, and
   /// writes it there at once.  Throws std::runtime_error when the socket
-  /// cannot be bound, the checkpoint cannot be written, or it is corrupt (a
-  /// stored spec that differs from the plan's included) or belongs to a
-  /// different campaign.
+  /// cannot be bound, the checkpoint cannot be written, is in another format
+  /// version, is corrupt (a stored spec that differs from the plan's
+  /// included) or belongs to a different campaign.
   Coordinator(const TrialPlan& plan, CoordinatorConfig config);
   ~Coordinator();
 
@@ -87,16 +87,12 @@ class Coordinator {
   std::uint16_t port() const noexcept { return listener_.port(); }
 
   /// Runs the campaign service until every trial completed (or the
-  /// stop_after hook / cancel() fires).  Returns one outcome per trial in
+  /// stop_after hook fires).  Returns one outcome per trial in
   /// trial-index order; unfinished trials are TrialStatus::kSkipped.  A
   /// `progress` reporter is begun, records every accepted result and ticks
   /// from the poll loop; its finish() is the caller's, after the linger
   /// window has drained the workers' last heartbeats.
   std::vector<TrialOutcome> serve(ProgressReporter* progress = nullptr);
-
-  /// Requests an orderly stop from any thread: the loop checkpoints and
-  /// returns with whatever completed.
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
 
   const CoordinatorStats& stats() const noexcept { return stats_; }
   std::size_t done_count() const noexcept { return table_.done_count(); }
@@ -110,11 +106,12 @@ class Coordinator {
     on_trial_done_ = std::move(hook);
   }
 
-  /// Fleet-wide metrics view: the coordinator's own registry merged with
-  /// the latest full-totals block each worker shipped in its heartbeats
-  /// (keyed by advertised worker name; replace-on-update, so reconnects and
-  /// repeated totals never double count).  Call after serve() for the final
-  /// campaign view.
+  /// Fleet-wide metrics view: the coordinator's own registry and the latest
+  /// full-totals block each worker shipped in its heartbeats (keyed by
+  /// instance id; replace-on-update, so reconnects and repeated totals never
+  /// double count), absorbed in that order into a fresh Registry.  The
+  /// meters are the coordinator's own: absorb skips meters, and the wire
+  /// carries none.  Call after serve() for the final campaign view.
   metrics::RegistrySnapshot merged_metrics();
 
  private:
@@ -138,7 +135,6 @@ class Coordinator {
   std::vector<TrialOutcome> outcomes_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::uint64_t next_session_ = 1;
-  std::atomic<bool> cancelled_{false};
   ProgressReporter* progress_ = nullptr;  // valid only inside serve()
   bool dirty_ = false;                    // progress not yet checkpointed
   WallClock::time_point last_checkpoint_{};
@@ -147,7 +143,7 @@ class Coordinator {
   /// Latest full-totals metrics block per worker, keyed by the instance id
   /// from Hello (replace-on-update).  The id is unique per worker process
   /// and stable across its reconnects, so a reconnect replaces its own
-  /// block while same-named workers never clobber each other.
+  /// block while two workers never clobber each other.
   std::map<std::uint64_t, metrics::RegistrySnapshot> worker_metrics_;
 };
 

@@ -16,11 +16,6 @@ void LeaseTable::mark_done(std::size_t index) {
   // Stale queue entries are skipped at grant time; no need to scrub here.
 }
 
-void LeaseTable::prioritise(std::size_t index) {
-  if (index >= states_.size() || states_[index] != TrialState::kUnissued) return;
-  queue_.push_front(index);
-}
-
 std::optional<GrantedLease> LeaseTable::grant(std::uint64_t worker, std::size_t max_trials,
                                               WallClock::time_point now,
                                               std::chrono::milliseconds ttl) {
@@ -108,14 +103,6 @@ std::size_t LeaseTable::release_worker(std::uint64_t worker) {
     }
   }
   return released;
-}
-
-std::vector<std::size_t> LeaseTable::leased_indices() const {
-  std::vector<std::size_t> leased;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i] == TrialState::kLeased) leased.push_back(i);
-  }
-  return leased;
 }
 
 }  // namespace acf::fleet::remote

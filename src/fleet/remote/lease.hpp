@@ -8,6 +8,11 @@
 // function of the index) so a slow worker finishing a stolen batch cannot
 // double-count a trial.
 //
+// A restored table (checkpoint resume) marks the finished trials Done and
+// issues the rest in ascending index order.  That already puts the trials
+// that were in flight at save time first: leases go out in index order, so
+// every trial in flight had a lower index than every trial never issued.
+//
 // The table is plain single-threaded state; the coordinator's poll loop is
 // its only caller.  Wall-clock enters only through the `now` arguments —
 // deadlines never touch trial outcomes, so campaign output stays a pure
@@ -53,10 +58,6 @@ class LeaseTable {
   /// Marks a trial Done without an owning lease (checkpoint restore).
   void mark_done(std::size_t index);
 
-  /// Pushes a trial to the front of the issue queue (checkpoint restore of
-  /// in-flight leases: these are re-issued first, before untouched trials).
-  void prioritise(std::size_t index);
-
   /// Grants up to `max_trials` unissued trials to `worker`.  nullopt when
   /// nothing is available (all remaining trials are leased or done).
   std::optional<GrantedLease> grant(std::uint64_t worker, std::size_t max_trials,
@@ -81,15 +82,10 @@ class LeaseTable {
 
   bool all_done() const noexcept { return done_ == states_.size(); }
   std::size_t done_count() const noexcept { return done_; }
-  std::size_t trial_count() const noexcept { return states_.size(); }
   std::size_t outstanding() const noexcept { return leases_.size(); }
   bool work_available() const noexcept { return !queue_.empty(); }
   TrialState state(std::size_t index) const { return states_.at(index); }
   const LeaseStats& stats() const noexcept { return stats_; }
-
-  /// Trial indices currently under a live lease, ascending (checkpointed
-  /// so a restarted coordinator re-issues exactly these first).
-  std::vector<std::size_t> leased_indices() const;
 
  private:
   struct Lease {

@@ -152,22 +152,17 @@ std::vector<std::uint8_t> encode(const Message& message) {
           w.u8(static_cast<std::uint8_t>(MsgType::kHello));
           w.u32(msg.protocol_version);
           w.u64(msg.fingerprint);
-          w.u32(msg.capacity);
-          w.str(std::string_view(msg.worker_name).substr(0, kMaxNameBytes));
           w.u64(msg.instance_id);
         } else if constexpr (std::is_same_v<T, WelcomeMsg>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kWelcome));
-          w.u32(msg.protocol_version);
           w.u64(msg.fingerprint);
           w.u64(msg.trial_count);
-          w.u64(msg.session);
         } else if constexpr (std::is_same_v<T, LeaseRequestMsg>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kLeaseRequest));
           w.u32(msg.capacity);
         } else if constexpr (std::is_same_v<T, LeaseGrantMsg>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kLeaseGrant));
           w.u64(msg.lease_id);
-          w.u32(msg.deadline_ms);
           w.u32(static_cast<std::uint32_t>(msg.trials.size()));
           for (const std::uint64_t trial : msg.trials) w.u64(trial);
         } else if constexpr (std::is_same_v<T, LeaseResultMsg>) {
@@ -177,7 +172,6 @@ std::vector<std::uint8_t> encode(const Message& message) {
         } else if constexpr (std::is_same_v<T, HeartbeatMsg>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kHeartbeat));
           w.u64(msg.lease_id);
-          w.u64(msg.completed);
           w.u8(msg.metrics.has_value() ? 1 : 0);
           if (msg.metrics) write_metrics(w, *msg.metrics);
         } else if constexpr (std::is_same_v<T, ShutdownMsg>) {
@@ -186,9 +180,6 @@ std::vector<std::uint8_t> encode(const Message& message) {
         } else if constexpr (std::is_same_v<T, RejectedMsg>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kRejected));
           w.str(clamp(msg.reason));
-        } else if constexpr (std::is_same_v<T, UnknownMsg>) {
-          w.u8(msg.type);
-          for (const std::uint8_t byte : msg.payload) w.u8(byte);
         }
       },
       message);
@@ -200,25 +191,20 @@ std::vector<std::uint8_t> encode(const Message& message) {
 std::optional<Message> decode(std::span<const std::uint8_t> payload) {
   if (payload.empty() || payload.size() > kMaxFramePayload) return std::nullopt;
   ByteReader r(payload.subspan(1));
-  const std::uint8_t type = payload[0];
   Message out;
-  switch (static_cast<MsgType>(type)) {
+  switch (static_cast<MsgType>(payload[0])) {
     case MsgType::kHello: {
       HelloMsg msg;
       msg.protocol_version = r.u32();
       msg.fingerprint = r.u64();
-      msg.capacity = r.u32();
-      msg.worker_name = r.str(kMaxNameBytes);
       msg.instance_id = r.u64();
-      out = std::move(msg);
+      out = msg;
       break;
     }
     case MsgType::kWelcome: {
       WelcomeMsg msg;
-      msg.protocol_version = r.u32();
       msg.fingerprint = r.u64();
       msg.trial_count = r.u64();
-      msg.session = r.u64();
       out = msg;
       break;
     }
@@ -231,7 +217,6 @@ std::optional<Message> decode(std::span<const std::uint8_t> payload) {
     case MsgType::kLeaseGrant: {
       LeaseGrantMsg msg;
       msg.lease_id = r.u64();
-      msg.deadline_ms = r.u32();
       msg.trials.resize(r.count(8, kMaxLeaseTrials));
       for (std::uint64_t& trial : msg.trials) trial = r.u64();
       out = std::move(msg);
@@ -247,7 +232,6 @@ std::optional<Message> decode(std::span<const std::uint8_t> payload) {
     case MsgType::kHeartbeat: {
       HeartbeatMsg msg;
       msg.lease_id = r.u64();
-      msg.completed = r.u64();
       const std::uint8_t has_metrics = r.u8();
       if (!r.ok() || has_metrics > 1) return std::nullopt;
       if (has_metrics == 1) {
@@ -271,15 +255,10 @@ std::optional<Message> decode(std::span<const std::uint8_t> payload) {
       out = std::move(msg);
       break;
     }
-    default: {
-      // Tolerated, preserved verbatim.
-      UnknownMsg msg;
-      msg.type = type;
-      msg.payload.assign(payload.begin() + 1, payload.end());
-      return Message{std::move(msg)};
-    }
+    default:
+      return std::nullopt;  // not a type of this protocol version
   }
-  // Strict: a known-type payload must parse cleanly and leave nothing over.
+  // Strict: the payload must parse cleanly and leave nothing over.
   if (!r.done()) return std::nullopt;
   return out;
 }

@@ -1,15 +1,17 @@
 // Fleet wire protocol: the length-prefixed binary frames workers and the
 // coordinator exchange.  Every frame is a u32 little-endian payload length
 // followed by the payload; every payload starts with a one-byte message
-// type.  The decoder follows the repo's hardened byte-reader discipline
-// (see DESIGN.md §13): a bounds-checked cursor that can only fail closed,
-// declared counts validated against the bytes actually present, strict
-// full-consumption so decode∘encode is the identity on everything accepted,
-// and unknown message types preserved verbatim rather than rejected — a
-// v2 coordinator can speak to a v1 worker without killing the campaign.
+// type, 1 to 8.  The decoder follows the repo's hardened byte-reader
+// discipline (see DESIGN.md §13): a bounds-checked cursor that can only fail
+// closed, declared counts validated against the bytes actually present, and
+// strict full-consumption, so decode∘encode is the identity on everything
+// accepted.  A type byte outside 1..8 is malformed like any other payload:
+// the only peers are copies of the same binary, and the handshake refuses a
+// Hello whose protocol version differs, so no other message set can reach a
+// session.  Each message carries only the fields its receiver reads.
 //
 // This surface is fuzzed: the `fleet_wire` self-fuzz target hammers
-// FrameReader + decode with the same invariants as the other nine parsers.
+// FrameReader + decode with the same invariants as the other parsers.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@
 
 namespace acf::fleet::remote {
 
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 /// Hard ceiling on one frame's payload; a length prefix above it poisons
 /// the stream before a single byte of the payload is buffered.
 constexpr std::size_t kMaxFramePayload = 1u << 20;
@@ -40,12 +42,12 @@ constexpr std::size_t kMaxMetricsEntries = 512;
 constexpr std::size_t kMaxTimerSamples = 4096;
 
 enum class MsgType : std::uint8_t {
-  kHello = 1,         // worker -> coordinator: version, fingerprint, capacity
+  kHello = 1,         // worker -> coordinator: version, fingerprint, instance
   kWelcome = 2,       // coordinator -> worker: campaign accepted
   kLeaseRequest = 3,  // worker -> coordinator: idle, wants a batch
-  kLeaseGrant = 4,    // coordinator -> worker: lease id, deadline, trials
+  kLeaseGrant = 4,    // coordinator -> worker: lease id, trials
   kLeaseResult = 5,   // worker -> coordinator: one finished trial
-  kHeartbeat = 6,     // worker -> coordinator: liveness + batch progress
+  kHeartbeat = 6,     // worker -> coordinator: liveness + metrics totals
   kShutdown = 7,      // coordinator -> worker: campaign over, disconnect
   kRejected = 8,      // coordinator -> worker: handshake refused
 };
@@ -53,33 +55,29 @@ enum class MsgType : std::uint8_t {
 struct HelloMsg {
   std::uint32_t protocol_version = kProtocolVersion;
   std::uint64_t fingerprint = 0;
-  std::uint32_t capacity = 1;  // worker threads it will run trials on
-  std::string worker_name;
   /// Unique per worker process, stable across reconnects.  Keys the
   /// coordinator's per-worker metrics block: a reconnect (same id) replaces
-  /// its previous totals, while two workers that advertise the same name
-  /// (distinct ids) keep separate blocks.  0 means "not provided"; the
-  /// coordinator falls back to the session id, which degrades a reconnect
-  /// to per-session blocks (double counts totals) but never loses a worker.
+  /// its previous totals, while two workers keep separate blocks.  0 means
+  /// "not provided"; the coordinator falls back to the session id, which
+  /// degrades a reconnect to per-session blocks (double counts totals) but
+  /// never loses a worker.
   std::uint64_t instance_id = 0;
 };
 
+/// The worker checks both against its own plan before asking for work.
 struct WelcomeMsg {
-  std::uint32_t protocol_version = kProtocolVersion;
   std::uint64_t fingerprint = 0;
   std::uint64_t trial_count = 0;
-  std::uint64_t session = 0;  // coordinator-assigned worker session id
 };
 
 struct LeaseRequestMsg {
-  std::uint32_t capacity = 1;
+  std::uint32_t capacity = 1;  // worker threads; caps the batch size
 };
 
+/// The lease's deadline stays on the coordinator: results and heartbeats
+/// renew it, and silence past it re-issues the trials.
 struct LeaseGrantMsg {
   std::uint64_t lease_id = 0;
-  /// Informational time budget; the authoritative failure detector is the
-  /// coordinator's activity clock (results and heartbeats renew it).
-  std::uint32_t deadline_ms = 0;
   std::vector<std::uint64_t> trials;
 };
 
@@ -90,7 +88,6 @@ struct LeaseResultMsg {
 
 struct HeartbeatMsg {
   std::uint64_t lease_id = 0;  // 0 when idle
-  std::uint64_t completed = 0;
   /// Optional registry snapshot, piggybacked on the liveness heartbeat: the
   /// worker ships its FULL running totals every time (idempotent under
   /// reconnect — the coordinator replaces, never adds), and timers carry
@@ -114,23 +111,15 @@ struct RejectedMsg {
   std::string reason;
 };
 
-/// A syntactically valid frame whose type this build does not know.  Kept
-/// verbatim so tolerant peers can skip it and decode∘encode stays identity.
-struct UnknownMsg {
-  std::uint8_t type = 0;
-  std::vector<std::uint8_t> payload;
-};
-
 using Message = std::variant<HelloMsg, WelcomeMsg, LeaseRequestMsg, LeaseGrantMsg,
-                             LeaseResultMsg, HeartbeatMsg, ShutdownMsg, RejectedMsg,
-                             UnknownMsg>;
+                             LeaseResultMsg, HeartbeatMsg, ShutdownMsg, RejectedMsg>;
 
 /// Encodes the payload (type byte + body, no length prefix).
 std::vector<std::uint8_t> encode(const Message& message);
 
-/// Strict decode of one payload: bounds-checked, counts validated, whole
-/// payload consumed.  nullopt on anything malformed; for every accepted
-/// payload, encode(*decode(p)) == p.
+/// Strict decode of one payload: a known type byte, bounds-checked, counts
+/// validated, whole payload consumed.  nullopt on anything malformed; for
+/// every accepted payload, encode(*decode(p)) == p.
 std::optional<Message> decode(std::span<const std::uint8_t> payload);
 
 /// The TrialOutcome record inside LeaseResult, shared with the campaign

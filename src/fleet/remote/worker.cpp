@@ -90,7 +90,7 @@ class BatchSource final : public TrialSource {
 class SocketSink final : public ResultSink {
  public:
   SocketSink(int fd, std::uint64_t lease_id, std::mutex& write_mutex,
-             std::atomic<bool>& dead, std::atomic<std::uint64_t>& completed)
+             std::atomic<bool>& dead, std::atomic<std::size_t>& completed)
       : fd_(fd),
         lease_id_(lease_id),
         write_mutex_(write_mutex),
@@ -113,10 +113,10 @@ class SocketSink final : public ResultSink {
   std::uint64_t lease_id_;
   std::mutex& write_mutex_;
   std::atomic<bool>& dead_;
-  std::atomic<std::uint64_t>& completed_;
+  std::atomic<std::size_t>& completed_;
 };
 
-enum class SessionEnd : std::uint8_t { kComplete, kPaused, kRejected, kCancelled, kLost };
+enum class SessionEnd : std::uint8_t { kComplete, kPaused, kRejected, kLost };
 
 }  // namespace
 
@@ -151,10 +151,6 @@ WorkerResult Worker::run() {
 
   ReconnectGate gate(instance_id_, config_.give_up_after);
 
-  const auto cancelled = [this] {
-    return cancelled_.load(std::memory_order_relaxed);
-  };
-
   // One connected session: handshake, then lease-request / run-batch cycles
   // until the coordinator says goodbye or the link dies.
   const auto session = [&](int fd) -> SessionEnd {
@@ -163,10 +159,8 @@ WorkerResult Worker::run() {
 
     HelloMsg hello;
     hello.fingerprint = fingerprint_;
-    hello.capacity = threads;
-    hello.worker_name = config_.name;
     hello.instance_id = instance_id_;
-    if (!send_all(fd, frame_message(Message{std::move(hello)}))) return SessionEnd::kLost;
+    if (!send_all(fd, frame_message(Message{hello}))) return SessionEnd::kLost;
 
     WaitResult greeting = wait_frame(fd, reader, kIoTimeout);
     if (greeting.status != WaitStatus::kFrame) return SessionEnd::kLost;
@@ -193,7 +187,6 @@ WorkerResult Worker::run() {
     gate.note_success();
 
     for (;;) {
-      if (cancelled()) return SessionEnd::kCancelled;
       {
         LeaseRequestMsg request;
         request.capacity = threads;
@@ -207,14 +200,12 @@ WorkerResult Worker::run() {
         WaitResult wait = wait_frame(fd, reader, config_.heartbeat_period);
         if (wait.status == WaitStatus::kDead) return SessionEnd::kLost;
         if (wait.status == WaitStatus::kTimeout) {
-          if (cancelled()) return SessionEnd::kCancelled;
           std::lock_guard<std::mutex> lock(write_mutex);
           if (!send_all(fd, frame_message(Message{HeartbeatMsg{}}))) return SessionEnd::kLost;
           continue;
         }
         std::optional<Message> message = decode(wait.payload);
         if (!message) return SessionEnd::kLost;
-        if (std::holds_alternative<UnknownMsg>(*message)) continue;  // tolerate
         if (const auto* shutdown = std::get_if<ShutdownMsg>(&*message)) {
           return shutdown->reason == ShutdownReason::kCampaignComplete
                      ? SessionEnd::kComplete
@@ -231,7 +222,7 @@ WorkerResult Worker::run() {
         }
 
         std::atomic<bool> link_dead{false};
-        std::atomic<std::uint64_t> completed{0};
+        std::atomic<std::size_t> completed{0};
         BatchSource source(std::move(indices));
         SocketSink sink(fd, grant->lease_id, write_mutex, link_dead, completed);
 
@@ -243,7 +234,6 @@ WorkerResult Worker::run() {
         const auto send_heartbeat = [&] {
           HeartbeatMsg beat;
           beat.lease_id = grant->lease_id;
-          beat.completed = completed.load(std::memory_order_relaxed);
           if (config_.registry) {
             // Full running totals every beat: idempotent under reconnect,
             // because the coordinator replaces this worker's block instead
@@ -265,8 +255,7 @@ WorkerResult Worker::run() {
 
         const auto pool_threads =
             static_cast<unsigned>(std::min<std::size_t>(threads, grant->trials.size()));
-        run_trial_pool(plan_, factory_, source, sink, {pool_threads, config_.registry},
-                       &cancelled_);
+        run_trial_pool(plan_, factory_, source, sink, {pool_threads, config_.registry});
 
         {
           std::lock_guard<std::mutex> hb_lock(hb_mutex);
@@ -279,39 +268,22 @@ WorkerResult Worker::run() {
         // finished between two periodic beats.
         if (config_.registry) send_heartbeat();
 
-        result.trials_run += static_cast<std::size_t>(completed.load());
+        result.trials_run += completed.load();
         ++result.leases_served;
         if (link_dead.load(std::memory_order_relaxed)) return SessionEnd::kLost;
-        if (cancelled()) return SessionEnd::kCancelled;
         break;  // batch delivered; ask for the next one
       }
     }
   };
 
   for (;;) {
-    if (cancelled()) {
-      result.exit = WorkerExit::kCancelled;
-      break;
-    }
     const std::optional<std::chrono::microseconds> delay = gate.next_delay();
     if (!delay) {
       result.exit = WorkerExit::kGaveUp;
       result.message = "reconnect gate exhausted";
       break;
     }
-    // Sleep in small slices so cancel() stays responsive through long
-    // breaker-open windows.
-    auto remaining = *delay;
-    while (remaining.count() > 0 && !cancelled()) {
-      const auto step =
-          std::min<std::chrono::microseconds>(remaining, std::chrono::milliseconds(50));
-      std::this_thread::sleep_for(step);
-      remaining -= step;
-    }
-    if (cancelled()) {
-      result.exit = WorkerExit::kCancelled;
-      break;
-    }
+    std::this_thread::sleep_for(*delay);
 
     std::optional<util::Fd> fd = util::tcp_connect(config_.host, config_.port);
     if (!fd) {
@@ -329,10 +301,6 @@ WorkerResult Worker::run() {
     }
     if (end == SessionEnd::kRejected) {
       result.exit = WorkerExit::kRejected;
-      break;
-    }
-    if (end == SessionEnd::kCancelled) {
-      result.exit = WorkerExit::kCancelled;
       break;
     }
     gate.note_failure();  // SessionEnd::kLost: back through the gate

@@ -11,7 +11,6 @@
 // coordinator deduplicates, the seed makes reruns byte-identical.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -31,8 +30,6 @@ struct WorkerConfig {
   std::uint16_t port = 0;
   /// Trial pool threads; 0 = std::thread::hardware_concurrency().
   unsigned threads = 0;
-  /// Advertised in Hello; shows up in coordinator diagnostics.
-  std::string name = "worker";
   /// Must match the coordinator's world tag (campaign fingerprint input).
   std::string world_tag = "unlock";
   /// Consecutive connection failures before run() gives up; 0 = never.
@@ -51,7 +48,6 @@ enum class WorkerExit : std::uint8_t {
   kCoordinatorPaused,  // coordinator sent Shutdown(kCoordinatorPausing)
   kRejected,           // handshake refused: wrong version or campaign
   kGaveUp,             // reconnect gate exhausted
-  kCancelled,          // cancel() observed
 };
 
 struct WorkerResult {
@@ -69,10 +65,8 @@ class Worker {
   Worker(const TrialPlan& plan, WorldFactory factory, WorkerConfig config);
 
   /// Runs until the coordinator ends the campaign, the handshake is
-  /// refused, the reconnect gate gives up, or cancel() fires.
+  /// refused, or the reconnect gate gives up.
   WorkerResult run();
-
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
 
  private:
   const TrialPlan& plan_;
@@ -80,10 +74,9 @@ class Worker {
   WorkerConfig config_;
   std::uint64_t fingerprint_;
   /// Sent in Hello; stable across reconnects (the Worker object and its
-  /// registry survive the reconnect gate), unique across worker processes
-  /// even when operators reuse `config.name`.  Also the gate's jitter seed.
+  /// registry survive the reconnect gate), unique across worker processes.
+  /// Also the gate's jitter seed.
   std::uint64_t instance_id_;
-  std::atomic<bool> cancelled_{false};
 };
 
 }  // namespace acf::fleet::remote

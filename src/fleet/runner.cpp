@@ -139,13 +139,11 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
     refuse(program, error.what(), 1);
   }
   observer.progress.set_snapshot_source([&] { return coordinator->merged_metrics(); });
-  const remote::CoordinatorStats& stats = coordinator->stats();
   std::fprintf(stderr, "%s: serving %zu trials (%zu arms x %zu replicas) on 127.0.0.1:%u\n",
                program.c_str(), plan.trial_count(), plan.arm_count(), plan.replicas(),
                coordinator->port());
-  if (stats.resumed_done > 0 || stats.resumed_leased > 0) {
-    std::fprintf(stderr, "%s: resumed checkpoint: %zu done, %zu re-queued in-flight\n",
-                 program.c_str(), stats.resumed_done, stats.resumed_leased);
+  if (const std::size_t resumed = coordinator->stats().resumed_done; resumed > 0) {
+    std::fprintf(stderr, "%s: resumed checkpoint: %zu done\n", program.c_str(), resumed);
   }
 
   const std::vector<pid_t> children =
@@ -201,7 +199,6 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
   config.port = static_cast<std::uint16_t>(port_number);
   config.threads = options.threads;
   config.world_tag = std::string(world_tag);
-  config.name = "pid-" + std::to_string(static_cast<long>(::getpid()));
   config.heartbeat_period = options.heartbeat_period.value_or(config.heartbeat_period);
   // Workers always collect: whether anyone reads the totals is the
   // coordinator's call, and heartbeats carry them for next to nothing.
@@ -211,10 +208,12 @@ std::vector<TrialOutcome> coordinate(const TrialPlan& plan, std::string_view wor
   const remote::WorkerResult result = worker.run();
 
   // Indexed by remote::WorkerExit.
-  constexpr const char* kExits[] = {"complete", "paused", "rejected", "gave up", "cancelled"};
-  std::fprintf(stderr, "%s[%s]: %s after %zu trials, %llu leases (%llu reconnect attempts)%s%s\n",
-               program.c_str(), config.name.c_str(), kExits[static_cast<int>(result.exit)],
-               result.trials_run, static_cast<unsigned long long>(result.leases_served),
+  constexpr const char* kExits[] = {"complete", "paused", "rejected", "gave up"};
+  std::fprintf(stderr,
+               "%s[pid-%ld]: %s after %zu trials, %llu leases (%llu reconnect attempts)%s%s\n",
+               program.c_str(), static_cast<long>(::getpid()),
+               kExits[static_cast<int>(result.exit)], result.trials_run,
+               static_cast<unsigned long long>(result.leases_served),
                static_cast<unsigned long long>(result.reconnect.attempts),
                result.message.empty() ? "" : ": ", result.message.c_str());
   std::exit(result.exit == remote::WorkerExit::kCampaignComplete ||

@@ -196,86 +196,4 @@ void Registry::absorb(const RegistrySnapshot& snap) {
   // not compose; the merged view recomputes nothing for them.
 }
 
-// ---------------------------------------------------- merge_snapshots -----
-
-RegistrySnapshot merge_snapshots(std::span<const RegistrySnapshot> parts) {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  struct MeterAcc {
-    std::uint64_t count = 0;
-    double m1 = 0.0, m5 = 0.0, m15 = 0.0, mean = 0.0;
-  };
-  std::map<std::string, MeterAcc> meters;
-  std::map<std::string, TimerSnap> timers;
-
-  for (const RegistrySnapshot& part : parts) {
-    for (const CounterSnap& c : part.counters) {
-      if (is_watermark(c.name)) {
-        std::uint64_t& slot = counters[c.name];
-        slot = std::max(slot, c.value);
-      } else {
-        counters[c.name] += c.value;
-      }
-    }
-    for (const GaugeSnap& g : part.gauges) gauges[g.name] += g.value;
-    for (const MeterSnap& m : part.meters) {
-      MeterAcc& acc = meters[m.name];
-      // Count-weighted rate average: a stalled meter should not drag a busy
-      // one to half speed.
-      const double wa = static_cast<double>(acc.count);
-      const double wb = static_cast<double>(m.count);
-      const double total = wa + wb;
-      if (total > 0.0) {
-        acc.m1 = (acc.m1 * wa + m.m1 * wb) / total;
-        acc.m5 = (acc.m5 * wa + m.m5 * wb) / total;
-        acc.m15 = (acc.m15 * wa + m.m15 * wb) / total;
-        acc.mean = (acc.mean * wa + m.mean * wb) / total;
-      }
-      acc.count += m.count;
-    }
-    for (const TimerSnap& t : part.timers) {
-      auto [it, fresh] = timers.try_emplace(t.name);
-      TimerSnap& out = it->second;
-      if (fresh) {
-        out = t;
-        continue;
-      }
-      if (t.count == 0) continue;
-      if (out.count == 0) {
-        out.min = t.min;
-        out.max = t.max;
-      } else {
-        out.min = std::min(out.min, t.min);
-        out.max = std::max(out.max, t.max);
-      }
-      out.count += t.count;
-      out.sum += t.sum;
-      CkmsQuantiles merged;
-      merged.absorb(out.samples, 0);
-      merged.absorb(t.samples, 0);
-      out.p50 = merged.query(0.50);
-      out.p90 = merged.query(0.90);
-      out.p99 = merged.query(0.99);
-      out.p999 = merged.query(0.999);
-      out.samples = merged.export_samples();
-    }
-  }
-
-  RegistrySnapshot snap;
-  snap.counters.reserve(counters.size());
-  for (const auto& [name, value] : counters) snap.counters.push_back({name, value});
-  snap.gauges.reserve(gauges.size());
-  for (const auto& [name, value] : gauges) snap.gauges.push_back({name, value});
-  snap.meters.reserve(meters.size());
-  for (const auto& [name, acc] : meters) {
-    snap.meters.push_back({name, acc.count, acc.m1, acc.m5, acc.m15, acc.mean});
-  }
-  snap.timers.reserve(timers.size());
-  for (auto& [name, t] : timers) {
-    t.name = name;
-    snap.timers.push_back(std::move(t));
-  }
-  return snap;
-}
-
 }  // namespace acf::metrics

@@ -43,8 +43,8 @@ class Counter {
   }
   /// Monotonic advance to an externally tracked total (CAS-max): safe to
   /// re-publish the same running total without double counting.  Name such
-  /// counters `*_max`: absorb/merge_snapshots combine `*_max` counters with
-  /// max (watermark semantics) instead of summing.
+  /// counters `*_max`: Registry::absorb combines `*_max` counters with max
+  /// (watermark semantics) instead of summing.
   void bump_to(std::uint64_t total) noexcept {
     std::uint64_t cur = value_.load(std::memory_order_relaxed);
     while (cur < total &&
@@ -180,11 +180,6 @@ struct RegistrySnapshot {
   }
 };
 
-/// Sums counters/gauges (`*_max` counters take the max — watermark
-/// semantics), weight-averages meter rates, CKMS-merges timers.  Names
-/// union; output sorted by name.
-RegistrySnapshot merge_snapshots(std::span<const RegistrySnapshot> parts);
-
 class Registry {
  public:
   /// Returns the named instrument, creating it on first use.  The reference
@@ -197,8 +192,10 @@ class Registry {
   /// Point-in-time snapshot (sorted by name).  Timers flush their buffers.
   RegistrySnapshot snapshot();
 
-  /// Adds a snapshot into this registry: counters/gauges add, timers
-  /// CKMS-merge, meters are skipped (rates do not add across clocks).
+  /// Adds a snapshot into this registry: counters/gauges add (`*_max`
+  /// counters take the max), timers CKMS-merge, meters are skipped (rates
+  /// do not add across clocks).  The one merge: a world folds its IDS
+  /// registry in this way, and the fleet coordinator its workers' totals.
   void absorb(const RegistrySnapshot& snap);
 
  private:

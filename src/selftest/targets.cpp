@@ -424,10 +424,11 @@ Verdict run_wire(Bytes input) {
 // fleet_wire: the distributed-campaign frame protocol.  Raw mode: arbitrary
 // bytes through FrameReader (chunked arbitrarily vs fed whole must agree),
 // then strict decode — whatever decodes must re-encode to the identical
-// payload, unknown types round-trip verbatim, truncated frames yield
-// nothing, zero/oversized length prefixes poison the stream.  Structured
-// mode: synthesise each message type from the input, frame it, push it
-// through a chunked reader and require value identity back out.  [R][M][S]
+// payload and carry a type byte of the protocol (1..8), truncated frames
+// yield nothing, zero/oversized length prefixes poison the stream.
+// Structured mode: synthesise each message type from the input, frame it,
+// push it through a chunked reader and require value identity back out; the
+// same payload under a type byte outside 1..8 must not decode.  [R][M][S]
 
 namespace fr = fleet::remote;
 
@@ -500,20 +501,18 @@ metrics::RegistrySnapshot random_metrics(Bytes input, util::Rng& rng) {
 }
 
 fr::Message random_message(Bytes input, util::Rng& rng) {
-  switch (rng.next_below(9)) {
+  switch (rng.next_below(8)) {
     case 0: {
       fr::HelloMsg msg;
       msg.protocol_version = static_cast<std::uint32_t>(rng.next_u64());
       msg.fingerprint = rng.next_u64();
-      msg.capacity = static_cast<std::uint32_t>(rng.next_u64());
-      msg.worker_name = slice_text(input, rng, fr::kMaxNameBytes);
+      msg.instance_id = rng.next_u64();
       return msg;
     }
     case 1: {
       fr::WelcomeMsg msg;
       msg.fingerprint = rng.next_u64();
       msg.trial_count = rng.next_u64();
-      msg.session = rng.next_u64();
       return msg;
     }
     case 2:
@@ -521,7 +520,6 @@ fr::Message random_message(Bytes input, util::Rng& rng) {
     case 3: {
       fr::LeaseGrantMsg msg;
       msg.lease_id = rng.next_u64();
-      msg.deadline_ms = static_cast<std::uint32_t>(rng.next_u64());
       const auto count = rng.next_below(17);
       for (std::uint64_t i = 0; i < count; ++i) msg.trials.push_back(rng.next_u64());
       return msg;
@@ -552,25 +550,20 @@ fr::Message random_message(Bytes input, util::Rng& rng) {
     case 5: {
       fr::HeartbeatMsg msg;
       msg.lease_id = rng.next_u64();
-      msg.completed = rng.next_u64();
       if (rng.next_bool()) msg.metrics = random_metrics(input, rng);
       return msg;
     }
     case 6:
       return fr::ShutdownMsg{static_cast<fr::ShutdownReason>(rng.next_below(2))};
-    case 7:
+    default:
       return fr::RejectedMsg{slice_text(input, rng, 128)};
-    default: {
-      fr::UnknownMsg msg;
-      // A type this protocol version does not define: 0 or 9..255.
-      msg.type = static_cast<std::uint8_t>(9 + rng.next_below(248)) ;
-      if (rng.next_bool()) msg.type = 0;
-      const auto len = rng.next_below(65);
-      msg.payload.resize(len);
-      for (auto& byte : msg.payload) byte = static_cast<std::uint8_t>(rng.next_u64());
-      return msg;
-    }
   }
+}
+
+/// True for the type bytes the protocol defines (MsgType: 1..8).
+bool known_message_type(std::uint8_t type) {
+  return type >= static_cast<std::uint8_t>(fr::MsgType::kHello) &&
+         type <= static_cast<std::uint8_t>(fr::MsgType::kRejected);
 }
 
 Verdict run_fleet_wire(Bytes input) {
@@ -596,10 +589,8 @@ Verdict run_fleet_wire(Bytes input) {
       if (fr::encode(*decoded) != payload) {
         return "accepted wire payload does not re-encode to itself";
       }
-      if (const auto* unknown = std::get_if<fr::UnknownMsg>(&*decoded)) {
-        if (unknown->payload.size() + 1 != payload.size()) {
-          return "unknown message type did not preserve its payload verbatim";
-        }
+      if (!known_message_type(payload[0])) {
+        return "payload with type byte " + std::to_string(payload[0]) + " decoded";
       }
     }
     return std::nullopt;
@@ -629,6 +620,14 @@ Verdict run_fleet_wire(Bytes input) {
     if (!messages_equal(*decoded, sent[i])) {
       return "message changed across frame/decode round-trip";
     }
+  }
+
+  // The same body under a type byte the protocol does not define (0 or
+  // 9..255) is malformed, never decoded as something else.
+  std::vector<std::uint8_t> retyped = drained.payloads.front();
+  retyped[0] = rng.next_bool() ? 0 : static_cast<std::uint8_t>(9 + rng.next_below(247));
+  if (fr::decode(retyped)) {
+    return "payload with type byte " + std::to_string(retyped[0]) + " decoded";
   }
 
   // Truncation: cutting the stream mid-frame must never yield that frame.
@@ -834,11 +833,11 @@ Verdict run_corpus_file(Bytes input) {
 // fleet_checkpoint: the coordinator's campaign checkpoint, read back from
 // disk on every resume.  Raw mode: FleetCheckpoint::decode on arbitrary
 // bytes rejects cleanly; whatever it accepts re-encodes to exactly those
-// bytes and keeps the documented layout (completed and leased indices
-// strictly ascending inside the plan, never both).  Structured mode:
-// synthesise a checkpoint whose strings come from the input bytes and whose
-// doubles are any bit pattern, then require decode∘encode identity.
-// [R][M][S]
+// bytes, declares format v3 (version_of reads it back), and keeps the
+// documented layout (completed indices strictly ascending inside the plan).
+// Structured mode: synthesise a checkpoint whose strings come from the input
+// bytes and whose doubles are any bit pattern, then require decode∘encode
+// identity, and refuse the same record under an older version.  [R][M][S]
 
 /// Outcomes compare through their wire encoding, which carries every field
 /// bit-exactly (doubles included).
@@ -847,7 +846,6 @@ bool fleet_checkpoints_equal(const fr::FleetCheckpoint& a, const fr::FleetCheckp
     return fr::encode(fr::LeaseResultMsg{0, x}) == fr::encode(fr::LeaseResultMsg{0, y});
   };
   return a.fingerprint == b.fingerprint && a.trial_count == b.trial_count &&
-         a.leased == b.leased &&
          std::equal(a.completed.begin(), a.completed.end(), b.completed.begin(),
                     b.completed.end(), same);
 }
@@ -857,23 +855,11 @@ Verdict check_fleet_checkpoint_layout(const fr::FleetCheckpoint& checkpoint) {
   for (const fleet::TrialOutcome& outcome : checkpoint.completed) {
     done.push_back(outcome.spec.trial_index);
   }
-  const auto ascending = [](const std::vector<std::size_t>& indices) {
-    return std::adjacent_find(indices.begin(), indices.end(), std::greater_equal<>()) ==
-           indices.end();
-  };
-  if (!ascending(done) || !ascending(checkpoint.leased)) {
+  if (std::adjacent_find(done.begin(), done.end(), std::greater_equal<>()) != done.end()) {
     return "accepted checkpoint has indices out of ascending order";
   }
-  const auto inside = [&](const std::vector<std::size_t>& indices) {
-    return indices.empty() || indices.back() < checkpoint.trial_count;
-  };
-  if (!inside(done) || !inside(checkpoint.leased)) {
+  if (!done.empty() && done.back() >= checkpoint.trial_count) {
     return "accepted checkpoint has a trial outside the plan";
-  }
-  for (const std::size_t index : checkpoint.leased) {
-    if (std::binary_search(done.begin(), done.end(), index)) {
-      return "accepted checkpoint has a trial both done and leased";
-    }
   }
   return std::nullopt;
 }
@@ -888,6 +874,9 @@ Verdict run_fleet_checkpoint(Bytes input) {
     if (!std::equal(encoded.begin(), encoded.end(), rest.begin(), rest.end())) {
       return "accepted fleet checkpoint does not re-encode to itself";
     }
+    if (fr::FleetCheckpoint::version_of(rest) != fr::FleetCheckpoint::kVersion) {
+      return "accepted fleet checkpoint does not declare this build's version";
+    }
     return check_fleet_checkpoint_layout(*parsed);
   }
   util::Rng rng(fnv1a(input) ^ 0xF1EE7C4BULL);
@@ -895,9 +884,7 @@ Verdict run_fleet_checkpoint(Bytes input) {
   checkpoint.fingerprint = rng.next_u64();
   checkpoint.trial_count = 1 + rng.next_below(24);
   for (std::size_t index = 0; index < checkpoint.trial_count; ++index) {
-    const auto state = rng.next_below(3);  // done, in flight, or still queued
-    if (state == 1) checkpoint.leased.push_back(index);
-    if (state != 0) continue;
+    if (rng.next_below(3) != 0) continue;  // in flight or still queued
     fleet::TrialOutcome& outcome = checkpoint.completed.emplace_back();
     outcome.spec = {index, rng.next_below(64), rng.next_below(1024), rng.next_u64(),
                     sim::Duration{static_cast<std::int64_t>(rng.next_u64())}};
@@ -919,6 +906,14 @@ Verdict run_fleet_checkpoint(Bytes input) {
     return "fleet checkpoint round-trip lost data";
   }
   if (restored->encode() != encoded) return "fleet checkpoint record is not a fixed point";
+  // The same record under an older version number is refused, and
+  // version_of names that number (the coordinator's message quotes it).
+  std::vector<std::uint8_t> older = encoded;
+  older[4] = static_cast<std::uint8_t>(rng.next_below(fr::FleetCheckpoint::kVersion));
+  if (fr::FleetCheckpoint::decode(older)) return "fleet checkpoint of an older version decoded";
+  if (fr::FleetCheckpoint::version_of(older) != older[4]) {
+    return "version_of misread a checkpoint's version";
+  }
   return std::nullopt;
 }
 

@@ -2,8 +2,9 @@
 // it: a bench run with `--distributed` must give exactly what the same run
 // gives in-process, every side effect its flags ask for included.  Forked
 // workers are exec'd with the parent's own command line, so no flag can be
-// lost on the way to them.  A bench refuses, before forking anything, a
-// malformed number or more workers than trials.
+// lost on the way to them.  A bench refuses, before forking anything and
+// before printing a byte on stdout, a malformed number, an option that
+// cannot take effect, or more workers than trials.
 #include <sys/wait.h>
 
 #include <chrono>
@@ -98,20 +99,32 @@ TEST(CampaignRunner, RateAblationStreamsMetricsAndPrintsTheSameTableDistributed)
 
 /// A worker per trial is the most a campaign can use, so asking for more
 /// exits 2 before anything is forked.  A malformed number exits 2 too, never
-/// read as its leading digits ("2x" as 2) or as 0.
+/// read as its leading digits ("2x" as 2) or as 0, and so does an option
+/// that cannot take effect.  None of them prints anything on stdout: a fleet
+/// bench prints its header only once the campaign is accepted.
 TEST(CampaignRunner, TooManyWorkersAndMalformedNumbersExitTwoAtOnce) {
+  const fs::path out = fresh_dir("runner_refused") / "stdout.txt";
   const std::string rate = ACF_BENCH_RATE_BIN;
   // `--runs 1` is six trials, one per period: seven workers are one too many.
+  // Table V's `--runs 1` is two trials.  `--metrics-interval` needs
+  // `--metrics-out`.
   for (const std::string& command :
        {rate + " --runs 1 --threads 1 --distributed 7", rate + " --runs 2x", rate + " 2x",
         rate + " --runs 0", rate + " --threads 1x", rate + " --seed -1",
         rate + " --metrics-out /dev/null --metrics-interval x",
+        std::string(ACF_BENCH_TABLE5_BIN) + " --runs 1 --distributed 3",
+        std::string(ACF_BENCH_HARDENING_BIN) + " --runs 1 --metrics-interval 5",
+        std::string(ACF_BENCH_FEEDBACK_BIN) + " --runs 1 --metrics-interval 5",
+        std::string(ACF_BENCH_IDS_ROC_BIN) + " --runs 1 --metrics-interval 5",
+        std::string(ACF_BENCH_IDS_ROC_BIN) + " --runs 1 --attacks --metrics-interval 5",
         std::string(ACF_BENCH_AUTH_BIN) + " 2x", std::string(ACF_BENCH_SMARTFUZZ_BIN) + " 0",
         std::string(ACF_BENCH_TARGETED_BIN) + " 2 3"}) {
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(run(command + " > /dev/null"), 2) << command;
+    EXPECT_EQ(run(command + " > " + out.string()), 2) << command;
     EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1)) << command;
+    EXPECT_EQ(slurp(out), "") << command;
   }
+  fs::remove_all(out.parent_path());
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/snapshot.hpp"
 #include "util/bytes.hpp"
+#include "util/file.hpp"
 #include "util/hex.hpp"
 #include "util/socket.hpp"
 #include "vehicle/vehicle.hpp"
@@ -88,16 +89,12 @@ bool outcomes_equal(const TrialOutcome& a, const TrialOutcome& b) {
 TEST(FleetRemoteWire, EveryMessageTypeRoundTrips) {
   HelloMsg hello;
   hello.fingerprint = 0xDEADBEEF;
-  hello.capacity = 8;
-  hello.worker_name = "w-1";
   hello.instance_id = 0x1DB01DB0CAFEF00Dull;
   WelcomeMsg welcome;
   welcome.fingerprint = 0xDEADBEEF;
   welcome.trial_count = 400;
-  welcome.session = 7;
   LeaseGrantMsg grant;
   grant.lease_id = 42;
-  grant.deadline_ms = 10'000;
   grant.trials = {10, 11, 12};
   LeaseResultMsg result;
   result.lease_id = 42;
@@ -109,7 +106,7 @@ TEST(FleetRemoteWire, EveryMessageTypeRoundTrips) {
   result.outcome.time_to_failure = 1.25;
   result.outcome.findings = {"unlock without auth", "line with \"quotes\" and \n newline"};
 
-  HeartbeatMsg beat_with_metrics{42, 2, std::nullopt};
+  HeartbeatMsg beat_with_metrics{42, std::nullopt};
   beat_with_metrics.metrics.emplace();
   beat_with_metrics.metrics->counters = {{"fleet.trial.completed", 7},
                                          {"sim.scheduler.heap_capacity_max", 256}};
@@ -125,7 +122,7 @@ TEST(FleetRemoteWire, EveryMessageTypeRoundTrips) {
   const std::vector<Message> messages = {
       Message{hello},         Message{welcome},
       Message{LeaseRequestMsg{4}}, Message{grant},
-      Message{result},        Message{HeartbeatMsg{42, 2, std::nullopt}},
+      Message{result},        Message{HeartbeatMsg{42, std::nullopt}},
       Message{beat_with_metrics},
       Message{ShutdownMsg{ShutdownReason::kCoordinatorPausing}},
       Message{RejectedMsg{"fingerprint mismatch"}},
@@ -150,6 +147,15 @@ TEST(FleetRemoteWire, TruncatedAndPaddedPayloadsAreRejected) {
   payload.push_back(0x00);  // strict: trailing garbage is not tolerated
   EXPECT_FALSE(decode(payload).has_value());
   EXPECT_FALSE(decode(std::span<const std::uint8_t>{}).has_value());
+  // A type byte outside the protocol's 1..8 is malformed too, alone or in
+  // front of a well-formed body.
+  payload.pop_back();
+  for (const int type : {0x00, 0x09, 0x7F, 0xFF}) {
+    const std::uint8_t bare[] = {static_cast<std::uint8_t>(type)};
+    EXPECT_FALSE(decode(bare).has_value()) << type;
+    payload[0] = static_cast<std::uint8_t>(type);
+    EXPECT_FALSE(decode(payload).has_value()) << type;
+  }
 }
 
 /// A stop byte past the last StopReason is rejected, so 6, the retired
@@ -172,28 +178,17 @@ TEST(FleetRemoteWire, OutOfRangeStopReasonIsRejected) {
   }
 }
 
-TEST(FleetRemoteWire, UnknownMessageTypeIsPreservedVerbatim) {
-  const std::vector<std::uint8_t> payload = {0x7F, 0x01, 0x02, 0x03};
-  const std::optional<Message> decoded = decode(payload);
-  ASSERT_TRUE(decoded.has_value());
-  const auto* unknown = std::get_if<UnknownMsg>(&*decoded);
-  ASSERT_NE(unknown, nullptr);
-  EXPECT_EQ(unknown->type, 0x7F);
-  EXPECT_EQ(encode(*decoded), payload);
-}
-
 TEST(FleetRemoteWire, HostileDeclaredCountsAreRejectedNotAllocated) {
-  // A LeaseGrant declaring 4 billion trials in a 16-byte payload.
+  // A LeaseGrant declaring 4 billion trials in a 13-byte payload.
   util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(MsgType::kLeaseGrant));
   w.u64(1);
-  w.u32(0);
   w.u32(0xFFFFFFFFu);
   EXPECT_FALSE(decode(w.bytes()).has_value());
 }
 
 TEST(FleetRemoteWire, FrameReaderReassemblesByteByByte) {
-  std::vector<std::uint8_t> stream = frame_message(Message{HeartbeatMsg{1, 2, std::nullopt}});
+  std::vector<std::uint8_t> stream = frame_message(Message{HeartbeatMsg{1, std::nullopt}});
   const std::vector<std::uint8_t> second = frame_message(Message{LeaseRequestMsg{3}});
   stream.insert(stream.end(), second.begin(), second.end());
 
@@ -233,7 +228,6 @@ TEST(FleetRemoteWire, FrameWrittenBeforeHangUpIsDecoded) {
   util::Fd peer(ends[1]);
   HeartbeatMsg beat;
   beat.lease_id = 7;
-  beat.completed = 3;
   beat.metrics.emplace().counters = {{"fleet.trial.completed", 3}};
   const std::vector<std::uint8_t> frame = frame_message(Message{beat});
   ASSERT_EQ(util::socket_write(peer.get(), frame).bytes, frame.size());
@@ -259,7 +253,9 @@ TEST(FleetRemoteWire, FrameWrittenBeforeHangUpIsDecoded) {
 /// The heartbeat's metrics block is a RegistrySnapshot minus meters and
 /// quantiles.  The expected bytes were recorded through the wire's earlier
 /// mirror types (the same snapshot converted field by field), so this pins
-/// that the block's layout, and kProtocolVersion 1 with it, never moved.
+/// that the block's layout never moved.  Protocol 2 dropped the 8-byte
+/// `completed` count that sat between the lease id and the block; the
+/// block's bytes are those protocol 1 sent.
 TEST(FleetRemoteWire, HeartbeatMetricsBlockBytesAreUnchanged) {
   metrics::RegistrySnapshot snap;
   snap.counters = {{"fleet.trial.completed", 7}, {"sim.scheduler.heap_capacity_max", 256}};
@@ -276,11 +272,11 @@ TEST(FleetRemoteWire, HeartbeatMetricsBlockBytesAreUnchanged) {
   timer.samples = {{0.5, 1, 0}, {2.0, 1, 0}, {4.0, 1, 0}};
   HeartbeatMsg beat;
   beat.lease_id = 42;
-  beat.completed = 2;
   beat.metrics = snap;
 
   const std::string expected =
-      "062a000000000000000200000000000000010200000015000000666c6565742e747269616c2e63"
+      "062a00000000000000"  // type, lease id
+      "010200000015000000666c6565742e747269616c2e63"
       "6f6d706c6574656407000000000000001f00000073696d2e7363686564756c65722e686561705f"
       "63617061636974795f6d617800010000000000000100000018000000666c6565742e6c65617365"
       "732e6f75747374616e64696e67feffffffffffffff0100000017000000666c6565742e74726961"
@@ -392,18 +388,27 @@ TEST(FleetRemoteLease, ReleaseWorkerReclaimsAllItsLeases) {
   EXPECT_EQ(table.stats().trials_stolen, 4u);
 }
 
-TEST(FleetRemoteLease, CheckpointRestorePrioritisesInFlightTrials) {
-  LeaseTable table(6);
-  table.mark_done(0);
-  table.mark_done(3);
-  // Resume path: trials 4 and 5 were leased at save time; re-issue first.
-  table.prioritise(5);
-  table.prioritise(4);
-  const auto lease = table.grant(1, 3, WallClock::now(), 1000ms);
+/// The checkpoint stores only the finished trials.  Leases go out in index
+/// order, so the trials in flight at save time sit below every trial never
+/// issued, and a restored table, issuing in index order, re-issues them
+/// first.
+TEST(FleetRemoteLease, RestoredTableReissuesInFlightTrialsBeforeUntouchedOnes) {
+  LeaseTable live(8);
+  const auto now = WallClock::now();
+  const auto lease = live.grant(1, 4, now, 1000ms);
   ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->trials, (std::vector<std::size_t>{4, 5, 1}));
-  EXPECT_EQ(table.leased_indices(), (std::vector<std::size_t>{1, 4, 5}));
-  EXPECT_EQ(table.done_count(), 2u);
+  EXPECT_EQ(live.complete(lease->lease_id, 0), CompletionResult::kAccepted);
+  EXPECT_EQ(live.complete(lease->lease_id, 3), CompletionResult::kAccepted);
+  // Saved now: 0 and 3 done, 1 and 2 in flight, 4 to 7 never issued.
+  LeaseTable restored(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (live.state(i) == TrialState::kDone) restored.mark_done(i);
+  }
+  EXPECT_EQ(restored.done_count(), 2u);
+  const auto first = restored.grant(1, 3, now, 1000ms);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->trials, (std::vector<std::size_t>{1, 2, 4}));
+  EXPECT_EQ(restored.stats().trials_stolen, 0u);  // a new table: nothing stolen yet
 }
 
 TEST(FleetRemoteLease, AllDoneOnlyWhenEveryTrialCompleted) {
@@ -437,7 +442,6 @@ FleetCheckpoint sample_checkpoint() {
   failed.status = TrialStatus::kFailed;
   failed.error = "world threw: % weird % text";
   checkpoint.completed = {done, failed};
-  checkpoint.leased = {3, 6, 7};
   return checkpoint;
 }
 
@@ -452,7 +456,6 @@ TEST(FleetRemoteCheckpoint, RoundTripsThroughTheRecord) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->fingerprint, original.fingerprint);
   EXPECT_EQ(restored->trial_count, original.trial_count);
-  EXPECT_EQ(restored->leased, original.leased);
   ASSERT_EQ(restored->completed.size(), original.completed.size());
   for (std::size_t i = 0; i < original.completed.size(); ++i) {
     // Every field crosses, the spec included: it is the wire's own record.
@@ -471,9 +474,12 @@ TEST(FleetRemoteCheckpoint, RejectsMalformedRecords) {
   std::vector<std::uint8_t> wrong_magic = good;
   wrong_magic[0] ^= 0xFF;
   EXPECT_FALSE(decode_checkpoint(wrong_magic).has_value());
-  std::vector<std::uint8_t> wrong_version = good;
-  wrong_version[4] = 1;  // the previous (text) version number
-  EXPECT_FALSE(decode_checkpoint(wrong_version).has_value());
+  // The text format's version and the binary record with the in-flight list.
+  for (const int version : {1, 2}) {
+    std::vector<std::uint8_t> wrong_version = good;
+    wrong_version[4] = static_cast<std::uint8_t>(version);
+    EXPECT_FALSE(decode_checkpoint(wrong_version).has_value()) << version;
+  }
   for (std::size_t cut = 1; cut <= good.size(); ++cut) {
     EXPECT_FALSE(
         decode_checkpoint({good.begin(), good.end() - static_cast<std::ptrdiff_t>(cut)}))
@@ -484,8 +490,7 @@ TEST(FleetRemoteCheckpoint, RejectsMalformedRecords) {
   EXPECT_FALSE(decode_checkpoint(padded).has_value());
 
   // Declared counts beyond the plan or the bytes left fail before any
-  // allocation: 2^32-1 completed records, 2^32-1 leased ids, and a plan of
-  // 2^64-1 trials.
+  // allocation: 2^32-1 completed records, and a plan of 2^64-1 trials.
   const auto header = [&good](std::uint64_t trials) {
     util::ByteReader prefix(good);
     util::ByteWriter w;
@@ -497,34 +502,18 @@ TEST(FleetRemoteCheckpoint, RejectsMalformedRecords) {
   };
   util::ByteWriter huge_done = header(8);
   huge_done.u32(0xFFFFFFFFu);
-  huge_done.u32(0);
   EXPECT_FALSE(decode_checkpoint(huge_done.bytes()).has_value());
-  util::ByteWriter huge_leased = header(8);
-  huge_leased.u32(0);
-  huge_leased.u32(0xFFFFFFFFu);
-  huge_leased.u64(1);
-  EXPECT_FALSE(decode_checkpoint(huge_leased.bytes()).has_value());
   util::ByteWriter huge_plan = header(~std::uint64_t{0});
-  huge_plan.u32(0);
   huge_plan.u32(0);
   EXPECT_FALSE(decode_checkpoint(huge_plan.bytes()).has_value());
 
-  // Completed records or leased ids out of order, or outside the plan.
+  // Completed records out of order, or outside the plan.
   FleetCheckpoint unordered = sample_checkpoint();
   std::swap(unordered.completed[0], unordered.completed[1]);
   EXPECT_FALSE(decode_checkpoint(unordered.encode()).has_value());
-  FleetCheckpoint unordered_leases = sample_checkpoint();
-  unordered_leases.leased = {6, 3};
-  EXPECT_FALSE(decode_checkpoint(unordered_leases.encode()).has_value());
   FleetCheckpoint outside = sample_checkpoint();
   outside.completed[1].spec.trial_index = 8;
   EXPECT_FALSE(decode_checkpoint(outside.encode()).has_value());
-}
-
-TEST(FleetRemoteCheckpoint, RejectsLeasedOverlappingCompleted) {
-  FleetCheckpoint checkpoint = sample_checkpoint();
-  checkpoint.leased = {2, 6};  // trial 2 is also recorded completed
-  EXPECT_FALSE(decode_checkpoint(checkpoint.encode()).has_value());
 }
 
 TEST(FleetRemoteCheckpoint, RejectsTheParentTextFormat) {
@@ -580,6 +569,38 @@ TEST(FleetRemoteCheckpoint, CoordinatorRejectsAStoredSpecThatDiffersFromThePlan)
     EXPECT_NE(std::string(error.what()).find("corrupt campaign checkpoint"), std::string::npos)
         << error.what();
   }
+  std::remove(path.c_str());
+}
+
+/// A checkpoint an earlier build wrote (v2 also listed the trials in flight)
+/// is refused by its format version, not called corrupt, and left as it was.
+TEST(FleetRemoteCheckpoint, CoordinatorNamesTheFormatVersionOfAnOlderCheckpoint) {
+  const TrialPlan plan = fast_plan(2);
+  const std::string path =
+      testing::TempDir() + "fleet_ck_v2_" + std::to_string(::getpid()) + ".bin";
+  FleetCheckpoint checkpoint;
+  checkpoint.fingerprint = campaign_fingerprint(plan, "fast");
+  checkpoint.trial_count = plan.trial_count();
+  // This empty checkpoint in the v2 layout: version 2, and an empty
+  // in-flight list after the completed records.
+  std::vector<std::uint8_t> v2 = checkpoint.encode();
+  v2[4] = 2;
+  v2.insert(v2.end(), 4, 0);
+  EXPECT_EQ(FleetCheckpoint::version_of(v2), 2u);
+  EXPECT_EQ(FleetCheckpoint::version_of(checkpoint.encode()), FleetCheckpoint::kVersion);
+  ASSERT_TRUE(util::replace_file(path, v2));
+  CoordinatorConfig config;
+  config.world_tag = "fast";
+  config.checkpoint_path = path;
+  try {
+    Coordinator coordinator(plan, config);
+    ADD_FAILURE() << "a v2 checkpoint was resumed";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path + " is format v2 and this build reads v3"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(util::read_file(path), v2);
   std::remove(path.c_str());
 }
 
@@ -823,6 +844,41 @@ TEST(FleetRemoteEndToEnd, MergedMetricsMatchTheInProcessRegistryExactly) {
   }
 }
 
+/// Quantiles never cross the wire, so the merged view recomputes them from
+/// the shipped CKMS samples, also for a timer only one worker shipped: each
+/// lies inside the timer's [min, max] and equals the worker's own.
+TEST(FleetRemoteEndToEnd, MergedQuantilesOfASingleWorkersTimersComeFromItsSamples) {
+  const TrialPlan plan = fast_plan(2);  // 4 trials
+  CoordinatorConfig config;
+  config.world_tag = "fast";
+  Coordinator coordinator(plan, config);
+  std::thread server([&] { coordinator.serve(); });
+  metrics::Registry worker_registry;
+  WorkerConfig wc;
+  wc.port = coordinator.port();
+  wc.threads = 2;
+  wc.world_tag = "fast";
+  wc.registry = &worker_registry;
+  Worker worker(plan, fast_unlock_factory(&worker_registry), wc);
+  EXPECT_EQ(worker.run().exit, WorkerExit::kCampaignComplete);
+  server.join();
+
+  const metrics::RegistrySnapshot merged = coordinator.merged_metrics();
+  const metrics::RegistrySnapshot own = worker_registry.snapshot();
+  ASSERT_EQ(merged.timers.size(), own.timers.size());
+  ASSERT_FALSE(merged.timers.empty());
+  for (std::size_t i = 0; i < own.timers.size(); ++i) {
+    const metrics::TimerSnap& m = merged.timers[i];
+    EXPECT_EQ(m.count, own.timers[i].count) << m.name;
+    if (m.count == 0) continue;
+    for (const double q : {m.p50, m.p90, m.p99, m.p999}) {
+      EXPECT_GE(q, m.min) << m.name;
+      EXPECT_LE(q, m.max) << m.name;
+    }
+    EXPECT_DOUBLE_EQ(m.p50, own.timers[i].p50) << m.name;
+  }
+}
+
 /// The coordinator's stream comes from the same reporter as an in-process
 /// one: eight accepted results at interval 3 give lines at the 3rd and 6th,
 /// then finish()'s final line, which shows the merged fleet-wide view.
@@ -887,8 +943,6 @@ void take_lease_and_vanish(const TrialPlan& plan, std::uint16_t port,
   ASSERT_TRUE(fd.has_value());
   HelloMsg hello;
   hello.fingerprint = campaign_fingerprint(plan, world_tag);
-  hello.capacity = 2;
-  hello.worker_name = "vanishing";
   const std::vector<std::uint8_t> frame = frame_message(Message{hello});
   ASSERT_EQ(util::socket_write(fd->get(), frame).bytes, frame.size());
   const std::vector<std::uint8_t> request = frame_message(Message{LeaseRequestMsg{2}});
@@ -949,6 +1003,81 @@ TEST(FleetRemoteEndToEnd, DisconnectedWorkersTrialsAreStolenAndCampaignCompletes
   EXPECT_EQ(registry.counter("fleet.progress.completed").value(), plan.trial_count());
 }
 
+/// Raw protocol client: sends a frame whose type byte the protocol does not
+/// define, after a Hello or in place of one, and waits for the coordinator
+/// to hang up.
+void send_unknown_type_and_get_dropped(const TrialPlan& plan, std::uint16_t port,
+                                       const std::string& world_tag, bool after_hello) {
+  std::optional<util::Fd> fd = util::tcp_connect("127.0.0.1", port);
+  ASSERT_TRUE(fd.has_value());
+  std::vector<std::uint8_t> stream;
+  if (after_hello) {
+    HelloMsg hello;
+    hello.fingerprint = campaign_fingerprint(plan, world_tag);
+    stream = frame_message(Message{hello});
+  }
+  const std::uint8_t unknown[] = {4, 0, 0, 0, 0x7F, 0x01, 0x02, 0x03};  // length, type, body
+  stream.insert(stream.end(), std::begin(unknown), std::end(unknown));
+  ASSERT_EQ(util::socket_write(fd->get(), stream).bytes, stream.size());
+
+  // A Welcome may arrive first; then the connection must close.
+  FrameReader reader;
+  bool closed = false;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    std::uint8_t chunk[512];
+    const auto read = util::socket_read(fd->get(), chunk);
+    if (read.status == util::IoStatus::kWouldBlock) {
+      std::this_thread::sleep_for(1ms);
+      continue;
+    }
+    if (read.status != util::IoStatus::kOk) {
+      closed = true;
+      continue;
+    }
+    ASSERT_TRUE(reader.feed(std::span<const std::uint8_t>(chunk, read.bytes)));
+    while (auto payload = reader.next()) {
+      const auto message = decode(*payload);
+      ASSERT_TRUE(message.has_value());
+      EXPECT_TRUE(after_hello && std::holds_alternative<WelcomeMsg>(*message));
+    }
+  }
+  EXPECT_TRUE(closed);
+}
+
+/// A type byte outside the protocol is a protocol error like any malformed
+/// payload, before the handshake or after it: the coordinator drops that
+/// connection at once and the campaign goes on with the real worker.
+TEST(FleetRemoteEndToEnd, UnknownMessageTypeDropsTheClientAndTheCampaignCompletes) {
+  const TrialPlan plan = fast_plan(2);  // 4 trials
+  const std::string reference = jsonl_of(plan, reference_outcomes(plan));
+
+  CoordinatorConfig config;
+  config.world_tag = "fast";
+  config.max_batch = 2;
+  Coordinator coordinator(plan, config);
+  std::vector<TrialOutcome> outcomes;
+  std::thread server([&] { outcomes = coordinator.serve(); });
+
+  send_unknown_type_and_get_dropped(plan, coordinator.port(), "fast", /*after_hello=*/false);
+  send_unknown_type_and_get_dropped(plan, coordinator.port(), "fast", /*after_hello=*/true);
+
+  WorkerConfig wc;
+  wc.port = coordinator.port();
+  wc.threads = 2;
+  wc.world_tag = "fast";
+  Worker worker(plan, fast_unlock_factory(), wc);
+  const WorkerResult result = worker.run();
+  server.join();
+
+  EXPECT_EQ(result.exit, WorkerExit::kCampaignComplete);
+  EXPECT_EQ(jsonl_of(plan, outcomes), reference);
+  const CoordinatorStats& stats = coordinator.stats();
+  EXPECT_EQ(stats.protocol_errors, 2u);
+  EXPECT_EQ(stats.workers_connected, 2u);     // the raw client's Hello, then the worker
+  EXPECT_EQ(stats.workers_disconnected, 1u);  // the raw client, dropped after its Hello
+}
+
 TEST(FleetRemoteEndToEnd, WorkerWithWrongCampaignIsRejected) {
   const TrialPlan plan = fast_plan(1);
   CoordinatorConfig config;
@@ -991,13 +1120,15 @@ std::string temp_path(const std::string& stem) {
   return testing::TempDir() + stem + "_" + std::to_string(::getpid());
 }
 
-/// Runs fleet_run with `args`, its stderr to `stderr_path`; a run still
-/// going after `timeout_s` seconds is killed (exit status 124).
+/// Runs fleet_run with `args`, its stderr to `stderr_path` and its stdout
+/// to `stdout_path`; a run still going after `timeout_s` seconds is killed
+/// (exit status 124).
 int run_fleet_bin(const std::string& args, int timeout_s = 120,
-                  const std::string& stderr_path = "/dev/null") {
+                  const std::string& stderr_path = "/dev/null",
+                  const std::string& stdout_path = "/dev/null") {
   const std::string command = "timeout " + std::to_string(timeout_s) + " " +
-                              std::string(ACF_FLEET_RUN_BIN) + " " + args +
-                              " > /dev/null 2> " + stderr_path;
+                              std::string(ACF_FLEET_RUN_BIN) + " " + args + " > " +
+                              stdout_path + " 2> " + stderr_path;
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -1075,8 +1206,10 @@ TEST(FleetRemoteProcess, PauseIntoAMissingDirectoryExitsOne) {
 /// value (a port mod 65536, a run count's leading digits) or retry port 0.
 /// So must a pause with nowhere to keep its trials (--stop-after without
 /// --checkpoint), and more workers than trials (`--runs 1` is two trials),
-/// before a single worker is forked.
+/// before a single worker is forked.  A refused run prints nothing on
+/// stdout: the report's header waits until the campaign is accepted.
 TEST(FleetRemoteProcess, MalformedNumbersExitTwoAtOnce) {
+  const std::string out = temp_path("refused_stdout") + ".txt";
   for (const char* args :
        {"--runs 1 --connect 127.0.0.1:", "--runs 1 --connect 127.0.0.1:70000",
         "--runs 1 --connect 127.0.0.1:0", "--runs 1 --connect 127.0.0.1:+4464",
@@ -1085,9 +1218,14 @@ TEST(FleetRemoteProcess, MalformedNumbersExitTwoAtOnce) {
         "--runs 4 --threads 2 --serve 0 --workers 2 --stop-after 3",
         "--runs 1 --threads 2 --serve 0 --workers 3"}) {
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(run_fleet_bin(std::string("--fast-world ") + args, /*timeout_s=*/10), 2) << args;
+    EXPECT_EQ(run_fleet_bin(std::string("--fast-world ") + args, /*timeout_s=*/10, "/dev/null",
+                            out),
+              2)
+        << args;
     EXPECT_LT(std::chrono::steady_clock::now() - start, 1s) << args;
+    EXPECT_EQ(slurp(out), "") << args;
   }
+  std::remove(out.c_str());
 }
 
 }  // namespace

@@ -192,8 +192,10 @@ TEST(MetricsMerge, CountersSumAndWatermarksTakeTheMax) {
   b.gauge("fleet.leases.outstanding").set(1);
   a.counter("only.in.a").add(7);
 
-  const std::vector<RegistrySnapshot> parts = {a.snapshot(), b.snapshot()};
-  const RegistrySnapshot merged = merge_snapshots(parts);
+  Registry fleet;
+  fleet.absorb(a.snapshot());
+  fleet.absorb(b.snapshot());
+  const RegistrySnapshot merged = fleet.snapshot();
 
   const auto counter_of = [&](const std::string& name) -> std::uint64_t {
     for (const CounterSnap& c : merged.counters)
@@ -238,8 +240,10 @@ TEST(MetricsMerge, TimerMergePreservesCountSumMinMax) {
   Registry a, b;
   for (int i = 1; i <= 100; ++i) a.timer("t").record(i);
   for (int i = 101; i <= 200; ++i) b.timer("t").record(i);
-  const std::vector<RegistrySnapshot> parts = {a.snapshot(), b.snapshot()};
-  const RegistrySnapshot merged = merge_snapshots(parts);
+  Registry fleet;
+  fleet.absorb(a.snapshot());
+  fleet.absorb(b.snapshot());
+  const RegistrySnapshot merged = fleet.snapshot();
   ASSERT_EQ(merged.timers.size(), 1u);
   const TimerSnap& t = merged.timers[0];
   EXPECT_EQ(t.count, 200u);
